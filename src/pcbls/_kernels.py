@@ -1,89 +1,21 @@
-"""Hot inner loops, JIT-compiled with numba when available.
+"""Glass-blur pixel swaps, the one inherently sequential loop in the package.
 
-Pure-numpy fallbacks are kept for every kernel; set ``PCBLS_NO_NUMBA=1`` to
-force them (they are also selected automatically when numba is missing).
-``benchmarks/bench_kernels.py`` compares the two paths.
-
-All kernels use replicate (clamp-to-border) padding so that convolving a
-stack of per-class probability maps with a sum-1 kernel keeps every pixel a
-probability distribution.
+Each swap reads pixels that earlier swaps may have moved, so the loop does
+not vectorise. It is JIT-compiled with numba when ``import numba`` succeeds
+(``pip install pcbls[jit]``) and runs as plain numpy otherwise; both paths
+give identical bytes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+try:
+    from numba import njit
+except ImportError:
+    njit = None
 
-def numba_requested() -> bool:
-    return os.environ.get("PCBLS_NO_NUMBA", "0") in ("", "0")
-
-
-def _load_numba():
-    if not numba_requested():
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def conv2d_replicate_np(src: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    k = kernel.shape[0]
-    c = k // 2
-    h, w = src.shape
-    padded = np.pad(src, c, mode="edge")
-    out = np.zeros_like(src)
-    for i in range(k):
-        for j in range(k):
-            out += kernel[i, j] * padded[i : i + h, j : j + w]
-    return out
-
-
-def _clipped_index(n: int, offset: int) -> np.ndarray:
-    return np.clip(np.arange(n) + offset, 0, n - 1)
-
-
-def fcn_conv_forward_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x: (H,W,Cin), w: (Cout,Cin,k,k), b: (Cout,) -> (H,W,Cout)."""
-    h, wd, cin = x.shape
-    cout, _, k, _ = w.shape
-    c = k // 2
-    out = np.broadcast_to(b, (h, wd, cout)).copy()
-    for i in range(k):
-        ri = _clipped_index(h, i - c)
-        for j in range(k):
-            cj = _clipped_index(wd, j - c)
-            shifted = x[ri[:, None], cj[None, :], :]  # (H,W,Cin)
-            out += shifted @ w[:, :, i, j].T
-    return out
-
-
-def fcn_conv_backward_np(
-    x: np.ndarray, w: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of fcn_conv_forward w.r.t. input, weights and bias."""
-    h, wd, cin = x.shape
-    cout, _, k, _ = w.shape
-    c = k // 2
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
-    db = dout.sum(axis=(0, 1))
-    for i in range(k):
-        ri = _clipped_index(h, i - c)
-        for j in range(k):
-            cj = _clipped_index(wd, j - c)
-            shifted = x[ri[:, None], cj[None, :], :]
-            dw[:, :, i, j] = np.einsum("yxo,yxi->oi", dout, shifted)
-            dshift = dout @ w[:, :, i, j]  # (H,W,Cin)
-            np.add.at(dx, (ri[:, None], cj[None, :]), dshift)
-    return dx, dw, db
+USE_NUMBA = njit is not None
 
 
 def glass_swaps_np(img: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -102,99 +34,9 @@ def glass_swaps_np(img: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily at import when enabled)
-
-_njit = _load_numba()
-USE_NUMBA = _njit is not None
-
 if USE_NUMBA:
 
-    @_njit(cache=True)
-    def _conv2d_replicate_nb(src, kernel):
-        h, w = src.shape
-        k = kernel.shape[0]
-        c = k // 2
-        out = np.zeros((h, w))
-        for y in range(h):
-            for x in range(w):
-                acc = 0.0
-                for i in range(k):
-                    yy = y + i - c
-                    if yy < 0:
-                        yy = 0
-                    elif yy >= h:
-                        yy = h - 1
-                    for j in range(k):
-                        xx = x + j - c
-                        if xx < 0:
-                            xx = 0
-                        elif xx >= w:
-                            xx = w - 1
-                        acc += kernel[i, j] * src[yy, xx]
-                out[y, x] = acc
-        return out
-
-    @_njit(cache=True)
-    def _fcn_conv_forward_nb(x, w, b):
-        h, wd, cin = x.shape
-        cout = w.shape[0]
-        k = w.shape[2]
-        c = k // 2
-        out = np.empty((h, wd, cout))
-        for y in range(h):
-            for xx in range(wd):
-                for co in range(cout):
-                    acc = b[co]
-                    for i in range(k):
-                        yy = y + i - c
-                        if yy < 0:
-                            yy = 0
-                        elif yy >= h:
-                            yy = h - 1
-                        for j in range(k):
-                            xj = xx + j - c
-                            if xj < 0:
-                                xj = 0
-                            elif xj >= wd:
-                                xj = wd - 1
-                            for ci in range(cin):
-                                acc += w[co, ci, i, j] * x[yy, xj, ci]
-                    out[y, xx, co] = acc
-        return out
-
-    @_njit(cache=True)
-    def _fcn_conv_backward_nb(x, w, dout):
-        h, wd, cin = x.shape
-        cout = w.shape[0]
-        k = w.shape[2]
-        c = k // 2
-        dx = np.zeros_like(x)
-        dw = np.zeros_like(w)
-        db = np.zeros(cout)
-        for y in range(h):
-            for xx in range(wd):
-                for co in range(cout):
-                    g = dout[y, xx, co]
-                    db[co] += g
-                    for i in range(k):
-                        yy = y + i - c
-                        if yy < 0:
-                            yy = 0
-                        elif yy >= h:
-                            yy = h - 1
-                        for j in range(k):
-                            xj = xx + j - c
-                            if xj < 0:
-                                xj = 0
-                            elif xj >= wd:
-                                xj = wd - 1
-                            for ci in range(cin):
-                                dw[co, ci, i, j] += g * x[yy, xj, ci]
-                                dx[yy, xj, ci] += g * w[co, ci, i, j]
-        return dx, dw, db
-
-    @_njit(cache=True)
+    @njit(cache=True)
     def _glass_swaps_nb(img, offsets):
         out = img.copy()
         h = out.shape[0]
@@ -220,30 +62,15 @@ if USE_NUMBA:
                         out[yy, xx, c] = tmp
         return out
 
-    def conv2d_replicate(src, kernel):
-        return _conv2d_replicate_nb(np.ascontiguousarray(src), np.ascontiguousarray(kernel))
-
-    def fcn_conv_forward(x, w, b):
-        return _fcn_conv_forward_nb(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(b)
-        )
-
-    def fcn_conv_backward(x, w, dout):
-        return _fcn_conv_backward_nb(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(dout)
-        )
-
-    def glass_swaps(img, offsets):
-        img3 = img[:, :, None] if img.ndim == 2 else img
-        out = _glass_swaps_nb(np.ascontiguousarray(img3), np.ascontiguousarray(offsets))
-        return out[:, :, 0] if img.ndim == 2 else out
+    def _swaps(img3, offsets):
+        return _glass_swaps_nb(np.ascontiguousarray(img3), np.ascontiguousarray(offsets))
 
 else:
-    conv2d_replicate = conv2d_replicate_np
-    fcn_conv_forward = fcn_conv_forward_np
-    fcn_conv_backward = fcn_conv_backward_np
+    _swaps = glass_swaps_np
 
-    def glass_swaps(img, offsets):
-        img3 = img[:, :, None] if img.ndim == 2 else img
-        out = glass_swaps_np(img3, offsets)
-        return out[:, :, 0] if img.ndim == 2 else out
+
+def glass_swaps(img: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """glass_swaps_np on an (H,W) or (H,W,C) image, compiled when numba is present."""
+    img3 = img[:, :, None] if img.ndim == 2 else img
+    out = _swaps(img3, offsets)
+    return out[:, :, 0] if img.ndim == 2 else out

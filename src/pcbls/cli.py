@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration/validation error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import sys
 from pathlib import Path
 
@@ -67,6 +68,9 @@ def resolve_config(args) -> dict:
         "data": {"name": "blobs"},
         "seed": 0,
     }
+    # a config file may set these, plus the model dims that a written
+    # resolved_config.json carries (derived from the data, so ignored)
+    known = (*cfg, "model_dims")
     if getattr(args, "preset", None):
         try:
             fragment = trainer.preset(args.preset)
@@ -91,6 +95,10 @@ def resolve_config(args) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
         for key, value in file_cfg.items():
+            if key not in known:
+                near = difflib.get_close_matches(key, known, n=1)
+                hint = f" (did you mean {near[0]!r}?)" if near else ""
+                raise ConfigError(f"{args.config}: unknown config key {key!r}{hint}")
             if key == "data" and isinstance(value, dict):
                 cfg["data"].update(value)
             else:
@@ -100,7 +108,11 @@ def resolve_config(args) -> dict:
         if value is not None:
             cfg[flag] = value
     if getattr(args, "data", None):
-        cfg["data"] = _parse_data_spec(args.data)
+        data = _parse_data_spec(args.data)
+        if data["name"] == cfg["data"].get("name"):
+            cfg["data"].update(data)
+        else:
+            cfg["data"] = data
     if getattr(args, "pace_lambda", None) is not None:
         cfg["pace"] = {"lambda": args.pace_lambda, "e_all": getattr(args, "pace_e_all", None) or 0.4}
     elif getattr(args, "pace", False) and cfg.get("pace") is None:

@@ -11,8 +11,6 @@ a standards-conforming codec.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -266,15 +264,6 @@ def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     return corrupt_with_params(image, spec.kind, spec.params(), rng)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PCBLS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def image_seed(base_seed: int, kind: str, severity: int, image_id: int) -> int:
     return derive_seed(base_seed, "corrupt", KINDS.index(kind), severity, image_id)
 
@@ -289,35 +278,25 @@ def corrupt_dataset(
 ) -> list[tuple[int, str, int, str]]:
     """Write every (image, kind, severity) corruption plus a manifest CSV.
 
-    Per-image seeds derive from (base seed, kind, severity, image id), so the
-    output is byte-identical however the work is scheduled. Returns the
+    Per-image seeds derive from (base seed, kind, severity, image id), so
+    every file is a pure function of its own image and key. Returns the
     manifest rows (orig_id, kind, severity, path).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = list(range(len(images))) if image_ids is None else list(image_ids)
-
-    jobs = []
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown corruption kind {kind!r}")
+
+    rows = []
+    for kind in kinds:
         for severity in severities:
             for img_id, img in zip(ids, images):
                 rel = f"{kind}_s{severity}_{img_id:06d}.{'ppm' if np.ndim(img) == 3 else 'pgm'}"
-                jobs.append((img_id, kind, severity, rel, img))
-
-    def run(job):
-        img_id, kind, severity, rel, img = job
-        spec = CorruptionSpec(kind=kind, severity=severity, seed=image_seed(base_seed, kind, severity, img_id))
-        save_image(out_dir / rel, corrupt(img, spec))
-        return (img_id, kind, severity, rel)
-
-    workers = min(_worker_count(), max(1, len(jobs)))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+                spec = CorruptionSpec(kind=kind, severity=severity, seed=image_seed(base_seed, kind, severity, img_id))
+                save_image(out_dir / rel, corrupt(img, spec))
+                rows.append((img_id, kind, severity, rel))
 
     save_csv(out_dir / "manifest.csv", ["orig_id", "kind", "severity", "path"], [list(r) for r in rows])
     return rows

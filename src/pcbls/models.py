@@ -8,18 +8,27 @@ Three architectures over a flat float64 parameter vector:
                                          tanh between, linear last), no
                                          pooling, so spatial dims survive
 
+The convs run on the whole (N,H,W,C) batch at once: one GEMM per kernel
+tap over an edge-padded copy of the input.
+
 backward() propagates a dL/dlogits array (produced by a loss in
-``losses``) to the flat parameter gradient; combined with the losses'
-1/count scaling this yields the gradient of the mean loss.
+``losses``) to the flat parameter gradient, reusing the activations of the
+forward pass that produced the logits; combined with the losses' 1/count
+scaling this yields the gradient of the mean loss. loss_and_grad() runs
+one forward and one backward; loss() is the same forward and loss without
+the backward, for finite-difference probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
 
 import numpy as np
 
-from . import _kernels, losses
+from . import losses
 from .seeding import rng_for
 
 ARCHITECTURES = ("linear_softmax", "mlp", "tiny_fcn")
@@ -53,20 +62,23 @@ class ModelSpec:
         return [(c1, cin, f, f), (c1,), (c2, c1, f, f), (c2,), (k, c2, f, f), (k,)]
 
     def param_count(self) -> int:
-        return sum(int(np.prod(s)) for s in self.shapes())
+        return _layout(self)[0][-1]
+
+
+@lru_cache(maxsize=None)
+def _layout(spec: ModelSpec) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(offsets, shapes) of the flat vector's tensors; offsets[-1] is the total."""
+    shapes = tuple(spec.shapes())
+    offsets = tuple(accumulate((prod(s) for s in shapes), initial=0))
+    return offsets, shapes
 
 
 def unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (spec.param_count(),):
-        raise ValueError(f"expected {spec.param_count()} parameters, got {params.shape}")
-    out = []
-    pos = 0
-    for shape in spec.shapes():
-        size = int(np.prod(shape))
-        out.append(params[pos : pos + size].reshape(shape))
-        pos += size
-    return out
+    offsets, shapes = _layout(spec)
+    if params.shape != (offsets[-1],):
+        raise ValueError(f"expected {offsets[-1]} parameters, got {params.shape}")
+    return [params[a:b].reshape(s) for a, b, s in zip(offsets, offsets[1:], shapes)]
 
 
 def pack(tensors: list[np.ndarray]) -> np.ndarray:
@@ -106,12 +118,45 @@ def _check_inputs(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batch logits: (N,K) for the vector models, (N,H,W,K) for tiny_fcn."""
-    return _forward_cached(spec, params, x)[0]
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Replicate-padded 'same' conv of a batch: x (N,H,W,Cin), w (Cout,Cin,k,k),
+    b (Cout,) -> (N,H,W,Cout); one GEMM per kernel tap."""
+    n, h, wd, _ = x.shape
+    cout, _, k, _ = w.shape
+    c = k // 2
+    xp = np.pad(x, ((0, 0), (c, c), (c, c), (0, 0)), mode="edge")
+    out = np.broadcast_to(b, (n, h, wd, cout)).copy()
+    for i in range(k):
+        for j in range(k):
+            out += xp[:, i : i + h, j : j + wd] @ w[:, :, i, j].T
+    return out
 
 
-def _forward_cached(spec, params, x):
+def _conv_backward(
+    x: np.ndarray, w: np.ndarray, dout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of _conv_forward with respect to x, w and b, summed over N."""
+    _, h, wd, cin = x.shape
+    cout, _, k, _ = w.shape
+    c = k // 2
+    xp = np.pad(x, ((0, 0), (c, c), (c, c), (0, 0)), mode="edge")
+    dxp = np.zeros_like(xp)
+    dw = np.empty_like(w)
+    flat = dout.reshape(-1, cout)
+    for i in range(k):
+        for j in range(k):
+            dw[:, :, i, j] = flat.T @ xp[:, i : i + h, j : j + wd].reshape(-1, cin)
+            dxp[:, i : i + h, j : j + wd] += dout @ w[:, :, i, j]
+    # each pad row/column replicates a border one, so its gradient lands there
+    dxp[:, c] += dxp[:, :c].sum(axis=1)
+    dxp[:, c + h - 1] += dxp[:, c + h :].sum(axis=1)
+    dxp[:, :, c] += dxp[:, :, :c].sum(axis=2)
+    dxp[:, :, c + wd - 1] += dxp[:, :, c + wd :].sum(axis=2)
+    return dxp[:, c : c + h, c : c + wd], dw, flat.sum(axis=0)
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """Logits plus the activations backward() needs."""
     x = _check_inputs(spec, x)
     t = unpack(spec, params)
     if spec.architecture == "linear_softmax":
@@ -122,64 +167,72 @@ def _forward_cached(spec, params, x):
         h = np.tanh(x @ w1.T + b1)
         return h @ w2.T + b2, (x, h)
     w1, b1, w2, b2, w3, b3 = t
-    a1 = np.empty(x.shape[:3] + (spec.dims[1],))
-    for i in range(x.shape[0]):
-        a1[i] = _kernels.fcn_conv_forward(x[i], w1, b1)
-    h1 = np.tanh(a1)
-    a2 = np.empty(x.shape[:3] + (spec.dims[2],))
-    for i in range(x.shape[0]):
-        a2[i] = _kernels.fcn_conv_forward(h1[i], w2, b2)
-    h2 = np.tanh(a2)
-    out = np.empty(x.shape[:3] + (spec.dims[3],))
-    for i in range(x.shape[0]):
-        out[i] = _kernels.fcn_conv_forward(h2[i], w3, b3)
-    return out, (x, h1, h2)
+    h1 = np.tanh(_conv_forward(x, w1, b1))
+    h2 = np.tanh(_conv_forward(h1, w2, b2))
+    return _conv_forward(h2, w3, b3), (x, h1, h2)
+
+
+def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batch logits: (N,K) for the vector models, (N,H,W,K) for tiny_fcn."""
+    return _forward(spec, params, x)[0]
 
 
 def backward(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, dlogits: np.ndarray
+    spec: ModelSpec, params: np.ndarray, acts: tuple, dlogits: np.ndarray
 ) -> np.ndarray:
-    """Flat parameter gradient for a given dL/dlogits."""
-    logits, cache = _forward_cached(spec, params, x)
-    if dlogits.shape != logits.shape:
-        raise ValueError(f"dlogits shape {dlogits.shape} != logits {logits.shape}")
+    """Flat parameter gradient for a given dL/dlogits.
+
+    ``acts`` are the activations of the forward pass that produced the
+    logits (the second item of ``_forward``); nothing is recomputed.
+    """
+    want = acts[-1].shape[:-1] + (spec.dims[-1],)
+    if dlogits.shape != want:
+        raise ValueError(f"dlogits shape {dlogits.shape} != logits {want}")
     t = unpack(spec, params)
     if spec.architecture == "linear_softmax":
-        (xc,) = cache
-        dw = dlogits.T @ xc
-        db = dlogits.sum(axis=0)
-        return pack([dw, db])
+        (x,) = acts
+        return pack([dlogits.T @ x, dlogits.sum(axis=0)])
     if spec.architecture == "mlp":
         w1, b1, w2, b2 = t
-        xc, h = cache
+        x, h = acts
         dw2 = dlogits.T @ h
         db2 = dlogits.sum(axis=0)
-        dh = dlogits @ w2
-        da = dh * (1.0 - h * h)
-        dw1 = da.T @ xc
-        db1 = da.sum(axis=0)
-        return pack([dw1, db1, dw2, db2])
+        da = (dlogits @ w2) * (1.0 - h * h)
+        return pack([da.T @ x, da.sum(axis=0), dw2, db2])
     w1, b1, w2, b2, w3, b3 = t
-    xc, h1, h2 = cache
-    dw1 = np.zeros_like(w1)
-    db1 = np.zeros_like(b1)
-    dw2 = np.zeros_like(w2)
-    db2 = np.zeros_like(b2)
-    dw3 = np.zeros_like(w3)
-    db3 = np.zeros_like(b3)
-    for i in range(xc.shape[0]):
-        dh2, dwi, dbi = _kernels.fcn_conv_backward(h2[i], w3, dlogits[i])
-        dw3 += dwi
-        db3 += dbi
-        da2 = dh2 * (1.0 - h2[i] * h2[i])
-        dh1, dwi, dbi = _kernels.fcn_conv_backward(h1[i], w2, da2)
-        dw2 += dwi
-        db2 += dbi
-        da1 = dh1 * (1.0 - h1[i] * h1[i])
-        _, dwi, dbi = _kernels.fcn_conv_backward(xc[i], w1, da1)
-        dw1 += dwi
-        db1 += dbi
+    x, h1, h2 = acts
+    dh2, dw3, db3 = _conv_backward(h2, w3, dlogits)
+    dh1, dw2, db2 = _conv_backward(h1, w2, dh2 * (1.0 - h2 * h2))
+    _, dw1, db1 = _conv_backward(x, w1, dh1 * (1.0 - h1 * h1))
     return pack([dw1, db1, dw2, db2, dw3, db3])
+
+
+def _loss(spec, params, x, targets, loss_kind, mask):
+    """(mean loss, dL/dlogits, activations) from one forward pass."""
+    logits, acts = _forward(spec, params, x)
+    if loss_kind == "soft_ce":
+        return (*losses.soft_ce(logits, targets), acts)
+    if loss_kind == "soft_bce":
+        return (*losses.soft_bce(logits, targets), acts)
+    if loss_kind == "masked_pixel_ce":
+        if logits.ndim != 4:
+            raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
+        if mask is None:
+            mask = np.ones(logits.shape[:-1])
+        return (*losses.masked_pixel_ce(logits, targets, mask), acts)
+    raise ValueError(f"unknown loss kind {loss_kind!r}")
+
+
+def loss(
+    spec: ModelSpec,
+    params: np.ndarray,
+    x: np.ndarray,
+    targets: np.ndarray,
+    loss_kind: str,
+    mask: np.ndarray | None = None,
+) -> float:
+    """Mean loss over the batch, as loss_and_grad computes it, without the gradient."""
+    return _loss(spec, params, x, targets, loss_kind, mask)[0]
 
 
 def loss_and_grad(
@@ -195,17 +248,5 @@ def loss_and_grad(
     loss_kind: 'soft_ce' | 'soft_bce' | 'masked_pixel_ce'; the last one
     requires tiny_fcn-shaped logits and a (N,H,W) mask (all-ones if None).
     """
-    logits = forward(spec, params, x)
-    if loss_kind == "soft_ce":
-        loss, dlogits = losses.soft_ce(logits, targets)
-    elif loss_kind == "soft_bce":
-        loss, dlogits = losses.soft_bce(logits, targets)
-    elif loss_kind == "masked_pixel_ce":
-        if logits.ndim != 4:
-            raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
-        if mask is None:
-            mask = np.ones(logits.shape[:-1])
-        loss, dlogits = losses.masked_pixel_ce(logits, targets, mask)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return loss, backward(spec, params, x, dlogits)
+    value, dlogits, acts = _loss(spec, params, x, targets, loss_kind, mask)
+    return value, backward(spec, params, acts, dlogits)

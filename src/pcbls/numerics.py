@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-
 
 def gaussian_kernel2d(k: int, sigma: float) -> np.ndarray:
     """Normalized k-by-k Gaussian kernel (sum 1; the 1/(2*pi*sigma^2)
@@ -41,7 +39,14 @@ def conv2d_same(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D map, got shape {arr.shape}")
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
         raise ValueError(f"kernel must be square with odd size, got shape {kernel.shape}")
-    return _kernels.conv2d_replicate(arr, kernel)
+    k = kernel.shape[0]
+    h, w = arr.shape
+    padded = np.pad(arr, k // 2, mode="edge")
+    out = np.zeros_like(arr)
+    for i in range(k):
+        for j in range(k):
+            out += kernel[i, j] * padded[i : i + h, j : j + w]
+    return out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

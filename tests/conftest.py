@@ -22,6 +22,41 @@ def ref_conv2d_replicate(src, kernel):
     return out
 
 
+def _clipped_index(n, offset):
+    return np.clip(np.arange(n) + offset, 0, n - 1)
+
+
+def ref_fcn_conv_forward(x, w, b):
+    """Per-image replicate-padded conv: x (H,W,Cin), w (Cout,Cin,k,k), b (Cout,) -> (H,W,Cout)."""
+    h, wd, _ = x.shape
+    cout, _, k, _ = w.shape
+    c = k // 2
+    out = np.broadcast_to(b, (h, wd, cout)).copy()
+    for i in range(k):
+        ri = _clipped_index(h, i - c)
+        for j in range(k):
+            cj = _clipped_index(wd, j - c)
+            out += x[ri[:, None], cj[None, :], :] @ w[:, :, i, j].T
+    return out
+
+
+def ref_fcn_conv_backward(x, w, dout):
+    """Gradients of ref_fcn_conv_forward w.r.t. input, weights and bias."""
+    h, wd, _ = x.shape
+    k = w.shape[2]
+    c = k // 2
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for i in range(k):
+        ri = _clipped_index(h, i - c)
+        for j in range(k):
+            cj = _clipped_index(wd, j - c)
+            shifted = x[ri[:, None], cj[None, :], :]
+            dw[:, :, i, j] = np.einsum("yxo,yxi->oi", dout, shifted)
+            np.add.at(dx, (ri[:, None], cj[None, :]), dout @ w[:, :, i, j])
+    return dx, dw, dout.sum(axis=(0, 1))
+
+
 def ref_gaussian_kernel(k, sigma):
     c = k // 2
     out = np.zeros((k, k))

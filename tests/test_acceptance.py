@@ -23,7 +23,7 @@ from pcbls.datasets import CIFAR_RECORD, gen_blobs, load_cifar10
 from pcbls.fileio import FormatError, save_csv
 from pcbls.losses import soft_ce
 from pcbls.metrics import accuracy
-from pcbls.models import ModelSpec, forward, loss_and_grad
+from pcbls.models import ModelSpec, forward, loss, loss_and_grad
 from pcbls.numerics import softmax
 from pcbls.pacing import PacePlan, active_count, active_set, build_bank_multiclass, pace_parameter
 from pcbls.schedules import anti, constant, exponential, random_schedule
@@ -106,7 +106,7 @@ def test_criterion_03_gradient_suite():
             x, targets, mask = make_batch()
             _, grad = loss_and_grad(spec, params, x, targets, loss_kind, mask=mask)
             fd = fd_gradient(
-                lambda p: loss_and_grad(spec, p, x, targets, loss_kind, mask=mask)[0],
+                lambda p: loss(spec, p, x, targets, loss_kind, mask=mask),
                 params,
                 h=1e-5,
             )

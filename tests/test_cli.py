@@ -84,6 +84,23 @@ class TestTrain:
         assert (first / "metrics.csv").read_bytes() == (replay / "metrics.csv").read_bytes()
         assert (first / "checkpoint.pckpt").read_bytes() == (replay / "checkpoint.pckpt").read_bytes()
 
+    def test_data_flag_naming_the_config_dataset_keeps_its_fields(self, tmp_path):
+        cfg = _write_small_config(tmp_path)
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--data", "blobs", "--seed", 1, "--out", out]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["data"] == {"name": "blobs", "classes": 3, "per_class": 20, "per_class_val": 10, "dim": 6}
+        spec, _, _ = load_checkpoint(out / "checkpoint.pckpt")
+        assert spec.dims == (6, 8, 3)
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = _write_small_config(tmp_path, epoch=3)
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "'epoch'" in err and "did you mean 'epochs'" in err
+        assert not out.exists()
+
     def test_cifar10_data_spec(self, tmp_path):
         from pcbls.datasets import CIFAR_RECORD
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from pcbls.losses import masked_pixel_ce, soft_bce, soft_ce
-from pcbls.models import ModelSpec, forward, init_params, loss_and_grad, pack, unpack
+from pcbls import models
+from pcbls.models import ModelSpec, forward, init_params, loss, loss_and_grad, pack, unpack
 from pcbls.numerics import softmax
 from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
 
-from conftest import fd_gradient, grad_rel_error
+from conftest import fd_gradient, grad_rel_error, ref_fcn_conv_backward, ref_fcn_conv_forward
 
 
 class TestForward:
@@ -185,6 +186,52 @@ class TestSoftBce:
             soft_bce(np.zeros(2), np.array([0.5, 1.2]))
 
 
+# (N, H, W, Cin, Cout): batch, non-square maps, channel changes, single rows and columns
+CONV_SHAPES = [(3, 5, 7, 2, 4), (2, 1, 6, 3, 2), (2, 6, 1, 1, 3), (1, 1, 1, 2, 2), (4, 4, 4, 3, 3)]
+
+
+class TestBatchedConv:
+    """The batched conv helpers against the per-image oracles in conftest."""
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", CONV_SHAPES)
+    def test_forward_equals_per_image_oracle(self, rng, n, h, w, cin, cout):
+        x = rng.normal(size=(n, h, w, cin))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        want = np.stack([ref_fcn_conv_forward(xi, wt, b) for xi in x])
+        assert np.array_equal(models._conv_forward(x, wt, b), want)
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", CONV_SHAPES)
+    def test_backward_equals_per_image_oracle_summed(self, rng, n, h, w, cin, cout):
+        x = rng.normal(size=(n, h, w, cin))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        dout = rng.normal(size=(n, h, w, cout))
+        dx, dw, db = models._conv_backward(x, wt, dout)
+        refs = [ref_fcn_conv_backward(xi, wt, di) for xi, di in zip(x, dout)]
+        np.testing.assert_allclose(dx, np.stack([r[0] for r in refs]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw, sum(r[1] for r in refs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db, sum(r[2] for r in refs), rtol=1e-12, atol=1e-12)
+
+
+class TestLossOnly:
+    @pytest.mark.parametrize(
+        "arch,loss_kind",
+        [("mlp", "soft_ce"), ("linear_softmax", "soft_bce"), ("tiny_fcn", "masked_pixel_ce")],
+    )
+    def test_loss_equals_loss_and_grad_value(self, rng, arch, loss_kind):
+        spec, params, x = _random_case(rng, arch)
+        mask = None
+        if loss_kind == "soft_ce":
+            targets = uls_matrix(rng.integers(0, 3, len(x)), 3, 0.2)
+        elif loss_kind == "soft_bce":
+            targets = rng.uniform(size=(len(x), 3))
+        else:
+            targets = np.stack([segmentation_targets(l, 3, epsilon=0.3) for l in rng.integers(0, 3, x.shape[:3])])
+            mask = (rng.uniform(size=x.shape[:3]) > 0.3).astype(np.float64)
+        value = loss(spec, params, x, targets, loss_kind, mask=mask)
+        assert value == loss_and_grad(spec, params, x, targets, loss_kind, mask=mask)[0]
+
+
 def _random_case(rng, arch):
     if arch == "linear_softmax":
         spec = ModelSpec("linear_softmax", (4, 3))
@@ -208,7 +255,7 @@ class TestBackwardGradientChecks:
             spec, params, x = _random_case(rng, arch)
             targets = uls_matrix(rng.integers(0, 3, len(x)), 3, float(rng.uniform(0, 0.9)))
             _, grad = loss_and_grad(spec, params, x, targets, "soft_ce")
-            fd = fd_gradient(lambda p: loss_and_grad(spec, p, x, targets, "soft_ce")[0], params)
+            fd = fd_gradient(lambda p: loss(spec, p, x, targets, "soft_ce"), params)
             assert grad_rel_error(grad, fd) < 1e-4
 
     @pytest.mark.parametrize("arch", ["linear_softmax", "mlp"])
@@ -217,7 +264,7 @@ class TestBackwardGradientChecks:
             spec, params, x = _random_case(rng, arch)
             targets = rng.uniform(size=(len(x), 3))
             _, grad = loss_and_grad(spec, params, x, targets, "soft_bce")
-            fd = fd_gradient(lambda p: loss_and_grad(spec, p, x, targets, "soft_bce")[0], params)
+            fd = fd_gradient(lambda p: loss(spec, p, x, targets, "soft_bce"), params)
             assert grad_rel_error(grad, fd) < 1e-4
 
     def test_masked_ce_through_fcn(self, rng):
@@ -230,7 +277,7 @@ class TestBackwardGradientChecks:
             mask = (rng.uniform(size=x.shape[:3]) > 0.3).astype(np.float64)
             _, grad = loss_and_grad(spec, params, x, targets, "masked_pixel_ce", mask=mask)
             fd = fd_gradient(
-                lambda p: loss_and_grad(spec, p, x, targets, "masked_pixel_ce", mask=mask)[0],
+                lambda p: loss(spec, p, x, targets, "masked_pixel_ce", mask=mask),
                 params,
             )
             assert grad_rel_error(grad, fd) < 1e-4
