@@ -60,6 +60,8 @@ def ece(
         raise ValueError("confidences and correctness flags must be aligned 1-D")
     if bins < 1:
         raise ValueError("need at least one bin")
+    if not np.all(np.isfinite(confidences)):
+        raise ValueError("confidences must be finite (got NaN or inf)")
     if np.any(confidences < 0) or np.any(confidences > 1):
         raise ValueError("confidences must lie in [0, 1]")
     n = len(confidences)

@@ -99,7 +99,9 @@ def resolve_config(args) -> dict:
                 near = difflib.get_close_matches(key, known, n=1)
                 hint = f" (did you mean {near[0]!r}?)" if near else ""
                 raise ConfigError(f"{args.config}: unknown config key {key!r}{hint}")
-            if key == "data" and isinstance(value, dict):
+            if key == "data":
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{args.config}: 'data' must be a JSON object, got {value!r}")
                 cfg["data"].update(value)
             else:
                 cfg[key] = value

@@ -8,9 +8,11 @@ gradient of the returned scalar directly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .numerics import log_softmax, sigmoid, softmax
+from .numerics import sigmoid, softmax_log_softmax
 
 _TARGET_TOL = 1e-6
 
@@ -26,12 +28,13 @@ def soft_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
     if logits.shape != targets.shape:
         raise ValueError(f"shape mismatch: {logits.shape} vs {targets.shape}")
     sums = targets.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > _TARGET_TOL) or np.any(targets < -1e-12):
+    if (np.abs(sums - 1.0) > _TARGET_TOL).any() or (targets < -1e-12).any():
         raise ValueError("targets must be distributions over the last axis")
-    n = max(1, int(np.prod(logits.shape[:-1])))
-    logp = log_softmax(logits, axis=-1)
+    n = max(1, math.prod(logits.shape[:-1]))
+    dlogits, logp = softmax_log_softmax(logits)
     loss = float(-(targets * logp).sum() / n)
-    dlogits = (softmax(logits, axis=-1) - targets) / n
+    dlogits -= targets
+    dlogits /= n
     return loss, dlogits
 
 
@@ -51,15 +54,17 @@ def masked_pixel_ce(
         raise ValueError(f"shape mismatch: {logit_maps.shape} vs {target_maps.shape}")
     if mask.shape != logit_maps.shape[:-1]:
         raise ValueError(f"mask shape {mask.shape} does not match maps {logit_maps.shape[:-1]}")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
+    if not ((mask == 0.0) | (mask == 1.0)).all():
         raise ValueError("mask must be binary")
     count = mask.sum()
     if count == 0:
         return 0.0, np.zeros_like(logit_maps)
-    logp = log_softmax(logit_maps, axis=-1)
+    dlogits, logp = softmax_log_softmax(logit_maps)
     per_pixel = -(target_maps * logp).sum(axis=-1)
     loss = float((per_pixel * mask).sum() / count)
-    dlogits = (softmax(logit_maps, axis=-1) - target_maps) * mask[..., None] / count
+    dlogits -= target_maps
+    dlogits *= mask[..., None]
+    dlogits /= count
     return loss, dlogits
 
 
@@ -73,7 +78,7 @@ def soft_bce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
         raise ValueError(f"shape mismatch: {logits.shape} vs {targets.shape}")
-    if np.any(targets < 0.0) or np.any(targets > 1.0):
+    if (targets < 0.0).any() or (targets > 1.0).any():
         raise ValueError("targets must lie in [0, 1]")
     n = max(1, logits.size)
     loss = float((targets * np.logaddexp(0.0, -logits) + (1.0 - targets) * np.logaddexp(0.0, logits)).sum() / n)

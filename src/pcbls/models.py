@@ -12,11 +12,12 @@ The convs run on the whole (N,H,W,C) batch at once: one GEMM per kernel
 tap over an edge-padded copy of the input.
 
 backward() propagates a dL/dlogits array (produced by a loss in
-``losses``) to the flat parameter gradient, reusing the activations of the
-forward pass that produced the logits; combined with the losses' 1/count
-scaling this yields the gradient of the mean loss. loss_and_grad() runs
-one forward and one backward; loss() is the same forward and loss without
-the backward, for finite-difference probes.
+``losses``) to the flat parameter gradient. It receives the weight tensors
+that the forward pass unpacked and the activations it computed, so it
+neither unpacks the parameters again nor recomputes anything; combined
+with the losses' 1/count scaling this yields the gradient of the mean
+loss. loss_and_grad() runs one forward and one backward; loss() is the
+same forward and loss without the backward, for finite-difference probes.
 """
 
 from __future__ import annotations
@@ -156,20 +157,20 @@ def _conv_backward(
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Logits plus the activations backward() needs."""
+    """Logits plus what backward() needs: the unpacked tensors and the activations."""
     x = _check_inputs(spec, x)
     t = unpack(spec, params)
     if spec.architecture == "linear_softmax":
         w, b = t
-        return x @ w.T + b, (x,)
+        return x @ w.T + b, t, (x,)
     if spec.architecture == "mlp":
         w1, b1, w2, b2 = t
         h = np.tanh(x @ w1.T + b1)
-        return h @ w2.T + b2, (x, h)
+        return h @ w2.T + b2, t, (x, h)
     w1, b1, w2, b2, w3, b3 = t
     h1 = np.tanh(_conv_forward(x, w1, b1))
     h2 = np.tanh(_conv_forward(h1, w2, b2))
-    return _conv_forward(h2, w3, b3), (x, h1, h2)
+    return _conv_forward(h2, w3, b3), t, (x, h1, h2)
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -178,28 +179,28 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    spec: ModelSpec, params: np.ndarray, acts: tuple, dlogits: np.ndarray
+    spec: ModelSpec, tensors: list[np.ndarray], acts: tuple, dlogits: np.ndarray
 ) -> np.ndarray:
     """Flat parameter gradient for a given dL/dlogits.
 
-    ``acts`` are the activations of the forward pass that produced the
-    logits (the second item of ``_forward``); nothing is recomputed.
+    ``tensors`` and ``acts`` are the unpacked weight tensors and the
+    activations of the forward pass that produced the logits (the second
+    and third items of ``_forward``); nothing is unpacked or recomputed.
     """
     want = acts[-1].shape[:-1] + (spec.dims[-1],)
     if dlogits.shape != want:
         raise ValueError(f"dlogits shape {dlogits.shape} != logits {want}")
-    t = unpack(spec, params)
     if spec.architecture == "linear_softmax":
         (x,) = acts
         return pack([dlogits.T @ x, dlogits.sum(axis=0)])
     if spec.architecture == "mlp":
-        w1, b1, w2, b2 = t
+        w1, b1, w2, b2 = tensors
         x, h = acts
         dw2 = dlogits.T @ h
         db2 = dlogits.sum(axis=0)
         da = (dlogits @ w2) * (1.0 - h * h)
         return pack([da.T @ x, da.sum(axis=0), dw2, db2])
-    w1, b1, w2, b2, w3, b3 = t
+    w1, b1, w2, b2, w3, b3 = tensors
     x, h1, h2 = acts
     dh2, dw3, db3 = _conv_backward(h2, w3, dlogits)
     dh1, dw2, db2 = _conv_backward(h1, w2, dh2 * (1.0 - h2 * h2))
@@ -208,18 +209,18 @@ def backward(
 
 
 def _loss(spec, params, x, targets, loss_kind, mask):
-    """(mean loss, dL/dlogits, activations) from one forward pass."""
-    logits, acts = _forward(spec, params, x)
+    """(mean loss, dL/dlogits, tensors, activations) from one forward pass."""
+    logits, tensors, acts = _forward(spec, params, x)
     if loss_kind == "soft_ce":
-        return (*losses.soft_ce(logits, targets), acts)
+        return (*losses.soft_ce(logits, targets), tensors, acts)
     if loss_kind == "soft_bce":
-        return (*losses.soft_bce(logits, targets), acts)
+        return (*losses.soft_bce(logits, targets), tensors, acts)
     if loss_kind == "masked_pixel_ce":
         if logits.ndim != 4:
             raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
         if mask is None:
             mask = np.ones(logits.shape[:-1])
-        return (*losses.masked_pixel_ce(logits, targets, mask), acts)
+        return (*losses.masked_pixel_ce(logits, targets, mask), tensors, acts)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
@@ -248,5 +249,5 @@ def loss_and_grad(
     loss_kind: 'soft_ce' | 'soft_bce' | 'masked_pixel_ce'; the last one
     requires tiny_fcn-shaped logits and a (N,H,W) mask (all-ones if None).
     """
-    value, dlogits, acts = _loss(spec, params, x, targets, loss_kind, mask)
-    return value, backward(spec, params, acts, dlogits)
+    value, dlogits, tensors, acts = _loss(spec, params, x, targets, loss_kind, mask)
+    return value, backward(spec, tensors, acts, dlogits)

@@ -63,6 +63,21 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def softmax_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(softmax, log_softmax) over the last axis from a single ``exp``.
+
+    Both divide or log the same ``e.sum``, so each output equals its
+    separate function bit for bit.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    e /= total
+    shifted -= np.log(total)
+    return e, shifted
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)

@@ -90,6 +90,9 @@ class SampleBank:
             raise ValueError("ids and scores must be aligned 1-D arrays")
         if len(np.unique(self.sample_ids)) != len(self.sample_ids):
             raise ValueError("sample ids must be unique")
+        if not np.all(np.isfinite(self.scores)):
+            bad = self.sample_ids[np.argmin(np.isfinite(self.scores))]
+            raise ValueError(f"bank scores must be finite (sample id {bad})")
         if np.any(np.diff(self.scores) > 0):
             raise ValueError("scores must be non-increasing")
 

@@ -1,11 +1,12 @@
 """The paced-curriculum training loop.
 
 Each epoch: look up the smoothing factor(s) for this epoch, pick the active
-sample set (or pixel masks) from the confidence bank, build soft targets
-batch by batch, and step the optimizer over a seeded shuffle of the active
-ids. Identical (config, data, seed) replays bit-for-bit: shuffles are keyed
-by (seed, epoch), batches run in shuffle order, and validation never sees
-smoothing or pacing.
+sample set (or pixel masks) from the confidence bank, build the soft
+targets once per epoch over a seeded shuffle of the active ids, and step
+the optimizer over consecutive batches of that shuffle. Identical (config,
+data, seed) replays bit-for-bit: shuffles are keyed by (seed, epoch),
+batches run in shuffle order, and validation never sees smoothing or
+pacing.
 """
 
 from __future__ import annotations
@@ -94,14 +95,17 @@ class _Optimizer:
             self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """New parameters; the state updates in place, ``params`` and ``grad`` are not written."""
         if self.cfg.optimizer == "sgd":
-            update = grad + self.cfg.weight_decay * params
-            self.velocity = self.cfg.momentum * self.velocity + update
+            self.velocity *= self.cfg.momentum
+            self.velocity += grad + self.cfg.weight_decay * params
             return params - lr * self.velocity
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad * grad
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * grad * grad
         mh = self.m / (1 - b1**self.t)
         vh = self.v / (1 - b2**self.t)
         return params - lr * mh / (np.sqrt(vh) + eps)
@@ -111,7 +115,8 @@ def _loss_kind(task: str) -> str:
     return {"multiclass": "soft_ce", "multilabel": "soft_bce", "segmentation": "masked_pixel_ce"}[task]
 
 
-def _batch_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sigma: float | None):
+def _soft_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sigma: float | None):
+    """Soft targets, one row (or map) per hard target, in the given order."""
     if cfg.task == "multiclass":
         return soft_labels.uls_matrix(targets, k, eps)
     if cfg.task == "multilabel":
@@ -163,6 +168,10 @@ def train(
                 raise ValueError("sample-wise pacing requires a sample bank")
             if len(bank) != n or cfg.pace.n != n:
                 raise ValueError("bank/plan size must match the training set")
+            outside = (bank.sample_ids < 0) | (bank.sample_ids >= n)
+            if outside.any():
+                bad = bank.sample_ids[outside.argmax()]
+                raise ValueError(f"bank sample id {bad} outside the training set [0, {n})")
         else:
             if pixel_bank is None:
                 raise ValueError("pixel-wise pacing requires a pixel bank")
@@ -196,6 +205,8 @@ def train(
 
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))
         shuffled = ids[order]
+        # the smoothing factors are fixed for the epoch: build its targets once
+        epoch_soft = _soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
         probe = epoch in instrument_epochs
         if probe:
             contributions[epoch] = np.zeros(n)
@@ -205,7 +216,7 @@ def train(
         for start in range(0, len(shuffled), cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
             x = train_inputs[batch]
-            soft = _batch_targets(cfg, train_targets[batch], num_classes, eps, sigma)
+            soft = epoch_soft[start : start + cfg.batch_size]
             mask = masks[batch] if masks is not None else None
             loss, grad = models.loss_and_grad(cfg.model, params, x, soft, loss_kind, mask=mask)
             if probe:

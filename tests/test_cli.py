@@ -101,6 +101,14 @@ class TestTrain:
         assert "'epoch'" in err and "did you mean 'epochs'" in err
         assert not out.exists()
 
+    def test_non_object_data_is_config_error(self, tmp_path, capsys):
+        cfg = _write_small_config(tmp_path, data="shapes")
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'data' must be a JSON object" in err
+        assert not out.exists()
+
     def test_cifar10_data_spec(self, tmp_path):
         from pcbls.datasets import CIFAR_RECORD
 
@@ -157,6 +165,43 @@ class TestBankCommand:
         ) == 0
         _, rows = load_csv(out / "metrics.csv")
         assert [int(r[1]) for r in rows] == [30, 50, 60]
+
+    def _paced_run_with_edited_bank(self, tmp_path, edit):
+        cfg, ckpt = self._trained(tmp_path)
+        bank_path = tmp_path / "bank.csv"
+        assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--out", bank_path]) == 0
+        lines = bank_path.read_text().splitlines()
+        bank_path.write_text("\n".join(lines[:1] + [edit(i, line) for i, line in enumerate(lines[1:])]) + "\n")
+        out = tmp_path / "paced"
+        code = run(
+            ["train", "--config", cfg, "--seed", 1, "--out", out,
+             "--pace-lambda", 0.5, "--pace-e-all", 0.5, "--bank", bank_path]
+        )
+        return code, out
+
+    def test_nan_bank_score_is_rejected(self, tmp_path, capsys):
+        def nan_score(i, line):
+            sid, _, source = line.split(",")
+            return f"{sid},nan,{source}" if i == 5 else line
+
+        code, out = self._paced_run_with_edited_bank(tmp_path, nan_score)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_bank_ids_past_the_training_set_are_rejected(self, tmp_path, capsys):
+        shifted = []
+
+        def shift_id(i, line):
+            sid, rest = line.split(",", 1)
+            shifted.append(int(sid) + 1000)
+            return f"{shifted[-1]},{rest}"
+
+        code, out = self._paced_run_with_edited_bank(tmp_path, shift_id)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bank sample id {shifted[0]} outside the training set [0, 60)" in err
+        assert not (out / "metrics.csv").exists()
 
     def test_checkpoint_mismatch_is_config_error(self, tmp_path):
         cfg, ckpt = self._trained(tmp_path)

@@ -157,6 +157,11 @@ class TestEce:
         with pytest.raises(ValueError):
             ece(np.array([0.5]), np.array([True]), bins=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_confidence(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ece(np.array([0.5, bad]), np.array([True, False]))
+
 
 def _calibrated_logits(rng, n=4000, k=5, scale=2.0):
     """Draw logits, then labels from softmax(logits): calibrated by construction."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcbls.numerics import conv2d_same, gaussian_kernel2d, log_softmax, softmax
+from pcbls.numerics import conv2d_same, gaussian_kernel2d, log_softmax, softmax, softmax_log_softmax
 
 from conftest import ref_conv2d_replicate, ref_gaussian_kernel
 
@@ -119,3 +119,13 @@ class TestSoftmax:
     def test_log_softmax_consistent(self, rng):
         logits = rng.normal(scale=5, size=(4, 7))
         assert np.allclose(np.exp(log_softmax(logits)), softmax(logits), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(9, 5), (2, 4, 3, 6)])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_pair_equals_separate_functions(self, rng, shape, scale):
+        logits = rng.uniform(-scale, scale, size=shape)
+        before = logits.copy()
+        probs, logp = softmax_log_softmax(logits)
+        assert np.array_equal(probs, softmax(logits, axis=-1))
+        assert np.array_equal(logp, log_softmax(logits, axis=-1))
+        assert np.array_equal(logits, before)

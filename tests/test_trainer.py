@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import ref_train
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
-from pcbls.models import ModelSpec
+from pcbls.models import ModelSpec, init_params
 from pcbls.pacing import PacePlan, build_bank_multiclass
 from pcbls.schedules import constant, exponential
 from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
     METRIC_COLUMNS,
     TrainConfig,
+    _Optimizer,
     preset,
     records_to_csv,
     score_pixel_bank,
@@ -155,6 +157,96 @@ class TestInstrumentation:
             inactive = set(range(n)) - active
             assert all(contrib[i] == 0.0 for i in inactive)
             assert np.count_nonzero([contrib[i] for i in active]) > 0.9 * len(active)
+
+
+def _assert_matches_reference(cfg, tr, va, num_classes, **kw):
+    result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, num_classes, **kw)
+    params, train_losses, contributions = ref_train(cfg, tr.inputs, tr.targets, num_classes, **kw)
+    assert result.params.tobytes() == params.tobytes()
+    assert [r.train_loss for r in result.records] == train_losses
+    return result, contributions
+
+
+class TestMatchesReferenceLoop:
+    """Per-epoch targets, the shared softmax exp and the in-place optimizer
+    state change no bit against the per-batch reference loop."""
+
+    def _paced_blobs(self, epochs):
+        tr, va = _blob_setup()
+        n = len(tr)
+        bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=n), tr.targets)
+        p = preset("workflow_cls")
+        cfg = _config(
+            epochs=epochs,
+            uls_schedule=p["uls_schedule"],
+            pace=PacePlan(p["pace_lambda"], p["pace_e_all"], epochs, n),
+        )
+        return cfg, tr, va, bank
+
+    def test_mlp_sgd_sample_pacing(self):
+        cfg, tr, va, bank = self._paced_blobs(epochs=3)
+        assert cfg.optimizer == "sgd" and cfg.decay_epoch() == 2
+        _assert_matches_reference(cfg, tr, va, 4, bank=bank)
+
+    def test_linear_multilabel_adam(self):
+        tr = gen_multilabel(4, 60, dim=8, seed=1, split="train")
+        va = gen_multilabel(4, 20, dim=8, seed=1, split="val")
+        cfg = TrainConfig(
+            task="multilabel",
+            model=ModelSpec("linear_softmax", (8, 4)),
+            epochs=3,
+            batch_size=16,
+            optimizer="adam",
+            lr=1e-2,
+            seed=2,
+            uls_schedule=exponential(0.5, 0.9),
+        )
+        _assert_matches_reference(cfg, tr, va, 4)
+
+    def test_fcn_adam_pixel_pacing_svls(self):
+        tr = gen_shapes_seg(16, 16, 2, 7, seed=3, split="train")
+        va = gen_shapes_seg(16, 16, 2, 3, seed=3, split="val")
+        spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
+        p = preset("segmentation")
+        base = TrainConfig(task="segmentation", model=spec, epochs=2, seed=4)
+        pixel_bank = score_pixel_bank(base, init_params(spec, 0), tr.inputs, tr.targets)
+        total = sum(m.size for m in pixel_bank)
+        cfg = TrainConfig(
+            task="segmentation",
+            model=spec,
+            epochs=2,
+            batch_size=3,
+            optimizer="adam",
+            lr=1e-2,
+            seed=4,
+            uls_schedule=p["uls_schedule"],
+            svls_schedule=p["svls_schedule"],
+            svls_kernel=p["svls_kernel"],
+            pace=PacePlan(p["pace_lambda"], p["pace_e_all"], 2, total),
+            granularity="pixel",
+        )
+        _assert_matches_reference(cfg, tr, va, 3, pixel_bank=pixel_bank)
+
+    def test_instrumented_epochs(self):
+        cfg, tr, va, bank = self._paced_blobs(epochs=2)
+        probes = frozenset({0, 1})
+        result, contributions = _assert_matches_reference(cfg, tr, va, 4, bank=bank, instrument_epochs=probes)
+        for e in probes:
+            assert result.grad_contributions[e].tobytes() == contributions[e].tobytes()
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("name", ["sgd", "adam"])
+    def test_step_leaves_params_and_grad_unwritten(self, name):
+        rng = np.random.default_rng(11)
+        params, grad = rng.normal(size=20), rng.normal(size=20)
+        before = params.copy(), grad.copy()
+        opt = _Optimizer(_config(optimizer=name), params.size)
+        for _ in range(3):
+            new = opt.step(params, grad, 1e-2)
+            assert new is not params and new is not grad
+        assert params.tobytes() == before[0].tobytes()
+        assert grad.tobytes() == before[1].tobytes()
 
 
 class TestTasks:
