@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import os
 import sys
 from pathlib import Path
 
@@ -343,17 +344,34 @@ def _check_model_matches(spec, task: str, inputs: np.ndarray, num_classes: int) 
         )
 
 
-def cmd_corrupt(args) -> int:
-    cfg = resolve_config(args)
-    _, val_ds = resolve_dataset(cfg)
+def _corruption_lists(args) -> tuple[list[str], list[int]]:
+    """--kinds and --severities as lists: known, in range and each named once."""
     kinds = list(corruption.KINDS) if args.kinds == "all" else [k for k in args.kinds.split(",") if k]
+    if not kinds:
+        raise ConfigError("--kinds names no corruption kind")
     for k in kinds:
         if k not in corruption.KINDS:
             raise ConfigError(f"unknown corruption kind {k!r}")
-    severities = [int(s) for s in args.severities.split(",")]
+    severities = []
+    for s in args.severities.split(","):
+        try:
+            severities.append(int(s))
+        except ValueError:
+            raise ConfigError(f"--severities: {s!r} is not an integer") from None
     for s in severities:
         if not (1 <= s <= 5):
             raise ConfigError(f"severity {s} outside 1..5")
+    for flag, values in (("--kinds", kinds), ("--severities", severities)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{flag} names {repeated[0]!r} more than once")
+    return kinds, severities
+
+
+def cmd_corrupt(args) -> int:
+    cfg = resolve_config(args)
+    kinds, severities = _corruption_lists(args)
+    _, val_ds = resolve_dataset(cfg)
     out_dir = Path(args.out or "corrupted")
     # vector datasets corrupt as one-row grayscale images
     images = [v if v.ndim >= 2 else v[None, :] for v in (val_ds.inputs[i] for i in range(len(val_ds)))]
@@ -364,6 +382,43 @@ def cmd_corrupt(args) -> int:
     )
     print(f"wrote {len(rows)} corrupted images + manifest to {out_dir}")
     return 0
+
+
+def _manifest_row(r: list[str], n_val: int) -> tuple[int, str, int, str]:
+    if len(r) != 4:
+        raise ValueError("expected the 4 fields orig_id,kind,severity,path")
+    orig_id, kind, severity, path = r
+    try:
+        orig_id, severity = int(orig_id), int(severity)
+    except ValueError:
+        raise ValueError("orig_id and severity must be integers") from None
+    if not (0 <= orig_id < n_val):
+        raise ValueError(f"orig_id {orig_id} is not one of the {n_val} validation images")
+    if kind not in corruption.KINDS:
+        raise ValueError(f"unknown corruption kind {kind!r}")
+    if not (1 <= severity <= 5):
+        raise ValueError(f"severity {severity} outside 1..5")
+    rel = os.path.normpath(path)
+    if os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        raise ValueError(f"path {path!r} leaves the manifest's directory")
+    return orig_id, kind, severity, path
+
+
+def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
+    """The rows of a corruption manifest, each checked before any image is
+    read: four fields, an orig_id among the n_val validation images, a known
+    kind, a severity in 1..5 and a relative path inside the manifest's
+    directory. A bad row fails with its line number."""
+    header, raw = fileio.load_csv(path)
+    if header != ["orig_id", "kind", "severity", "path"]:
+        raise FormatError(f"{path}: bad manifest header {header}")
+    rows = []
+    for line, r in enumerate(raw, start=2):
+        try:
+            rows.append(_manifest_row(r, n_val))
+        except ValueError as e:
+            raise ConfigError(f"{path} line {line} {r}: {e}") from None
+    return rows
 
 
 def cmd_eval(args) -> int:
@@ -379,11 +434,22 @@ def cmd_eval(args) -> int:
         manifest_path = Path(args.manifest)
         if not manifest_path.exists():
             raise ConfigError(f"manifest not found: {manifest_path}")
-        header, raw = fileio.load_csv(manifest_path)
-        if header != ["orig_id", "kind", "severity", "path"]:
-            raise FormatError(f"{manifest_path}: bad manifest header {header}")
-        rows = [(int(r[0]), r[1], int(r[2]), r[3]) for r in raw]
+        rows = _read_manifest(manifest_path, len(val_ds))
+        line_of = {path: line for line, (_, _, _, path) in enumerate(rows, start=2)}
         base = manifest_path.parent
+        # the shape cmd_corrupt wrote: vectors are one-row grayscale images
+        inputs = np.asarray(val_ds.inputs)
+        want = inputs.shape[1:] if inputs.ndim >= 3 else (1, inputs.shape[1])
+
+        def load_row_image(path):
+            where = f"{manifest_path} line {line_of[path]} ({path})"
+            try:
+                img = fileio.load_image(base / path)
+            except OSError as e:
+                raise ConfigError(f"{where}: cannot read the image: {e.strerror}") from e
+            if img.shape != want:
+                raise ConfigError(f"{where}: image shape {img.shape}, but the validation images are {want}")
+            return img
 
         def evaluate_images(images):
             arr = np.stack([np.asarray(im, dtype=np.float64) for im in images])
@@ -394,7 +460,7 @@ def cmd_eval(args) -> int:
         clean_acc = accuracy(clean_preds, val_ds.targets)
         labels_by_id = {i: int(val_ds.targets[i]) for i in range(len(val_ds))}
         header, table = corruption.robustness_report(
-            evaluate_images, rows, lambda p: fileio.load_image(base / p), labels_by_id, clean_acc
+            evaluate_images, rows, load_row_image, labels_by_id, clean_acc
         )
         fileio.save_csv(out, header, table)
         print(f"robustness table ({len(table) - 1} kinds) written to {out}")

@@ -5,21 +5,30 @@ contract is that corruption strength is strictly monotone in severity, not
 that any particular published table is reproduced. Images are float arrays
 in [0,1], shape (H,W) or (H,W,C); outputs are always clipped back to [0,1].
 
+``corrupt_batch`` is the one implementation: it corrupts an (N,H,W,C)
+stack at one (kind, severity) parameter row, with one generator per image,
+and ``corrupt`` is its N=1 case. ``corrupt_dataset`` runs one batch per
+(kind, severity) and image shape, seeding each image from (base seed, kind,
+severity, image id), so a file's bytes do not depend on which other images
+share its batch.
+
 jpeg_like is a DCT-quantization approximation of JPEG's loss profile, not
 a standards-conforming codec.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._kernels import glass_swaps
-from .fileio import save_csv, save_image
+# save_image stays bound here: e2ebench traces writers under this module
+from .fileio import atomic_write_bytes, encode_images, save_csv, save_image  # noqa: F401
 from .numerics import conv2d_same
-from .seeding import derive_seed
+from .seeding import derive_seed, fold_seed
 
 KINDS = (
     "gaussian_noise",
@@ -94,8 +103,8 @@ def _as_hwc(image: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resampling of an (H,W,C) array."""
-    h, w, _ = img.shape
+    """Pixel-center-aligned bilinear resampling of (..., H, W, C) arrays."""
+    h, w, _ = img.shape[-3:]
     if (out_h, out_w) == (h, w):
         return img.copy()
     ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
@@ -106,16 +115,19 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = img[y0[:, None], x0[None, :]] * (1 - wx) + img[y0[:, None], x1[None, :]] * wx
-    bot = img[y1[:, None], x0[None, :]] * (1 - wx) + img[y1[:, None], x1[None, :]] * wx
+    y0, y1, x0, x1 = y0[:, None], y1[:, None], x0[None, :], x1[None, :]
+    top = img[..., y0, x0, :] * (1 - wx) + img[..., y0, x1, :] * wx
+    bot = img[..., y1, x0, :] * (1 - wx) + img[..., y1, x1, :] * wx
     return top * (1 - wy) + bot * wy
 
 
-def _conv_channels(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    out = np.empty_like(img)
-    for c in range(img.shape[2]):
-        out[:, :, c] = conv2d_same(img[:, :, c], kernel)
-    return out
+def _conv_channels(imgs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Each channel map of (N,H,W,C) images through ``conv2d_same``; kernel
+    is one (k,k) kernel, or one per image (N,k,k)."""
+    maps = np.moveaxis(imgs, -1, 1)  # (N,C,H,W)
+    if kernel.ndim == 3:
+        kernel = kernel[:, None]
+    return np.moveaxis(conv2d_same(maps, kernel), 1, -1)
 
 
 def _disk_kernel(radius: int) -> np.ndarray:
@@ -128,40 +140,49 @@ def _disk_kernel(radius: int) -> np.ndarray:
 
 
 def _line_kernel(length: int, angle: float) -> np.ndarray:
+    """Bilinear splat of 8*length+1 samples along a centred line.
+
+    ``np.add.at`` adds the taps unbuffered, sample by sample and in the
+    (dy, dx) order (0,0), (0,1), (1,0), (1,1), so each cell sums its
+    weights in a fixed order.
+    """
     if length <= 1:
         return np.ones((1, 1))
     half = (length - 1) / 2.0
-    kernel = np.zeros((length, length))
     c = length // 2
-    for t in np.linspace(-half, half, 8 * length + 1):
-        y = c + t * np.sin(angle)
-        x = c + t * np.cos(angle)
-        y0, x0 = int(np.floor(y)), int(np.floor(x))
-        fy, fx = y - y0, x - x0
-        for dy, wy in ((0, 1 - fy), (1, fy)):
-            for dx, wx in ((0, 1 - fx), (1, fx)):
-                yy, xx = y0 + dy, x0 + dx
-                if 0 <= yy < length and 0 <= xx < length:
-                    kernel[yy, xx] += wy * wx
+    t = np.linspace(-half, half, 8 * length + 1)
+    y = c + t * np.sin(angle)
+    x = c + t * np.cos(angle)
+    y0, x0 = np.floor(y), np.floor(x)
+    fy, fx = y - y0, x - x0
+    yy = (y0[:, None] + np.array([0, 0, 1, 1])).astype(np.int64).ravel()
+    xx = (x0[:, None] + np.array([0, 1, 0, 1])).astype(np.int64).ravel()
+    wy = np.stack([1 - fy, 1 - fy, fy, fy], axis=1).ravel()
+    wx = np.stack([1 - fx, fx, 1 - fx, fx], axis=1).ravel()
+    inside = (yy >= 0) & (yy < length) & (xx >= 0) & (xx < length)
+    kernel = np.zeros((length, length))
+    np.add.at(kernel, (yy[inside], xx[inside]), (wy * wx)[inside])
     return kernel / kernel.sum()
 
 
-def _haze_field(h: int, w: int, rng: np.random.Generator) -> np.ndarray:
+def _haze_fields(h: int, w: int, rngs) -> np.ndarray:
+    """(N,H,W) haze, each image's coarse grid drawn from its own generator
+    and stretched to [0,1] unless it is flat."""
     coarse_h = max(2, min(8, h))
     coarse_w = max(2, min(8, w))
-    grid = rng.uniform(0.0, 1.0, size=(coarse_h, coarse_w, 1))
-    field = _bilinear_resize(grid, h, w)[:, :, 0]
-    lo, hi = field.min(), field.max()
-    if hi > lo:
-        field = (field - lo) / (hi - lo)
-    return field
+    grids = np.stack([rng.uniform(0.0, 1.0, size=(coarse_h, coarse_w, 1)) for rng in rngs])
+    field = _bilinear_resize(grids, h, w)[..., 0]
+    lo = field.min(axis=(1, 2), keepdims=True)
+    hi = field.max(axis=(1, 2), keepdims=True)
+    varies = hi > lo
+    return np.where(varies, (field - lo) / np.where(varies, hi - lo, 1.0), field)
 
 
 def _block_reduce_mean(img: np.ndarray, factor: int) -> np.ndarray:
-    h, w, c = img.shape
+    h, w, _ = img.shape[-3:]
     edges_y = np.arange(0, h, factor)
     edges_x = np.arange(0, w, factor)
-    sums = np.add.reduceat(np.add.reduceat(img, edges_y, axis=0), edges_x, axis=1)
+    sums = np.add.reduceat(np.add.reduceat(img, edges_y, axis=-3), edges_x, axis=-2)
     ny = np.diff(np.append(edges_y, h))
     nx = np.diff(np.append(edges_x, w))
     return sums / (ny[:, None, None] * nx[None, :, None])
@@ -177,84 +198,102 @@ def _dct_matrix(n: int = 8) -> np.ndarray:
 _DCT8 = _dct_matrix(8)
 
 
-def _jpeg_like(img: np.ndarray, scale: float) -> np.ndarray:
-    h, w, c = img.shape
+def _jpeg_like(imgs: np.ndarray, scale: float) -> np.ndarray:
+    """Quantise the 8x8 block DCT of (N,H,W,C) images, edge-padded to whole
+    blocks; every block is its own small matrix product."""
+    n, h, w, c = imgs.shape
     ph = (8 - h % 8) % 8
     pw = (8 - w % 8) % 8
-    padded = np.pad(img, ((0, ph), (0, pw), (0, 0)), mode="edge")
-    hh, ww, _ = padded.shape
-    blocks = padded.reshape(hh // 8, 8, ww // 8, 8, c).transpose(0, 2, 4, 1, 3)
+    padded = np.pad(imgs, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
+    _, hh, ww, _ = padded.shape
+    blocks = padded.reshape(n, hh // 8, 8, ww // 8, 8, c).transpose(0, 1, 3, 5, 2, 4)
     coef = _DCT8 @ blocks @ _DCT8.T
     if scale > 0:
         step = scale * _JPEG_Q / 255.0
         coef = np.round(coef / step) * step
     rec = _DCT8.T @ coef @ _DCT8
-    out = rec.transpose(0, 3, 1, 4, 2).reshape(hh, ww, c)
-    return out[:h, :w]
+    out = rec.transpose(0, 1, 4, 2, 5, 3).reshape(n, hh, ww, c)
+    return out[:, :h, :w]
 
 
-def corrupt_with_params(image: np.ndarray, kind: str, params, rng: np.random.Generator) -> np.ndarray:
-    """Apply ``kind`` at explicit parameters; drives both the severity table
-    and the zero-strength identity checks."""
-    img, squeeze = _as_hwc(image)
-    if np.any(img < -1e-9) or np.any(img > 1 + 1e-9):
+def corrupt_batch(imgs: np.ndarray, kind: str, params, rngs) -> np.ndarray:
+    """Apply ``kind`` at explicit parameters to (N,H,W,C) images in [0,1].
+
+    Image n draws only from ``rngs[n]``, in the order it would alone, and
+    comes out as it would alone: the batch changes how often the arithmetic
+    is dispatched, not its result. Returns (N,H,W,C), clipped to [0,1].
+    """
+    imgs = np.asarray(imgs, dtype=np.float64)
+    if imgs.ndim != 4 or len(rngs) != len(imgs):
+        raise ValueError(f"expected (N,H,W,C) images and N generators, got {imgs.shape} and {len(rngs)}")
+    if (imgs < -1e-9).any() or (imgs > 1 + 1e-9).any():
         raise ValueError("image values must lie in [0, 1]")
-    h, w, c = img.shape
+    n, h, w, c = imgs.shape
 
-    if kind == "gaussian_noise":
-        out = img + rng.normal(0.0, 1.0, size=img.shape) * params
-    elif kind == "shot_noise":
-        out = img + rng.normal(0.0, 1.0, size=img.shape) * np.sqrt(img / params)
+    if kind in ("gaussian_noise", "shot_noise"):
+        noise = np.stack([rng.normal(0.0, 1.0, size=(h, w, c)) for rng in rngs])
+        scale = params if kind == "gaussian_noise" else np.sqrt(imgs / params)
+        out = imgs + noise * scale
     elif kind == "impulse_noise":
-        out = img.copy()
+        out = imgs.copy()
         n_hit = int(round(params * h * w))
         if n_hit > 0:
-            flat = rng.choice(h * w, size=n_hit, replace=False)
-            values = rng.integers(0, 2, size=n_hit).astype(np.float64)
-            out.reshape(-1, c)[flat] = values[:, None]
+            hits = [(rng.choice(h * w, size=n_hit, replace=False), rng.integers(0, 2, size=n_hit)) for rng in rngs]
+            flat = np.stack([f for f, _ in hits])
+            values = np.stack([v for _, v in hits]).astype(np.float64)
+            out.reshape(n, h * w, c)[np.arange(n)[:, None], flat] = values[..., None]
     elif kind == "defocus_blur":
-        out = _conv_channels(img, _disk_kernel(int(params)))
+        out = _conv_channels(imgs, _disk_kernel(int(params)))
     elif kind == "glass_blur":
         max_shift, rounds = params
         if rounds <= 0 or max_shift <= 0:
-            out = img.copy()
+            out = imgs.copy()
         else:
-            offsets = rng.integers(-max_shift, max_shift + 1, size=(rounds, h, w, 2))
-            out = glass_swaps(img, offsets.astype(np.int64))
+            offsets = np.stack([rng.integers(-max_shift, max_shift + 1, size=(rounds, h, w, 2)) for rng in rngs])
+            out = glass_swaps(imgs, offsets.astype(np.int64))
     elif kind == "motion_blur":
-        angle = rng.uniform(0.0, np.pi)
-        out = _conv_channels(img, _line_kernel(int(params), angle))
+        kernels = np.stack([_line_kernel(int(params), rng.uniform(0.0, np.pi)) for rng in rngs])
+        out = _conv_channels(imgs, kernels)
     elif kind == "zoom_blur":
         steps, max_zoom = params
-        acc = np.zeros_like(img)
+        acc = np.zeros_like(imgs)
         for f in np.linspace(1.0, max_zoom, int(steps)):
             ch = max(1, int(round(h / f)))
             cw = max(1, int(round(w / f)))
             top = (h - ch) // 2
             left = (w - cw) // 2
-            acc += _bilinear_resize(img[top : top + ch, left : left + cw], h, w)
+            acc += _bilinear_resize(imgs[:, top : top + ch, left : left + cw], h, w)
         out = acc / int(steps)
     elif kind == "fog":
-        haze = _haze_field(h, w, rng)[:, :, None]
-        out = (1.0 - params) * img + params * haze
+        haze = _haze_fields(h, w, rngs)[..., None]
+        out = (1.0 - params) * imgs + params * haze
     elif kind == "brightness":
-        out = img + params
+        out = imgs + params
     elif kind == "contrast":
-        mean = img.mean()
-        out = mean + (img - mean) * params
+        # the flat mean a lone image gets; numpy does not promise that a
+        # mean over axes (1, 2, 3) sums in the same order
+        mean = np.array([img.mean() for img in imgs])[:, None, None, None]
+        out = mean + (imgs - mean) * params
     elif kind == "pixelate":
         factor = int(params)
         if factor <= 1:
-            out = img.copy()
+            out = imgs.copy()
         else:
-            small = _block_reduce_mean(img, factor)
-            out = np.repeat(np.repeat(small, factor, axis=0), factor, axis=1)[:h, :w]
+            small = _block_reduce_mean(imgs, factor)
+            out = np.repeat(np.repeat(small, factor, axis=1), factor, axis=2)[:, :h, :w]
     elif kind == "jpeg_like":
-        out = _jpeg_like(img, params)
+        out = _jpeg_like(imgs, params)
     else:
         raise ValueError(f"unknown corruption kind {kind!r}")
 
-    out = np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0)
+
+
+def corrupt_with_params(image: np.ndarray, kind: str, params, rng: np.random.Generator) -> np.ndarray:
+    """Apply ``kind`` at explicit parameters to one (H,W) or (H,W,C) image;
+    drives both the severity table and the zero-strength identity checks."""
+    img, squeeze = _as_hwc(image)
+    out = corrupt_batch(img[None], kind, params, [rng])[0]
     return out[:, :, 0] if squeeze else out
 
 
@@ -264,8 +303,13 @@ def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     return corrupt_with_params(image, spec.kind, spec.params(), rng)
 
 
+def _kind_seed(base_seed: int, kind: str, severity: int) -> int:
+    """The seed shared by one (kind, severity); ``fold_seed`` adds an image id."""
+    return derive_seed(base_seed, "corrupt", KINDS.index(kind), severity)
+
+
 def image_seed(base_seed: int, kind: str, severity: int, image_id: int) -> int:
-    return derive_seed(base_seed, "corrupt", KINDS.index(kind), severity, image_id)
+    return fold_seed(_kind_seed(base_seed, kind, severity), image_id)
 
 
 def corrupt_dataset(
@@ -279,23 +323,40 @@ def corrupt_dataset(
     """Write every (image, kind, severity) corruption plus a manifest CSV.
 
     Per-image seeds derive from (base seed, kind, severity, image id), so
-    every file is a pure function of its own image and key. Returns the
-    manifest rows (orig_id, kind, severity, path).
+    every file is a pure function of its own image and key. Each (kind,
+    severity) runs as one ``corrupt_batch`` per image shape; files are
+    written in (kind, severity, image) order. Returns the manifest rows
+    (orig_id, kind, severity, path).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    base = os.fspath(out_dir)
     ids = list(range(len(images))) if image_ids is None else list(image_ids)
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown corruption kind {kind!r}")
 
+    # positions of the images of each shape, and those images as one stack
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, img in enumerate(images[: len(ids)]):
+        groups.setdefault(np.shape(img), []).append(i)
+    stacks = {shape: np.stack([_as_hwc(images[i])[0] for i in pos]) for shape, pos in groups.items()}
+    exts = [("ppm" if np.ndim(img) == 3 else "pgm") for img in images[: len(ids)]]
+
     rows = []
     for kind in kinds:
         for severity in severities:
-            for img_id, img in zip(ids, images):
-                rel = f"{kind}_s{severity}_{img_id:06d}.{'ppm' if np.ndim(img) == 3 else 'pgm'}"
-                spec = CorruptionSpec(kind=kind, severity=severity, seed=image_seed(base_seed, kind, severity, img_id))
-                save_image(out_dir / rel, corrupt(img, spec))
+            params = SEVERITY_TABLE[kind][severity - 1]
+            key = _kind_seed(base_seed, kind, severity)
+            encoded: list[bytes] = [b""] * len(exts)
+            for shape, pos in groups.items():
+                rngs = [np.random.default_rng(fold_seed(key, ids[i])) for i in pos]
+                out = corrupt_batch(stacks[shape], kind, params, rngs)
+                for i, data in zip(pos, encode_images(out.reshape((len(pos),) + shape))):
+                    encoded[i] = data
+            for img_id, ext, data in zip(ids, exts, encoded):
+                rel = f"{kind}_s{severity}_{img_id:06d}.{ext}"
+                atomic_write_bytes(os.path.join(base, rel), data)
                 rows.append((img_id, kind, severity, rel))
 
     save_csv(out_dir / "manifest.csv", ["orig_id", "kind", "severity", "path"], [list(r) for r in rows])

@@ -1,7 +1,10 @@
 """On-disk formats: PPM/PGM images, checkpoints, banks, manifests, CSVs.
 
 All writers go through a temp-file-then-rename step so readers never see a
-partially written file. Formats:
+partially written file: the bytes go to ``.{name}.{pid}.tmp`` in the
+target's directory (created mode 0600 with O_EXCL; a ``tempfile.mkstemp``
+name if that one is taken), which ``os.replace`` then moves over the
+target. Formats:
 
   checkpoint   magic PCKPT1, u8 architecture tag, per-arch u32 dims,
                float64 LE parameters, u64 LE epoch counter
@@ -14,6 +17,7 @@ partially written file. Formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -36,13 +40,37 @@ class FormatError(ValueError):
     """Raised when a file does not parse as the expected format/version."""
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+# O_CLOEXEC and O_BINARY exist only on some platforms
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _open_temp(directory: str, name: str) -> tuple[int, str]:
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
+    except FileExistsError:
+        # left by a crashed writer with this pid, or written right now by
+        # another thread of this process
+        return tempfile.mkstemp(dir=directory, prefix=f".{name}.")
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename, creating
+    missing parent directories; the file gets mode 0600."""
+    directory, name = os.path.split(os.fspath(path))
+    directory = directory or os.curdir
+    try:
+        fd, tmp = _open_temp(directory, name)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = _open_temp(directory, name)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,9 +107,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, np.ndarray, int]:
         raise FormatError(f"{path}: unknown architecture tag {tag}")
     arch = _TAG_ARCH[tag]
     nd = _ARCH_NDIMS[arch]
+    if len(data) < pos + 4 * nd:
+        raise FormatError(f"{path}: truncated checkpoint header")
     dims = struct.unpack_from(f"<{nd}I", data, pos)
     pos += 4 * nd
-    spec = ModelSpec(architecture=arch, dims=dims)
+    try:
+        spec = ModelSpec(architecture=arch, dims=dims)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
     count = spec.param_count()
     want = pos + 8 * count + 8
     if len(data) != want:
@@ -104,8 +137,8 @@ def save_bank(path: str | Path, bank: SampleBank) -> None:
 
 
 def load_bank(path: str | Path) -> SampleBank:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
         header = next(reader, None)
         if header != ["sample_id", "score", "source"]:
             raise FormatError(f"{path}: bad bank header {header}")
@@ -116,14 +149,20 @@ def load_bank(path: str | Path) -> SampleBank:
             ids.append(int(row[0]))
             scores.append(float(row[1]))
             sources.add(row[2])
-    if len(sources) > 1:
-        raise FormatError(f"{path}: mixed bank sources {sorted(sources)}")
-    source = sources.pop() if sources else "plain"
-    return SampleBank(
-        sample_ids=np.asarray(ids, dtype=np.int64),
-        scores=np.asarray(scores, dtype=np.float64),
-        source=source,
-    )
+        if len(sources) > 1:
+            raise FormatError(f"{path}: mixed bank sources {sorted(sources)}")
+        source = sources.pop() if sources else "plain"
+        return SampleBank(
+            sample_ids=np.asarray(ids, dtype=np.int64),
+            scores=np.asarray(scores, dtype=np.float64),
+            source=source,
+        )
+    except FormatError:
+        raise
+    except (ValueError, OverflowError, csv.Error) as e:
+        # undecodable bytes, a non-numeric or out-of-range field, or a bank
+        # that SampleBank refuses
+        raise FormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +189,10 @@ def load_pixel_bank(directory: str | Path) -> list[np.ndarray]:
         data = f.read_bytes()
         if not data.startswith(PIXELBANK_MAGIC):
             raise FormatError(f"{f}: bad pixel-bank magic")
-        h, w = struct.unpack_from("<II", data, len(PIXELBANK_MAGIC))
         offset = len(PIXELBANK_MAGIC) + 8
+        if len(data) < offset:
+            raise FormatError(f"{f}: truncated pixel-bank header")
+        h, w = struct.unpack_from("<II", data, len(PIXELBANK_MAGIC))
         if len(data) != offset + 4 * h * w:
             raise FormatError(f"{f}: truncated pixel bank")
         maps.append(
@@ -164,16 +205,24 @@ def load_pixel_bank(directory: str | Path) -> list[np.ndarray]:
 # images (binary portable pixmaps; floats in [0,1] <-> bytes)
 
 
-def save_image(path: str | Path, image: np.ndarray) -> None:
-    image = np.asarray(image, dtype=np.float64)
-    data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    if image.ndim == 2:
-        header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
-    elif image.ndim == 3 and image.shape[2] == 3:
-        header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
+def encode_images(images: np.ndarray) -> list[bytes]:
+    """File bytes of each image of an (N,H,W) or (N,H,W,3) float stack in
+    [0,1]: binary PGM for grayscale, PPM for RGB, rounded to 8 bits."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 3:
+        magic = "P5"
+    elif images.ndim == 4 and images.shape[3] == 3:
+        magic = "P6"
     else:
-        raise ValueError(f"expected (H,W) or (H,W,3) image, got {image.shape}")
-    atomic_write_bytes(path, header + data.tobytes())
+        raise ValueError(f"expected (H,W) or (H,W,3) image, got {images.shape[1:]}")
+    header = f"{magic}\n{images.shape[2]} {images.shape[1]}\n255\n".encode()
+    data = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
+    return [header + d.tobytes() for d in data]
+
+
+def save_image(path: str | Path, image: np.ndarray) -> None:
+    (data,) = encode_images(np.asarray(image)[None])
+    atomic_write_bytes(path, data)
 
 
 def load_image(path: str | Path) -> np.ndarray:
@@ -192,8 +241,12 @@ def load_image(path: str | Path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            raise FormatError(f"{path}: bad or truncated header field {data[start:pos]!r}")
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
+    if pos > len(data):
+        raise FormatError(f"{path}: truncated header")
     w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")

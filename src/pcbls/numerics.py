@@ -29,23 +29,31 @@ def gaussian_kernel2d(k: int, sigma: float) -> np.ndarray:
 def conv2d_same(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """2-D cross-correlation with replicate (clamp-to-border) padding.
 
+    ``arr`` is a map (H,W) or a stack of maps (..., H, W); only the last two
+    axes are padded and convolved. ``kernel`` is one (k,k) kernel for every
+    map, or per-map kernels (..., k, k) whose leading axes broadcast against
+    those of ``arr``. Each map gets the same shift-add sums, in the same
+    order, as it would alone.
+
     Replicate padding keeps per-pixel probability mass intact at borders:
     a sum-1 kernel applied channel-wise to maps that sum to 1 per pixel
     yields maps that still sum to 1 per pixel.
     """
     arr = np.asarray(arr, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    if arr.ndim != 2:
+    if arr.ndim < 2:
         raise ValueError(f"expected a 2-D map, got shape {arr.shape}")
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
+    if kernel.ndim < 2 or kernel.shape[-1] != kernel.shape[-2] or kernel.shape[-1] % 2 == 0:
         raise ValueError(f"kernel must be square with odd size, got shape {kernel.shape}")
-    k = kernel.shape[0]
-    h, w = arr.shape
-    padded = np.pad(arr, k // 2, mode="edge")
-    out = np.zeros_like(arr)
+    k = kernel.shape[-1]
+    h, w = arr.shape[-2:]
+    padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(k // 2, k // 2)] * 2, mode="edge")
+    # per-map kernel taps broadcast as (..., 1, 1) over the map axes
+    taps = kernel[..., None, None]
+    out = np.zeros(np.broadcast_shapes(arr.shape, taps.shape[:-4] + (1, 1)))
     for i in range(k):
         for j in range(k):
-            out += kernel[i, j] * padded[i : i + h, j : j + w]
+            out += taps[..., i, j, :, :] * padded[..., i : i + h, j : j + w]
     return out
 
 

@@ -27,7 +27,17 @@ def derive_seed(base: int, *parts: int | str) -> int:
     String parts are folded byte-by-byte so the result does not depend on
     process hash randomization or platform.
     """
-    state = splitmix64(int(base) & _MASK64)
+    return fold_seed(splitmix64(int(base) & _MASK64), *parts)
+
+
+def fold_seed(seed: int, *parts: int | str) -> int:
+    """Fold more parts into a seed that ``derive_seed`` returned.
+
+    ``derive_seed`` is a left fold, so ``derive_seed(base, *a, *b)`` equals
+    ``fold_seed(derive_seed(base, *a), *b)``: a shared prefix of parts is
+    folded once and each caller folds only its own suffix.
+    """
+    state = int(seed) & _MASK64
     for part in parts:
         if isinstance(part, str):
             for b in part.encode("utf-8"):

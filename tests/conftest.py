@@ -1,11 +1,14 @@
 """Shared reference oracles kept independent of the library code paths."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pcbls import losses, models, pacing, soft_labels
+from pcbls.corruption import _DCT8, _JPEG_Q, KINDS, SEVERITY_TABLE, _as_hwc, _disk_kernel
 from pcbls.numerics import log_softmax, softmax
-from pcbls.seeding import rng_for
+from pcbls.seeding import derive_seed, rng_for
 
 
 def ref_conv2d_replicate(src, kernel):
@@ -59,6 +62,197 @@ def ref_fcn_conv_backward(x, w, dout):
             dw[:, :, i, j] = np.einsum("yxo,yxi->oi", dout, shifted)
             np.add.at(dx, (ri[:, None], cj[None, :]), dout @ w[:, :, i, j])
     return dx, dw, dout.sum(axis=(0, 1))
+
+
+def ref_conv2d_same(arr, kernel):
+    """Shift-add replicate-padded cross-correlation of one 2-D map."""
+    k = kernel.shape[0]
+    h, w = arr.shape
+    padded = np.pad(arr, k // 2, mode="edge")
+    out = np.zeros_like(arr)
+    for i in range(k):
+        for j in range(k):
+            out += kernel[i, j] * padded[i : i + h, j : j + w]
+    return out
+
+
+def ref_line_kernel(length, angle):
+    """Motion-blur kernel splatted one sample and one tap at a time."""
+    if length <= 1:
+        return np.ones((1, 1))
+    half = (length - 1) / 2.0
+    kernel = np.zeros((length, length))
+    c = length // 2
+    for t in np.linspace(-half, half, 8 * length + 1):
+        y = c + t * np.sin(angle)
+        x = c + t * np.cos(angle)
+        y0, x0 = int(np.floor(y)), int(np.floor(x))
+        fy, fx = y - y0, x - x0
+        for dy, wy in ((0, 1 - fy), (1, fy)):
+            for dx, wx in ((0, 1 - fx), (1, fx)):
+                yy, xx = y0 + dy, x0 + dx
+                if 0 <= yy < length and 0 <= xx < length:
+                    kernel[yy, xx] += wy * wx
+    return kernel / kernel.sum()
+
+
+def ref_glass_swaps(img, offsets):
+    """Sequential local pixel swaps of one (H,W,C) image; offsets (iters,H,W,2)."""
+    out = img.copy()
+    h, w = out.shape[:2]
+    for it in range(offsets.shape[0]):
+        for y in range(h):
+            for x in range(w):
+                yy = min(max(y + int(offsets[it, y, x, 0]), 0), h - 1)
+                xx = min(max(x + int(offsets[it, y, x, 1]), 0), w - 1)
+                tmp = out[y, x].copy()
+                out[y, x] = out[yy, xx]
+                out[yy, xx] = tmp
+    return out
+
+
+def _ref_bilinear_resize(img, out_h, out_w):
+    h, w, _ = img.shape
+    if (out_h, out_w) == (h, w):
+        return img.copy()
+    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    top = img[y0[:, None], x0[None, :]] * (1 - wx) + img[y0[:, None], x1[None, :]] * wx
+    bot = img[y1[:, None], x0[None, :]] * (1 - wx) + img[y1[:, None], x1[None, :]] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def _ref_conv_channels(img, kernel):
+    out = np.empty_like(img)
+    for c in range(img.shape[2]):
+        out[:, :, c] = ref_conv2d_same(img[:, :, c], kernel)
+    return out
+
+
+def _ref_haze_field(h, w, rng):
+    grid = rng.uniform(0.0, 1.0, size=(max(2, min(8, h)), max(2, min(8, w)), 1))
+    field = _ref_bilinear_resize(grid, h, w)[:, :, 0]
+    lo, hi = field.min(), field.max()
+    if hi > lo:
+        field = (field - lo) / (hi - lo)
+    return field
+
+
+def _ref_block_reduce_mean(img, factor):
+    h, w, c = img.shape
+    edges_y = np.arange(0, h, factor)
+    edges_x = np.arange(0, w, factor)
+    sums = np.add.reduceat(np.add.reduceat(img, edges_y, axis=0), edges_x, axis=1)
+    ny = np.diff(np.append(edges_y, h))
+    nx = np.diff(np.append(edges_x, w))
+    return sums / (ny[:, None, None] * nx[None, :, None])
+
+
+def _ref_jpeg_like(img, scale):
+    h, w, c = img.shape
+    ph = (8 - h % 8) % 8
+    pw = (8 - w % 8) % 8
+    padded = np.pad(img, ((0, ph), (0, pw), (0, 0)), mode="edge")
+    hh, ww, _ = padded.shape
+    blocks = padded.reshape(hh // 8, 8, ww // 8, 8, c).transpose(0, 2, 4, 1, 3)
+    coef = _DCT8 @ blocks @ _DCT8.T
+    if scale > 0:
+        step = scale * _JPEG_Q / 255.0
+        coef = np.round(coef / step) * step
+    rec = _DCT8.T @ coef @ _DCT8
+    out = rec.transpose(0, 3, 1, 4, 2).reshape(hh, ww, c)
+    return out[:h, :w]
+
+
+def ref_corrupt_with_params(image, kind, params, rng):
+    """One image at a time: the per-image corruption that batches must match."""
+    img, squeeze = _as_hwc(image)
+    if np.any(img < -1e-9) or np.any(img > 1 + 1e-9):
+        raise ValueError("image values must lie in [0, 1]")
+    h, w, c = img.shape
+    if kind == "gaussian_noise":
+        out = img + rng.normal(0.0, 1.0, size=img.shape) * params
+    elif kind == "shot_noise":
+        out = img + rng.normal(0.0, 1.0, size=img.shape) * np.sqrt(img / params)
+    elif kind == "impulse_noise":
+        out = img.copy()
+        n_hit = int(round(params * h * w))
+        if n_hit > 0:
+            flat = rng.choice(h * w, size=n_hit, replace=False)
+            values = rng.integers(0, 2, size=n_hit).astype(np.float64)
+            out.reshape(-1, c)[flat] = values[:, None]
+    elif kind == "defocus_blur":
+        out = _ref_conv_channels(img, _disk_kernel(int(params)))
+    elif kind == "glass_blur":
+        max_shift, rounds = params
+        if rounds <= 0 or max_shift <= 0:
+            out = img.copy()
+        else:
+            offsets = rng.integers(-max_shift, max_shift + 1, size=(rounds, h, w, 2))
+            out = ref_glass_swaps(img, offsets.astype(np.int64))
+    elif kind == "motion_blur":
+        angle = rng.uniform(0.0, np.pi)
+        out = _ref_conv_channels(img, ref_line_kernel(int(params), angle))
+    elif kind == "zoom_blur":
+        steps, max_zoom = params
+        acc = np.zeros_like(img)
+        for f in np.linspace(1.0, max_zoom, int(steps)):
+            ch = max(1, int(round(h / f)))
+            cw = max(1, int(round(w / f)))
+            top = (h - ch) // 2
+            left = (w - cw) // 2
+            acc += _ref_bilinear_resize(img[top : top + ch, left : left + cw], h, w)
+        out = acc / int(steps)
+    elif kind == "fog":
+        haze = _ref_haze_field(h, w, rng)[:, :, None]
+        out = (1.0 - params) * img + params * haze
+    elif kind == "brightness":
+        out = img + params
+    elif kind == "contrast":
+        mean = img.mean()
+        out = mean + (img - mean) * params
+    elif kind == "pixelate":
+        factor = int(params)
+        if factor <= 1:
+            out = img.copy()
+        else:
+            small = _ref_block_reduce_mean(img, factor)
+            out = np.repeat(np.repeat(small, factor, axis=0), factor, axis=1)[:h, :w]
+    elif kind == "jpeg_like":
+        out = _ref_jpeg_like(img, params)
+    else:
+        raise ValueError(f"unknown corruption kind {kind!r}")
+    out = np.clip(out, 0.0, 1.0)
+    return out[:, :, 0] if squeeze else out
+
+
+def ref_corrupt_dataset(images, kinds, severities, base_seed, out_dir, image_ids=None):
+    """Per-image corrupt-and-write loop with plain file writes; returns the
+    manifest rows that ``corrupt_dataset`` must return."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ids = list(range(len(images))) if image_ids is None else list(image_ids)
+    rows = []
+    for kind in kinds:
+        for severity in severities:
+            for img_id, img in zip(ids, images):
+                rel = f"{kind}_s{severity}_{img_id:06d}.{'ppm' if np.ndim(img) == 3 else 'pgm'}"
+                seed = derive_seed(base_seed, "corrupt", KINDS.index(kind), severity, img_id)
+                params = SEVERITY_TABLE[kind][severity - 1]
+                out = ref_corrupt_with_params(img, kind, params, np.random.default_rng(seed))
+                magic = "P6" if out.ndim == 3 else "P5"
+                header = f"{magic}\n{out.shape[1]} {out.shape[0]}\n255\n".encode()
+                (out_dir / rel).write_bytes(header + np.clip(np.rint(out * 255.0), 0, 255).astype(np.uint8).tobytes())
+                rows.append((img_id, kind, severity, rel))
+    lines = ["orig_id,kind,severity,path"] + [",".join(str(v) for v in r) for r in rows]
+    (out_dir / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return rows
 
 
 def _ref_batch_targets(cfg, targets, k, eps, sigma):

@@ -349,3 +349,70 @@ class TestSegmentationPipeline:
         assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", out / "checkpoint.pckpt", "--out", dest]) == 0
         _, rows = load_csv(dest)
         assert rows[0][0] == "val_miou" and rows[1][0] == "val_mdice"
+
+
+@pytest.fixture(scope="module")
+def corrupted_run(tmp_path_factory):
+    """A trained checkpoint and its fog corruptions, shared by the checks below."""
+    tmp_path = tmp_path_factory.mktemp("corrupted_run")
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "run"
+    assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 0
+    corr = tmp_path / "corr"
+    assert run(["corrupt", "--config", cfg, "--seed", 1, "--kinds", "fog", "--out", corr]) == 0
+    return cfg, out / "checkpoint.pckpt", corr
+
+
+class TestEvalManifestChecks:
+    """A bad manifest row fails with exit 2 and names the row's line."""
+
+    def _eval_edited(self, corrupted_run, name, line3):
+        cfg, ckpt, corr = corrupted_run
+        lines = (corr / "manifest.csv").read_text().splitlines()
+        lines[2] = line3
+        manifest = corr / f"manifest_{name}.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        return run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", ckpt,
+                    "--manifest", manifest, "--out", corr.parent / f"{name}.csv"])
+
+    @pytest.mark.parametrize(
+        "name, line3, problem",
+        [
+            ("short_row", "1,fog", "4 fields"),
+            ("id_outside_val", "1000,fog,1,fog_s1_000001.pgm", "orig_id 1000"),
+            ("missing_image", "1,fog,1,fog_s1_999999.pgm", "cannot read"),
+            ("escaping_path", "1,fog,1,../../etc/passwd", "leaves the manifest"),
+            ("unknown_kind", "1,bogus,1,fog_s1_000001.pgm", "unknown corruption kind 'bogus'"),
+        ],
+    )
+    def test_bad_row_is_config_error(self, corrupted_run, capsys, name, line3, problem):
+        assert self._eval_edited(corrupted_run, name, line3) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and problem in err
+        assert not (corrupted_run[2].parent / f"{name}.csv").exists()
+
+    def test_image_of_another_shape_is_config_error(self, corrupted_run, capsys):
+        corr = corrupted_run[2]
+        # as many pixels as a (1, 6) validation vector, so a reshape would accept it
+        (corr / "odd_shape.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+        assert self._eval_edited(corrupted_run, "odd_shape", "1,fog,1,odd_shape.pgm") == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "(2, 3)" in err and "(1, 6)" in err
+
+
+class TestCorruptFlagChecks:
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--kinds", ""], "--kinds"),
+            (["--kinds", "fog,fog"], "'fog' more than once"),
+            (["--kinds", "fog", "--severities", "1,2,1"], "1 more than once"),
+            (["--kinds", "fog", "--severities", "1,x"], "--severities: 'x'"),
+        ],
+    )
+    def test_bad_flags_are_config_errors(self, tmp_path, capsys, flags, problem):
+        cfg = _write_small_config(tmp_path)
+        out = tmp_path / "corr"
+        assert run(["corrupt", "--config", cfg, "--seed", 1, *flags, "--out", out]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()

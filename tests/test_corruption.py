@@ -5,12 +5,16 @@ from pcbls.corruption import (
     KINDS,
     SEVERITY_TABLE,
     CorruptionSpec,
+    _line_kernel,
     corrupt,
+    corrupt_batch,
     corrupt_dataset,
     corrupt_with_params,
     robustness_report,
 )
 from pcbls.fileio import load_csv, load_image
+
+from conftest import ref_corrupt_dataset, ref_corrupt_with_params, ref_line_kernel
 
 IDENTITY_PARAMS = {
     "gaussian_noise": 0.0,
@@ -168,6 +172,47 @@ class TestCorruptDataset:
             out = corrupt(v, CorruptionSpec(kind=kind, severity=5, seed=1))
             assert out.shape == (1, 16)
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+class TestBatchedMatchesPerImage:
+    """One batch per (kind, severity) must give each image the bytes it got
+    when corrupted alone by the per-image oracle."""
+
+    @pytest.mark.parametrize("shape", [(1, 32), (5, 7), (4, 4, 3), (9, 16, 3)])
+    def test_corrupt_batch_equals_oracle(self, rng, shape):
+        images = [rng.uniform(size=shape) for _ in range(3)]
+        images[0] = np.round(images[0])  # pixels on the clip bounds
+        stack = np.stack([im.reshape(shape[:2] + (-1,)) for im in images])
+        for kind in KINDS:
+            for params in SEVERITY_TABLE[kind]:
+                got = corrupt_batch(stack, kind, params, [np.random.default_rng(s) for s in range(3)])
+                for s, im in enumerate(images):
+                    want = ref_corrupt_with_params(im, kind, params, np.random.default_rng(s))
+                    assert np.array_equal(got[s].reshape(shape), want), (kind, params)
+
+    def test_corrupt_dataset_files_equal_oracle_writer(self, tmp_path, rng):
+        shapes = [(1, 32), (5, 7), (4, 4, 3), (1, 32), (4, 4, 3), (5, 7), (1, 32)]
+        images = [rng.uniform(size=s) for s in shapes]
+        ids = [3, 10, 11, 42, 7, 100, 0]
+        severities = [1, 2, 3, 4, 5]
+        rows = corrupt_dataset(images, list(KINDS), severities, 123, tmp_path / "new", image_ids=ids)
+        want = ref_corrupt_dataset(images, list(KINDS), severities, 123, tmp_path / "ref", image_ids=ids)
+        assert rows == want
+        names = sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert len(names) == len(KINDS) * len(severities) * len(images) + 1
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("length", range(1, 12))
+    def test_line_kernel_equals_oracle(self, length):
+        for angle in (0.0, 0.3, np.pi / 4, 1.0, np.pi / 2, 2.2, np.pi - 1e-9):
+            assert _line_kernel(length, angle).tobytes() == ref_line_kernel(length, angle).tobytes()
+
+    def test_batch_rejects_out_of_range_image(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            corrupt_batch(np.full((2, 3, 3, 1), 0.5) + np.eye(3)[None, :, :, None], "fog", 0.1,
+                          [np.random.default_rng(0)] * 2)
 
 
 class TestRobustnessReport:

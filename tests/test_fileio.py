@@ -1,0 +1,162 @@
+"""The atomic writer, and parsers that refuse malformed bytes with FormatError only."""
+
+import os
+import stat
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pcbls.fileio import (
+    FormatError,
+    atomic_write_bytes,
+    encode_images,
+    load_bank,
+    load_checkpoint,
+    load_image,
+    load_pixel_bank,
+    save_bank,
+    save_checkpoint,
+    save_image,
+    save_pixel_bank,
+)
+from pcbls.models import ModelSpec, init_params
+from pcbls.pacing import SampleBank
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestAtomicWriteBytes:
+    def test_creates_missing_parents_and_overwrites(self, tmp_path):
+        target = tmp_path / "a" / "b" / "f.bin"
+        atomic_write_bytes(target, b"first")
+        atomic_write_bytes(target, b"second")
+        assert target.read_bytes() == b"second"
+        assert os.listdir(target.parent) == ["f.bin"]
+
+    def test_file_mode_is_0600(self, tmp_path):
+        atomic_write_bytes(tmp_path / "f.bin", b"x")
+        assert _mode(tmp_path / "f.bin") == 0o600
+
+    def test_bare_name_writes_into_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        atomic_write_bytes("f.txt", b"here")
+        assert os.listdir(tmp_path) == ["f.txt"]
+        assert (tmp_path / "f.txt").read_bytes() == b"here"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(tmp_path / "d", b"x")  # a directory cannot be replaced by a file
+        assert os.listdir(tmp_path) == ["d"]
+        assert os.listdir(tmp_path / "d") == []
+
+    def test_falls_back_when_the_pid_temp_name_is_taken(self, tmp_path):
+        stale = tmp_path / f".f.bin.{os.getpid()}.tmp"
+        stale.write_bytes(b"stale")
+        atomic_write_bytes(tmp_path / "f.bin", b"fresh")
+        assert (tmp_path / "f.bin").read_bytes() == b"fresh"
+        assert _mode(tmp_path / "f.bin") == 0o600
+        assert stale.read_bytes() == b"stale"
+        assert sorted(os.listdir(tmp_path)) == sorted([stale.name, "f.bin"])
+
+
+class TestEncodeImages:
+    def test_each_image_encodes_as_save_image_writes_it(self, tmp_path, rng):
+        for shape in [(3, 4, 5), (2, 3, 4, 3)]:
+            stack = rng.uniform(-0.1, 1.1, size=shape)
+            for i, data in enumerate(encode_images(stack)):
+                save_image(tmp_path / "one", stack[i])
+                assert (tmp_path / "one").read_bytes() == data
+
+    def test_rejects_other_channel_counts(self):
+        with pytest.raises(ValueError, match=r"got \(2, 2, 2\)"):
+            encode_images(np.zeros((1, 2, 2, 2)))
+
+
+# (file name, valid bytes written by this package, loader taking the file's path)
+
+
+def _checkpoint(tmp_path):
+    spec = ModelSpec("linear_softmax", (2, 2))
+    save_checkpoint(tmp_path / "c.pckpt", spec, init_params(spec, 0), 3)
+    return "c.pckpt", (tmp_path / "c.pckpt").read_bytes(), load_checkpoint
+
+
+def _pixel_bank(tmp_path):
+    save_pixel_bank(tmp_path / "pix", [np.full((2, 3), 0.5, dtype=np.float32)])
+    return "pix/000000.pcbl", (tmp_path / "pix" / "000000.pcbl").read_bytes(), lambda p: load_pixel_bank(p.parent)
+
+
+def _bank(tmp_path):
+    bank = SampleBank(np.array([2, 0, 1]), np.array([0.9, 0.5, 0.25]), "plain")
+    save_bank(tmp_path / "b.csv", bank)
+    return "b.csv", (tmp_path / "b.csv").read_bytes(), load_bank
+
+
+def _gray(tmp_path):
+    save_image(tmp_path / "g.pgm", np.linspace(0, 1, 6).reshape(2, 3))
+    return "g.pgm", (tmp_path / "g.pgm").read_bytes(), load_image
+
+
+def _rgb(tmp_path):
+    save_image(tmp_path / "c.ppm", np.linspace(0, 1, 12).reshape(2, 2, 3))
+    return "c.ppm", (tmp_path / "c.ppm").read_bytes(), load_image
+
+
+FORMATS = {"checkpoint": _checkpoint, "pixel_bank": _pixel_bank, "bank": _bank, "pgm": _gray, "ppm": _rgb}
+MAGIC = {
+    "checkpoint": b"PCKPT1",
+    "pixel_bank": b"PCBL",
+    "bank": b"sample_id,score,source\n",
+    "pgm": b"P5",
+    "ppm": b"P6",
+}
+
+
+def _load_or_format_error(load, path):
+    """Load ``path``; a FormatError is the one refusal allowed."""
+    try:
+        load(path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_truncation_loads_or_raises_format_error(tmp_path, fmt):
+    name, valid, load = FORMATS[fmt](tmp_path)
+    path = tmp_path / name
+    load(path)
+    for cut in range(len(valid)):
+        path.write_bytes(valid[:cut])
+        _load_or_format_error(load, path)
+
+
+@pytest.mark.parametrize(
+    "fmt, data",
+    [
+        ("checkpoint", b"PCKPT1\x02"),
+        ("pixel_bank", b"PCBL"),
+        ("pgm", b"P5"),
+        ("bank", b"sample_id,score,source\n1,0.5,pl\xffain\n"),
+        ("bank", b"sample_id,score,source\n99999999999999999999999,0.5,plain\n"),
+        ("bank", b"sample_id,score,source\n1,x,plain\n"),
+    ],
+)
+def test_known_malformed_files_raise_format_error(tmp_path, fmt, data):
+    name, _, load = FORMATS[fmt](tmp_path)
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(FormatError):
+        load(tmp_path / name)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tail=st.binary(max_size=64))
+def test_random_bytes_after_the_magic_load_or_raise_format_error(tmp_path, fmt, tail):
+    name, _, load = FORMATS[fmt](tmp_path)
+    (tmp_path / name).write_bytes(MAGIC[fmt] + tail)
+    _load_or_format_error(load, tmp_path / name)

@@ -1,9 +1,11 @@
-"""The numba glass-blur swap kernel and its numpy fallback must agree."""
+"""The glass-blur swaps: batched numpy path, numba path and per-image oracle agree."""
 
 import numpy as np
 import pytest
 
 from pcbls import _kernels
+
+from conftest import ref_glass_swaps
 
 
 requires_numba = pytest.mark.skipif(
@@ -14,16 +16,28 @@ requires_numba = pytest.mark.skipif(
 @requires_numba
 class TestPathEquivalence:
     def test_glass_swaps(self, rng):
-        img = rng.uniform(size=(7, 6, 3))
-        offsets = rng.integers(-2, 3, size=(2, 7, 6, 2)).astype(np.int64)
+        img = rng.uniform(size=(2, 7, 6, 3))
+        offsets = rng.integers(-2, 3, size=(2, 2, 7, 6, 2)).astype(np.int64)
         a = _kernels.glass_swaps(img, offsets)
-        b = _kernels.glass_swaps_np(img[:, :, :], offsets)
+        b = _kernels.glass_swaps_np(img, offsets)
         assert np.array_equal(a, b)
 
 
 class TestFallbackAlwaysAvailable:
     def test_glass_swaps_preserves_multiset(self, rng):
-        img = rng.uniform(size=(5, 5, 1))
-        offsets = rng.integers(-1, 2, size=(3, 5, 5, 2)).astype(np.int64)
+        img = rng.uniform(size=(1, 5, 5, 1))
+        offsets = rng.integers(-1, 2, size=(1, 3, 5, 5, 2)).astype(np.int64)
         out = _kernels.glass_swaps_np(img, offsets)
         assert np.allclose(np.sort(out.ravel()), np.sort(img.ravel()))
+
+
+@pytest.mark.parametrize("shape, shift", [((5, 6, 3), 2), ((1, 32, 1), 1), ((7, 1, 1), 3)])
+def test_batch_equals_per_image_oracle(rng, shape, shift):
+    imgs = rng.uniform(size=(4,) + shape)
+    offsets = rng.integers(-shift, shift + 1, size=(4, 3) + shape[:2] + (2,)).astype(np.int64)
+    before = imgs.copy()
+    out = _kernels.glass_swaps(imgs, offsets)
+    assert np.array_equal(imgs, before)
+    for n in range(4):
+        assert np.array_equal(out[n], ref_glass_swaps(imgs[n], offsets[n]))
+        assert np.array_equal(np.sort(out[n], axis=None), np.sort(imgs[n], axis=None))

@@ -3,7 +3,7 @@ import pytest
 
 from pcbls.numerics import conv2d_same, gaussian_kernel2d, log_softmax, softmax, softmax_log_softmax
 
-from conftest import ref_conv2d_replicate, ref_gaussian_kernel
+from conftest import ref_conv2d_replicate, ref_conv2d_same, ref_gaussian_kernel
 
 
 class TestGaussianKernel:
@@ -82,6 +82,31 @@ class TestConv2dSame:
         stack = raw / raw.sum(axis=0, keepdims=True)
         out = np.stack([conv2d_same(stack[c], kernel) for c in range(4)])
         assert np.allclose(out.sum(axis=0), 1.0, atol=1e-9)
+
+    def test_single_map_equals_shift_add_oracle(self, rng):
+        m = rng.normal(size=(6, 9))
+        kernel = rng.uniform(size=(5, 5))
+        assert np.array_equal(conv2d_same(m, kernel), ref_conv2d_same(m, kernel))
+
+    def test_batched_maps_one_kernel(self, rng):
+        maps = rng.normal(size=(2, 3, 5, 6))
+        kernel = gaussian_kernel2d(3, 0.8)
+        out = conv2d_same(maps, kernel)
+        assert out.shape == maps.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], ref_conv2d_same(maps[idx], kernel))
+
+    def test_per_map_kernels(self, rng):
+        maps = rng.normal(size=(4, 2, 1, 7))
+        kernels = rng.uniform(size=(4, 1, 5, 5))  # one kernel per image, shared by its channels
+        out = conv2d_same(maps, kernels)
+        assert out.shape == maps.shape
+        for n, c in np.ndindex(4, 2):
+            assert np.array_equal(out[n, c], ref_conv2d_same(maps[n, c], kernels[n, 0]))
+        own = rng.uniform(size=(4, 2, 3, 3))  # one kernel per map
+        out = conv2d_same(maps, own)
+        for n, c in np.ndindex(4, 2):
+            assert np.array_equal(out[n, c], ref_conv2d_same(maps[n, c], own[n, c]))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
