@@ -204,7 +204,7 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
         raise ConfigError(f"unknown architecture {arch!r}")
     pace = None
     if cfg.get("pace"):
-        n = sum(m.size for m in _label_maps(train_ds)) if cfg["granularity"] == "pixel" else len(train_ds)
+        n = train_ds.targets.size if cfg["granularity"] == "pixel" else len(train_ds)
         pace = PacePlan(
             lam=float(cfg["pace"]["lambda"]),
             e_all=float(cfg["pace"].get("e_all", 0.4)),
@@ -231,10 +231,6 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-
-def _label_maps(ds) -> list[np.ndarray]:
-    return list(np.asarray(ds.targets))
 
 
 def _resolved_dict(cfg: dict, tc: TrainConfig) -> dict:
@@ -473,7 +469,7 @@ def cmd_eval(args) -> int:
         rows = [["val_map", format_float(value)], ["skipped_labels", ";".join(map(str, skipped))]]
     else:
         preds = np.argmax(logits, axis=-1)
-        _, miou, mdice = iou_dice(list(preds), list(np.asarray(val_ds.targets)), val_ds.num_classes)
+        _, miou, mdice = iou_dice(preds, val_ds.targets, val_ds.num_classes)
         rows = [["val_miou", format_float(miou)], ["val_mdice", format_float(mdice)]]
     fileio.save_csv(out, ["metric", "value"], rows)
     print(f"metrics written to {out}")

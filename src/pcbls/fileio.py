@@ -10,7 +10,7 @@ target. Formats:
                float64 LE parameters, u64 LE epoch counter
   sample bank  CSV `sample_id,score,source`, descending score, 9-digit scores
   pixel bank   one sidecar per sample: magic PCBL, u32 H, u32 W,
-               H*W float32 LE scores
+               H*W float32 LE scores; all sidecars of a bank share H and W
   images       binary PPM (P6) for RGB, PGM (P5) for grayscale, maxval 255
 """
 
@@ -169,7 +169,8 @@ def load_bank(path: str | Path) -> SampleBank:
 # pixel banks (one sidecar file per sample)
 
 
-def save_pixel_bank(directory: str | Path, maps: list[np.ndarray]) -> None:
+def save_pixel_bank(directory: str | Path, maps: np.ndarray) -> None:
+    """One sidecar per (H,W) map of an (N,H,W) bank."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, m in enumerate(maps):
@@ -179,7 +180,9 @@ def save_pixel_bank(directory: str | Path, maps: list[np.ndarray]) -> None:
         atomic_write_bytes(directory / f"{i:06d}.pcbl", payload)
 
 
-def load_pixel_bank(directory: str | Path) -> list[np.ndarray]:
+def load_pixel_bank(directory: str | Path) -> np.ndarray:
+    """The (N,H,W) float32 bank of a sidecar directory; every sidecar must
+    hold the same H and W."""
     directory = Path(directory)
     files = sorted(directory.glob("*.pcbl"))
     if not files:
@@ -195,10 +198,10 @@ def load_pixel_bank(directory: str | Path) -> list[np.ndarray]:
         h, w = struct.unpack_from("<II", data, len(PIXELBANK_MAGIC))
         if len(data) != offset + 4 * h * w:
             raise FormatError(f"{f}: truncated pixel bank")
-        maps.append(
-            np.frombuffer(data, dtype="<f4", count=h * w, offset=offset).reshape(h, w).copy()
-        )
-    return maps
+        if maps and maps[0].shape != (h, w):
+            raise FormatError(f"{f}: map is {h}x{w} but {files[0].name} is {maps[0].shape[0]}x{maps[0].shape[1]}")
+        maps.append(np.frombuffer(data, dtype="<f4", count=h * w, offset=offset).reshape(h, w))
+    return np.stack(maps)
 
 
 # ---------------------------------------------------------------------------

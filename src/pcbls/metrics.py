@@ -62,47 +62,37 @@ def mean_average_precision(
 
 
 def iou_dice(
-    predicted_maps: list[np.ndarray] | np.ndarray,
-    gt_maps: list[np.ndarray] | np.ndarray,
+    predicted_maps: np.ndarray,
+    gt_maps: np.ndarray,
     num_classes: int,
     background: int = 0,
 ) -> tuple[dict[int, float], float, float]:
     """Dataset-level per-foreground-class IoU, mean IoU and mean Dice.
 
+    Both inputs are (N,H,W) integer maps with values in [0, num_classes).
     A class absent from both prediction and ground truth everywhere is
     excluded from the means. Returns (per-class IoU, mean IoU, mean Dice).
     """
-    if len(predicted_maps) != len(gt_maps):
-        raise ValueError("prediction and ground-truth counts differ")
-    inter = np.zeros(num_classes, dtype=np.int64)
-    pred_tot = np.zeros(num_classes, dtype=np.int64)
-    gt_tot = np.zeros(num_classes, dtype=np.int64)
-    for pm, gm in zip(predicted_maps, gt_maps):
-        pm = np.asarray(pm)
-        gm = np.asarray(gm)
-        if pm.shape != gm.shape:
-            raise ValueError(f"shape mismatch: {pm.shape} vs {gm.shape}")
-        for c in range(num_classes):
-            p = pm == c
-            g = gm == c
-            inter[c] += int((p & g).sum())
-            pred_tot[c] += int(p.sum())
-            gt_tot[c] += int(g.sum())
-    per_class: dict[int, float] = {}
-    dices = []
-    for c in range(num_classes):
-        if c == background:
-            continue
-        union = pred_tot[c] + gt_tot[c] - inter[c]
-        if pred_tot[c] + gt_tot[c] == 0:
-            continue
-        per_class[c] = float(inter[c] / union)
-        dices.append(2.0 * inter[c] / (pred_tot[c] + gt_tot[c]))
-    if not per_class:
+    pred = np.asarray(predicted_maps)
+    gt = np.asarray(gt_maps)
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    if pred.dtype.kind not in "biu" or gt.dtype.kind not in "biu":
+        raise ValueError(f"label maps must hold integers, got {pred.dtype} and {gt.dtype}")
+    if pred.size and (min(pred.min(), gt.min()) < 0 or max(pred.max(), gt.max()) >= num_classes):
+        raise ValueError(f"label map entry outside [0, {num_classes})")
+    # confusion matrix: row = ground truth, column = prediction
+    cells = gt.astype(np.int64).ravel() * num_classes + pred.astype(np.int64).ravel()
+    confusion = np.bincount(cells, minlength=num_classes * num_classes).reshape(num_classes, num_classes)
+    inter = np.diag(confusion)
+    both = confusion.sum(axis=0) + confusion.sum(axis=1)
+    keep = (both > 0) & (np.arange(num_classes) != background)
+    if not keep.any():
         raise ValueError("no foreground class present in predictions or ground truth")
-    mean_iou = float(np.mean(list(per_class.values())))
-    mean_dice = float(np.mean(dices))
-    return per_class, mean_iou, mean_dice
+    ious = inter[keep] / (both[keep] - inter[keep])
+    dices = 2.0 * inter[keep] / both[keep]
+    per_class = {int(c): float(v) for c, v in zip(np.flatnonzero(keep), ious)}
+    return per_class, float(np.mean(ious)), float(np.mean(dices))
 
 
 def brier(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -143,8 +143,8 @@ def build_bank_multilabel(
 
 
 def build_bank_segmentation(
-    probmaps: list[np.ndarray],
-    labelmaps: list[np.ndarray],
+    probmaps: np.ndarray,
+    labelmaps: np.ndarray,
     background: int = 0,
     source: str = "plain",
 ) -> SampleBank:
@@ -169,20 +169,29 @@ def build_bank_segmentation(
     return _sorted_bank(np.arange(len(scores)), scores, source)
 
 
-def build_pixel_bank(
-    probmaps: list[np.ndarray], labelmaps: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Per-pixel true-class probabilities, one (H,W) float32 map per sample."""
-    if len(probmaps) != len(labelmaps):
-        raise ValueError("probmaps and labelmaps length mismatch")
-    out = []
-    for i, (pm, lm) in enumerate(zip(probmaps, labelmaps)):
-        pm = np.asarray(pm, dtype=np.float64)
-        lm = np.asarray(lm)
-        if pm.shape[:2] != lm.shape:
-            raise ValueError(f"frame {i}: prob map {pm.shape} vs label map {lm.shape}")
-        out.append(np.take_along_axis(pm, lm[:, :, None], axis=2)[:, :, 0].astype(np.float32))
-    return out
+def build_pixel_bank(probmaps: np.ndarray, labelmaps: np.ndarray) -> np.ndarray:
+    """Per-pixel true-class probabilities: (N,H,W,K) and (N,H,W) -> (N,H,W) float32."""
+    probmaps = np.asarray(probmaps, dtype=np.float64)
+    labelmaps = np.asarray(labelmaps)
+    if labelmaps.ndim != 3 or probmaps.shape[:-1] != labelmaps.shape:
+        raise ValueError(f"prob maps {probmaps.shape} vs label maps {labelmaps.shape}")
+    return np.take_along_axis(probmaps, labelmaps[..., None], axis=-1)[..., 0].astype(np.float32)
+
+
+def pixel_ranks(pixel_bank: np.ndarray) -> np.ndarray:
+    """Rank of every pixel of a bank by score, 0 = most confident.
+
+    One stable sort of the whole bank, so ties go by (sample, pixel)
+    position; each epoch's active pixels are then those ranked below its
+    active count.
+    """
+    scores = np.asarray(pixel_bank, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("pixel bank scores must be finite")
+    order = np.argsort(-scores.ravel(), kind="stable")
+    ranks = np.empty(scores.size, dtype=np.int64)
+    ranks[order] = np.arange(scores.size)
+    return ranks.reshape(scores.shape)
 
 
 def active_set(bank: SampleBank, plan: PacePlan, epoch: int) -> np.ndarray:
@@ -192,25 +201,12 @@ def active_set(bank: SampleBank, plan: PacePlan, epoch: int) -> np.ndarray:
     return bank.sample_ids[: active_count(plan, epoch)].copy()
 
 
-def pixel_mask_at(
-    pixel_bank: list[np.ndarray], plan: PacePlan, epoch: int
-) -> list[np.ndarray]:
-    """Binary masks keeping the globally most-confident pixels.
+def pixel_mask_at(ranks: np.ndarray, plan: PacePlan, epoch: int) -> np.ndarray:
+    """Boolean masks, shaped like ``ranks``, keeping the globally most-confident pixels.
 
     One shared threshold across the whole training set: the top
-    active_count(plan, epoch) pixels by score are kept, ties broken by
-    (sample, pixel) position so the selection is deterministic.
+    active_count(plan, epoch) pixels of ``pixel_ranks`` are kept.
     """
-    total = sum(m.size for m in pixel_bank)
-    if total != plan.n:
-        raise ValueError(f"pixel bank holds {total} pixels, plan expects {plan.n}")
-    count = active_count(plan, epoch)
-    flat = np.concatenate([m.ravel().astype(np.float64) for m in pixel_bank])
-    keep = np.zeros(total, dtype=bool)
-    keep[np.argsort(-flat, kind="stable")[:count]] = True
-    masks = []
-    pos = 0
-    for m in pixel_bank:
-        masks.append(keep[pos : pos + m.size].reshape(m.shape))
-        pos += m.size
-    return masks
+    if ranks.size != plan.n:
+        raise ValueError(f"pixel bank holds {ranks.size} pixels, plan expects {plan.n}")
+    return ranks < active_count(plan, epoch)

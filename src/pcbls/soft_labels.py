@@ -5,6 +5,13 @@ Three generators:
   * Gaussian-blurred one-hot channel maps (segmentation boundaries),
   * the fused form: uniform smoothing per pixel, then the blur.
 The fused order matters: smoothing happens before the convolution.
+
+Segmentation targets take a label map (H,W) or a stack (..., H, W) and go
+through one path, ``segmentation_targets``: one broadcast one-hot, the
+uniform smoothing, then one ``conv2d_same`` over every class map of every
+frame. ``svls`` and ``uls_svls`` are its cases with a positive sigma. The
+closed form ``(1-eps)*svls + eps/K`` and a separable kernel would agree only
+to rounding, so neither is used.
 """
 
 from __future__ import annotations
@@ -54,16 +61,21 @@ def smooth_binary(targets: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def one_hot_maps(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Label map (H,W) of ints -> channel stack (H,W,K) of {0.0, 1.0}."""
+    """Label map (H,W) or stack (..., H, W) of ints -> channels (..., H, W, K) of {0.0, 1.0}."""
     labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValueError(f"label map must be 2-D, got shape {labels.shape}")
+    if labels.ndim < 2:
+        raise ValueError(f"label map must be at least 2-D, got shape {labels.shape}")
+    if labels.dtype.kind not in "biu":
+        raise ValueError(f"label map must hold integers, got {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("label map entry out of range")
-    out = np.zeros(labels.shape + (num_classes,))
-    h, w = labels.shape
-    out[np.arange(h)[:, None], np.arange(w)[None, :], labels] = 1.0
-    return out
+    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)
+
+
+def _check_sigma(sigma: float) -> float:
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    return sigma
 
 
 def svls(
@@ -77,12 +89,7 @@ def svls(
     Only pixels within (k-1)/2 of a class boundary move away from one-hot;
     replicate padding keeps every pixel a distribution.
     """
-    kernel = gaussian_kernel2d(k, sigma)
-    maps = one_hot_maps(labels, num_classes)
-    out = np.empty_like(maps)
-    for c in range(num_classes):
-        out[:, :, c] = conv2d_same(maps[:, :, c], kernel)
-    return out
+    return segmentation_targets(labels, num_classes, 0.0, _check_sigma(sigma), k)
 
 
 def uls_svls(
@@ -93,14 +100,7 @@ def uls_svls(
     k: int = DEFAULT_KERNEL_SIZE,
 ) -> np.ndarray:
     """Fused form: uniform-smooth each pixel first, then blur channel-wise."""
-    _check_epsilon(epsilon)
-    kernel = gaussian_kernel2d(k, sigma)
-    maps = one_hot_maps(labels, num_classes)
-    maps = maps * (1.0 - epsilon) + epsilon / num_classes
-    out = np.empty_like(maps)
-    for c in range(num_classes):
-        out[:, :, c] = conv2d_same(maps[:, :, c], kernel)
-    return out
+    return segmentation_targets(labels, num_classes, epsilon, _check_sigma(sigma), k)
 
 
 def segmentation_targets(
@@ -110,15 +110,18 @@ def segmentation_targets(
     sigma: float | None = None,
     k: int = DEFAULT_KERNEL_SIZE,
 ) -> np.ndarray:
-    """Per-pixel soft targets for a label map under any smoothing combination.
+    """Per-pixel soft targets (..., H, W, K) of a label map or stack (..., H, W).
 
-    sigma None means no spatial blur; epsilon 0 means no uniform smoothing.
+    epsilon 0 means no uniform smoothing; sigma None (or 0) means no spatial
+    blur. All class maps of all frames go through one ``conv2d_same``.
     """
-    if sigma is not None and sigma > 0.0:
-        if epsilon > 0.0:
-            return uls_svls(labels, num_classes, epsilon, sigma, k)
-        return svls(labels, num_classes, sigma, k)
+    _check_epsilon(epsilon)
     maps = one_hot_maps(labels, num_classes)
     if epsilon > 0.0:
-        maps = maps * (1.0 - epsilon) + epsilon / num_classes
-    return maps
+        maps *= 1.0 - epsilon
+        maps += epsilon / num_classes
+    if sigma is None or sigma <= 0.0:
+        return maps
+    blurred = conv2d_same(np.moveaxis(maps, -1, -3), gaussian_kernel2d(k, sigma))
+    # C order, like the unblurred maps, so later reductions see one layout
+    return np.ascontiguousarray(np.moveaxis(blurred, -3, -1))

@@ -1,9 +1,10 @@
 """The paced-curriculum training loop.
 
 Each epoch: look up the smoothing factor(s) for this epoch, pick the active
-sample set (or pixel masks) from the confidence bank, build the soft
-targets once per epoch over a seeded shuffle of the active ids, and step
-the optimizer over consecutive batches of that shuffle. Identical (config,
+sample set (or pixel masks, from pixel ranks sorted once before the first
+epoch) from the confidence bank, build the soft targets once per epoch over
+a seeded shuffle of the active ids, and step the optimizer over consecutive
+batches of that shuffle. Identical (config,
 data, seed) replays bit-for-bit: shuffles are keyed by (seed, epoch),
 batches run in shuffle order, and validation never sees smoothing or
 pacing.
@@ -121,12 +122,7 @@ def _soft_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sig
         return soft_labels.uls_matrix(targets, k, eps)
     if cfg.task == "multilabel":
         return soft_labels.smooth_binary(targets, eps)
-    return np.stack(
-        [
-            soft_labels.segmentation_targets(t, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
-            for t in targets
-        ]
-    )
+    return soft_labels.segmentation_targets(targets, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
 
 
 def evaluate(cfg: TrainConfig, params: np.ndarray, inputs, targets, num_classes: int) -> dict[str, float]:
@@ -138,7 +134,7 @@ def evaluate(cfg: TrainConfig, params: np.ndarray, inputs, targets, num_classes:
         value, _ = mean_average_precision(sigmoid(logits), targets)
         return {"val_map": value}
     preds = np.argmax(logits, axis=-1)
-    _, miou, mdice = iou_dice(list(preds), list(np.asarray(targets)), num_classes)
+    _, miou, mdice = iou_dice(preds, targets, num_classes)
     return {"val_miou": miou, "val_mdice": mdice}
 
 
@@ -150,7 +146,7 @@ def train(
     val_targets: np.ndarray,
     num_classes: int,
     bank: SampleBank | None = None,
-    pixel_bank: list[np.ndarray] | None = None,
+    pixel_bank: np.ndarray | None = None,
     instrument_epochs: frozenset[int] = frozenset(),
 ) -> TrainResult:
     """Run the full curriculum loop and return final parameters + records.
@@ -175,9 +171,12 @@ def train(
         else:
             if pixel_bank is None:
                 raise ValueError("pixel-wise pacing requires a pixel bank")
-            total = sum(m.size for m in pixel_bank)
-            if cfg.pace.n != total:
+            bank_shape, map_shape = np.shape(pixel_bank), np.shape(train_targets)
+            if bank_shape != map_shape:
+                raise ValueError(f"pixel bank shape {bank_shape} does not match the label maps {map_shape}")
+            if cfg.pace.n != np.size(pixel_bank):
                 raise ValueError("plan population must equal the total pixel count")
+            ranks = pacing.pixel_ranks(pixel_bank)
 
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets)
@@ -200,7 +199,7 @@ def train(
             count = n
         masks = None
         if cfg.pace is not None and cfg.granularity == "pixel":
-            masks = np.stack(pacing.pixel_mask_at(pixel_bank, cfg.pace, epoch)).astype(np.float64)
+            masks = pacing.pixel_mask_at(ranks, cfg.pace, epoch).astype(np.float64)
             count = pacing.active_count(cfg.pace, epoch)
 
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))
@@ -272,7 +271,7 @@ def score_training_set(
         probs = sigmoid(logits / temperature)
         return pacing.build_bank_multilabel(probs, np.asarray(targets, dtype=bool), source=source)
     probs = apply_temperature(logits, temperature)
-    return pacing.build_bank_segmentation(list(probs), list(np.asarray(targets)), source=source)
+    return pacing.build_bank_segmentation(probs, targets, source=source)
 
 
 def score_pixel_bank(
@@ -280,10 +279,10 @@ def score_pixel_bank(
     params: np.ndarray,
     inputs: np.ndarray,
     targets: np.ndarray,
-) -> list[np.ndarray]:
+) -> np.ndarray:
+    """The frozen model's (N,H,W) pixel bank: each pixel's true-class probability."""
     logits = models.forward(cfg.model, params, np.asarray(inputs, dtype=np.float64))
-    probs = softmax(logits, axis=-1)
-    return pacing.build_pixel_bank(list(probs), list(np.asarray(targets)))
+    return pacing.build_pixel_bank(softmax(logits, axis=-1), targets)
 
 
 METRIC_COLUMNS = {

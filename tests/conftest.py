@@ -7,7 +7,7 @@ import pytest
 
 from pcbls import losses, models, pacing, soft_labels
 from pcbls.corruption import _DCT8, _JPEG_Q, KINDS, SEVERITY_TABLE, _as_hwc, _disk_kernel
-from pcbls.numerics import log_softmax, softmax
+from pcbls.numerics import gaussian_kernel2d, log_softmax, softmax
 from pcbls.seeding import derive_seed, rng_for
 
 
@@ -255,15 +255,110 @@ def ref_corrupt_dataset(images, kinds, severities, base_seed, out_dir, image_ids
     return rows
 
 
+def _ref_one_hot_maps(labels, num_classes):
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ValueError(f"label map must be 2-D, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("label map entry out of range")
+    out = np.zeros(labels.shape + (num_classes,))
+    h, w = labels.shape
+    out[np.arange(h)[:, None], np.arange(w)[None, :], labels] = 1.0
+    return out
+
+
+def ref_svls_by_class(labels, num_classes, sigma, k=3):
+    """SVLS of one (H,W) map, one ``conv2d_same`` per class map."""
+    kernel = gaussian_kernel2d(k, sigma)
+    maps = _ref_one_hot_maps(labels, num_classes)
+    out = np.empty_like(maps)
+    for c in range(num_classes):
+        out[:, :, c] = ref_conv2d_same(maps[:, :, c], kernel)
+    return out
+
+
+def ref_uls_svls_by_class(labels, num_classes, epsilon, sigma, k=3):
+    """Uniform smoothing, then SVLS, of one (H,W) map, one class map at a time."""
+    if not (0.0 <= epsilon < 1.0):
+        raise ValueError(f"smoothing factor must lie in [0, 1), got {epsilon}")
+    kernel = gaussian_kernel2d(k, sigma)
+    maps = _ref_one_hot_maps(labels, num_classes)
+    maps = maps * (1.0 - epsilon) + epsilon / num_classes
+    out = np.empty_like(maps)
+    for c in range(num_classes):
+        out[:, :, c] = ref_conv2d_same(maps[:, :, c], kernel)
+    return out
+
+
+def ref_segmentation_targets(labels, num_classes, epsilon=0.0, sigma=None, k=3):
+    """Soft targets of one (H,W) label map under any smoothing combination."""
+    if sigma is not None and sigma > 0.0:
+        if epsilon > 0.0:
+            return ref_uls_svls_by_class(labels, num_classes, epsilon, sigma, k)
+        return ref_svls_by_class(labels, num_classes, sigma, k)
+    maps = _ref_one_hot_maps(labels, num_classes)
+    if epsilon > 0.0:
+        maps = maps * (1.0 - epsilon) + epsilon / num_classes
+    return maps
+
+
+def ref_pixel_mask_at(pixel_bank, plan, epoch):
+    """Per-epoch masks from a fresh sort of every pixel of a list of maps."""
+    total = sum(m.size for m in pixel_bank)
+    if total != plan.n:
+        raise ValueError(f"pixel bank holds {total} pixels, plan expects {plan.n}")
+    count = pacing.active_count(plan, epoch)
+    flat = np.concatenate([m.ravel().astype(np.float64) for m in pixel_bank])
+    keep = np.zeros(total, dtype=bool)
+    keep[np.argsort(-flat, kind="stable")[:count]] = True
+    masks = []
+    pos = 0
+    for m in pixel_bank:
+        masks.append(keep[pos : pos + m.size].reshape(m.shape))
+        pos += m.size
+    return masks
+
+
+def ref_iou_dice(predicted_maps, gt_maps, num_classes, background=0):
+    """Per-frame, per-class intersection and totals, then the IoU/Dice means."""
+    if len(predicted_maps) != len(gt_maps):
+        raise ValueError("prediction and ground-truth counts differ")
+    inter = np.zeros(num_classes, dtype=np.int64)
+    pred_tot = np.zeros(num_classes, dtype=np.int64)
+    gt_tot = np.zeros(num_classes, dtype=np.int64)
+    for pm, gm in zip(predicted_maps, gt_maps):
+        pm = np.asarray(pm)
+        gm = np.asarray(gm)
+        if pm.shape != gm.shape:
+            raise ValueError(f"shape mismatch: {pm.shape} vs {gm.shape}")
+        for c in range(num_classes):
+            p = pm == c
+            g = gm == c
+            inter[c] += int((p & g).sum())
+            pred_tot[c] += int(p.sum())
+            gt_tot[c] += int(g.sum())
+    per_class = {}
+    dices = []
+    for c in range(num_classes):
+        if c == background:
+            continue
+        union = pred_tot[c] + gt_tot[c] - inter[c]
+        if pred_tot[c] + gt_tot[c] == 0:
+            continue
+        per_class[c] = float(inter[c] / union)
+        dices.append(2.0 * inter[c] / (pred_tot[c] + gt_tot[c]))
+    if not per_class:
+        raise ValueError("no foreground class present in predictions or ground truth")
+    return per_class, float(np.mean(list(per_class.values()))), float(np.mean(dices))
+
+
 def _ref_batch_targets(cfg, targets, k, eps, sigma):
-    """Soft targets of one batch, built from that batch's hard targets."""
+    """Soft targets of one batch, built frame by frame from that batch's hard targets."""
     if cfg.task == "multiclass":
         return soft_labels.uls_matrix(targets, k, eps)
     if cfg.task == "multilabel":
         return soft_labels.smooth_binary(targets, eps)
-    return np.stack(
-        [soft_labels.segmentation_targets(t, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel) for t in targets]
-    )
+    return np.stack([ref_segmentation_targets(t, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel) for t in targets])
 
 
 def _ref_loss(task, logits, targets, mask):
@@ -309,7 +404,8 @@ class RefOptimizer:
 
 
 def ref_train(cfg, inputs, targets, num_classes, bank=None, pixel_bank=None, instrument_epochs=frozenset()):
-    """Reference curriculum loop: soft targets rebuilt for every batch.
+    """Reference curriculum loop: soft targets rebuilt for every batch, frame
+    by frame, and pixel masks re-sorted every epoch.
 
     Returns (final params, train loss per epoch, gradient contributions of
     the instrumented epochs), the quantities ``trainer.train`` must match
@@ -336,7 +432,7 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None, pixel_bank=None, ins
             ids = np.sort(pacing.active_set(bank, cfg.pace, epoch))
         masks = None
         if cfg.pace is not None and cfg.granularity == "pixel":
-            masks = np.stack(pacing.pixel_mask_at(pixel_bank, cfg.pace, epoch)).astype(np.float64)
+            masks = np.stack(ref_pixel_mask_at(list(pixel_bank), cfg.pace, epoch)).astype(np.float64)
         shuffled = ids[rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))]
         if epoch in instrument_epochs:
             contributions[epoch] = np.zeros(n)

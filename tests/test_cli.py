@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcbls.cli import main
-from pcbls.fileio import load_bank, load_checkpoint, load_csv
+from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
 
 
 def run(args):
@@ -349,6 +349,55 @@ class TestSegmentationPipeline:
         assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", out / "checkpoint.pckpt", "--out", dest]) == 0
         _, rows = load_csv(dest)
         assert rows[0][0] == "val_miou" and rows[1][0] == "val_mdice"
+
+
+def _write_shapes_config(tmp_path, **extra):
+    cfg = {
+        "data": {"name": "shapes", "height": 16, "width": 16, "foreground": 2, "n": 8, "n_val": 4},
+        "epochs": 1,
+        "task": "segmentation",
+        "optimizer": "adam",
+        "lr": 1e-3,
+        "channels": [4, 4],
+    }
+    cfg.update(extra)
+    p = tmp_path / "seg.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+class TestSegmentationChecks:
+    def test_pixel_bank_of_other_frame_shape_is_config_error(self, tmp_path, capsys):
+        # 4 sidecars of 32x16 hold as many pixels as the 8 training frames of
+        # 16x16, so only a shape check tells them apart
+        cfg = _write_shapes_config(tmp_path)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, np.random.default_rng(0).uniform(size=(4, 32, 16)).astype(np.float32))
+        out = tmp_path / "paced"
+        assert run(
+            ["train", "--config", cfg, "--seed", 1, "--out", out, "--preset", "segmentation",
+             "--pace", "--bank", pix, "--granularity", "pixel"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "(4, 32, 16)" in err and "(8, 16, 16)" in err
+        assert not (out / "metrics.csv").exists()
+
+    def test_pixel_bank_with_mixed_frame_shapes_is_config_error(self, tmp_path, capsys):
+        cfg = _write_shapes_config(tmp_path)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, [np.zeros((16, 16), np.float32)] * 6 + [np.zeros((8, 32), np.float32)] * 2)
+        assert run(
+            ["train", "--config", cfg, "--seed", 1, "--out", tmp_path / "paced", "--preset", "segmentation",
+             "--pace", "--bank", pix, "--granularity", "pixel"]
+        ) == 2
+        assert "000006.pcbl: map is 8x32 but 000000.pcbl is 16x16" in capsys.readouterr().err
+
+    def test_smoothing_factor_out_of_range_is_config_error(self, tmp_path, capsys):
+        cfg = _write_shapes_config(tmp_path, schedule={"kind": "constant", "init": 1.5})
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert "smoothing factor must lie in [0, 1), got 1.5" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
 
 @pytest.fixture(scope="module")

@@ -77,6 +77,20 @@ class TestEncodeImages:
             encode_images(np.zeros((1, 2, 2, 2)))
 
 
+class TestPixelBankStack:
+    def test_loads_one_stack_in_file_order(self, tmp_path, rng):
+        bank = rng.uniform(size=(3, 4, 6)).astype(np.float32)
+        save_pixel_bank(tmp_path / "pix", bank)
+        back = load_pixel_bank(tmp_path / "pix")
+        assert back.shape == (3, 4, 6) and back.dtype == np.float32 and back.flags.writeable
+        assert np.array_equal(back, bank)
+
+    def test_sidecars_of_different_shapes_raise_format_error(self, tmp_path):
+        save_pixel_bank(tmp_path / "pix", [np.zeros((4, 6), np.float32), np.zeros((6, 4), np.float32)])
+        with pytest.raises(FormatError, match="000001.pcbl: map is 6x4 but 000000.pcbl is 4x6"):
+            load_pixel_bank(tmp_path / "pix")
+
+
 # (file name, valid bytes written by this package, loader taking the file's path)
 
 

@@ -5,6 +5,8 @@ from pcbls.calibration import apply_temperature, ece, fit_temperature, nll
 from pcbls.metrics import accuracy, average_precision, brier, iou_dice, mean_average_precision
 from pcbls.numerics import softmax
 
+from conftest import ref_iou_dice
+
 
 def ref_ece(confidences, correct, bins):
     """Per-bin loop oracle using the shared membership rule."""
@@ -106,6 +108,35 @@ class TestIouDice:
             assert miou <= mdice + 1e-12
             for c, iou_c in per_class.items():
                 assert iou_c <= 2 * iou_c / (1 + iou_c) + 1e-12
+
+
+    def test_matches_per_class_reference(self, rng):
+        for _ in range(60):
+            n, h, w = rng.integers(1, 5, size=3)
+            k = int(rng.integers(2, 6))
+            pred = rng.integers(0, k, size=(n, h, w))
+            gt = rng.integers(0, k, size=(n, h, w))
+            background = int(rng.integers(0, k))
+            try:
+                want = ref_iou_dice(list(pred), list(gt), k, background)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    iou_dice(pred, gt, k, background)
+                continue
+            assert iou_dice(pred, gt, k, background) == want
+
+    def test_label_outside_classes_is_rejected(self):
+        # a 7 would otherwise land in another class's confusion-matrix cell
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            iou_dice([[[1, 7]]], [[[1, 1]]], 2)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            iou_dice([[[1, 1]]], [[[-1, 1]]], 2)
+
+    def test_shape_mismatch_and_float_maps_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            iou_dice(np.zeros((2, 3, 3), dtype=int), np.zeros((2, 3, 4), dtype=int), 2)
+        with pytest.raises(ValueError, match="integers"):
+            iou_dice(np.ones((1, 2, 2)), np.ones((1, 2, 2), dtype=int), 2)
 
 
 class TestBrier:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbls.pacing import (
     PacePlan,
@@ -12,7 +14,10 @@ from pcbls.pacing import (
     build_pixel_bank,
     pace_parameter,
     pixel_mask_at,
+    pixel_ranks,
 )
+
+from conftest import ref_pixel_mask_at
 
 
 class TestPaceParameter:
@@ -204,42 +209,104 @@ class TestPixelMasks:
     def test_lambda_one_all_ones(self):
         maps = [np.array([[0.5, 0.1]], dtype=np.float32)]
         plan = PacePlan(1.0, 0.4, 10, 2)
-        masks = pixel_mask_at(maps, plan, 0)
+        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
         assert masks[0].all()
 
     def test_top_half_kept(self):
         maps = [np.array([[0.9, 0.1]], dtype=np.float32)]
         plan = PacePlan(0.5, 0.4, 10, 2)
-        masks = pixel_mask_at(maps, plan, 0)
+        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
         assert masks[0][0, 0] and not masks[0][0, 1]
 
     def test_late_epochs_all_ones(self):
         maps = [np.random.default_rng(0).uniform(size=(3, 3)).astype(np.float32)]
         plan = PacePlan(0.5, 0.4, 10, 9)
         for e in range(4, 10):
-            assert pixel_mask_at(maps, plan, e)[0].all()
+            assert pixel_mask_at(pixel_ranks(np.stack(maps)), plan, e)[0].all()
 
     def test_exact_count_with_ties(self):
         maps = [np.full((2, 3), 0.5, dtype=np.float32), np.full((2, 3), 0.5, dtype=np.float32)]
         plan = PacePlan(0.5, 0.5, 10, 12)
-        masks = pixel_mask_at(maps, plan, 0)
+        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
         assert sum(int(m.sum()) for m in masks) == 6
         # deterministic tie-break: earlier samples/pixels win
         assert masks[0].all() and not masks[1].any()
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
-            pixel_mask_at([np.zeros((2, 2), dtype=np.float32)], PacePlan(0.5, 0.5, 10, 5), 0)
+            pixel_mask_at(pixel_ranks(np.stack([np.zeros((2, 2), dtype=np.float32)])), PacePlan(0.5, 0.5, 10, 5), 0)
 
     def test_across_sample_selection(self, rng):
         maps = [rng.uniform(size=(4, 4)).astype(np.float32) for _ in range(3)]
         plan = PacePlan(0.25, 0.5, 8, 48)
-        masks = pixel_mask_at(maps, plan, 0)
+        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
         kept = np.concatenate([m.ravel() for m in masks])
         scores = np.concatenate([m.ravel() for m in maps])
         count = int(kept.sum())
         assert count == 12
         assert scores[kept].min() >= np.sort(scores)[-count]
+
+
+class TestPixelRanks:
+    def test_masks_match_per_epoch_sort(self, rng):
+        for _ in range(40):
+            n, h, w = rng.integers(1, 6, size=3)
+            # coarse scores make ties common
+            bank = (rng.integers(0, 4, size=(n, h, w)) / 4).astype(np.float32)
+            epochs = int(rng.integers(1, 12))
+            plan = PacePlan(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.1, 1.0)), epochs, bank.size)
+            ranks = pixel_ranks(bank)
+            for e in range(epochs):
+                got = pixel_mask_at(ranks, plan, e)
+                assert got.shape == bank.shape and got.dtype == bool
+                assert np.array_equal(got, np.stack(ref_pixel_mask_at(list(bank), plan, e)))
+
+    def test_ranks_are_a_permutation_in_score_order(self, rng):
+        bank = rng.uniform(size=(3, 4, 5)).astype(np.float32)
+        ranks = pixel_ranks(bank)
+        assert sorted(ranks.ravel().tolist()) == list(range(bank.size))
+        assert np.all(np.diff(bank.ravel()[np.argsort(ranks.ravel())]) <= 0)
+
+    def test_rejects_non_finite_scores(self):
+        bank = np.zeros((2, 2, 2), dtype=np.float32)
+        bank[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pixel_ranks(bank)
+
+    def test_pixel_bank_is_a_stack(self, rng):
+        probs = rng.dirichlet(np.ones(3), size=(2, 4, 5))
+        labels = rng.integers(0, 3, size=(2, 4, 5))
+        bank = build_pixel_bank(probs, labels)
+        assert bank.shape == (2, 4, 5) and bank.dtype == np.float32
+        for i in range(2):
+            want = np.take_along_axis(probs[i], labels[i][:, :, None], axis=2)[:, :, 0].astype(np.float32)
+            assert np.array_equal(bank[i], want)
+
+    def test_pixel_bank_rejects_misaligned_maps(self, rng):
+        with pytest.raises(ValueError):
+            build_pixel_bank(rng.dirichlet(np.ones(3), size=(2, 4, 5)), np.zeros((2, 5, 4), dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+    lam=st.floats(0.01, 1.0),
+    e_all=st.floats(0.05, 1.0),
+    epochs=st.integers(1, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pixel_masks_follow_the_pace_plan(shape, lam, e_all, epochs, seed):
+    bank = np.random.default_rng(seed).uniform(size=shape).astype(np.float32)
+    plan = PacePlan(lam, e_all, epochs, bank.size)
+    ranks = pixel_ranks(bank)
+    previous = np.zeros(shape, dtype=bool)
+    for e in range(epochs):
+        mask = pixel_mask_at(ranks, plan, e)
+        assert int(mask.sum()) == active_count(plan, e)
+        assert not (previous & ~mask).any()  # pixels are only ever added
+        if e >= e_all * epochs:
+            assert mask.all()
+        previous = mask
 
 
 class TestSampleBankValidation:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbls.soft_labels import (
     one_hot_maps,
@@ -11,7 +13,13 @@ from pcbls.soft_labels import (
     uls_svls,
 )
 
-from conftest import ref_conv2d_replicate, ref_gaussian_kernel
+from conftest import (
+    ref_conv2d_replicate,
+    ref_gaussian_kernel,
+    ref_segmentation_targets,
+    ref_svls_by_class,
+    ref_uls_svls_by_class,
+)
 
 
 def ref_svls(labels, num_classes, sigma, k):
@@ -167,3 +175,81 @@ class TestSegmentationTargets:
             segmentation_targets(labels, 3, epsilon=0.2, sigma=0.9),
             uls_svls(labels, 3, 0.2, 0.9),
         )
+
+
+class TestStackedTargets:
+    """A (N,H,W) stack gives, bit for bit, the per-frame, per-class targets."""
+
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (3, 1, 7), (4, 6, 1), (2, 4, 4)])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 5])
+    def test_stack_matches_per_frame_reference(self, rng, shape, num_classes):
+        labels = rng.integers(0, num_classes, size=shape)
+        for epsilon in (0.0, 0.3):
+            for sigma in (None, 0.0, 0.8):
+                for k in (1, 3, 5):
+                    got = segmentation_targets(labels, num_classes, epsilon, sigma, k)
+                    want = np.stack([ref_segmentation_targets(l, num_classes, epsilon, sigma, k) for l in labels])
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, want), (epsilon, sigma, k)
+                    single = segmentation_targets(labels[0], num_classes, epsilon, sigma, k)
+                    assert np.array_equal(single, want[0])
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_svls_and_uls_svls_match_per_class_reference(self, rng, k):
+        labels = rng.integers(0, 4, size=(3, 5, 7))
+        got = svls(labels, 4, 0.7, k)
+        assert np.array_equal(got, np.stack([ref_svls_by_class(l, 4, 0.7, k) for l in labels]))
+        got = uls_svls(labels, 4, 0.25, 0.7, k)
+        assert np.array_equal(got, np.stack([ref_uls_svls_by_class(l, 4, 0.25, 0.7, k) for l in labels]))
+
+    def test_random_stacks_match_reference(self, rng):
+        for _ in range(60):
+            n, h, w = rng.integers(1, 6, size=3)
+            num_classes = int(rng.integers(2, 6))
+            labels = rng.integers(0, num_classes, size=(n, h, w))
+            epsilon = float(rng.choice([0.0, rng.uniform(0.0, 0.99)]))
+            sigma = float(rng.uniform(0.1, 2.5))
+            k = int(rng.choice([1, 3, 5]))
+            got = segmentation_targets(labels, num_classes, epsilon, sigma, k)
+            want = np.stack([ref_segmentation_targets(l, num_classes, epsilon, sigma, k) for l in labels])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", [lambda l, s: svls(l, 3, s), lambda l, s: uls_svls(l, 3, 0.2, s)])
+    def test_fixed_sigma_forms_reject_nonpositive_sigma(self, fn):
+        labels = np.zeros((2, 3), dtype=np.int64)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                fn(labels, bad)
+
+    @pytest.mark.parametrize("sigma", [None, 0.8])
+    def test_epsilon_checked_on_every_call(self, sigma):
+        labels = np.zeros((2, 2, 3), dtype=np.int64)
+        for bad in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="smoothing factor"):
+                segmentation_targets(labels, 3, epsilon=bad, sigma=sigma)
+
+    def test_rejects_non_integer_and_out_of_range_labels(self):
+        with pytest.raises(ValueError, match="integers"):
+            one_hot_maps(np.full((2, 2), 1.5), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            one_hot_maps(np.array([[[0, 3]]]), 3)
+        with pytest.raises(ValueError, match="2-D"):
+            one_hot_maps(np.array([0, 1]), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)),
+    num_classes=st.integers(2, 5),
+    epsilon=st.floats(0.0, 0.999),
+    sigma=st.one_of(st.none(), st.floats(0.05, 3.0)),
+    k=st.sampled_from([1, 3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_targets_are_distributions(shape, num_classes, epsilon, sigma, k, seed):
+    labels = np.random.default_rng(seed).integers(0, num_classes, size=shape)
+    out = segmentation_targets(labels, num_classes, epsilon, sigma, k)
+    assert out.shape == shape + (num_classes,)
+    assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
+    # the normalized kernel may sum to 1 plus a few ulps, so a blurred 1.0 can too
+    assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-12
