@@ -7,6 +7,7 @@ lands in bin B-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ _LOG_CLAMP = 1e-12
 # golden-section search window for the temperature, in log space
 _T_LO, _T_HI = 0.05, 20.0
 _T_TOL = 1e-4
+# a fitted temperature this close to a window edge, in log space, is pinned there
+_PIN_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,13 @@ class TemperatureModel:
     def __post_init__(self) -> None:
         if not (self.temperature > 0):
             raise ValueError("temperature must be positive")
+
+    @property
+    def pinned(self) -> bool:
+        """Whether T sits at an edge of the search window, where the fit
+        stopped on the bound rather than at the NLL minimum."""
+        log_t = math.log(self.temperature)
+        return min(abs(log_t - math.log(_T_LO)), abs(log_t - math.log(_T_HI))) < _PIN_TOL
 
 
 def bin_index(confidence: np.ndarray, bins: int) -> np.ndarray:

@@ -5,7 +5,9 @@ off one --seed; presets supply defaults, a JSON config file can override
 them, and explicit flags win over both. The fully resolved configuration is
 persisted next to each run's outputs so any run can be replayed exactly.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration/validation error.
+Exit codes: 0 success, 1 runtime failure, 2 configuration/validation error,
+3 training stopped at a non-finite loss (the message names the epoch and
+the batch).
 """
 
 from __future__ import annotations
@@ -223,14 +225,28 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
             weight_decay=float(cfg["weight_decay"]),
             lr_decay_factor=float(cfg["lr_decay_factor"]),
             seed=int(cfg["seed"]),
-            uls_schedule=SmoothingSchedule.from_dict(cfg["schedule"]) if cfg.get("schedule") else None,
-            svls_schedule=SmoothingSchedule.from_dict(cfg["svls_schedule"]) if cfg.get("svls_schedule") else None,
+            uls_schedule=_schedule(cfg, "schedule"),
+            svls_schedule=_schedule(cfg, "svls_schedule"),
             svls_kernel=int(cfg.get("svls_kernel", 3)),
             pace=pace,
             granularity=cfg["granularity"],
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
+
+
+def _schedule(cfg: dict, key: str) -> SmoothingSchedule | None:
+    """The schedule under ``key``, with any problem in it named by that key."""
+    if not cfg.get(key):
+        return None
+    if not isinstance(cfg[key], dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {cfg[key]!r}")
+    try:
+        return SmoothingSchedule.from_dict(cfg[key])
+    except KeyError as e:
+        raise ConfigError(f"{key}: missing {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: {e}") from e
 
 
 def _resolved_dict(cfg: dict, tc: TrainConfig) -> dict:
@@ -496,12 +512,19 @@ def cmd_calibrate(args) -> int:
     )
     out_dir = Path(args.out or "calibration")
     out_dir.mkdir(parents=True, exist_ok=True)
+    if tm.pinned:
+        print(
+            f"warning: fitted T={tm.temperature:.6f} is pinned at the edge of the "
+            "temperature search window; the validation NLL may keep falling beyond it",
+            file=sys.stderr,
+        )
     fileio.save_json(
         out_dir / "temperature.json",
         {
             "temperature": tm.temperature,
             "nll_at_1": nll(logits, val_ds.targets, 1.0),
             "nll_fitted": nll(logits, val_ds.targets, tm.temperature),
+            "pinned": tm.pinned,
         },
     )
     rows = [["summary", format_float(report.ece), format_float(report.brier), format_float(report.nll), ""]]
@@ -618,6 +641,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except trainer.NonFiniteLoss as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     except (ValueError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -4,6 +4,11 @@ Each loss returns (scalar, dlogits) where the scalar is the mean over the
 reduced population (samples, pixels, or labels) and dlogits already carries
 the 1/count factor, so chaining through a model's input-gradient gives the
 gradient of the returned scalar directly.
+
+Every loss is a check of its inputs (``check``) followed by a core that
+only does the arithmetic. The public losses run both; a caller that has
+already checked a whole epoch of targets calls ``_value_and_grad`` on
+slices of it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,39 @@ import numpy as np
 
 from .numerics import sigmoid, softmax_log_softmax
 
+KINDS = ("soft_ce", "soft_bce", "masked_pixel_ce")
 _TARGET_TOL = 1e-6
+
+
+def check(
+    loss_kind: str, shape: tuple[int, ...], targets: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``targets`` (and, for masked_pixel_ce, ``mask``) as float64 arrays,
+    after every check loss ``loss_kind`` makes of them for logits of ``shape``.
+
+    The predicates hold row by row (or pixel by pixel), so a check of a
+    stack covers every slice of it.
+    """
+    if loss_kind not in KINDS:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    targets = np.asarray(targets, dtype=np.float64)
+    if tuple(shape) != targets.shape:
+        raise ValueError(f"shape mismatch: {tuple(shape)} vs {targets.shape}")
+    if loss_kind == "soft_ce":
+        sums = targets.sum(axis=-1)
+        if (np.abs(sums - 1.0) > _TARGET_TOL).any() or (targets < -1e-12).any():
+            raise ValueError("targets must be distributions over the last axis")
+        return targets, None
+    if loss_kind == "soft_bce":
+        if (targets < 0.0).any() or (targets > 1.0).any():
+            raise ValueError("targets must lie in [0, 1]")
+        return targets, None
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != targets.shape[:-1]:
+        raise ValueError(f"mask shape {mask.shape} does not match maps {targets.shape[:-1]}")
+    if not ((mask == 0.0) | (mask == 1.0)).all():
+        raise ValueError("mask must be binary")
+    return targets, mask
 
 
 def soft_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -24,18 +61,8 @@ def soft_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
     over the leading axes, gradient is (softmax(z) - t) / n_leading.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if logits.shape != targets.shape:
-        raise ValueError(f"shape mismatch: {logits.shape} vs {targets.shape}")
-    sums = targets.sum(axis=-1)
-    if (np.abs(sums - 1.0) > _TARGET_TOL).any() or (targets < -1e-12).any():
-        raise ValueError("targets must be distributions over the last axis")
-    n = max(1, math.prod(logits.shape[:-1]))
-    dlogits, logp = softmax_log_softmax(logits)
-    loss = float(-(targets * logp).sum() / n)
-    dlogits -= targets
-    dlogits /= n
-    return loss, dlogits
+    targets, _ = check("soft_ce", logits.shape, targets)
+    return _soft_ce(logits, targets)
 
 
 def masked_pixel_ce(
@@ -48,14 +75,41 @@ def masked_pixel_ce(
     the declared degenerate case (0.0, zero gradient).
     """
     logit_maps = np.asarray(logit_maps, dtype=np.float64)
-    target_maps = np.asarray(target_maps, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if logit_maps.shape != target_maps.shape:
-        raise ValueError(f"shape mismatch: {logit_maps.shape} vs {target_maps.shape}")
-    if mask.shape != logit_maps.shape[:-1]:
-        raise ValueError(f"mask shape {mask.shape} does not match maps {logit_maps.shape[:-1]}")
-    if not ((mask == 0.0) | (mask == 1.0)).all():
-        raise ValueError("mask must be binary")
+    target_maps, mask = check("masked_pixel_ce", logit_maps.shape, target_maps, mask)
+    return _masked_pixel_ce(logit_maps, target_maps, mask)
+
+
+def soft_bce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Binary cross entropy per label against smoothed targets in [0,1].
+
+    Mean over every (sample, label) element: t*softplus(-z) + (1-t)*softplus(z),
+    the stable form of -[t log s(z) + (1-t) log(1-s(z))].
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    targets, _ = check("soft_bce", logits.shape, targets)
+    return _soft_bce(logits, targets)
+
+
+def _value_and_grad(loss_kind, logits, targets, mask):
+    """The core of loss ``loss_kind`` on float64 inputs that ``check`` passed."""
+    if loss_kind == "soft_ce":
+        return _soft_ce(logits, targets)
+    if loss_kind == "soft_bce":
+        return _soft_bce(logits, targets)
+    return _masked_pixel_ce(logits, targets, mask)
+
+
+def _soft_ce(logits, targets):
+    n = max(1, math.prod(logits.shape[:-1]))
+    dlogits, logp = softmax_log_softmax(logits)
+    logp *= targets
+    loss = float(-logp.sum() / n)
+    dlogits -= targets
+    dlogits /= n
+    return loss, dlogits
+
+
+def _masked_pixel_ce(logit_maps, target_maps, mask):
     count = mask.sum()
     if count == 0:
         return 0.0, np.zeros_like(logit_maps)
@@ -68,18 +122,7 @@ def masked_pixel_ce(
     return loss, dlogits
 
 
-def soft_bce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Binary cross entropy per label against smoothed targets in [0,1].
-
-    Mean over every (sample, label) element: t*softplus(-z) + (1-t)*softplus(z),
-    the stable form of -[t log s(z) + (1-t) log(1-s(z))].
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if logits.shape != targets.shape:
-        raise ValueError(f"shape mismatch: {logits.shape} vs {targets.shape}")
-    if (targets < 0.0).any() or (targets > 1.0).any():
-        raise ValueError("targets must lie in [0, 1]")
+def _soft_bce(logits, targets):
     n = max(1, logits.size)
     loss = float((targets * np.logaddexp(0.0, -logits) + (1.0 - targets) * np.logaddexp(0.0, logits)).sum() / n)
     dlogits = (sigmoid(logits) - targets) / n

@@ -9,15 +9,24 @@ Three architectures over a flat float64 parameter vector:
                                          pooling, so spatial dims survive
 
 The convs run on the whole (N,H,W,C) batch at once: one GEMM per kernel
-tap over an edge-padded copy of the input.
+tap over an edge-padded input. The forward keeps each conv's padded input
+(x, h1, h2, each padded as np.pad(mode="edge") would) in place of the
+plain activation, so the backward reads the same buffers and never pads.
 
 backward() propagates a dL/dlogits array (produced by a loss in
-``losses``) to the flat parameter gradient. It receives the weight tensors
-that the forward pass unpacked and the activations it computed, so it
+``losses``) to the parameter gradient, writing every weight and bias
+gradient straight into the tensor views of a flat gradient buffer. It
+receives the weight tensors and the activations of the forward pass, so it
 neither unpacks the parameters again nor recomputes anything; combined
 with the losses' 1/count scaling this yields the gradient of the mean
-loss. loss_and_grad() runs one forward and one backward; loss() is the
-same forward and loss without the backward, for finite-difference probes.
+loss. The input gradient of the first layer is never computed.
+
+loss_and_grad() is the checked entry point: check_batch(), then one
+forward, loss and backward. A trainer that owns persistent parameter and
+gradient views and has checked a whole epoch's arrays calls the unchecked
+step loss_and_grad_into() on each batch; loss_and_grad() is that same step
+on a new gradient. loss() is the same forward and loss without the
+backward, for finite-difference probes.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .seeding import rng_for
 
 ARCHITECTURES = ("linear_softmax", "mlp", "tiny_fcn")
 FCN_KERNEL = 3
+_PAD = FCN_KERNEL // 2  # edge rows and columns padded onto each side of a conv's input
 
 
 @dataclass(frozen=True)
@@ -119,13 +129,34 @@ def _check_inputs(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Replicate-padded 'same' conv of a batch: x (N,H,W,Cin), w (Cout,Cin,k,k),
-    b (Cout,) -> (N,H,W,Cout); one GEMM per kernel tap."""
-    n, h, wd, _ = x.shape
+def check_batch(
+    spec: ModelSpec,
+    x: np.ndarray,
+    targets: np.ndarray,
+    loss_kind: str,
+    mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(x, targets, mask) as float64 arrays after every check loss_and_grad makes.
+
+    A masked_pixel_ce batch without a mask gets the all-ones mask. Each
+    check holds sample by sample, so checking a whole epoch's stacked
+    arrays once covers every batch sliced from them.
+    """
+    x = _check_inputs(spec, x)
+    if loss_kind == "masked_pixel_ce":
+        if spec.architecture != "tiny_fcn":
+            raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
+        if mask is None:
+            mask = np.ones(x.shape[:-1])
+    targets, mask = losses.check(loss_kind, x.shape[:-1] + (spec.dims[-1],), targets, mask)
+    return x, targets, mask
+
+
+def _conv_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """'Same' conv of an edge-padded batch: xp (N,H+k-1,W+k-1,Cin), w
+    (Cout,Cin,k,k), b (Cout,) -> (N,H,W,Cout); one GEMM per kernel tap."""
     cout, _, k, _ = w.shape
-    c = k // 2
-    xp = np.pad(x, ((0, 0), (c, c), (c, c), (0, 0)), mode="edge")
+    n, h, wd = xp.shape[0], xp.shape[1] - k + 1, xp.shape[2] - k + 1
     out = np.broadcast_to(b, (n, h, wd, cout)).copy()
     for i in range(k):
         for j in range(k):
@@ -133,44 +164,81 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_backward(
-    x: np.ndarray, w: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of _conv_forward with respect to x, w and b, summed over N."""
-    _, h, wd, cin = x.shape
-    cout, _, k, _ = w.shape
-    c = k // 2
-    xp = np.pad(x, ((0, 0), (c, c), (c, c), (0, 0)), mode="edge")
-    dxp = np.zeros_like(xp)
-    dw = np.empty_like(w)
+def _tanh_padded(a: np.ndarray, c: int) -> np.ndarray:
+    """np.pad(np.tanh(a), c, mode="edge") over the map axes of (N,H,W,C):
+    tanh goes straight into the interior, then each border row and column
+    copies the edge it pads."""
+    n, h, w, ch = a.shape
+    p = np.empty((n, h + 2 * c, w + 2 * c, ch))
+    np.tanh(a, out=p[:, c : c + h, c : c + w])
+    p[:, :c, c : c + w] = p[:, c : c + 1, c : c + w]
+    p[:, c + h :, c : c + w] = p[:, c + h - 1 : c + h, c : c + w]
+    p[:, :, :c] = p[:, :, c : c + 1]
+    p[:, :, c + w :] = p[:, :, c + w - 1 : c + w]
+    return p
+
+
+def _conv_weight_grad(xp: np.ndarray, dout: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
+    """Write the weight and bias gradients of _conv_forward(xp, w, b),
+    summed over N, into dw and db."""
+    _, h, wd, _ = dout.shape
+    cout, cin, k, _ = dw.shape
     flat = dout.reshape(-1, cout)
     for i in range(k):
         for j in range(k):
             dw[:, :, i, j] = flat.T @ xp[:, i : i + h, j : j + wd].reshape(-1, cin)
+    flat.sum(axis=0, out=db)
+
+
+def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """Gradient of _conv_forward with respect to the unpadded input."""
+    n, h, wd, _ = dout.shape
+    _, cin, k, _ = w.shape
+    c = k // 2
+    dxp = np.zeros((n, h + 2 * c, wd + 2 * c, cin))
+    for i in range(k):
+        for j in range(k):
             dxp[:, i : i + h, j : j + wd] += dout @ w[:, :, i, j]
     # each pad row/column replicates a border one, so its gradient lands there
     dxp[:, c] += dxp[:, :c].sum(axis=1)
     dxp[:, c + h - 1] += dxp[:, c + h :].sum(axis=1)
     dxp[:, :, c] += dxp[:, :, :c].sum(axis=2)
     dxp[:, :, c + wd - 1] += dxp[:, :, c + wd :].sum(axis=2)
-    return dxp[:, c : c + h, c : c + wd], dw, flat.sum(axis=0)
+    return dxp[:, c : c + h, c : c + wd]
+
+
+def _logits(spec: ModelSpec, tensors: list[np.ndarray], x: np.ndarray):
+    """Logits of a checked batch plus the activations backward() needs.
+
+    tiny_fcn keeps each conv's edge-padded input (the padded x, h1 and h2)
+    in place of the plain activations, so the backward never re-pads.
+    """
+    if spec.architecture == "linear_softmax":
+        w, b = tensors
+        logits = x @ w.T
+        logits += b
+        return logits, (x,)
+    if spec.architecture == "mlp":
+        w1, b1, w2, b2 = tensors
+        h = x @ w1.T
+        h += b1
+        np.tanh(h, out=h)
+        logits = h @ w2.T
+        logits += b2
+        return logits, (x, h)
+    w1, b1, w2, b2, w3, b3 = tensors
+    xp = np.pad(x, ((0, 0), (_PAD, _PAD), (_PAD, _PAD), (0, 0)), mode="edge")
+    h1p = _tanh_padded(_conv_forward(xp, w1, b1), _PAD)
+    h2p = _tanh_padded(_conv_forward(h1p, w2, b2), _PAD)
+    return _conv_forward(h2p, w3, b3), (xp, h1p, h2p)
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Logits plus what backward() needs: the unpacked tensors and the activations."""
     x = _check_inputs(spec, x)
-    t = unpack(spec, params)
-    if spec.architecture == "linear_softmax":
-        w, b = t
-        return x @ w.T + b, t, (x,)
-    if spec.architecture == "mlp":
-        w1, b1, w2, b2 = t
-        h = np.tanh(x @ w1.T + b1)
-        return h @ w2.T + b2, t, (x, h)
-    w1, b1, w2, b2, w3, b3 = t
-    h1 = np.tanh(_conv_forward(x, w1, b1))
-    h2 = np.tanh(_conv_forward(h1, w2, b2))
-    return _conv_forward(h2, w3, b3), t, (x, h1, h2)
+    tensors = unpack(spec, params)
+    logits, acts = _logits(spec, tensors, x)
+    return logits, tensors, acts
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,49 +247,56 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    spec: ModelSpec, tensors: list[np.ndarray], acts: tuple, dlogits: np.ndarray
-) -> np.ndarray:
-    """Flat parameter gradient for a given dL/dlogits.
+    spec: ModelSpec,
+    tensors: list[np.ndarray],
+    acts: tuple,
+    dlogits: np.ndarray,
+    grads: list[np.ndarray],
+) -> None:
+    """Write the parameter gradient for a given dL/dlogits into ``grads``.
 
     ``tensors`` and ``acts`` are the unpacked weight tensors and the
     activations of the forward pass that produced the logits (the second
     and third items of ``_forward``); nothing is unpacked or recomputed.
+    ``grads`` are the tensor views of a flat gradient buffer, as ``unpack``
+    gives them; every element of them is overwritten.
     """
     want = acts[-1].shape[:-1] + (spec.dims[-1],)
+    if spec.architecture == "tiny_fcn":  # the activations are padded maps
+        want = (want[0], want[1] - 2 * _PAD, want[2] - 2 * _PAD, want[3])
     if dlogits.shape != want:
         raise ValueError(f"dlogits shape {dlogits.shape} != logits {want}")
     if spec.architecture == "linear_softmax":
         (x,) = acts
-        return pack([dlogits.T @ x, dlogits.sum(axis=0)])
+        dw, db = grads
+        np.matmul(dlogits.T, x, out=dw)
+        dlogits.sum(axis=0, out=db)
+        return
     if spec.architecture == "mlp":
         w1, b1, w2, b2 = tensors
         x, h = acts
-        dw2 = dlogits.T @ h
-        db2 = dlogits.sum(axis=0)
-        da = (dlogits @ w2) * (1.0 - h * h)
-        return pack([da.T @ x, da.sum(axis=0), dw2, db2])
+        dw1, db1, dw2, db2 = grads
+        np.matmul(dlogits.T, h, out=dw2)
+        dlogits.sum(axis=0, out=db2)
+        dtanh = h * h
+        np.subtract(1.0, dtanh, out=dtanh)
+        da = dlogits @ w2
+        da *= dtanh
+        np.matmul(da.T, x, out=dw1)
+        da.sum(axis=0, out=db1)
+        return
     w1, b1, w2, b2, w3, b3 = tensors
-    x, h1, h2 = acts
-    dh2, dw3, db3 = _conv_backward(h2, w3, dlogits)
-    dh1, dw2, db2 = _conv_backward(h1, w2, dh2 * (1.0 - h2 * h2))
-    _, dw1, db1 = _conv_backward(x, w1, dh1 * (1.0 - h1 * h1))
-    return pack([dw1, db1, dw2, db2, dw3, db3])
-
-
-def _loss(spec, params, x, targets, loss_kind, mask):
-    """(mean loss, dL/dlogits, tensors, activations) from one forward pass."""
-    logits, tensors, acts = _forward(spec, params, x)
-    if loss_kind == "soft_ce":
-        return (*losses.soft_ce(logits, targets), tensors, acts)
-    if loss_kind == "soft_bce":
-        return (*losses.soft_bce(logits, targets), tensors, acts)
-    if loss_kind == "masked_pixel_ce":
-        if logits.ndim != 4:
-            raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
-        if mask is None:
-            mask = np.ones(logits.shape[:-1])
-        return (*losses.masked_pixel_ce(logits, targets, mask), tensors, acts)
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
+    xp, h1p, h2p = acts
+    dw1, db1, dw2, db2, dw3, db3 = grads
+    _, h, wd, _ = dlogits.shape
+    h1 = h1p[:, _PAD : _PAD + h, _PAD : _PAD + wd]
+    h2 = h2p[:, _PAD : _PAD + h, _PAD : _PAD + wd]
+    _conv_weight_grad(h2p, dlogits, dw3, db3)
+    da2 = _conv_input_grad(w3, dlogits) * (1.0 - h2 * h2)
+    _conv_weight_grad(h1p, da2, dw2, db2)
+    da1 = _conv_input_grad(w2, da2) * (1.0 - h1 * h1)
+    # the input gradient of the first conv is never used
+    _conv_weight_grad(xp, da1, dw1, db1)
 
 
 def loss(
@@ -233,7 +308,9 @@ def loss(
     mask: np.ndarray | None = None,
 ) -> float:
     """Mean loss over the batch, as loss_and_grad computes it, without the gradient."""
-    return _loss(spec, params, x, targets, loss_kind, mask)[0]
+    x, targets, mask = check_batch(spec, x, targets, loss_kind, mask)
+    logits, _ = _logits(spec, unpack(spec, params), x)
+    return losses._value_and_grad(loss_kind, logits, targets, mask)[0]
 
 
 def loss_and_grad(
@@ -248,6 +325,31 @@ def loss_and_grad(
 
     loss_kind: 'soft_ce' | 'soft_bce' | 'masked_pixel_ce'; the last one
     requires tiny_fcn-shaped logits and a (N,H,W) mask (all-ones if None).
+    This is check_batch followed by loss_and_grad_into on a new gradient.
     """
-    value, dlogits, tensors, acts = _loss(spec, params, x, targets, loss_kind, mask)
-    return value, backward(spec, tensors, acts, dlogits)
+    x, targets, mask = check_batch(spec, x, targets, loss_kind, mask)
+    grad = np.empty(spec.param_count())
+    value = loss_and_grad_into(spec, unpack(spec, params), unpack(spec, grad), x, targets, loss_kind, mask)
+    return value, grad
+
+
+def loss_and_grad_into(
+    spec: ModelSpec,
+    tensors: list[np.ndarray],
+    grads: list[np.ndarray],
+    x: np.ndarray,
+    targets: np.ndarray,
+    loss_kind: str,
+    mask: np.ndarray | None = None,
+) -> float:
+    """One training step's forward, loss and backward, checking nothing.
+
+    ``tensors`` and ``grads`` are the tensor views of a flat parameter and
+    a flat gradient buffer; every gradient element is overwritten. The
+    batch must have passed check_batch (a slice of a checked stack has).
+    Returns the mean loss.
+    """
+    logits, acts = _logits(spec, tensors, x)
+    value, dlogits = losses._value_and_grad(loss_kind, logits, targets, mask)
+    backward(spec, tensors, acts, dlogits, grads)
+    return value

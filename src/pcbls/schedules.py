@@ -12,6 +12,7 @@ epoch 0 always trains with the initial factor. Five paradigms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .seeding import rng_for
@@ -33,6 +34,9 @@ class SmoothingSchedule:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("init", "rate", "floor", "cap", "range_lo", "range_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.init < 0:
             raise ValueError("init must be non-negative")
         if self.kind == "exponential" and not (0.0 < self.rate < 1.0):

@@ -2,21 +2,28 @@
 
 Each epoch: look up the smoothing factor(s) for this epoch, pick the active
 sample set (or pixel masks, from pixel ranks sorted once before the first
-epoch) from the confidence bank, build the soft targets once per epoch over
-a seeded shuffle of the active ids, and step the optimizer over consecutive
-batches of that shuffle. Identical (config,
+epoch) from the confidence bank, gather the inputs, soft targets and masks
+of a seeded shuffle of the active ids once, check them once, and step the
+optimizer over consecutive slices of that shuffle. Identical (config,
 data, seed) replays bit-for-bit: shuffles are keyed by (seed, epoch),
 batches run in shuffle order, and validation never sees smoothing or
 pacing.
+
+A run owns one flat parameter buffer and one flat gradient buffer, each
+unpacked into tensor views once. A step writes the gradient views
+(models.loss_and_grad_into) and the optimizer updates the parameters and
+its own state in place. The first non-finite step loss stops the run with
+NonFiniteLoss, naming the epoch and the batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import losses, models, pacing, soft_labels
+from . import models, pacing, soft_labels
 from .calibration import apply_temperature
 from .fileio import format_float
 from .metrics import accuracy, iou_dice, mean_average_precision
@@ -53,6 +60,9 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("lr", "momentum", "weight_decay", "lr_decay_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.granularity not in ("sample", "pixel"):
@@ -85,31 +95,61 @@ class TrainResult:
     grad_contributions: dict[int, np.ndarray] = field(default_factory=dict)
 
 
+class NonFiniteLoss(ArithmeticError):
+    """A training step produced a non-finite loss; training stops there."""
+
+    def __init__(self, epoch: int, batch: int, loss: float):
+        super().__init__(f"non-finite training loss {loss!r} in epoch {epoch}, batch {batch}")
+        self.epoch = epoch
+        self.batch = batch
+
+
 class _Optimizer:
+    """SGD with momentum or Adam, updating the caller's flat ``params`` in place."""
+
     def __init__(self, cfg: TrainConfig, n_params: int):
         self.cfg = cfg
+        self.scratch = np.empty(n_params)
         if cfg.optimizer == "sgd":
             self.velocity = np.zeros(n_params)
         else:
             self.m = np.zeros(n_params)
             self.v = np.zeros(n_params)
+            self.vh = np.empty(n_params)
             self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        """New parameters; the state updates in place, ``params`` and ``grad`` are not written."""
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One update of ``params`` in place; ``grad`` is not written.
+
+        Same operands in the same order as the out-of-place update
+        ``params - lr * v`` with ``v = momentum * v + (grad + wd * params)``
+        (SGD) or ``params - lr * mh / (sqrt(vh) + eps)`` (Adam).
+        """
+        tmp = self.scratch
         if self.cfg.optimizer == "sgd":
             self.velocity *= self.cfg.momentum
-            self.velocity += grad + self.cfg.weight_decay * params
-            return params - lr * self.velocity
+            np.multiply(params, self.cfg.weight_decay, out=tmp)
+            tmp += grad
+            self.velocity += tmp
+            np.multiply(self.velocity, lr, out=tmp)
+            params -= tmp
+            return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.m *= b1
-        self.m += (1 - b1) * grad
+        np.multiply(grad, 1 - b1, out=tmp)
+        self.m += tmp
         self.v *= b2
-        self.v += (1 - b2) * grad * grad
-        mh = self.m / (1 - b1**self.t)
-        vh = self.v / (1 - b2**self.t)
-        return params - lr * mh / (np.sqrt(vh) + eps)
+        np.multiply(grad, 1 - b2, out=tmp)
+        tmp *= grad
+        self.v += tmp
+        np.divide(self.v, 1 - b2**self.t, out=self.vh)
+        np.sqrt(self.vh, out=self.vh)
+        self.vh += eps
+        np.divide(self.m, 1 - b1**self.t, out=tmp)
+        tmp *= lr
+        tmp /= self.vh
+        params -= tmp
 
 
 def _loss_kind(task: str) -> str:
@@ -180,7 +220,11 @@ def train(
 
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets)
+    # the run's only parameter and gradient buffers, unpacked into tensor
+    # views once; every step writes the gradient views and updates params
     params = models.init_params(cfg.model, cfg.seed)
+    grad = np.empty_like(params)
+    tensors, grads = models.unpack(cfg.model, params), models.unpack(cfg.model, grad)
     opt = _Optimizer(cfg, params.size)
     loss_kind = _loss_kind(cfg.task)
 
@@ -197,44 +241,44 @@ def train(
         else:
             ids = np.arange(n)
             count = n
-        masks = None
-        if cfg.pace is not None and cfg.granularity == "pixel":
-            masks = pacing.pixel_mask_at(ranks, cfg.pace, epoch).astype(np.float64)
-            count = pacing.active_count(cfg.pace, epoch)
-
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))
         shuffled = ids[order]
-        # the smoothing factors are fixed for the epoch: build its targets once
-        epoch_soft = _soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
+
+        # the epoch's inputs, targets and masks in shuffle order, checked
+        # once: each batch is a slice of them
+        masks = None
+        if cfg.pace is not None and cfg.granularity == "pixel":
+            masks = pacing.pixel_mask_at(ranks, cfg.pace, epoch)[shuffled].astype(np.float64)
+            count = pacing.active_count(cfg.pace, epoch)
+        soft = _soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
+        xs, soft, masks = models.check_batch(cfg.model, train_inputs[shuffled], soft, loss_kind, masks)
         probe = epoch in instrument_epochs
         if probe:
             contributions[epoch] = np.zeros(n)
 
         total_loss = 0.0
-        seen = 0
-        for start in range(0, len(shuffled), cfg.batch_size):
-            batch = shuffled[start : start + cfg.batch_size]
-            x = train_inputs[batch]
-            soft = epoch_soft[start : start + cfg.batch_size]
-            mask = masks[batch] if masks is not None else None
-            loss, grad = models.loss_and_grad(cfg.model, params, x, soft, loss_kind, mask=mask)
+        for batch, start in enumerate(range(0, len(shuffled), cfg.batch_size)):
+            stop = min(start + cfg.batch_size, len(shuffled))
+            mask = masks[start:stop] if masks is not None else None
+            loss = models.loss_and_grad_into(
+                cfg.model, tensors, grads, xs[start:stop], soft[start:stop], loss_kind, mask
+            )
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(epoch, batch, loss)
             if probe:
-                for j, sid in enumerate(batch):
-                    m = mask[j : j + 1] if mask is not None else None
-                    _, g = models.loss_and_grad(
-                        cfg.model, params, x[j : j + 1], soft[j : j + 1], loss_kind, mask=m
-                    )
-                    contributions[epoch][sid] += float(np.linalg.norm(g))
-            params = opt.step(params, grad, lr)
-            total_loss += loss * len(batch)
-            seen += len(batch)
+                for j in range(start, stop):
+                    m = masks[j : j + 1] if masks is not None else None
+                    _, g = models.loss_and_grad(cfg.model, params, xs[j : j + 1], soft[j : j + 1], loss_kind, mask=m)
+                    contributions[epoch][shuffled[j]] += float(np.linalg.norm(g))
+            opt.step(params, grad, lr)
+            total_loss += loss * (stop - start)
 
         record = EpochRecord(
             epoch=epoch,
             active_count=count,
             eps=eps,
             sigma=sigma,
-            train_loss=total_loss / seen,
+            train_loss=total_loss / len(shuffled),
             val_metrics=evaluate(cfg, params, val_inputs, val_targets, num_classes),
         )
         records.append(record)

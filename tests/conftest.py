@@ -379,6 +379,79 @@ def _ref_loss(task, logits, targets, mask):
     return loss, (softmax(logits, axis=-1) - targets) * mask[..., None] / count
 
 
+def _ref_pad(x, c):
+    return np.pad(x, ((0, 0), (c, c), (c, c), (0, 0)), mode="edge")
+
+
+def ref_batched_conv_forward(x, w, b):
+    """Batched replicate-padded conv that pads its own input: one GEMM per tap."""
+    n, h, wd, _ = x.shape
+    cout, _, k, _ = w.shape
+    xp = _ref_pad(x, k // 2)
+    out = np.broadcast_to(b, (n, h, wd, cout)).copy()
+    for i in range(k):
+        for j in range(k):
+            out += xp[:, i : i + h, j : j + wd] @ w[:, :, i, j].T
+    return out
+
+
+def ref_batched_conv_backward(x, w, dout):
+    """(dx, dw, db) of ref_batched_conv_forward, re-padding x and allocating every gradient."""
+    _, h, wd, cin = x.shape
+    cout, _, k, _ = w.shape
+    c = k // 2
+    xp = _ref_pad(x, c)
+    dxp = np.zeros_like(xp)
+    dw = np.empty_like(w)
+    flat = dout.reshape(-1, cout)
+    for i in range(k):
+        for j in range(k):
+            dw[:, :, i, j] = flat.T @ xp[:, i : i + h, j : j + wd].reshape(-1, cin)
+            dxp[:, i : i + h, j : j + wd] += dout @ w[:, :, i, j]
+    dxp[:, c] += dxp[:, :c].sum(axis=1)
+    dxp[:, c + h - 1] += dxp[:, c + h :].sum(axis=1)
+    dxp[:, :, c] += dxp[:, :, :c].sum(axis=2)
+    dxp[:, :, c + wd - 1] += dxp[:, :, c + wd :].sum(axis=2)
+    return dxp[:, c : c + h, c : c + wd], dw, flat.sum(axis=0)
+
+
+def ref_forward(spec, params, x):
+    """(logits, tensors, plain activations), each conv padding its own input."""
+    t = models.unpack(spec, params)
+    x = np.asarray(x, dtype=np.float64)
+    if spec.architecture == "linear_softmax":
+        w, b = t
+        return x @ w.T + b, t, (x,)
+    if spec.architecture == "mlp":
+        w1, b1, w2, b2 = t
+        h = np.tanh(x @ w1.T + b1)
+        return h @ w2.T + b2, t, (x, h)
+    w1, b1, w2, b2, w3, b3 = t
+    h1 = np.tanh(ref_batched_conv_forward(x, w1, b1))
+    h2 = np.tanh(ref_batched_conv_forward(h1, w2, b2))
+    return ref_batched_conv_forward(h2, w3, b3), t, (x, h1, h2)
+
+
+def ref_backward(spec, tensors, acts, dlogits):
+    """Flat gradient for ref_forward's activations: every tensor gradient
+    allocated, then concatenated."""
+    if spec.architecture == "linear_softmax":
+        (x,) = acts
+        return np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
+    if spec.architecture == "mlp":
+        _, _, w2, _ = tensors
+        x, h = acts
+        da = (dlogits @ w2) * (1.0 - h * h)
+        parts = [da.T @ x, da.sum(axis=0), dlogits.T @ h, dlogits.sum(axis=0)]
+        return np.concatenate([p.ravel() for p in parts])
+    w1, _, w2, _, w3, _ = tensors
+    x, h1, h2 = acts
+    dh2, dw3, db3 = ref_batched_conv_backward(h2, w3, dlogits)
+    dh1, dw2, db2 = ref_batched_conv_backward(h1, w2, dh2 * (1.0 - h2 * h2))
+    _, dw1, db1 = ref_batched_conv_backward(x, w1, dh1 * (1.0 - h1 * h1))
+    return np.concatenate([p.ravel() for p in (dw1, db1, dw2, db2, dw3, db3)])
+
+
 class RefOptimizer:
     """SGD with momentum or Adam, building new state arrays on every step."""
 
@@ -418,9 +491,9 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None, pixel_bank=None, ins
     opt = RefOptimizer(cfg, params.size)
 
     def loss_and_grad(p, x, soft, mask):
-        logits, tensors, acts = models._forward(cfg.model, p, x)
+        logits, tensors, acts = ref_forward(cfg.model, p, x)
         loss, dlogits = _ref_loss(cfg.task, logits, soft, mask)
-        return loss, models.backward(cfg.model, tensors, acts, dlogits)
+        return loss, ref_backward(cfg.model, tensors, acts, dlogits)
 
     train_losses, contributions = [], {}
     for epoch in range(cfg.epochs):

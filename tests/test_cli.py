@@ -109,6 +109,25 @@ class TestTrain:
         assert str(cfg) in err and "'data' must be a JSON object" in err
         assert not out.exists()
 
+    def test_nan_learning_rate_is_config_error(self, tmp_path, capsys):
+        # JSON NaN parses to a float that passes every comparison
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"lr": NaN, "epochs": 2}')
+        out = tmp_path / "run"
+        assert run(["train", "--data", "blobs", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert "lr must be finite, got nan" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_non_finite_loss_exits_3_naming_epoch_and_batch(self, tmp_path, capsys):
+        # a finite learning rate that overflows the parameters after one step
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"lr": 1e300, "epochs": 2}')
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert run(["train", "--data", "blobs", "--config", cfg, "--seed", 1, "--out", out]) == 3
+        assert "non-finite training loss nan in epoch 0, batch " in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_cifar10_data_spec(self, tmp_path):
         from pcbls.datasets import CIFAR_RECORD
 
@@ -269,6 +288,24 @@ class TestCorruptEvalCalibrateReport:
         assert rows[0][0] == "summary"
         assert len(rows) == 1 + 10  # summary + one row per bin
 
+    def test_calibrate_warns_when_temperature_is_pinned(self, tmp_path, capsys):
+        # the default blobs baseline fits T at the window's lower edge
+        out = tmp_path / "baseline"
+        assert run(["train", "--data", "blobs", "--seed", 1, "--out", out]) == 0
+        calib = tmp_path / "calib"
+        capsys.readouterr()
+        assert run(["calibrate", "--data", "blobs", "--seed", 1, "--checkpoint", out / "checkpoint.pckpt", "--out", calib]) == 0
+        assert "warning: fitted T=0.050002 is pinned" in capsys.readouterr().err
+        assert json.loads((calib / "temperature.json").read_text())["pinned"] is True
+
+    def test_calibrate_records_unpinned_temperature(self, tmp_path, capsys):
+        cfg, out = self._trained(tmp_path)
+        calib = tmp_path / "calib"
+        capsys.readouterr()
+        assert run(["calibrate", "--config", cfg, "--seed", 1, "--checkpoint", out / "checkpoint.pckpt", "--out", calib]) == 0
+        t = json.loads((calib / "temperature.json").read_text())
+        assert t["pinned"] is False and "warning" not in capsys.readouterr().err
+
     def test_missing_checkpoint_exit2(self, tmp_path):
         cfg, _ = self._trained(tmp_path)
         assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "nope.pckpt", "--out", tmp_path / "x.csv"]) == 2
@@ -391,6 +428,14 @@ class TestSegmentationChecks:
              "--pace", "--bank", pix, "--granularity", "pixel"]
         ) == 2
         assert "000006.pcbl: map is 8x32 but 000000.pcbl is 16x16" in capsys.readouterr().err
+
+    def test_nan_spatial_schedule_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"svls_schedule": {"kind": "constant", "init": NaN}, "epochs": 2}')
+        out = tmp_path / "run"
+        assert run(["train", "--data", "shapes", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert "svls_schedule: init must be finite, got nan" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_smoothing_factor_out_of_range_is_config_error(self, tmp_path, capsys):
         cfg = _write_shapes_config(tmp_path, schedule={"kind": "constant", "init": 1.5})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcbls.calibration import apply_temperature, ece, fit_temperature, nll
+from pcbls.calibration import TemperatureModel, apply_temperature, ece, fit_temperature, nll
 from pcbls.metrics import accuracy, average_precision, brier, iou_dice, mean_average_precision
 from pcbls.numerics import softmax
 
@@ -248,3 +248,16 @@ class TestTemperature:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             fit_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize(
+        "t,pinned",
+        [(0.05, True), (0.050002, True), (0.05004, True), (0.0501, False), (1.0, False), (19.99, True), (19.9, False)],
+    )
+    def test_pinned_within_1e3_of_a_window_edge_in_log_space(self, t, pinned):
+        assert TemperatureModel(t).pinned is pinned
+
+    def test_separable_logits_pin_the_fit_at_the_lower_edge(self):
+        # confidently right everywhere: the NLL falls all the way down to T -> 0
+        logits = np.array([[0.5, 0.0], [0.0, 0.5]] * 10)
+        tm = fit_temperature(logits, np.array([0, 1] * 10))
+        assert tm.pinned and tm.temperature == pytest.approx(0.05, rel=1e-3)

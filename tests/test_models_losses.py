@@ -7,7 +7,15 @@ from pcbls.models import ModelSpec, forward, init_params, loss, loss_and_grad, p
 from pcbls.numerics import softmax
 from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
 
-from conftest import fd_gradient, grad_rel_error, ref_fcn_conv_backward, ref_fcn_conv_forward
+from conftest import (
+    fd_gradient,
+    grad_rel_error,
+    ref_backward,
+    ref_batched_conv_backward,
+    ref_fcn_conv_backward,
+    ref_fcn_conv_forward,
+    ref_forward,
+)
 
 
 class TestForward:
@@ -199,18 +207,89 @@ class TestBatchedConv:
         wt = rng.normal(size=(cout, cin, 3, 3))
         b = rng.normal(size=cout)
         want = np.stack([ref_fcn_conv_forward(xi, wt, b) for xi in x])
-        assert np.array_equal(models._conv_forward(x, wt, b), want)
+        assert np.array_equal(models._conv_forward(_edge_pad(x), wt, b), want)
 
     @pytest.mark.parametrize("n,h,w,cin,cout", CONV_SHAPES)
     def test_backward_equals_per_image_oracle_summed(self, rng, n, h, w, cin, cout):
         x = rng.normal(size=(n, h, w, cin))
         wt = rng.normal(size=(cout, cin, 3, 3))
         dout = rng.normal(size=(n, h, w, cout))
-        dx, dw, db = models._conv_backward(x, wt, dout)
+        # the weight and bias gradients land in views of one flat buffer
+        buf = np.full(wt.size + cout, np.nan)
+        dw, db = buf[: wt.size].reshape(wt.shape), buf[wt.size :]
+        models._conv_weight_grad(_edge_pad(x), dout, dw, db)
+        dx = models._conv_input_grad(wt, dout)
         refs = [ref_fcn_conv_backward(xi, wt, di) for xi, di in zip(x, dout)]
         np.testing.assert_allclose(dx, np.stack([r[0] for r in refs]), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dw, sum(r[1] for r in refs), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(db, sum(r[2] for r in refs), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", CONV_SHAPES)
+    def test_weight_grad_alone_equals_full_backward(self, rng, n, h, w, cin, cout):
+        # the first conv computes dw and db only; they match the allocating
+        # backward that also computes dx, bit for bit
+        x = rng.normal(size=(n, h, w, cin))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        dout = rng.normal(size=(n, h, w, cout))
+        dw, db = np.full_like(wt, np.nan), np.full(cout, np.nan)
+        models._conv_weight_grad(_edge_pad(x), dout, dw, db)
+        _, want_dw, want_db = ref_batched_conv_backward(x, wt, dout)
+        assert dw.tobytes() == want_dw.tobytes() and db.tobytes() == want_db.tobytes()
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", CONV_SHAPES)
+    def test_padded_activation_equals_np_pad(self, rng, n, h, w, cin, cout):
+        a = rng.normal(scale=2.0, size=(n, h, w, cout))
+        assert np.array_equal(models._tanh_padded(a, 1), _edge_pad(np.tanh(a)))
+
+    def test_forward_keeps_padded_activations(self, rng):
+        spec = ModelSpec("tiny_fcn", (2, 3, 4, 3))
+        params = rng.normal(scale=0.5, size=spec.param_count())
+        x = rng.uniform(size=(3, 5, 4, 2))
+        logits, _, acts = models._forward(spec, params, x)
+        want_logits, _, plain = ref_forward(spec, params, x)
+        assert np.array_equal(logits, want_logits)
+        assert len(acts) == len(plain) == 3
+        for padded, a in zip(acts, plain):
+            assert np.array_equal(padded, _edge_pad(a))
+
+
+def _edge_pad(x):
+    return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
+
+
+class TestBackwardInto:
+    """backward() writing into the views of one flat buffer against the
+    reference that allocates every tensor gradient and concatenates them."""
+
+    @pytest.mark.parametrize("arch", ["linear_softmax", "mlp", "tiny_fcn"])
+    def test_into_views_equals_allocating_reference(self, rng, arch):
+        spec, params, x = _random_case(rng, arch)
+        x = np.concatenate([x, x[::-1] * 0.5])
+        logits, tensors, acts = models._forward(spec, params, x)
+        dlogits = rng.normal(size=logits.shape)
+        buf = np.full(spec.param_count(), np.nan)
+        models.backward(spec, tensors, acts, dlogits, unpack(spec, buf))
+        _, ref_tensors, ref_acts = ref_forward(spec, params, x)
+        assert buf.tobytes() == ref_backward(spec, ref_tensors, ref_acts, dlogits).tobytes()
+
+    def test_step_into_views_equals_loss_and_grad(self, rng):
+        spec, params, x = _random_case(rng, "tiny_fcn")
+        targets = np.stack([segmentation_targets(l, 3, epsilon=0.3) for l in rng.integers(0, 3, x.shape[:3])])
+        mask = (rng.uniform(size=x.shape[:3]) > 0.3).astype(np.float64)
+        value, grad = loss_and_grad(spec, params, x, targets, "masked_pixel_ce", mask=mask)
+        buf = np.full(spec.param_count(), np.nan)
+        x, targets, mask = models.check_batch(spec, x, targets, "masked_pixel_ce", mask)
+        got = models.loss_and_grad_into(
+            spec, unpack(spec, params), unpack(spec, buf), x, targets, "masked_pixel_ce", mask
+        )
+        assert got == value and buf.tobytes() == grad.tobytes()
+
+    def test_rejects_dlogits_of_another_shape(self, rng):
+        spec, params, x = _random_case(rng, "tiny_fcn")
+        logits, tensors, acts = models._forward(spec, params, x)
+        grads = unpack(spec, np.empty(spec.param_count()))
+        with pytest.raises(ValueError, match="dlogits shape"):
+            models.backward(spec, tensors, acts, np.zeros(logits.shape[:3] + (4,)), grads)
 
 
 class TestLossOnly:

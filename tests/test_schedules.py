@@ -86,6 +86,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SmoothingSchedule(kind="nope")
 
+    @pytest.mark.parametrize("field", ["init", "rate", "floor", "cap", "range_lo", "range_hi"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        # NaN fails every comparison, so only an explicit check catches it
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SmoothingSchedule(kind="constant", **{field: value})
+
     def test_round_trip_dict(self):
         for s in (
             exponential(0.5, 0.9, floor=0.01),

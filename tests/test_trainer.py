@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ref_train
+from conftest import RefOptimizer, ref_train
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
 from pcbls.models import ModelSpec, init_params
 from pcbls.pacing import PacePlan, build_bank_multiclass
@@ -9,6 +9,7 @@ from pcbls.schedules import constant, exponential
 from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
     METRIC_COLUMNS,
+    NonFiniteLoss,
     TrainConfig,
     _Optimizer,
     preset,
@@ -52,6 +53,18 @@ class TestValidation:
         cfg = _config(pace=PacePlan(0.5, 0.5, 4, len(tr)))
         with pytest.raises(ValueError):
             train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+
+    @pytest.mark.parametrize("field", ["lr", "momentum", "weight_decay", "lr_decay_factor"])
+    def test_non_finite_float_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            _config(**{field: float("nan")})
+
+    def test_non_finite_loss_stops_naming_epoch_and_batch(self):
+        tr, va = _blob_setup()
+        # the first step overflows the parameters; the loss turns NaN two batches on
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="nan in epoch 0, batch 2$") as info:
+            train(_config(lr=1e300), tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        assert (info.value.epoch, info.value.batch) == (0, 2)
 
     def test_empty_data_rejected(self):
         cfg = _config()
@@ -235,18 +248,54 @@ class TestMatchesReferenceLoop:
             assert result.grad_contributions[e].tobytes() == contributions[e].tobytes()
 
 
+class TestCallerArraysUnwritten:
+    def test_sample_paced_run(self):
+        tr, va = _blob_setup()
+        bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=len(tr)), tr.targets)
+        arrays = [tr.inputs, tr.targets, va.inputs, va.targets, bank.sample_ids, bank.scores]
+        before = [a.tobytes() for a in arrays]
+        cfg = _config(uls_schedule=exponential(0.5, 0.9), pace=PacePlan(0.6, 0.4, 4, len(tr)))
+        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank, instrument_epochs=frozenset({0}))
+        assert [a.tobytes() for a in arrays] == before
+
+    def test_pixel_paced_run(self):
+        tr = gen_shapes_seg(16, 16, 2, 5, seed=3, split="train")
+        va = gen_shapes_seg(16, 16, 2, 2, seed=3, split="val")
+        spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
+        pixel_bank = np.random.default_rng(5).uniform(size=tr.targets.shape).astype(np.float32)
+        arrays = [tr.inputs, tr.targets, va.inputs, va.targets, pixel_bank]
+        before = [a.tobytes() for a in arrays]
+        cfg = TrainConfig(
+            task="segmentation",
+            model=spec,
+            epochs=2,
+            batch_size=2,
+            optimizer="adam",
+            lr=1e-2,
+            seed=4,
+            uls_schedule=exponential(0.6, 0.9),
+            svls_schedule=exponential(0.9, 0.5),
+            pace=PacePlan(0.8, 0.4, 2, pixel_bank.size),
+            granularity="pixel",
+        )
+        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, pixel_bank=pixel_bank)
+        assert [a.tobytes() for a in arrays] == before
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("name", ["sgd", "adam"])
-    def test_step_leaves_params_and_grad_unwritten(self, name):
+    def test_in_place_steps_equal_reference(self, name):
         rng = np.random.default_rng(11)
         params, grad = rng.normal(size=20), rng.normal(size=20)
-        before = params.copy(), grad.copy()
-        opt = _Optimizer(_config(optimizer=name), params.size)
+        grad_before = grad.copy()
+        cfg = _config(optimizer=name)
+        opt, ref = _Optimizer(cfg, params.size), RefOptimizer(cfg, params.size)
+        want = params.copy()
         for _ in range(3):
-            new = opt.step(params, grad, 1e-2)
-            assert new is not params and new is not grad
-        assert params.tobytes() == before[0].tobytes()
-        assert grad.tobytes() == before[1].tobytes()
+            assert opt.step(params, grad, 1e-2) is None
+            want = ref.step(want, grad, 1e-2)
+            assert params.tobytes() == want.tobytes()
+        assert grad.tobytes() == grad_before.tobytes()
 
 
 class TestTasks:
