@@ -191,43 +191,67 @@ def _features(arch: str, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
+def _number(value, key: str) -> float:
+    """A numeric config value; strings, null, lists, objects and booleans
+    (a JSON true is a Python int) are refused by key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    """An integer config value; a float is taken only when it is integral."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def build_train_config(cfg: dict, train_ds) -> TrainConfig:
     task = cfg["task"]
     arch = cfg["arch"] or _DEFAULT_ARCH[task]
     inputs = _features(arch, train_ds.inputs)
+    channels = cfg["channels"]
+    if not isinstance(channels, list) or len(channels) != 2:
+        raise ConfigError(f"channels must be a list of two integers, got {channels!r}")
+    c1, c2 = (_integer(c, "channels") for c in channels)
+    hidden = _integer(cfg["hidden"], "hidden")
+    epochs = _integer(cfg["epochs"], "epochs")
     if arch == "tiny_fcn":
-        c1, c2 = cfg["channels"]
-        spec = models.ModelSpec("tiny_fcn", (train_ds.inputs.shape[3], int(c1), int(c2), train_ds.num_classes))
+        spec = models.ModelSpec("tiny_fcn", (train_ds.inputs.shape[3], c1, c2, train_ds.num_classes))
     elif arch == "mlp":
-        spec = models.ModelSpec("mlp", (inputs.shape[1], int(cfg["hidden"]), train_ds.num_classes))
+        spec = models.ModelSpec("mlp", (inputs.shape[1], hidden, train_ds.num_classes))
     elif arch == "linear_softmax":
         spec = models.ModelSpec("linear_softmax", (inputs.shape[1], train_ds.num_classes))
     else:
         raise ConfigError(f"unknown architecture {arch!r}")
     pace = None
     if cfg.get("pace"):
+        if not isinstance(cfg["pace"], dict):
+            raise ConfigError(f"'pace' must be a JSON object, got {cfg['pace']!r}")
         n = train_ds.targets.size if cfg["granularity"] == "pixel" else len(train_ds)
         pace = PacePlan(
-            lam=float(cfg["pace"]["lambda"]),
-            e_all=float(cfg["pace"].get("e_all", 0.4)),
-            epochs=int(cfg["epochs"]),
+            lam=_number(cfg["pace"].get("lambda"), "pace.lambda"),
+            e_all=_number(cfg["pace"].get("e_all", 0.4), "pace.e_all"),
+            epochs=epochs,
             n=n,
         )
     try:
         return TrainConfig(
             task=task,
             model=spec,
-            epochs=int(cfg["epochs"]),
-            batch_size=int(cfg["batch_size"]),
+            epochs=epochs,
+            batch_size=_integer(cfg["batch_size"], "batch_size"),
             optimizer=cfg["optimizer"],
-            lr=float(cfg["lr"]),
-            momentum=float(cfg["momentum"]),
-            weight_decay=float(cfg["weight_decay"]),
-            lr_decay_factor=float(cfg["lr_decay_factor"]),
+            lr=_number(cfg["lr"], "lr"),
+            momentum=_number(cfg["momentum"], "momentum"),
+            weight_decay=_number(cfg["weight_decay"], "weight_decay"),
+            lr_decay_factor=_number(cfg["lr_decay_factor"], "lr_decay_factor"),
             seed=int(cfg["seed"]),
             uls_schedule=_schedule(cfg, "schedule"),
             svls_schedule=_schedule(cfg, "svls_schedule"),
-            svls_kernel=int(cfg.get("svls_kernel", 3)),
+            svls_kernel=_integer(cfg.get("svls_kernel", 3), "svls_kernel"),
             pace=pace,
             granularity=cfg["granularity"],
         )
@@ -321,8 +345,9 @@ def cmd_bank(args) -> int:
     if args.variant == "ts":
         if train_ds.task != "multiclass":
             raise ConfigError("temperature-scaled banks require the multiclass task")
-        logits = models.forward(spec, params, x_val)
-        temperature = fit_temperature(logits, val_ds.targets).temperature
+        tm = fit_temperature(models.forward(spec, params, x_val), val_ds.targets)
+        _warn_if_pinned(tm)
+        temperature = tm.temperature
     if args.granularity == "pixel":
         if train_ds.task != "segmentation":
             raise ConfigError("pixel banks require the segmentation task")
@@ -492,6 +517,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _warn_if_pinned(tm) -> None:
+    if tm.pinned:
+        print(
+            f"warning: fitted T={tm.temperature:.6f} is pinned at the edge of the "
+            "temperature search window; the validation NLL may keep falling beyond it",
+            file=sys.stderr,
+        )
+
+
 def cmd_calibrate(args) -> int:
     cfg = resolve_config(args)
     _, val_ds = resolve_dataset(cfg)
@@ -512,12 +546,7 @@ def cmd_calibrate(args) -> int:
     )
     out_dir = Path(args.out or "calibration")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if tm.pinned:
-        print(
-            f"warning: fitted T={tm.temperature:.6f} is pinned at the edge of the "
-            "temperature search window; the validation NLL may keep falling beyond it",
-            file=sys.stderr,
-        )
+    _warn_if_pinned(tm)
     fileio.save_json(
         out_dir / "temperature.json",
         {

@@ -9,9 +9,22 @@ Three architectures over a flat float64 parameter vector:
                                          pooling, so spatial dims survive
 
 The convs run on the whole (N,H,W,C) batch at once: one GEMM per kernel
-tap over an edge-padded input. The forward keeps each conv's padded input
-(x, h1, h2, each padded as np.pad(mode="edge") would) in place of the
-plain activation, so the backward reads the same buffers and never pads.
+tap over an edge-padded input. Each call first copies the weights into
+contiguous per-tap matrices ((k,k,Cin,Cout) for the forward, (k,k,Cout,Cin)
+for the input gradient), because a strided w[:, :, i, j] keeps NumPy off
+its BLAS path and costs about 3x per tap on 16x16 maps. The input gradient
+runs each tap as one 2-D GEMM on the flat (N*H*W,Cout) gradient. The
+forward keeps each conv's padded input (x, h1, h2, each padded as
+np.pad(mode="edge") would, by copying borders) in place of the plain
+activation, so the backward reads the same buffers and never pads.
+
+Bit domain: on maps at least two columns wide, with at most 15 channels
+per conv and at most 15 classes, the results are byte-equal to the
+strided per-tap products (the oracles in tests/conftest.py). On
+single-column maps, at 16 or more channels or classes, and in the input
+gradient of a conv with one input channel, BLAS takes another kernel and
+the last bits may differ (within 1e-15 of the largest magnitude). A run
+replays bit for bit from its seed either way.
 
 backward() propagates a dL/dlogits array (produced by a loss in
 ``losses``) to the parameter gradient, writing every weight and bias
@@ -154,28 +167,45 @@ def check_batch(
 
 def _conv_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """'Same' conv of an edge-padded batch: xp (N,H+k-1,W+k-1,Cin), w
-    (Cout,Cin,k,k), b (Cout,) -> (N,H,W,Cout); one GEMM per kernel tap."""
+    (Cout,Cin,k,k), b (Cout,) -> (N,H,W,Cout); one GEMM per kernel tap on
+    the contiguous (Cin,Cout) tap matrices."""
     cout, _, k, _ = w.shape
     n, h, wd = xp.shape[0], xp.shape[1] - k + 1, xp.shape[2] - k + 1
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
     out = np.broadcast_to(b, (n, h, wd, cout)).copy()
     for i in range(k):
         for j in range(k):
-            out += xp[:, i : i + h, j : j + wd] @ w[:, :, i, j].T
+            out += xp[:, i : i + h, j : j + wd] @ taps[i, j]
     return out
 
 
-def _tanh_padded(a: np.ndarray, c: int) -> np.ndarray:
-    """np.pad(np.tanh(a), c, mode="edge") over the map axes of (N,H,W,C):
-    tanh goes straight into the interior, then each border row and column
-    copies the edge it pads."""
-    n, h, w, ch = a.shape
-    p = np.empty((n, h + 2 * c, w + 2 * c, ch))
-    np.tanh(a, out=p[:, c : c + h, c : c + w])
+def _fill_border(p: np.ndarray, c: int) -> np.ndarray:
+    """Copy into each of the c border rows and columns of the padded maps p
+    (N,H+2c,W+2c,C) the edge of the interior it pads, as np.pad(mode="edge")
+    would, and return p."""
+    h, w = p.shape[1] - 2 * c, p.shape[2] - 2 * c
     p[:, :c, c : c + w] = p[:, c : c + 1, c : c + w]
     p[:, c + h :, c : c + w] = p[:, c + h - 1 : c + h, c : c + w]
     p[:, :, :c] = p[:, :, c : c + 1]
     p[:, :, c + w :] = p[:, :, c + w - 1 : c + w]
     return p
+
+
+def _edge_padded(x: np.ndarray, c: int) -> np.ndarray:
+    """np.pad(x, c, mode="edge") over the map axes of (N,H,W,C)."""
+    n, h, w, ch = x.shape
+    p = np.empty((n, h + 2 * c, w + 2 * c, ch))
+    p[:, c : c + h, c : c + w] = x
+    return _fill_border(p, c)
+
+
+def _tanh_padded(a: np.ndarray, c: int) -> np.ndarray:
+    """np.pad(np.tanh(a), c, mode="edge") over the map axes of (N,H,W,C):
+    tanh goes straight into the interior, then the border copies its edge."""
+    n, h, w, ch = a.shape
+    p = np.empty((n, h + 2 * c, w + 2 * c, ch))
+    np.tanh(a, out=p[:, c : c + h, c : c + w])
+    return _fill_border(p, c)
 
 
 def _conv_weight_grad(xp: np.ndarray, dout: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
@@ -191,14 +221,18 @@ def _conv_weight_grad(xp: np.ndarray, dout: np.ndarray, dw: np.ndarray, db: np.n
 
 
 def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """Gradient of _conv_forward with respect to the unpadded input."""
-    n, h, wd, _ = dout.shape
+    """Gradient of _conv_forward with respect to the unpadded input: one
+    GEMM per tap on the flat (N*H*W,Cout) gradient and the contiguous
+    (Cout,Cin) tap matrix, added into the padded window of that tap."""
+    n, h, wd, cout = dout.shape
     _, cin, k, _ = w.shape
     c = k // 2
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    flat = dout.reshape(-1, cout)
     dxp = np.zeros((n, h + 2 * c, wd + 2 * c, cin))
     for i in range(k):
         for j in range(k):
-            dxp[:, i : i + h, j : j + wd] += dout @ w[:, :, i, j]
+            dxp[:, i : i + h, j : j + wd] += (flat @ taps[i, j]).reshape(n, h, wd, cin)
     # each pad row/column replicates a border one, so its gradient lands there
     dxp[:, c] += dxp[:, :c].sum(axis=1)
     dxp[:, c + h - 1] += dxp[:, c + h :].sum(axis=1)
@@ -227,7 +261,7 @@ def _logits(spec: ModelSpec, tensors: list[np.ndarray], x: np.ndarray):
         logits += b2
         return logits, (x, h)
     w1, b1, w2, b2, w3, b3 = tensors
-    xp = np.pad(x, ((0, 0), (_PAD, _PAD), (_PAD, _PAD), (0, 0)), mode="edge")
+    xp = _edge_padded(x, _PAD)
     h1p = _tanh_padded(_conv_forward(xp, w1, b1), _PAD)
     h2p = _tanh_padded(_conv_forward(h1p, w2, b2), _PAD)
     return _conv_forward(h2p, w3, b3), (xp, h1p, h2p)

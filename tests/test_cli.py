@@ -30,6 +30,25 @@ def _write_small_config(tmp_path, **extra):
     return p
 
 
+# a config value of the wrong JSON type, and the message that names its key
+WRONG_TYPES = [
+    ({"lr": "x"}, "lr must be a number, got 'x'"),
+    ({"lr": None}, "lr must be a number, got None"),
+    ({"momentum": {"value": 0.9}}, "momentum must be a number, got {'value': 0.9}"),
+    ({"weight_decay": False}, "weight_decay must be a number, got False"),
+    ({"lr_decay_factor": "0.1"}, "lr_decay_factor must be a number, got '0.1'"),
+    ({"epochs": [3]}, "epochs must be an integer, got [3]"),
+    ({"epochs": True}, "epochs must be an integer, got True"),
+    ({"batch_size": None}, "batch_size must be an integer, got None"),
+    ({"hidden": "32"}, "hidden must be an integer, got '32'"),
+    ({"channels": "88"}, "channels must be a list of two integers, got '88'"),
+    ({"channels": [8, "8"]}, "channels must be an integer, got '8'"),
+    ({"svls_kernel": 3.5}, "svls_kernel must be an integer, got 3.5"),
+    ({"pace": {"lambda": "x"}}, "pace.lambda must be a number, got 'x'"),
+    ({"pace": {"lambda": 0.5, "e_all": None}}, "pace.e_all must be a number, got None"),
+]
+
+
 class TestTrain:
     def test_writes_outputs(self, tmp_path):
         cfg = _write_small_config(tmp_path)
@@ -118,6 +137,20 @@ class TestTrain:
         assert "lr must be finite, got nan" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("extra,message", WRONG_TYPES, ids=[json.dumps(e) for e, _ in WRONG_TYPES])
+    def test_config_value_of_wrong_type_names_the_key(self, tmp_path, capsys, extra, message):
+        cfg = _write_small_config(tmp_path, **extra)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_integral_float_config_value_is_an_integer(self, tmp_path):
+        cfg = _write_small_config(tmp_path, epochs=2.0, batch_size=16.0)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 0
+        assert len(load_csv(out / "metrics.csv")[1]) == 2
+
     def test_non_finite_loss_exits_3_naming_epoch_and_batch(self, tmp_path, capsys):
         # a finite learning rate that overflows the parameters after one step
         cfg = tmp_path / "huge.json"
@@ -172,6 +205,29 @@ class TestBankCommand:
         plain, ts = load_bank(plain_path), load_bank(ts_path)
         assert ts.source == "temperature_scaled"
         assert set(plain.sample_ids.tolist()) == set(ts.sample_ids.tolist())
+
+    def test_ts_bank_warns_when_temperature_is_pinned(self, tmp_path, capsys):
+        # the default blobs baseline fits T at the window's lower edge
+        out = tmp_path / "baseline"
+        assert run(["train", "--data", "blobs", "--seed", 1, "--out", out]) == 0
+        bank_path = tmp_path / "ts.csv"
+        capsys.readouterr()
+        assert run(
+            ["bank", "--data", "blobs", "--seed", 1, "--checkpoint", out / "checkpoint.pckpt",
+             "--variant", "ts", "--out", bank_path]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "warning: fitted T=0.050002 is pinned" in captured.err
+        assert "(T=0.0500)" in captured.out
+        assert load_bank(bank_path).source == "temperature_scaled"
+
+    def test_ts_bank_at_unpinned_temperature_does_not_warn(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path)
+        capsys.readouterr()
+        assert run(
+            ["bank", "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--variant", "ts", "--out", tmp_path / "ts.csv"]
+        ) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_paced_training_with_real_bank(self, tmp_path):
         cfg, ckpt = self._trained(tmp_path)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbls.corruption import (
     KINDS,
@@ -172,6 +177,37 @@ class TestCorruptDataset:
             out = corrupt(v, CorruptionSpec(kind=kind, severity=5, seed=1))
             assert out.shape == (1, 16)
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+class TestCorruptDatasetIdOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shapes=st.lists(st.sampled_from([(1, 8), (4, 5), (3, 3, 3)]), min_size=1, max_size=5),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True),
+        severities=st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_files_do_not_depend_on_the_order_of_ids(self, shapes, kinds, severities, seed, data):
+        # permuting the ids, and the images alike, writes the same bytes
+        # under the same names; only the manifest's row order follows the ids
+        n = len(shapes)
+        ids = data.draw(st.lists(st.integers(0, 999_999), min_size=n, max_size=n, unique=True))
+        order = data.draw(st.permutations(range(n)))
+        rng = np.random.default_rng(seed)
+        images = [rng.uniform(size=s) for s in shapes]
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            rows = corrupt_dataset(images, kinds, severities, seed, a, image_ids=ids)
+            permuted = corrupt_dataset(
+                [images[i] for i in order], kinds, severities, seed, b, image_ids=[ids[i] for i in order]
+            )
+            assert sorted(permuted) == sorted(rows)
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                if name != "manifest.csv":
+                    assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestBatchedMatchesPerImage:

@@ -12,6 +12,7 @@ from conftest import (
     grad_rel_error,
     ref_backward,
     ref_batched_conv_backward,
+    ref_batched_conv_forward,
     ref_fcn_conv_backward,
     ref_fcn_conv_forward,
     ref_forward,
@@ -194,8 +195,18 @@ class TestSoftBce:
             soft_bce(np.zeros(2), np.array([0.5, 1.2]))
 
 
-# (N, H, W, Cin, Cout): batch, non-square maps, channel changes, single rows and columns
-CONV_SHAPES = [(3, 5, 7, 2, 4), (2, 1, 6, 3, 2), (2, 6, 1, 1, 3), (1, 1, 1, 2, 2), (4, 4, 4, 3, 3)]
+# (N, H, W, Cin, Cout): the three convs of the benchmark's 16x16 shapes
+# model (RGB -> 8 -> 8 -> 4 classes) on training and evaluation batches
+WORKLOAD_CONV_SHAPES = [(4, 16, 16, 3, 8), (4, 16, 16, 8, 8), (4, 16, 16, 8, 4), (20, 16, 16, 8, 4)]
+# batch, non-square maps, channel changes, single rows and columns
+CONV_SHAPES = [
+    (3, 5, 7, 2, 4), (2, 1, 6, 3, 2), (2, 6, 1, 1, 3), (1, 1, 1, 2, 2), (4, 4, 4, 3, 3),
+] + WORKLOAD_CONV_SHAPES
+# Shapes whose tap GEMMs BLAS runs on another kernel than the strided
+# per-tap products of the batched oracles: a single-column map (W = 1), a
+# GEMM dimension of 16 or more channels or classes, and the input gradient
+# of a conv with one input channel. Their last bits may differ.
+BIT_DOMAIN_EDGES = [(3, 5, 1, 4, 6), (2, 4, 5, 16, 3), (2, 4, 5, 3, 16), (2, 4, 5, 20, 20), (3, 5, 6, 1, 8)]
 
 
 class TestBatchedConv:
@@ -240,6 +251,35 @@ class TestBatchedConv:
     def test_padded_activation_equals_np_pad(self, rng, n, h, w, cin, cout):
         a = rng.normal(scale=2.0, size=(n, h, w, cout))
         assert np.array_equal(models._tanh_padded(a, 1), _edge_pad(np.tanh(a)))
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", WORKLOAD_CONV_SHAPES)
+    def test_workload_shapes_byte_equal_to_strided_taps(self, rng, n, h, w, cin, cout):
+        # the contiguous tap matrices give the strided per-tap GEMMs' bytes
+        x = rng.normal(size=(n, h, w, cin))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        dout = rng.normal(size=(n, h, w, cout))
+        assert models._conv_forward(_edge_pad(x), wt, b).tobytes() == ref_batched_conv_forward(x, wt, b).tobytes()
+        want_dx = ref_batched_conv_backward(x, wt, dout)[0]
+        assert models._conv_input_grad(wt, dout).tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", BIT_DOMAIN_EDGES)
+    def test_bit_domain_edges_agree_within_tolerance(self, rng, n, h, w, cin, cout):
+        x = rng.normal(size=(n, h, w, cin))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        dout = rng.normal(size=(n, h, w, cout))
+        np.testing.assert_allclose(
+            models._conv_forward(_edge_pad(x), wt, b), ref_batched_conv_forward(x, wt, b), rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            models._conv_input_grad(wt, dout), ref_batched_conv_backward(x, wt, dout)[0], rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n,h,w,cin,cout", CONV_SHAPES)
+    def test_padded_input_equals_np_pad(self, rng, n, h, w, cin, cout):
+        x = rng.normal(size=(n, h, w, cin))
+        assert np.array_equal(models._edge_padded(x, 1), _edge_pad(x))
 
     def test_forward_keeps_padded_activations(self, rng):
         spec = ModelSpec("tiny_fcn", (2, 3, 4, 3))
