@@ -7,7 +7,7 @@ persisted next to each run's outputs so any run can be replayed exactly.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation error,
 3 training stopped at a non-finite loss (the message names the epoch and
-the batch).
+the batch) or at non-finite parameters after an epoch (it names the epoch).
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ def resolve_config(args) -> dict:
             raise ConfigError("--pace needs a preset that defines a pace plan, or --pace-lambda")
         cfg["pace"] = cfg["preset_pace"]
     cfg.pop("preset_pace", None)
+    cfg["seed"] = _integer(cfg["seed"], "seed")
     return cfg
 
 
@@ -142,9 +143,19 @@ def _parse_data_spec(spec: str) -> dict:
 
 
 def resolve_dataset(cfg: dict):
-    data = dict(_DATA_DEFAULTS.get(cfg["data"]["name"], {}))
+    name = cfg["data"]["name"]
+    if not isinstance(name, str):
+        raise ConfigError(f"data.name must be a string, got {name!r}")
+    data = dict(_DATA_DEFAULTS.get(name, {}))
     data.update(cfg["data"])
-    name = data["name"]
+    # a generated dataset's field takes the type of its default: a count or a number
+    for key, default in _DATA_DEFAULTS.get(name, {}).items():
+        data[key] = (_integer if isinstance(default, int) else _number)(data[key], f"data.{key}")
+    if name in ("cifar10", "dir"):
+        if not isinstance(data.get("path"), str):
+            raise ConfigError(f"data.path must be a string, got {data.get('path')!r}")
+        if "val_fraction" in data:
+            data["val_fraction"] = _number(data["val_fraction"], "data.val_fraction")
     data_seed = derive_seed(int(cfg["seed"]), "data")
     if name == "blobs":
         train_ds = datasets.gen_blobs(
@@ -472,20 +483,22 @@ def cmd_eval(args) -> int:
         if not manifest_path.exists():
             raise ConfigError(f"manifest not found: {manifest_path}")
         rows = _read_manifest(manifest_path, len(val_ds))
-        line_of = {path: line for line, (_, _, _, path) in enumerate(rows, start=2)}
-        base = manifest_path.parent
+        base = os.fspath(manifest_path.parent)
         # the shape cmd_corrupt wrote: vectors are one-row grayscale images
         inputs = np.asarray(val_ds.inputs)
         want = inputs.shape[1:] if inputs.ndim >= 3 else (1, inputs.shape[1])
 
+        def where(path):
+            line = next(i for i, r in enumerate(rows, start=2) if r[3] == path)
+            return f"{manifest_path} line {line} ({path})"
+
         def load_row_image(path):
-            where = f"{manifest_path} line {line_of[path]} ({path})"
             try:
-                img = fileio.load_image(base / path)
+                img = fileio.load_image(os.path.join(base, path))
             except OSError as e:
-                raise ConfigError(f"{where}: cannot read the image: {e.strerror}") from e
+                raise ConfigError(f"{where(path)}: cannot read the image: {e.strerror}") from e
             if img.shape != want:
-                raise ConfigError(f"{where}: image shape {img.shape}, but the validation images are {want}")
+                raise ConfigError(f"{where(path)}: image shape {img.shape}, but the validation images are {want}")
             return img
 
         def evaluate_images(images):
@@ -627,50 +640,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pace-lambda", dest="pace_lambda", type=float)
     p.add_argument("--pace-e-all", dest="pace_e_all", type=float)
     p.add_argument("--granularity", choices=["sample", "pixel"])
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bank", help="score a training set with a frozen checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--variant", choices=["plain", "ts", "ls"], default="plain")
     p.add_argument("--granularity", choices=["sample", "pixel"], default="sample")
-    p.set_defaults(func=cmd_bank)
 
     p = sub.add_parser("corrupt", help="corrupt a dataset's validation images")
     _add_common(p)
     p.add_argument("--kinds", default="all", help="comma list of kinds, or 'all'")
     p.add_argument("--severities", default="1,2,3,4,5")
-    p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on clean or corrupted data")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", help="corruption manifest for a robustness table")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("calibrate", help="fit a temperature + calibration report")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bins", type=int, default=10)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("report", help="comparison table across run directories")
     p.add_argument("runs", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process (a build takes 1.5-2 ms); the command is looked
+    # up by name on each call, so a cmd_* replaced after the build still runs
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except trainer.NonFiniteLoss as e:
+    except (trainer.NonFiniteLoss, trainer.NonFiniteParameters) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, FormatError) as e:

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -228,37 +229,33 @@ def save_image(path: str | Path, image: np.ndarray) -> None:
     atomic_write_bytes(path, data)
 
 
+# the magic, then width, height and maxval: each a run of ASCII digits that
+# ends at whitespace, after any whitespace and '#' comments (a comment runs
+# to the end of its line); then the one whitespace byte before the pixels.
+# No two branches can match the same bytes, so a mismatch fails in linear time.
+_GAP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
+_PNM_HEADER = re.compile(rb"P[56]" + (_GAP + rb"(\d+)(?=\s)") * 2 + _GAP + rb"(\d+)\s")
+
+
 def load_image(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    # FileIO.readall: one open, an fstat, a read of a byte past the size and
+    # on to the end of the file, so a short read or a growing file loses nothing
+    with open(path, "rb", buffering=0) as f:
+        data = f.readall()
     if data[:2] not in (b"P5", b"P6"):
         raise FormatError(f"{path}: not a binary PGM/PPM")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if not data[start:pos].isdigit():
-            raise FormatError(f"{path}: bad or truncated header field {data[start:pos]!r}")
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    if pos > len(data):
-        raise FormatError(f"{path}: truncated header")
-    w, h, maxval = (int(f) for f in fields)
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        raise FormatError(f"{path}: bad or truncated header")
+    w, h, maxval = (int(f) for f in header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
     channels = 3 if data[:2] == b"P6" else 1
     expect = w * h * channels
-    raw = np.frombuffer(data, dtype=np.uint8, count=-1, offset=pos)
-    if raw.size != expect:
-        raise FormatError(f"{path}: expected {expect} pixel bytes, found {raw.size}")
-    img = raw.astype(np.float64) / 255.0
+    found = len(data) - header.end()
+    if found != expect:
+        raise FormatError(f"{path}: expected {expect} pixel bytes, found {found}")
+    img = np.frombuffer(data, dtype=np.uint8, offset=header.end()).astype(np.float64) / 255.0
     return img.reshape(h, w) if channels == 1 else img.reshape(h, w, 3)
 
 

@@ -37,13 +37,20 @@ def check(
     targets = np.asarray(targets, dtype=np.float64)
     if tuple(shape) != targets.shape:
         raise ValueError(f"shape mismatch: {tuple(shape)} vs {targets.shape}")
+    # fmin/fmax skip NaN as the elementwise comparisons do, and the initial
+    # value makes an empty array pass as before
     if loss_kind == "soft_ce":
-        sums = targets.sum(axis=-1)
-        if (np.abs(sums - 1.0) > _TARGET_TOL).any() or (targets < -1e-12).any():
+        # a tolerance test needs no pairwise order: one matrix-vector
+        # product gives the row sums several times faster than sum(axis=-1)
+        deviation = np.abs(targets @ np.ones(targets.shape[-1]) - 1.0)
+        if (
+            np.fmax.reduce(deviation, axis=None, initial=0.0) > _TARGET_TOL
+            or np.fmin.reduce(targets, axis=None, initial=0.0) < -1e-12
+        ):
             raise ValueError("targets must be distributions over the last axis")
         return targets, None
     if loss_kind == "soft_bce":
-        if (targets < 0.0).any() or (targets > 1.0).any():
+        if np.fmin.reduce(targets, axis=None, initial=0.0) < 0.0 or np.fmax.reduce(targets, axis=None, initial=1.0) > 1.0:
             raise ValueError("targets must lie in [0, 1]")
         return targets, None
     mask = np.asarray(mask, dtype=np.float64)
@@ -103,7 +110,7 @@ def _soft_ce(logits, targets):
     n = max(1, math.prod(logits.shape[:-1]))
     dlogits, logp = softmax_log_softmax(logits)
     logp *= targets
-    loss = float(-logp.sum() / n)
+    loss = float(-np.add.reduce(logp, axis=None) / n)
     dlogits -= targets
     dlogits /= n
     return loss, dlogits

@@ -40,6 +40,16 @@ gradient views and has checked a whole epoch's arrays calls the unchecked
 step loss_and_grad_into() on each batch; loss_and_grad() is that same step
 on a new gradient. loss() is the same forward and loss without the
 backward, for finite-difference probes.
+
+The vector models call BLAS and the ufunc reductions directly: every
+2-D GEMM is ndarray.dot, which calls the same cblas_dgemm as matmul
+(equal bytes) without the dispatch of matmul or of np.dot's
+__array_function__ check, and the bias gradients are np.add.reduce(...,
+axis=0, out=) into the gradient views, which skips the Python wrapper
+behind ndarray.sum. At a 32-sample batch a step is a few dozen calls of
+1-4 us each, so dispatch, not arithmetic, sets its time. Biases stay
+separate adds and the bias gradients stay reductions: folding either into
+a GEMM (or a GEMV) would change the bits.
 """
 
 from __future__ import annotations
@@ -249,15 +259,15 @@ def _logits(spec: ModelSpec, tensors: list[np.ndarray], x: np.ndarray):
     """
     if spec.architecture == "linear_softmax":
         w, b = tensors
-        logits = x @ w.T
+        logits = x.dot(w.T)
         logits += b
         return logits, (x,)
     if spec.architecture == "mlp":
         w1, b1, w2, b2 = tensors
-        h = x @ w1.T
+        h = x.dot(w1.T)
         h += b1
         np.tanh(h, out=h)
-        logits = h @ w2.T
+        logits = h.dot(w2.T)
         logits += b2
         return logits, (x, h)
     w1, b1, w2, b2, w3, b3 = tensors
@@ -303,21 +313,21 @@ def backward(
     if spec.architecture == "linear_softmax":
         (x,) = acts
         dw, db = grads
-        np.matmul(dlogits.T, x, out=dw)
-        dlogits.sum(axis=0, out=db)
+        dlogits.T.dot(x, out=dw)
+        np.add.reduce(dlogits, axis=0, out=db)
         return
     if spec.architecture == "mlp":
         w1, b1, w2, b2 = tensors
         x, h = acts
         dw1, db1, dw2, db2 = grads
-        np.matmul(dlogits.T, h, out=dw2)
-        dlogits.sum(axis=0, out=db2)
+        dlogits.T.dot(h, out=dw2)
+        np.add.reduce(dlogits, axis=0, out=db2)
         dtanh = h * h
         np.subtract(1.0, dtanh, out=dtanh)
-        da = dlogits @ w2
+        da = dlogits.dot(w2)
         da *= dtanh
-        np.matmul(da.T, x, out=dw1)
-        da.sum(axis=0, out=db1)
+        da.T.dot(x, out=dw1)
+        np.add.reduce(da, axis=0, out=db1)
         return
     w1, b1, w2, b2, w3, b3 = tensors
     xp, h1p, h2p = acts

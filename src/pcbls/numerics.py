@@ -74,15 +74,15 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def softmax_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(softmax, log_softmax) over the last axis from a single ``exp``.
 
-    Both divide or log the same ``e.sum``, so each output equals its
+    Both divide or log the same row sum, so each output equals its
     separate function bit for bit.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     e /= total
-    shifted -= np.log(total)
+    shifted -= np.log(total, out=total)
     return e, shifted
 
 

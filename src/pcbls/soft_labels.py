@@ -44,8 +44,10 @@ def uls_matrix(labels: np.ndarray, num_classes: int, epsilon: float) -> np.ndarr
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("label out of range")
-    out = np.full((labels.shape[0], num_classes), epsilon / num_classes)
-    out[np.arange(labels.shape[0]), labels] += 1.0 - epsilon
+    n = labels.shape[0]
+    out = np.full((n, num_classes), epsilon / num_classes)
+    # each true-class cell is eps/K + (1-eps), assigned through flat indices
+    out.reshape(-1)[np.arange(0, n * num_classes, num_classes) + labels] = epsilon / num_classes + (1.0 - epsilon)
     return out
 
 

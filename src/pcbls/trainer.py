@@ -12,8 +12,10 @@ pacing.
 A run owns one flat parameter buffer and one flat gradient buffer, each
 unpacked into tensor views once. A step writes the gradient views
 (models.loss_and_grad_into) and the optimizer updates the parameters and
-its own state in place. The first non-finite step loss stops the run with
-NonFiniteLoss, naming the epoch and the batch.
+its own state in place. The first non-finite step loss stops the run
+with NonFiniteLoss, naming the epoch and the batch; parameters that are
+not all finite at the end of an epoch (a non-finite gradient behind a
+finite loss) stop it with NonFiniteParameters, naming the epoch.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .models import ModelSpec
 from .numerics import sigmoid, softmax
 from .pacing import PacePlan, SampleBank
 from .schedules import SmoothingSchedule, constant, exponential, linear, random_schedule
-from .seeding import rng_for
+from .seeding import derive_seed, fold_seed
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -104,13 +106,30 @@ class NonFiniteLoss(ArithmeticError):
         self.batch = batch
 
 
+class NonFiniteParameters(ArithmeticError):
+    """An epoch's steps left a non-finite parameter although every step loss
+    was finite; training stops after that epoch."""
+
+    def __init__(self, epoch: int):
+        super().__init__(f"non-finite parameters after epoch {epoch} (every step loss was finite)")
+        self.epoch = epoch
+
+
 class _Optimizer:
-    """SGD with momentum or Adam, updating the caller's flat ``params`` in place."""
+    """SGD with momentum or Adam, updating the caller's flat ``params`` in place.
+
+    SGD's momentum and weight decay, and the learning rate the trainer
+    passes, are 0-d arrays: a ufunc call with one skips the promotion of a
+    Python float (an SGD step on 1 320 parameters took 4.6 instead of
+    5.6 us on a 2-vCPU x86 VM with numpy 2.4). The values, and so the
+    bits, are the same.
+    """
 
     def __init__(self, cfg: TrainConfig, n_params: int):
-        self.cfg = cfg
+        self.sgd = cfg.optimizer == "sgd"
+        self.momentum, self.weight_decay = np.asarray(cfg.momentum), np.asarray(cfg.weight_decay)
         self.scratch = np.empty(n_params)
-        if cfg.optimizer == "sgd":
+        if self.sgd:
             self.velocity = np.zeros(n_params)
         else:
             self.m = np.zeros(n_params)
@@ -118,17 +137,18 @@ class _Optimizer:
             self.vh = np.empty(n_params)
             self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        """One update of ``params`` in place; ``grad`` is not written.
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float | np.ndarray) -> None:
+        """One update of ``params`` in place; ``grad`` is not written. ``lr``
+        is a float or a 0-d array of one.
 
         Same operands in the same order as the out-of-place update
         ``params - lr * v`` with ``v = momentum * v + (grad + wd * params)``
         (SGD) or ``params - lr * mh / (sqrt(vh) + eps)`` (Adam).
         """
         tmp = self.scratch
-        if self.cfg.optimizer == "sgd":
-            self.velocity *= self.cfg.momentum
-            np.multiply(params, self.cfg.weight_decay, out=tmp)
+        if self.sgd:
+            self.velocity *= self.momentum
+            np.multiply(params, self.weight_decay, out=tmp)
             tmp += grad
             self.velocity += tmp
             np.multiply(self.velocity, lr, out=tmp)
@@ -169,7 +189,7 @@ def evaluate(cfg: TrainConfig, params: np.ndarray, inputs, targets, num_classes:
     """Validation metrics on raw (unsmoothed, unpaced) data."""
     logits = models.forward(cfg.model, params, np.asarray(inputs, dtype=np.float64))
     if cfg.task == "multiclass":
-        return {"val_accuracy": accuracy(np.argmax(logits, axis=1), targets)}
+        return {"val_accuracy": accuracy(logits.argmax(axis=1), targets)}
     if cfg.task == "multilabel":
         value, _ = mean_average_precision(sigmoid(logits), targets)
         return {"val_map": value}
@@ -220,20 +240,23 @@ def train(
 
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets)
+    val_inputs = np.asarray(val_inputs, dtype=np.float64)
     # the run's only parameter and gradient buffers, unpacked into tensor
     # views once; every step writes the gradient views and updates params
     params = models.init_params(cfg.model, cfg.seed)
     grad = np.empty_like(params)
     tensors, grads = models.unpack(cfg.model, params), models.unpack(cfg.model, grad)
     opt = _Optimizer(cfg, params.size)
-    loss_kind = _loss_kind(cfg.task)
+    spec, loss_kind = cfg.model, _loss_kind(cfg.task)
+    # derive_seed(seed, "shuffle", epoch), with the shared prefix folded once
+    shuffle_key = derive_seed(cfg.seed, "shuffle")
 
     records: list[EpochRecord] = []
     contributions: dict[int, np.ndarray] = {}
     for epoch in range(cfg.epochs):
         eps = cfg.uls_schedule.value_at(epoch) if cfg.uls_schedule else 0.0
         sigma = cfg.svls_schedule.value_at(epoch) if cfg.svls_schedule else None
-        lr = cfg.lr * (cfg.lr_decay_factor if epoch >= cfg.decay_epoch() else 1.0)
+        lr = np.asarray(cfg.lr * (cfg.lr_decay_factor if epoch >= cfg.decay_epoch() else 1.0))
 
         if cfg.pace is not None and cfg.granularity == "sample":
             ids = np.sort(pacing.active_set(bank, cfg.pace, epoch))
@@ -241,7 +264,7 @@ def train(
         else:
             ids = np.arange(n)
             count = n
-        order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))
+        order = np.random.default_rng(fold_seed(shuffle_key, epoch)).permutation(len(ids))
         shuffled = ids[order]
 
         # the epoch's inputs, targets and masks in shuffle order, checked
@@ -251,34 +274,39 @@ def train(
             masks = pacing.pixel_mask_at(ranks, cfg.pace, epoch)[shuffled].astype(np.float64)
             count = pacing.active_count(cfg.pace, epoch)
         soft = _soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
-        xs, soft, masks = models.check_batch(cfg.model, train_inputs[shuffled], soft, loss_kind, masks)
+        # np.take copies whole rows faster than fancy indexing, same bytes
+        xs = np.take(train_inputs, shuffled, axis=0)
+        xs, soft, masks = models.check_batch(spec, xs, soft, loss_kind, masks)
         probe = epoch in instrument_epochs
         if probe:
             contributions[epoch] = np.zeros(n)
 
         total_loss = 0.0
-        for batch, start in enumerate(range(0, len(shuffled), cfg.batch_size)):
-            stop = min(start + cfg.batch_size, len(shuffled))
+        size, batch_size = len(shuffled), cfg.batch_size
+        for batch, start in enumerate(range(0, size, batch_size)):
+            stop = min(start + batch_size, size)
             mask = masks[start:stop] if masks is not None else None
             loss = models.loss_and_grad_into(
-                cfg.model, tensors, grads, xs[start:stop], soft[start:stop], loss_kind, mask
+                spec, tensors, grads, xs[start:stop], soft[start:stop], loss_kind, mask
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(epoch, batch, loss)
             if probe:
                 for j in range(start, stop):
                     m = masks[j : j + 1] if masks is not None else None
-                    _, g = models.loss_and_grad(cfg.model, params, xs[j : j + 1], soft[j : j + 1], loss_kind, mask=m)
+                    _, g = models.loss_and_grad(spec, params, xs[j : j + 1], soft[j : j + 1], loss_kind, mask=m)
                     contributions[epoch][shuffled[j]] += float(np.linalg.norm(g))
             opt.step(params, grad, lr)
             total_loss += loss * (stop - start)
+        if not np.isfinite(params).all():
+            raise NonFiniteParameters(epoch)
 
         record = EpochRecord(
             epoch=epoch,
             active_count=count,
             eps=eps,
             sigma=sigma,
-            train_loss=total_loss / len(shuffled),
+            train_loss=total_loss / size,
             val_metrics=evaluate(cfg, params, val_inputs, val_targets, num_classes),
         )
         records.append(record)

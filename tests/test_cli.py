@@ -46,6 +46,11 @@ WRONG_TYPES = [
     ({"svls_kernel": 3.5}, "svls_kernel must be an integer, got 3.5"),
     ({"pace": {"lambda": "x"}}, "pace.lambda must be a number, got 'x'"),
     ({"pace": {"lambda": 0.5, "e_all": None}}, "pace.e_all must be a number, got None"),
+    ({"data": {"name": "blobs", "classes": "x"}}, "data.classes must be an integer, got 'x'"),
+    ({"data": {"name": "blobs", "spread": [0.1]}}, "data.spread must be a number, got [0.1]"),
+    ({"data": {"name": "shapes", "n": 2.5}}, "data.n must be an integer, got 2.5"),
+    ({"data": {"name": "cifar10"}}, "data.path must be a string, got None"),
+    ({"data": {"name": ["blobs"]}}, "data.name must be a string, got ['blobs']"),
 ]
 
 
@@ -145,6 +150,14 @@ class TestTrain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("seed,message", [(None, "got None"), ("x", "got 'x'"), (1.5, "got 1.5")])
+    def test_config_seed_of_wrong_type_names_the_key(self, tmp_path, capsys, seed, message):
+        cfg = _write_small_config(tmp_path, seed=seed)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--out", out]) == 2
+        assert f"error: seed must be an integer, {message}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_integral_float_config_value_is_an_integer(self, tmp_path):
         cfg = _write_small_config(tmp_path, epochs=2.0, batch_size=16.0)
         out = tmp_path / "run"
@@ -159,6 +172,24 @@ class TestTrain:
         with np.errstate(all="ignore"):
             assert run(["train", "--data", "blobs", "--config", cfg, "--seed", 1, "--out", out]) == 3
         assert "non-finite training loss nan in epoch 0, batch " in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_non_finite_parameters_exit_3_naming_the_epoch(self, tmp_path, capsys, monkeypatch):
+        # a step that leaves a NaN gradient behind a finite loss
+        from pcbls import models
+
+        real_step = models.loss_and_grad_into
+
+        def nan_gradient_step(spec, tensors, grads, *args):
+            real_step(spec, tensors, grads, *args)
+            grads[-1][0] = np.nan
+            return 0.5
+
+        monkeypatch.setattr(models, "loss_and_grad_into", nan_gradient_step)
+        cfg = _write_small_config(tmp_path)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 3
+        assert "non-finite parameters after epoch 0" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     def test_cifar10_data_spec(self, tmp_path):
@@ -566,3 +597,20 @@ class TestCorruptFlagChecks:
         assert run(["corrupt", "--config", cfg, "--seed", 1, *flags, "--out", out]) == 2
         assert problem in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call_and_keeps_no_values(self, monkeypatch, tmp_path):
+        from pcbls import cli
+
+        builds, seen = [], []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        # a command replaced after the parser was built still runs
+        assert run(["report", tmp_path / "ghost", "--out", tmp_path / "r.csv"]) == 2
+        monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append((args.runs, args.out)) or 0)
+        assert run(["report", "a", "b", "--out", "x.csv"]) == 0
+        assert run(["report", "c"]) == 0
+        assert builds == [1]
+        assert seen == [(["a", "b"], "x.csv"), (["c"], None)]

@@ -77,6 +77,32 @@ class TestEncodeImages:
             encode_images(np.zeros((1, 2, 2, 2)))
 
 
+class TestLoadImage:
+    def test_header_comments_and_whitespace(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        p.write_bytes(b"P5# by hand\n3\t# width\n\r\n2 #\n255\n" + bytes(range(6)))
+        assert np.array_equal(load_image(p), np.arange(6.0).reshape(2, 3) / 255.0)
+
+    def test_long_comment_runs_fail_fast(self, tmp_path):
+        # every '#' and space inside a comment could end a field separator;
+        # a separator pattern that could split comments would backtrack
+        # exponentially on this header
+        p = tmp_path / "c.pgm"
+        p.write_bytes(b"P5 3 2 " + b"# #\t" * 200 + b"x")
+        with pytest.raises(FormatError, match="bad or truncated header"):
+            load_image(p)
+
+    def test_short_reads_are_not_the_end_of_the_file(self, tmp_path, monkeypatch):
+        # a read may return fewer bytes than asked for before the end (a
+        # signal, NFS, FUSE); a reader that took that for the end would
+        # report a good file as missing pixels
+        p = tmp_path / "short.pgm"
+        p.write_bytes(b"P5 3 2 255\n" + bytes(range(6)))
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 4)))
+        assert np.array_equal(load_image(p), np.arange(6.0).reshape(2, 3) / 255.0)
+
+
 class TestPixelBankStack:
     def test_loads_one_stack_in_file_order(self, tmp_path, rng):
         bank = rng.uniform(size=(3, 4, 6)).astype(np.float32)

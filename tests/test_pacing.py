@@ -66,6 +66,21 @@ class TestActiveCount:
         first_full = int(np.ceil(plan.e_all * plan.epochs))
         assert all(c == 613 for c in counts[first_full:])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(0.01, 1.0),
+        e_all=st.floats(0.01, 1.0),
+        epochs=st.integers(1, 60),
+        n=st.integers(1, 5000),
+    )
+    def test_monotone_bounded_and_full_from_e_all(self, lam, e_all, epochs, n):
+        plan = PacePlan(lam, e_all, epochs, n)
+        counts = [active_count(plan, e) for e in range(epochs)]
+        assert all(1 <= c <= n for c in counts)
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        first_full = int(np.ceil(plan.e_all * plan.epochs))
+        assert all(c == n for c in counts[first_full:])
+
     def test_epoch_bounds(self):
         plan = PacePlan(0.6, 0.4, 5, 10)
         with pytest.raises(ValueError):

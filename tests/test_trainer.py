@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import RefOptimizer, ref_train
+from pcbls import models
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
 from pcbls.models import ModelSpec, init_params
 from pcbls.pacing import PacePlan, build_bank_multiclass
@@ -10,6 +11,7 @@ from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
     METRIC_COLUMNS,
     NonFiniteLoss,
+    NonFiniteParameters,
     TrainConfig,
     _Optimizer,
     preset,
@@ -66,6 +68,21 @@ class TestValidation:
             train(_config(lr=1e300), tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert (info.value.epoch, info.value.batch) == (0, 2)
 
+    def test_non_finite_parameters_after_finite_losses_stop_naming_the_epoch(self, monkeypatch):
+        # a step that writes NaN into the gradient but reports a finite loss
+        real_step = models.loss_and_grad_into
+
+        def nan_gradient_step(spec, tensors, grads, *args):
+            real_step(spec, tensors, grads, *args)
+            grads[0][0, 0] = np.nan
+            return 0.5
+
+        monkeypatch.setattr(models, "loss_and_grad_into", nan_gradient_step)
+        tr, va = _blob_setup()
+        with pytest.raises(NonFiniteParameters, match="after epoch 0 ") as info:
+            train(_config(), tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        assert info.value.epoch == 0
+
     def test_empty_data_rejected(self):
         cfg = _config()
         with pytest.raises(ValueError):
@@ -80,6 +97,21 @@ class TestDeterminism:
         r2 = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert r1.params.tobytes() == r2.params.tobytes()
         assert records_to_csv("multiclass", r1.records) == records_to_csv("multiclass", r2.records)
+
+    def test_runs_leak_no_state_into_each_other(self):
+        # another run in between, with other shapes, optimizer, pacing and
+        # batch size, leaves the first run's bytes as they were
+        tr, va = _blob_setup()
+        cfg = _config(batch_size=24, uls_schedule=exponential(0.5, 0.9))
+        first = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=len(tr)), tr.targets)
+        other = _config(
+            model=ModelSpec("linear_softmax", (8, 4)), batch_size=7, optimizer="adam", pace=PacePlan(0.6, 0.4, 4, len(tr))
+        )
+        train(other, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
+        again = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        assert again.params.tobytes() == first.params.tobytes()
+        assert records_to_csv("multiclass", again.records) == records_to_csv("multiclass", first.records)
 
     def test_seed_changes_trajectory(self):
         tr, va = _blob_setup()
@@ -172,6 +204,12 @@ class TestInstrumentation:
             assert np.count_nonzero([contrib[i] for i in active]) > 0.9 * len(active)
 
 
+def _vector_data(task):
+    if task == "multiclass":
+        return _blob_setup()
+    return gen_multilabel(4, 100, dim=8, seed=1, split="train"), gen_multilabel(4, 20, dim=8, seed=1, split="val")
+
+
 def _assert_matches_reference(cfg, tr, va, num_classes, **kw):
     result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, num_classes, **kw)
     params, train_losses, contributions = ref_train(cfg, tr.inputs, tr.targets, num_classes, **kw)
@@ -239,6 +277,33 @@ class TestMatchesReferenceLoop:
             granularity="pixel",
         )
         _assert_matches_reference(cfg, tr, va, 3, pixel_bank=pixel_bank)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+    @pytest.mark.parametrize("arch", ["linear_softmax", "mlp"])
+    def test_vector_models_under_each_loss_and_optimizer(self, arch, task, optimizer):
+        # soft_ce for multiclass, soft_bce for multilabel; 100 samples in
+        # batches of 24 leave a short last batch of 4
+        tr, va = _vector_data(task)
+        dims = (8, 4) if arch == "linear_softmax" else (8, 12, 4)
+        cfg = TrainConfig(
+            task=task,
+            model=ModelSpec(arch, dims),
+            epochs=3,
+            batch_size=24,
+            optimizer=optimizer,
+            lr=1e-2,
+            seed=5,
+            uls_schedule=exponential(0.5, 0.9),
+        )
+        _assert_matches_reference(cfg, tr, va, 4)
+
+    @pytest.mark.parametrize("batch_size", [24, 99, 100, 128])
+    def test_batch_sizes_around_the_training_set_size(self, batch_size):
+        # a short last batch of 4 or 1, one full batch, one batch smaller
+        # than the batch size
+        tr, va = _blob_setup()
+        _assert_matches_reference(_config(batch_size=batch_size, epochs=2), tr, va, 4)
 
     def test_instrumented_epochs(self):
         cfg, tr, va, bank = self._paced_blobs(epochs=2)
