@@ -39,57 +39,142 @@ class ConfigError(Exception):
 # config resolution
 
 
-_DATA_DEFAULTS = {
-    "blobs": {"classes": 8, "per_class": 125, "per_class_val": 40, "dim": 16, "spread": 0.06, "label_noise": 0.2},
-    "multilabel": {"labels": 8, "n": 600, "n_val": 250, "dim": 16},
-    "shapes": {"height": 24, "width": 24, "foreground": 3, "n": 60, "n_val": 20},
+# Every config key, declared once as key -> (type, default). A type is float
+# (any number), int (an integer, or a float that is integral), str, [t, t]
+# (a JSON list of two t) or a nested table (a JSON object with its own keys).
+# A key whose default is None may be null. _REQUIRED marks a key that has no
+# default. A _DERIVED key is recomputed by every run from the data, so a
+# value given for it (as a replayed resolved_config.json gives) is dropped.
+_REQUIRED = object()
+_DERIVED = object()
+
+_SCHEDULE = {
+    "kind": (str, _REQUIRED),
+    "init": (float, 0.0),
+    "rate": (float, 0.0),
+    "floor": (float, 0.0),
+    "cap": (float, 0.5),
+    "range": ([float, float], [0.0, 0.5]),
+    "seed": (int, 0),
 }
+
+_PACE = {"lambda": (float, _REQUIRED), "e_all": (float, 0.4), "epochs": (_DERIVED, None), "n": (_DERIVED, None)}
+
+# the fields of each dataset besides its name, by data.name
+_DATA = {
+    "blobs": {
+        "classes": (int, 8), "per_class": (int, 125), "per_class_val": (int, 40), "dim": (int, 16),
+        "spread": (float, 0.06), "label_noise": (float, 0.2),
+    },
+    "multilabel": {"labels": (int, 8), "n": (int, 600), "n_val": (int, 250), "dim": (int, 16)},
+    "shapes": {"height": (int, 24), "width": (int, 24), "foreground": (int, 3), "n": (int, 60), "n_val": (int, 20)},
+    "cifar10": {"path": (str, _REQUIRED), "val_fraction": (float, 0.1)},
+    "dir": {"path": (str, _REQUIRED), "val_fraction": (float, 0.2)},
+}
+
+_CONFIG = {
+    "task": (str, "multiclass"),
+    "arch": (str, None),
+    "hidden": (int, 32),
+    "channels": ([int, int], [8, 8]),
+    "epochs": (int, 20),
+    "batch_size": (int, 32),
+    "optimizer": (str, "sgd"),
+    "lr": (float, 5e-3),
+    "momentum": (float, 0.9),
+    "weight_decay": (float, 5e-3),
+    "lr_decay_factor": (float, 0.1),
+    "schedule": (_SCHEDULE, None),
+    "svls_schedule": (_SCHEDULE, None),
+    "svls_kernel": (int, 3),
+    "pace": (_PACE, None),
+    "bank": (str, None),
+    "granularity": (str, "sample"),
+    "data": (_DATA, {"name": "blobs"}),
+    "seed": (int, 0),
+    "model_dims": (_DERIVED, None),
+}
+
+_TYPE_NAMES = {float: "number", int: "integer", str: "string"}
 
 _DEFAULT_ARCH = {"multiclass": "mlp", "multilabel": "mlp", "segmentation": "tiny_fcn"}
 
 
-def resolve_config(args) -> dict:
-    """preset defaults < config file < CLI flags, flattened to one dict."""
-    cfg: dict = {
-        "task": "multiclass",
-        "arch": None,
-        "hidden": 32,
-        "channels": [8, 8],
-        "epochs": 20,
-        "batch_size": 32,
-        "optimizer": "sgd",
-        "lr": 5e-3,
-        "momentum": 0.9,
-        "weight_decay": 5e-3,
-        "lr_decay_factor": 0.1,
-        "schedule": None,
-        "svls_schedule": None,
-        "svls_kernel": 3,
-        "pace": None,
-        "bank": None,
-        "granularity": "sample",
-        "data": {"name": "blobs"},
-        "seed": 0,
+def _defaults(table: dict) -> dict:
+    """The keys of ``table`` that have a default, each at its own copy."""
+    return {
+        key: default.copy() if isinstance(default, (list, dict)) else default
+        for key, (kind, default) in table.items()
+        if kind is not _DERIVED and default is not _REQUIRED
     }
-    # a config file may set these, plus the model dims that a written
-    # resolved_config.json carries (derived from the data, so ignored)
-    known = (*cfg, "model_dims")
+
+
+def _typed(value, kind, path: str):
+    """``value`` as a ``kind`` of the table. Booleans are refused by name (a
+    JSON true is a Python int), and an int is taken from an integral float."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise ConfigError(f"{path} must be a list of two {_TYPE_NAMES[kind[0]]}s, got {value!r}")
+        return [_typed(v, k, path) for v, k in zip(value, kind)]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{path} must be {'an' if kind is int else 'a'} {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") -> None:
+    """Merge one layer of settings (a preset, a config file, the flags) into
+    ``into`` through ``table``. A key unknown at any depth is refused by its
+    dotted path, and each value is coerced to its declared type. A JSON
+    object replaces the one below it, filled with its table's defaults;
+    ``data`` is updated instead when it names the same dataset, and its
+    fields are checked once all layers are in (see resolve_config)."""
+    for key, value in layer.items():
+        if key not in table:
+            near = difflib.get_close_matches(key, table, n=1)
+            hint = f" (did you mean {path + near[0]!r}?)" if near else ""
+            raise ConfigError(f"{source}: unknown config key {path + key!r}{hint}")
+        kind, default = table[key]
+        if kind is _DERIVED:
+            continue
+        if value is None and default is None:
+            into[key] = None
+        elif not isinstance(kind, dict):
+            into[key] = _typed(value, kind, path + key)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"{source}: {path + key!r} must be a JSON object, got {value!r}")
+        elif kind is _DATA:
+            below = into[key]
+            same = value.get("name", below["name"]) == below["name"]
+            into[key] = {**below, **value} if same else {"name": value["name"], **value}
+        else:
+            into[key] = _defaults(kind)
+            _merge(into[key], value, kind, source, f"{path}{key}.")
+    for key, (kind, default) in table.items():
+        if default is _REQUIRED and key not in into:
+            _typed(None, kind, path + key)
+
+
+def resolve_config(args) -> dict:
+    """preset < config file < CLI flags, each layer merged through _CONFIG,
+    into one dict that holds every top-level key with a value of its type."""
+    cfg = _defaults(_CONFIG)
+    preset_pace = None
     if getattr(args, "preset", None):
         try:
             fragment = trainer.preset(args.preset)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        layer, preset_pace = {}, {}
         for key, value in fragment.items():
-            if key == "uls_schedule":
-                cfg["schedule"] = value.to_dict()
-            elif key == "svls_schedule":
-                cfg["svls_schedule"] = value.to_dict()
-            elif key == "pace_lambda":
-                cfg.setdefault("preset_pace", {})["lambda"] = value
-            elif key == "pace_e_all":
-                cfg.setdefault("preset_pace", {})["e_all"] = value
+            if key.startswith("pace_"):  # pace_lambda, pace_e_all: applied by --pace
+                preset_pace[key.removeprefix("pace_")] = value
+            elif key.endswith("_schedule"):
+                layer["schedule" if key == "uls_schedule" else key] = value.to_dict()
             else:
-                cfg[key] = value
+                layer[key] = value
+        _merge(cfg, layer, _CONFIG, f"preset {args.preset!r}")
     if getattr(args, "config", None):
         try:
             file_cfg = fileio.load_json(args.config)
@@ -97,66 +182,50 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        for key, value in file_cfg.items():
-            if key not in known:
-                near = difflib.get_close_matches(key, known, n=1)
-                hint = f" (did you mean {near[0]!r}?)" if near else ""
-                raise ConfigError(f"{args.config}: unknown config key {key!r}{hint}")
-            if key == "data":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{args.config}: 'data' must be a JSON object, got {value!r}")
-                cfg["data"].update(value)
-            else:
-                cfg[key] = value
-    for flag in ("epochs", "batch_size", "seed", "bank", "granularity", "arch"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = value
+        _merge(cfg, file_cfg, _CONFIG, args.config)
+    flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "granularity", "arch")}
     if getattr(args, "data", None):
-        data = _parse_data_spec(args.data)
-        if data["name"] == cfg["data"].get("name"):
-            cfg["data"].update(data)
-        else:
-            cfg["data"] = data
-    if getattr(args, "pace_lambda", None) is not None:
-        cfg["pace"] = {"lambda": args.pace_lambda, "e_all": getattr(args, "pace_e_all", None) or 0.4}
-    elif getattr(args, "pace", False) and cfg.get("pace") is None:
-        if not cfg.get("preset_pace"):
+        flags["data"] = _parse_data_spec(args.data)
+    pace, lam, e_all = cfg["pace"], getattr(args, "pace_lambda", None), getattr(args, "pace_e_all", None)
+    if lam is not None:
+        pace = {**(pace or {}), "lambda": lam}
+    elif getattr(args, "pace", False) and pace is None:
+        if not preset_pace:
             raise ConfigError("--pace needs a preset that defines a pace plan, or --pace-lambda")
-        cfg["pace"] = cfg["preset_pace"]
-    cfg.pop("preset_pace", None)
-    cfg["seed"] = _integer(cfg["seed"], "seed")
+        pace = preset_pace
+    if e_all is not None:
+        if pace is None:
+            raise ConfigError(
+                "--pace-e-all needs a pace plan: --pace with a preset that defines one, --pace-lambda or a config 'pace'"
+            )
+        pace = {**pace, "e_all": e_all}
+    flags["pace"] = pace
+    _merge(cfg, {key: value for key, value in flags.items() if value is not None}, _CONFIG, "flags")
+    # the data fields are checked against the dataset named last: a --data of
+    # another dataset replaces the config file's fields
+    data = cfg["data"]
+    name = _typed(data["name"], str, "data.name")
+    if name not in _DATA:
+        raise ConfigError(f"unknown data source {name!r}")
+    cfg["data"] = {}
+    _merge(cfg["data"], data, {"name": (str, _REQUIRED), **_DATA[name]}, getattr(args, "config", None), "data.")
     return cfg
 
 
 def _parse_data_spec(spec: str) -> dict:
-    if ":" in spec:
-        name, arg = spec.split(":", 1)
-        if name == "cifar10":
-            return {"name": "cifar10", "path": arg}
-        if name == "dir":
-            return {"name": "dir", "path": arg}
-        raise ConfigError(f"unknown data spec {spec!r}")
-    if spec not in _DATA_DEFAULTS:
+    """--data NAME for a generated dataset, NAME:PATH for one read from files."""
+    name, colon, path = spec.partition(":")
+    if name not in _DATA or bool(colon) != ("path" in _DATA[name]):
         raise ConfigError(f"unknown data spec {spec!r} (try blobs, multilabel, shapes, cifar10:<path>, dir:<path>)")
-    return {"name": spec}
+    return {"name": name, "path": path} if colon else {"name": name}
 
 
 def resolve_dataset(cfg: dict):
+    """The (train, val) datasets of a resolved config; a data field that it
+    does not give takes its _DATA default."""
     name = cfg["data"]["name"]
-    if not isinstance(name, str):
-        raise ConfigError(f"data.name must be a string, got {name!r}")
-    data = dict(_DATA_DEFAULTS.get(name, {}))
-    data.update(cfg["data"])
-    # a generated dataset's field takes the type of its default: a count or a number
-    for key, default in _DATA_DEFAULTS.get(name, {}).items():
-        data[key] = (_integer if isinstance(default, int) else _number)(data[key], f"data.{key}")
-    if name in ("cifar10", "dir"):
-        if not isinstance(data.get("path"), str):
-            raise ConfigError(f"data.path must be a string, got {data.get('path')!r}")
-        if "val_fraction" in data:
-            data["val_fraction"] = _number(data["val_fraction"], "data.val_fraction")
-    data_seed = derive_seed(int(cfg["seed"]), "data")
+    data = {**_defaults(_DATA[name]), **cfg["data"]}
+    data_seed = derive_seed(cfg["seed"], "data")
     if name == "blobs":
         train_ds = datasets.gen_blobs(
             data["classes"], data["per_class"], data["dim"], data["spread"],
@@ -184,14 +253,12 @@ def resolve_dataset(cfg: dict):
             ds = datasets.load_cifar10(data["path"])
         except (OSError, FormatError) as e:
             raise ConfigError(f"cannot load CIFAR-10 from {data['path']}: {e}") from e
-        return datasets.split_dataset(ds, data.get("val_fraction", 0.1), derive_seed(int(cfg["seed"]), "split"))
-    if name == "dir":
+    else:
         try:
             ds = datasets.load_image_dataset(data["path"])
         except (OSError, FormatError) as e:
             raise ConfigError(f"cannot load dataset dir {data['path']}: {e}") from e
-        return datasets.split_dataset(ds, data.get("val_fraction", 0.2), derive_seed(int(cfg["seed"]), "split"))
-    raise ConfigError(f"unknown data source {name!r}")
+    return datasets.split_dataset(ds, data["val_fraction"], derive_seed(cfg["seed"], "split"))
 
 
 def _features(arch: str, inputs: np.ndarray) -> np.ndarray:
@@ -202,67 +269,37 @@ def _features(arch: str, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _number(value, key: str) -> float:
-    """A numeric config value; strings, null, lists, objects and booleans
-    (a JSON true is a Python int) are refused by key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, key: str) -> int:
-    """An integer config value; a float is taken only when it is integral."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def build_train_config(cfg: dict, train_ds) -> TrainConfig:
     task = cfg["task"]
     arch = cfg["arch"] or _DEFAULT_ARCH[task]
     inputs = _features(arch, train_ds.inputs)
-    channels = cfg["channels"]
-    if not isinstance(channels, list) or len(channels) != 2:
-        raise ConfigError(f"channels must be a list of two integers, got {channels!r}")
-    c1, c2 = (_integer(c, "channels") for c in channels)
-    hidden = _integer(cfg["hidden"], "hidden")
-    epochs = _integer(cfg["epochs"], "epochs")
     if arch == "tiny_fcn":
-        spec = models.ModelSpec("tiny_fcn", (train_ds.inputs.shape[3], c1, c2, train_ds.num_classes))
+        spec = models.ModelSpec("tiny_fcn", (train_ds.inputs.shape[3], *cfg["channels"], train_ds.num_classes))
     elif arch == "mlp":
-        spec = models.ModelSpec("mlp", (inputs.shape[1], hidden, train_ds.num_classes))
+        spec = models.ModelSpec("mlp", (inputs.shape[1], cfg["hidden"], train_ds.num_classes))
     elif arch == "linear_softmax":
         spec = models.ModelSpec("linear_softmax", (inputs.shape[1], train_ds.num_classes))
     else:
         raise ConfigError(f"unknown architecture {arch!r}")
     pace = None
-    if cfg.get("pace"):
-        if not isinstance(cfg["pace"], dict):
-            raise ConfigError(f"'pace' must be a JSON object, got {cfg['pace']!r}")
+    if cfg["pace"] is not None:
         n = train_ds.targets.size if cfg["granularity"] == "pixel" else len(train_ds)
-        pace = PacePlan(
-            lam=_number(cfg["pace"].get("lambda"), "pace.lambda"),
-            e_all=_number(cfg["pace"].get("e_all", 0.4), "pace.e_all"),
-            epochs=epochs,
-            n=n,
-        )
+        pace = PacePlan(lam=cfg["pace"]["lambda"], e_all=cfg["pace"]["e_all"], epochs=cfg["epochs"], n=n)
     try:
         return TrainConfig(
             task=task,
             model=spec,
-            epochs=epochs,
-            batch_size=_integer(cfg["batch_size"], "batch_size"),
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
             optimizer=cfg["optimizer"],
-            lr=_number(cfg["lr"], "lr"),
-            momentum=_number(cfg["momentum"], "momentum"),
-            weight_decay=_number(cfg["weight_decay"], "weight_decay"),
-            lr_decay_factor=_number(cfg["lr_decay_factor"], "lr_decay_factor"),
-            seed=int(cfg["seed"]),
+            lr=cfg["lr"],
+            momentum=cfg["momentum"],
+            weight_decay=cfg["weight_decay"],
+            lr_decay_factor=cfg["lr_decay_factor"],
+            seed=cfg["seed"],
             uls_schedule=_schedule(cfg, "schedule"),
             svls_schedule=_schedule(cfg, "svls_schedule"),
-            svls_kernel=_integer(cfg.get("svls_kernel", 3), "svls_kernel"),
+            svls_kernel=cfg["svls_kernel"],
             pace=pace,
             granularity=cfg["granularity"],
         )
@@ -271,16 +308,12 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
 
 
 def _schedule(cfg: dict, key: str) -> SmoothingSchedule | None:
-    """The schedule under ``key``, with any problem in it named by that key."""
-    if not cfg.get(key):
+    """The schedule under ``key``, with a value it refuses named by that key."""
+    if cfg[key] is None:
         return None
-    if not isinstance(cfg[key], dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {cfg[key]!r}")
     try:
         return SmoothingSchedule.from_dict(cfg[key])
-    except KeyError as e:
-        raise ConfigError(f"{key}: missing {e}") from e
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"{key}: {e}") from e
 
 
@@ -304,8 +337,13 @@ def cmd_train(args) -> int:
     cfg["task"] = train_ds.task
     tc = build_train_config(cfg, train_ds)
     bank = pixel_bank = None
+    if tc.pace is None and cfg["bank"] is not None:
+        raise ConfigError(
+            f"bank {cfg['bank']} is given but no pace plan is active: "
+            "add --pace with a preset that defines one, --pace-lambda or a config 'pace'"
+        )
     if tc.pace is not None:
-        if cfg.get("bank") is None:
+        if cfg["bank"] is None:
             raise ConfigError("pacing is enabled but no --bank was given")
         bank_path = Path(cfg["bank"])
         if not bank_path.exists():
@@ -377,7 +415,7 @@ def cmd_bank(args) -> int:
 
 
 def _eval_config(task: str, spec, cfg: dict) -> TrainConfig:
-    return TrainConfig(task=task, model=spec, epochs=1, seed=int(cfg.get("seed", 0)))
+    return TrainConfig(task=task, model=spec, epochs=1, seed=cfg["seed"])
 
 
 def _check_model_matches(spec, task: str, inputs: np.ndarray, num_classes: int) -> None:
@@ -423,7 +461,7 @@ def cmd_corrupt(args) -> int:
     out_dir = Path(args.out or "corrupted")
     # vector datasets corrupt as one-row grayscale images
     images = [v if v.ndim >= 2 else v[None, :] for v in (val_ds.inputs[i] for i in range(len(val_ds)))]
-    rows = corruption.corrupt_dataset(images, kinds, severities, derive_seed(int(cfg["seed"]), "corruption"), out_dir)
+    rows = corruption.corrupt_dataset(images, kinds, severities, derive_seed(cfg["seed"], "corruption"), out_dir)
     fileio.save_csv(
         out_dir / "labels.csv", ["id", "label"],
         [[i, int(val_ds.targets[i])] for i in range(len(val_ds))] if val_ds.task == "multiclass" else [],
@@ -637,8 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=list(models.ARCHITECTURES))
     p.add_argument("--bank", help="sample-bank CSV (or pixel-bank directory)")
     p.add_argument("--pace", action="store_true", help="enable the preset's pace plan")
-    p.add_argument("--pace-lambda", dest="pace_lambda", type=float)
-    p.add_argument("--pace-e-all", dest="pace_e_all", type=float)
+    p.add_argument("--pace-lambda", dest="pace_lambda", type=float, help="initial active fraction of a pace plan")
+    p.add_argument("--pace-e-all", dest="pace_e_all", type=float, help="epoch fraction of the active pace plan")
     p.add_argument("--granularity", choices=["sample", "pixel"])
 
     p = sub.add_parser("bank", help="score a training set with a frozen checkpoint")

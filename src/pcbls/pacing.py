@@ -47,15 +47,6 @@ class PacePlan:
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "e_all": self.e_all, "epochs": self.epochs, "n": self.n}
 
-    @classmethod
-    def from_dict(cls, d: dict, epochs: int | None = None, n: int | None = None) -> "PacePlan":
-        return cls(
-            lam=float(d["lambda"]),
-            e_all=float(d.get("e_all", 0.4)),
-            epochs=int(d["epochs"] if epochs is None else epochs),
-            n=int(d["n"] if n is None else n),
-        )
-
 
 def active_count(plan: PacePlan, epoch: int) -> int:
     """Number of easiest entries trained on at ``epoch``.

@@ -51,6 +51,34 @@ WRONG_TYPES = [
     ({"data": {"name": "shapes", "n": 2.5}}, "data.n must be an integer, got 2.5"),
     ({"data": {"name": "cifar10"}}, "data.path must be a string, got None"),
     ({"data": {"name": ["blobs"]}}, "data.name must be a string, got ['blobs']"),
+    ({"schedule": {"kind": "constant", "init": "0.3"}}, "schedule.init must be a number, got '0.3'"),
+    ({"svls_schedule": {"kind": "exponential", "init": 0.5, "rate": True}}, "svls_schedule.rate must be a number, got True"),
+    ({"pace": {"lambda": 0.5, "e_all": "x"}}, "pace.e_all must be a number, got 'x'"),
+    ({"data": {"name": "cifar10", "path": "b.bin", "val_fraction": "x"}}, "data.val_fraction must be a number, got 'x'"),
+]
+
+# a misspelt config key at any depth, by its dotted path, and the key it is close to
+UNKNOWN_KEYS = [
+    ({"epoch": 3}, "epoch", "epochs"),
+    ({"data": {"name": "blobs", "clases": 3}}, "data.clases", "data.classes"),
+    ({"schedule": {"kind": "linear", "init": 0.5, "rate": 0.1, "flor": 0.2}}, "schedule.flor", "schedule.floor"),
+    ({"svls_schedule": {"kind": "exponential", "init": 0.5, "rat": 0.5}}, "svls_schedule.rat", "svls_schedule.rate"),
+    ({"pace": {"lambda": 0.5, "e_al": 0.2}}, "pace.e_al", "pace.e_all"),
+]
+
+_SHAPES = {"name": "shapes", "height": 16, "width": 16, "foreground": 2, "n": 8, "n_val": 4}
+
+# every preset on a dataset of its task; a paced run (sample or pixel bank)
+# also replays its pace plan's derived epochs and n
+REPLAYS = [
+    ("workflow_cls", {}, None),
+    ("workflow_cls", {}, "sample"),
+    ("tool_cls", {"data": {"name": "multilabel", "labels": 3, "n": 40, "n_val": 20, "dim": 6}}, None),
+    ("segmentation", {"data": _SHAPES, "channels": [4, 4]}, "pixel"),
+    ("anti", {}, None),
+    ("random", {}, None),
+    ("linear", {}, None),
+    ("ls", {}, None),
 ]
 
 
@@ -100,13 +128,26 @@ class TestTrain:
         assert run(["train", "--data", "nonsense", "--seed", 1, "--out", tmp_path / "r"]) == 2
 
     def test_resolved_config_replays_run(self, tmp_path):
-        cfg = _write_small_config(tmp_path)
-        first = tmp_path / "first"
-        assert run(["train", "--config", cfg, "--preset", "workflow_cls", "--seed", 9, "--out", first]) == 0
-        replay = tmp_path / "replay"
-        assert run(["train", "--config", first / "resolved_config.json", "--out", replay]) == 0
-        assert (first / "metrics.csv").read_bytes() == (replay / "metrics.csv").read_bytes()
-        assert (first / "checkpoint.pckpt").read_bytes() == (replay / "checkpoint.pckpt").read_bytes()
+        for preset, extra, bank in REPLAYS:
+            case = tmp_path / (preset + (f"+{bank}_bank" if bank else ""))
+            case.mkdir()
+            cfg = _write_small_config(case, **extra)
+            flags = ["--preset", preset]
+            if bank:
+                base, bank_path = case / "base", case / "bank"
+                assert run(["train", "--config", cfg, "--seed", 9, "--out", base]) == 0
+                assert run(
+                    ["bank", "--config", cfg, "--seed", 9, "--checkpoint", base / "checkpoint.pckpt",
+                     "--granularity", bank, "--out", bank_path]
+                ) == 0
+                flags += ["--pace", "--bank", bank_path]
+            first, replay = case / "first", case / "replay"
+            assert run(["train", "--config", cfg, *flags, "--seed", 9, "--out", first]) == 0, case.name
+            pace = json.loads((first / "resolved_config.json").read_text())["pace"]
+            assert (pace is not None) == bool(bank), case.name
+            assert run(["train", "--config", first / "resolved_config.json", "--out", replay]) == 0, case.name
+            assert (first / "metrics.csv").read_bytes() == (replay / "metrics.csv").read_bytes(), case.name
+            assert (first / "checkpoint.pckpt").read_bytes() == (replay / "checkpoint.pckpt").read_bytes(), case.name
 
     def test_data_flag_naming_the_config_dataset_keeps_its_fields(self, tmp_path):
         cfg = _write_small_config(tmp_path)
@@ -118,11 +159,30 @@ class TestTrain:
         assert spec.dims == (6, 8, 3)
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
-        cfg = _write_small_config(tmp_path, epoch=3)
+        for extra, key, near in UNKNOWN_KEYS:
+            cfg = _write_small_config(tmp_path, **extra)
+            out = tmp_path / "r"
+            assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2, key
+            err = capsys.readouterr().err
+            assert f"unknown config key '{key}' (did you mean '{near}'?)" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, extra, message",
+        [
+            (["--preset", "workflow_cls", "--pace-e-all", 0.2], {}, "--pace-e-all needs a pace plan"),
+            (["--pace-e-all", 0.2], {}, "--pace-e-all needs a pace plan"),
+            (["--bank", "b.csv"], {}, "bank b.csv is given but no pace plan is active"),
+            (["--preset", "workflow_cls", "--bank", "b.csv"], {}, "bank b.csv is given but no pace plan is active"),
+            ([], {"bank": "b.csv"}, "bank b.csv is given but no pace plan is active"),
+        ],
+        ids=["preset_e_all", "e_all", "bank_flag", "preset_bank_flag", "config_bank"],
+    )
+    def test_pace_setting_without_a_pace_plan_is_config_error(self, tmp_path, capsys, flags, extra, message):
+        cfg = _write_small_config(tmp_path, **extra)
         out = tmp_path / "r"
-        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert "'epoch'" in err and "did you mean 'epochs'" in err
+        assert run(["train", "--config", cfg, *flags, "--seed", 1, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_data_is_config_error(self, tmp_path, capsys):
@@ -271,6 +331,22 @@ class TestBankCommand:
         ) == 0
         _, rows = load_csv(out / "metrics.csv")
         assert [int(r[1]) for r in rows] == [30, 50, 60]
+
+    def test_pace_e_all_applies_to_the_preset_plan(self, tmp_path):
+        # one config file, naming the bank, serves the bank, paced train and eval runs
+        _, ckpt = self._trained(tmp_path)
+        bank_path = tmp_path / "bank.csv"
+        cfg = _write_small_config(tmp_path, bank=str(bank_path))
+        assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--out", bank_path]) == 0
+        out = tmp_path / "paced"
+        assert run(
+            ["train", "--config", cfg, "--preset", "workflow_cls", "--pace", "--pace-e-all", 0.5,
+             "--seed", 1, "--out", out]
+        ) == 0
+        _, rows = load_csv(out / "metrics.csv")
+        assert [int(r[1]) for r in rows] == [36, 52, 60]  # lambda 0.6 of 60, all active from epoch 1.5
+        assert json.loads((out / "resolved_config.json").read_text())["pace"]["e_all"] == 0.5
+        assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--out", tmp_path / "e.csv"]) == 0
 
     def _paced_run_with_edited_bank(self, tmp_path, edit):
         cfg, ckpt = self._trained(tmp_path)
