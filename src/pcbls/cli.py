@@ -73,7 +73,7 @@ _DATA = {
 }
 
 _CONFIG = {
-    "task": (str, "multiclass"),
+    "task": (str, None),  # None: the dataset's task
     "arch": (str, None),
     "hidden": (int, 32),
     "channels": ([int, int], [8, 8]),
@@ -128,8 +128,8 @@ def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") ->
     ``into`` through ``table``. A key unknown at any depth is refused by its
     dotted path, and each value is coerced to its declared type. A JSON
     object replaces the one below it, filled with its table's defaults;
-    ``data`` is updated instead when it names the same dataset, and its
-    fields are checked once all layers are in (see resolve_config)."""
+    ``data`` is updated instead when it names the same dataset or none, and
+    its fields are checked once all layers are in (see resolve_config)."""
     for key, value in layer.items():
         if key not in table:
             near = difflib.get_close_matches(key, table, n=1)
@@ -158,8 +158,24 @@ def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") ->
 
 def resolve_config(args) -> dict:
     """preset < config file < CLI flags, each layer merged through _CONFIG,
-    into one dict that holds every top-level key with a value of its type."""
+    into one dict that holds every top-level key with a value of its type.
+
+    A ``data`` object that names no dataset sets fields of the dataset named
+    last, even when a later layer names another one; a later layer that
+    names its dataset wins where it sets the same field."""
     cfg = _defaults(_CONFIG)
+    nameless = {}  # data fields whose last layer named no dataset
+
+    def merge(layer: dict, source: str) -> None:
+        data = layer.get("data")
+        if isinstance(data, dict):
+            if "name" in data:
+                for key in data:
+                    nameless.pop(key, None)
+            else:
+                nameless.update(data)
+        _merge(cfg, layer, _CONFIG, source)
+
     preset_pace = None
     if getattr(args, "preset", None):
         try:
@@ -174,7 +190,7 @@ def resolve_config(args) -> dict:
                 layer["schedule" if key == "uls_schedule" else key] = value.to_dict()
             else:
                 layer[key] = value
-        _merge(cfg, layer, _CONFIG, f"preset {args.preset!r}")
+        merge(layer, f"preset {args.preset!r}")
     if getattr(args, "config", None):
         try:
             file_cfg = fileio.load_json(args.config)
@@ -182,7 +198,7 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-        _merge(cfg, file_cfg, _CONFIG, args.config)
+        merge(file_cfg, args.config)
     flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "granularity", "arch")}
     if getattr(args, "data", None):
         flags["data"] = _parse_data_spec(args.data)
@@ -200,10 +216,10 @@ def resolve_config(args) -> dict:
             )
         pace = {**pace, "e_all": e_all}
     flags["pace"] = pace
-    _merge(cfg, {key: value for key, value in flags.items() if value is not None}, _CONFIG, "flags")
+    merge({key: value for key, value in flags.items() if value is not None}, "flags")
     # the data fields are checked against the dataset named last: a --data of
-    # another dataset replaces the config file's fields
-    data = cfg["data"]
+    # another dataset replaces the fields given with a dataset name
+    data = {**cfg["data"], **nameless}
     name = _typed(data["name"], str, "data.name")
     if name not in _DATA:
         raise ConfigError(f"unknown data source {name!r}")
@@ -221,8 +237,19 @@ def _parse_data_spec(spec: str) -> dict:
 
 
 def resolve_dataset(cfg: dict):
-    """The (train, val) datasets of a resolved config; a data field that it
-    does not give takes its _DATA default."""
+    """The (train, val) datasets of a resolved config. A config ``task``
+    (None: the dataset's) that is not the dataset's task is refused."""
+    train_ds, val_ds = _datasets(cfg)
+    if cfg["task"] not in (None, train_ds.task):
+        raise ConfigError(
+            f"task {cfg['task']!r} does not match the {cfg['data']['name']} dataset, whose task is {train_ds.task!r}"
+        )
+    return train_ds, val_ds
+
+
+def _datasets(cfg: dict):
+    """The (train, val) datasets of cfg["data"]; a data field that it does
+    not give takes its _DATA default."""
     name = cfg["data"]["name"]
     data = {**_defaults(_DATA[name]), **cfg["data"]}
     data_seed = derive_seed(cfg["seed"], "data")

@@ -9,6 +9,16 @@ Every loss is a check of its inputs (``check``) followed by a core that
 only does the arithmetic. The public losses run both; a caller that has
 already checked a whole epoch of targets calls ``_value_and_grad`` on
 slices of it.
+
+The pixel loss takes its per-pixel max, softmax sum and target-weighted
+sum one class column at a time, K-1 elementwise calls over (N,H,W)
+arrays, because a reduction along the short last axis pays a per-pixel
+dispatch: a max over 4 classes of a 4x16x16 batch takes 46 us as a
+reduction, 8 us as columns, and an exp of the same values 5 us (2-vCPU
+VM, NumPy 2.4.6). NumPy adds a contiguous axis shorter than 8 in sequence, so for
+K <= 7 classes the column sums are byte-equal to ``sum(axis=-1)``; from 8
+classes on the reduction adds in pairwise blocks and the last bits may
+differ (at most 1e-18 on dlogits of magnitude 1e-3 at 8 to 16 classes).
 """
 
 from __future__ import annotations
@@ -120,13 +130,29 @@ def _masked_pixel_ce(logit_maps, target_maps, mask):
     count = mask.sum()
     if count == 0:
         return 0.0, np.zeros_like(logit_maps)
-    dlogits, logp = softmax_log_softmax(logit_maps)
-    per_pixel = -(target_maps * logp).sum(axis=-1)
+    # softmax and log_softmax over the short class axis, its max and sums
+    # taken one class column at a time (see the module docstring)
+    shifted = logit_maps - _columns(np.maximum, logit_maps)[..., None]
+    dlogits = np.exp(shifted)
+    total = _columns(np.add, dlogits)
+    dlogits /= total[..., None]
+    shifted -= np.log(total, out=total)[..., None]
+    shifted *= target_maps
+    per_pixel = np.negative(_columns(np.add, shifted))
     loss = float((per_pixel * mask).sum() / count)
     dlogits -= target_maps
     dlogits *= mask[..., None]
     dlogits /= count
     return loss, dlogits
+
+
+def _columns(ufunc, a):
+    """``ufunc`` folded over the last axis of ``a``, one elementwise call per
+    column in column order, into a new (...) array."""
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        ufunc(out, a[..., c], out=out)
+    return out
 
 
 def _soft_bce(logits, targets):

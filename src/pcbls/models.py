@@ -8,23 +8,39 @@ Three architectures over a flat float64 parameter vector:
                                          tanh between, linear last), no
                                          pooling, so spatial dims survive
 
-The convs run on the whole (N,H,W,C) batch at once: one GEMM per kernel
-tap over an edge-padded input. Each call first copies the weights into
-contiguous per-tap matrices ((k,k,Cin,Cout) for the forward, (k,k,Cout,Cin)
-for the input gradient), because a strided w[:, :, i, j] keeps NumPy off
-its BLAS path and costs about 3x per tap on 16x16 maps. The input gradient
-runs each tap as one 2-D GEMM on the flat (N*H*W,Cout) gradient. The
-forward keeps each conv's padded input (x, h1, h2, each padded as
-np.pad(mode="edge") would, by copying borders) in place of the plain
-activation, so the backward reads the same buffers and never pads.
+The convs run on the whole (N,H,W,C) batch at once, over contiguous tap
+matrices ((k,k,Cin,Cout) for the forward, (k,k,Cout,Cin) for the input
+gradient), because a strided w[:, :, i, j] keeps NumPy off its BLAS path
+and costs about 3x per tap on 16x16 maps. The forward runs one GEMM per
+kernel tap over an edge-padded input, and keeps each conv's padded input
+(x, h1, h2, each padded as np.pad(mode="edge") would, by copying borders)
+in place of the plain activation, so the backward reads the same buffers
+and never pads. The backward has two layouts:
 
-Bit domain: on maps at least two columns wide, with at most 15 channels
-per conv and at most 15 classes, the results are byte-equal to the
-strided per-tap products (the oracles in tests/conftest.py). On
-single-column maps, at 16 or more channels or classes, and in the input
-gradient of a conv with one input channel, BLAS takes another kernel and
-the last bits may differ (within 1e-15 of the largest magnitude). A run
-replays bit for bit from its seed either way.
+  weight gradient  the k*k tap windows of the padded input are copied once
+                   into one (k,k,N*H*W,Cin) stack, and one batched matmul
+                   of the (Cout,N*H*W) gradient with it writes all k*k
+                   (Cout,Cin) tap blocks of dw
+  input gradient   a correlation of the gradient zero-padded by k-1: on the
+                   flat rows of that padded grid each tap is one 2-D GEMM
+                   on a contiguous block shifted by whole rows and columns,
+                   added tap by tap in (i, j) order into one contiguous
+                   buffer; the pad rows and columns then fold onto the
+                   borders they replicate
+
+Each tap's dot products and the order of the sums over taps are those of
+per-tap loops; only the GEMM shapes that BLAS sees change.
+
+Bit domain: on maps of at least two rows and two columns, with at most 15
+channels per conv, at least two input channels on each conv whose input
+gradient is taken, and at most 7 classes, a training step is byte-equal
+to the strided per-tap products and the class-axis reductions of the
+oracles in tests/conftest.py. On single-row or single-column maps, at 16
+or more channels, and in the input gradient of a conv with one input
+channel, BLAS takes another kernel; at 8 or more classes the pixel loss
+sums in another order (see ``losses``). The last bits may then differ,
+within 1e-15 of the largest magnitude. A run replays bit for bit from its
+seed either way.
 
 backward() propagates a dL/dlogits array (produced by a loss in
 ``losses``) to the parameter gradient, writing every weight and bias
@@ -60,6 +76,7 @@ from itertools import accumulate
 from math import prod
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import losses
 from .seeding import rng_for
@@ -220,29 +237,48 @@ def _tanh_padded(a: np.ndarray, c: int) -> np.ndarray:
 
 def _conv_weight_grad(xp: np.ndarray, dout: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
     """Write the weight and bias gradients of _conv_forward(xp, w, b),
-    summed over N, into dw and db."""
-    _, h, wd, _ = dout.shape
-    cout, cin, k, _ = dw.shape
+    summed over N, into dw and db: the k*k tap windows of xp are copied
+    once into one contiguous (k,k,N*H*W,Cin) stack, and one batched GEMM
+    against the flat (N*H*W,Cout) gradient gives every tap's (Cout,Cin)
+    block."""
+    n, h, wd, cout = dout.shape
+    _, cin, k, _ = dw.shape
+    s0, s1, s2, s3 = xp.strides
+    windows = as_strided(xp, (k, k, n, h, wd, cin), (s1, s2, s0, s1, s2, s3), writeable=False)
+    patches = np.ascontiguousarray(windows).reshape(k, k, n * h * wd, cin)
     flat = dout.reshape(-1, cout)
-    for i in range(k):
-        for j in range(k):
-            dw[:, :, i, j] = flat.T @ xp[:, i : i + h, j : j + wd].reshape(-1, cin)
-    flat.sum(axis=0, out=db)
+    np.matmul(flat.T, patches, out=dw.transpose(2, 3, 0, 1))
+    np.add.reduce(flat, axis=0, out=db)
 
 
 def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """Gradient of _conv_forward with respect to the unpadded input: one
-    GEMM per tap on the flat (N*H*W,Cout) gradient and the contiguous
-    (Cout,Cin) tap matrix, added into the padded window of that tap."""
+    """Gradient of _conv_forward with respect to the unpadded input.
+
+    The gradient of the padded input is a correlation of dout, zero-padded
+    by k-1 on each side, with the flipped taps. On the flat rows of that
+    zero-padded grid, tap (i, j) reads a contiguous block shifted by
+    (k-1-i) rows and (k-1-j) columns, so each tap is one 2-D GEMM on the
+    contiguous (Cout,Cin) tap matrix, added in (i, j) order into one
+    contiguous buffer. The last k-1 rows and columns of each map in that
+    buffer lie outside the padded input and are never read.
+    """
     n, h, wd, cout = dout.shape
     _, cin, k, _ = w.shape
-    c = k // 2
+    c, p = k // 2, k - 1
+    hp, wp = h + 2 * p, wd + 2 * p
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    flat = dout.reshape(-1, cout)
-    dxp = np.zeros((n, h + 2 * c, wd + 2 * c, cin))
+    padded = np.zeros((n, hp, wp, cout))
+    padded[:, p : p + h, p : p + wd] = dout
+    flat = padded.reshape(-1, cout)
+    rows = len(flat) - (p * wp + p)  # the largest shift still reads inside flat
+    grid = np.zeros((n * hp * wp, cin))
+    acc, product = grid[:rows], np.empty((rows, cin))
     for i in range(k):
         for j in range(k):
-            dxp[:, i : i + h, j : j + wd] += (flat @ taps[i, j]).reshape(n, h, wd, cin)
+            shift = (p - i) * wp + (p - j)
+            np.matmul(flat[shift : shift + rows], taps[i, j], out=product)
+            acc += product
+    dxp = grid.reshape(n, hp, wp, cin)[:, : h + 2 * c, : wd + 2 * c]
     # each pad row/column replicates a border one, so its gradient lands there
     dxp[:, c] += dxp[:, :c].sum(axis=1)
     dxp[:, c + h - 1] += dxp[:, c + h :].sum(axis=1)
@@ -335,10 +371,16 @@ def backward(
     _, h, wd, _ = dlogits.shape
     h1 = h1p[:, _PAD : _PAD + h, _PAD : _PAD + wd]
     h2 = h2p[:, _PAD : _PAD + h, _PAD : _PAD + wd]
+    # each tanh derivative 1 - h*h is built in one temporary, which then
+    # takes the input gradient's product (the same bits as dx * (1 - h*h))
     _conv_weight_grad(h2p, dlogits, dw3, db3)
-    da2 = _conv_input_grad(w3, dlogits) * (1.0 - h2 * h2)
+    da2 = h2 * h2
+    np.subtract(1.0, da2, out=da2)
+    da2 *= _conv_input_grad(w3, dlogits)
     _conv_weight_grad(h1p, da2, dw2, db2)
-    da1 = _conv_input_grad(w2, da2) * (1.0 - h1 * h1)
+    da1 = h1 * h1
+    np.subtract(1.0, da1, out=da1)
+    da1 *= _conv_input_grad(w2, da2)
     # the input gradient of the first conv is never used
     _conv_weight_grad(xp, da1, dw1, db1)
 

@@ -185,6 +185,40 @@ class TestTrain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, extra, message",
+        [
+            (["--preset", "tool_cls"], {}, "task 'multilabel' does not match the blobs dataset, whose task is 'multiclass'"),
+            ([], {"task": "segmentation"}, "task 'segmentation' does not match the blobs dataset, whose task is 'multiclass'"),
+            (["--preset", "workflow_cls", "--data", "shapes"], {},
+             "task 'multiclass' does not match the shapes dataset, whose task is 'segmentation'"),
+        ],
+        ids=["preset", "config", "data_flag"],
+    )
+    def test_task_the_dataset_contradicts_is_config_error(self, tmp_path, capsys, flags, extra, message):
+        cfg = _write_small_config(tmp_path, **extra)
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, *flags, "--seed", 1, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_task_no_layer_sets_is_the_datasets(self, tmp_path):
+        data = {"name": "multilabel", "labels": 3, "n": 40, "n_val": 20, "dim": 6}
+        cfg = _write_small_config(tmp_path, data=data)
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["task"] == "multilabel"
+        assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", out / "checkpoint.pckpt",
+                    "--out", tmp_path / "bank.csv"]) == 0
+
+    def test_nameless_data_field_unknown_to_the_named_dataset_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "data": {"val_fraction": 0.5}}))
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--data", "shapes", "--seed", 1, "--out", out]) == 2
+        assert f"error: {cfg}: unknown config key 'data.val_fraction'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_data_is_config_error(self, tmp_path, capsys):
         cfg = _write_small_config(tmp_path, data="shapes")
         out = tmp_path / "r"
@@ -265,8 +299,13 @@ class TestTrain:
         cfg.write_text(json.dumps({"epochs": 2, "hidden": 4, "data": {"val_fraction": 0.2}}))
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--data", f"cifar10:{bin_path}", "--seed", 1, "--out", out]) == 0
-        _, rows = load_csv(out / "metrics.csv")
+        header, rows = load_csv(out / "metrics.csv")
         assert len(rows) == 2
+        # the config's nameless 0.2 split holds for the dataset --data names:
+        # 6 of the 30 records go to validation, 24 train in each epoch
+        assert [r[header.index("active_count")] for r in rows] == ["24", "24"]
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["data"] == {"name": "cifar10", "path": str(bin_path), "val_fraction": 0.2}
         spec, _, _ = load_checkpoint(out / "checkpoint.pckpt")
         assert spec.dims == (3072, 4, 10)
 

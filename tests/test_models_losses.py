@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from pcbls.losses import masked_pixel_ce, soft_bce, soft_ce
-from pcbls import models
+from pcbls import losses, models
 from pcbls.models import ModelSpec, forward, init_params, loss, loss_and_grad, pack, unpack
 from pcbls.numerics import softmax
 from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
 
 from conftest import (
+    _ref_loss,
     fd_gradient,
     grad_rel_error,
     ref_backward,
@@ -207,6 +208,46 @@ CONV_SHAPES = [
 # GEMM dimension of 16 or more channels or classes, and the input gradient
 # of a conv with one input channel. Their last bits may differ.
 BIT_DOMAIN_EDGES = [(3, 5, 1, 4, 6), (2, 4, 5, 16, 3), (2, 4, 5, 3, 16), (2, 4, 5, 20, 20), (3, 5, 6, 1, 8)]
+# (N, H, W, K) of the pixel loss: the benchmark's training, evaluation and
+# whole-set batches of 16x16 maps over 4 classes, then every class count
+# below 8, where NumPy's reduce along the short class axis adds in sequence
+LOSS_SHAPES = [(4, 16, 16, 4), (20, 16, 16, 4), (60, 16, 16, 4)] + [(4, 16, 16, k) for k in range(2, 8)]
+# 8 or more classes: the reduce adds in pairwise blocks, the class-column
+# sums in sequence, so the last bits may differ
+LOSS_BIT_DOMAIN_EDGES = [(4, 16, 16, 8), (4, 16, 16, 11), (2, 5, 6, 16)]
+
+
+def _pixel_loss_case(rng, shape, mask_kind):
+    logits = rng.normal(scale=3.0, size=shape)
+    labels = rng.integers(0, shape[-1], size=shape[:-1])
+    targets = np.stack([segmentation_targets(l, shape[-1], epsilon=0.3, sigma=0.8) for l in labels])
+    if mask_kind == "partial":
+        mask = (rng.uniform(size=shape[:-1]) > 0.3).astype(np.float64)
+    else:
+        mask = np.zeros(shape[:-1])
+    return logits, targets, mask
+
+
+class TestMaskedPixelCeAgainstReference:
+    """The class-column loss against the reference built from softmax and
+    log_softmax, each reducing along the class axis."""
+
+    @pytest.mark.parametrize("mask_kind", ["partial", "zero"])
+    @pytest.mark.parametrize("shape", LOSS_SHAPES)
+    def test_byte_equal_below_8_classes(self, rng, shape, mask_kind):
+        logits, targets, mask = _pixel_loss_case(rng, shape, mask_kind)
+        value, dlogits = losses._masked_pixel_ce(logits, targets, mask)
+        want, want_dlogits = _ref_loss("segmentation", logits, targets, mask)
+        assert value == want
+        assert dlogits.tobytes() == want_dlogits.tobytes()
+
+    @pytest.mark.parametrize("shape", LOSS_BIT_DOMAIN_EDGES)
+    def test_bit_domain_edges_agree_within_tolerance(self, rng, shape):
+        logits, targets, mask = _pixel_loss_case(rng, shape, "partial")
+        value, dlogits = losses._masked_pixel_ce(logits, targets, mask)
+        want, want_dlogits = _ref_loss("segmentation", logits, targets, mask)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(dlogits, want_dlogits, rtol=1e-12, atol=1e-12)
 
 
 class TestBatchedConv:

@@ -278,6 +278,32 @@ class TestMatchesReferenceLoop:
         )
         _assert_matches_reference(cfg, tr, va, 3, pixel_bank=pixel_bank)
 
+    def test_fcn_at_the_workload_model(self):
+        # the benchmark's segmentation model (RGB -> 8 -> 8 -> 4 classes on
+        # 16x16 shapes, Adam at 1e-2 on batches of 4); 10 frames leave a
+        # short last batch of 2
+        tr = gen_shapes_seg(16, 16, 3, 10, seed=6, split="train")
+        va = gen_shapes_seg(16, 16, 3, 4, seed=6, split="val")
+        spec = ModelSpec("tiny_fcn", (3, 8, 8, 4))
+        p = preset("segmentation")
+        base = TrainConfig(task="segmentation", model=spec, epochs=2, seed=7)
+        pixel_bank = score_pixel_bank(base, init_params(spec, 1), tr.inputs, tr.targets)
+        cfg = TrainConfig(
+            task="segmentation",
+            model=spec,
+            epochs=2,
+            batch_size=4,
+            optimizer="adam",
+            lr=1e-2,
+            seed=7,
+            uls_schedule=p["uls_schedule"],
+            svls_schedule=p["svls_schedule"],
+            svls_kernel=p["svls_kernel"],
+            pace=PacePlan(p["pace_lambda"], p["pace_e_all"], 2, sum(m.size for m in pixel_bank)),
+            granularity="pixel",
+        )
+        _assert_matches_reference(cfg, tr, va, 4, pixel_bank=pixel_bank)
+
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
     @pytest.mark.parametrize("arch", ["linear_softmax", "mlp"])
