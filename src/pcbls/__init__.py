@@ -12,7 +12,7 @@ from .models import ModelSpec
 from .pacing import PacePlan, SampleBank, active_count, active_set, pace_parameter
 from .schedules import SmoothingSchedule
 from .soft_labels import svls, uls, uls_svls
-from .trainer import EpochRecord, TrainConfig, TrainResult, preset, train, train_baseline
+from .trainer import EpochRecord, TrainConfig, TrainResult, train, train_baseline
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ece",
     "fit_temperature",
     "pace_parameter",
-    "preset",
     "svls",
     "train",
     "train_baseline",

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: train, bank, corrupt, eval, calibrate, report. Every run hangs
-off one --seed; presets supply defaults, a JSON config file can override
-them, and explicit flags win over both. The fully resolved configuration is
-persisted next to each run's outputs so any run can be replayed exactly.
+off one --seed; a preset (workflow_cls, tool_cls, segmentation, anti,
+random, linear, ls: the PRESETS table) is a config layer that supplies
+defaults, a JSON config file can override them, and explicit flags win over
+both. The fully resolved configuration is persisted next to each run's
+outputs so any run can be replayed exactly.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation error,
 3 training stopped at a non-finite loss (the message names the epoch and
@@ -28,7 +30,7 @@ from .numerics import sigmoid
 from .pacing import PacePlan
 from .schedules import SmoothingSchedule
 from .seeding import derive_seed
-from .trainer import METRIC_COLUMNS, TrainConfig
+from .trainer import TrainConfig
 
 
 class ConfigError(Exception):
@@ -93,6 +95,31 @@ _CONFIG = {
     "data": (_DATA, {"name": "blobs"}),
     "seed": (int, 0),
     "model_dims": (_DERIVED, None),
+}
+
+# Named config layers, in the config-file dialect, for the paper's setups
+# and the ablation schedules. A preset's "pace" plan is held back until
+# --pace applies it.
+PRESETS = {
+    "workflow_cls": {
+        "task": "multiclass", "optimizer": "sgd", "lr": 5e-3, "momentum": 0.9, "weight_decay": 5e-3,
+        "lr_decay_factor": 0.1, "schedule": {"kind": "exponential", "init": 0.5, "rate": 0.9},
+        "pace": {"lambda": 0.6, "e_all": 0.4},
+    },
+    "tool_cls": {
+        "task": "multilabel", "optimizer": "adam", "lr": 1e-4,
+        "schedule": {"kind": "exponential", "init": 0.5, "rate": 0.9}, "pace": {"lambda": 0.6, "e_all": 0.4},
+    },
+    "segmentation": {
+        "task": "segmentation", "optimizer": "adam", "lr": 1e-4,
+        "schedule": {"kind": "exponential", "init": 0.6, "rate": 0.9},
+        "svls_schedule": {"kind": "exponential", "init": 0.9, "rate": 0.5}, "svls_kernel": 3,
+        "pace": {"lambda": 0.8, "e_all": 0.4}, "granularity": "pixel",
+    },
+    "anti": {"schedule": {"kind": "anti", "init": 0.005, "rate": 1.1, "cap": 0.5}},
+    "random": {"schedule": {"kind": "random", "range": [0.0, 0.5], "seed": 0}},
+    "linear": {"schedule": {"kind": "linear", "init": 0.5, "rate": 0.015}},
+    "ls": {"schedule": {"kind": "constant", "init": 0.1}},
 }
 
 _TYPE_NAMES = {float: "number", int: "integer", str: "string"}
@@ -176,21 +203,14 @@ def resolve_config(args) -> dict:
                 nameless.update(data)
         _merge(cfg, layer, _CONFIG, source)
 
-    preset_pace = None
-    if getattr(args, "preset", None):
-        try:
-            fragment = trainer.preset(args.preset)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        layer, preset_pace = {}, {}
-        for key, value in fragment.items():
-            if key.startswith("pace_"):  # pace_lambda, pace_e_all: applied by --pace
-                preset_pace[key.removeprefix("pace_")] = value
-            elif key.endswith("_schedule"):
-                layer["schedule" if key == "uls_schedule" else key] = value.to_dict()
-            else:
-                layer[key] = value
-        merge(layer, f"preset {args.preset!r}")
+    held_pace = None  # the preset's pace plan, applied by --pace
+    preset = getattr(args, "preset", None)
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r} (known: {', '.join(PRESETS)})")
+        layer = dict(PRESETS[preset])
+        held_pace = layer.pop("pace", None)
+        merge(layer, f"preset {preset!r}")
     if getattr(args, "config", None):
         try:
             file_cfg = fileio.load_json(args.config)
@@ -206,9 +226,9 @@ def resolve_config(args) -> dict:
     if lam is not None:
         pace = {**(pace or {}), "lambda": lam}
     elif getattr(args, "pace", False) and pace is None:
-        if not preset_pace:
+        if held_pace is None:
             raise ConfigError("--pace needs a preset that defines a pace plan, or --pace-lambda")
-        pace = preset_pace
+        pace = held_pace
     if e_all is not None:
         if pace is None:
             raise ConfigError(
@@ -398,25 +418,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_or_die(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"checkpoint not found: {p}")
+def _load_checkpoint_run(args):
+    """What bank, eval and calibrate score: the resolved config's (train, val)
+    datasets, the checkpoint's spec and params (missing or malformed: exit
+    2) and each dataset's features, checked to fit the model."""
+    train_ds, val_ds = resolve_dataset(resolve_config(args))
+    path = Path(args.checkpoint)
+    if not path.exists():
+        raise ConfigError(f"checkpoint not found: {path}")
+    spec, params, _ = fileio.load_checkpoint(path)
+    x_train = _features(spec.architecture, train_ds.inputs)
+    x_val = _features(spec.architecture, val_ds.inputs)
     try:
-        return fileio.load_checkpoint(p)
-    except FormatError as e:
-        raise ConfigError(str(e)) from e
+        classes = models.forward(spec, np.zeros(spec.param_count()), x_val[:1]).shape[-1]
+    except ValueError as e:
+        raise ConfigError(f"checkpoint does not fit this dataset: {e}") from e
+    if classes != val_ds.num_classes:
+        raise ConfigError(f"checkpoint predicts {classes} classes but dataset has {val_ds.num_classes}")
+    return train_ds, val_ds, spec, params, x_train, x_val
 
 
 def cmd_bank(args) -> int:
-    cfg = resolve_config(args)
-    train_ds, val_ds = resolve_dataset(cfg)
-    cfg["task"] = train_ds.task
-    spec, params, _ = _load_checkpoint_or_die(args.checkpoint)
-    x_train = _features(spec.architecture, train_ds.inputs)
-    x_val = _features(spec.architecture, val_ds.inputs)
-    _check_model_matches(spec, train_ds.task, x_train, train_ds.num_classes)
-    tc_like = _eval_config(train_ds.task, spec, cfg)
+    train_ds, val_ds, spec, params, x_train, x_val = _load_checkpoint_run(args)
     temperature = 1.0
     if args.variant == "ts":
         if train_ds.task != "multiclass":
@@ -427,34 +450,17 @@ def cmd_bank(args) -> int:
     if args.granularity == "pixel":
         if train_ds.task != "segmentation":
             raise ConfigError("pixel banks require the segmentation task")
-        maps = trainer.score_pixel_bank(tc_like, params, x_train, train_ds.targets)
+        maps = trainer.score_pixel_bank(spec, params, x_train, train_ds.targets)
         fileio.save_pixel_bank(args.out, maps)
         print(f"wrote pixel bank for {len(maps)} samples to {args.out}")
         return 0
     bank = trainer.score_training_set(
-        tc_like, params, x_train, train_ds.targets, train_ds.num_classes,
-        variant=args.variant, temperature=temperature,
+        spec, train_ds.task, params, x_train, train_ds.targets, variant=args.variant, temperature=temperature
     )
     fileio.save_bank(args.out, bank)
     extra = f" (T={temperature:.4f})" if args.variant == "ts" else ""
     print(f"wrote {len(bank)}-sample bank ({bank.source}){extra} to {args.out}")
     return 0
-
-
-def _eval_config(task: str, spec, cfg: dict) -> TrainConfig:
-    return TrainConfig(task=task, model=spec, epochs=1, seed=cfg["seed"])
-
-
-def _check_model_matches(spec, task: str, inputs: np.ndarray, num_classes: int) -> None:
-    try:
-        head = inputs[:1]
-        out = models.forward(spec, np.zeros(spec.param_count()), head)
-    except ValueError as e:
-        raise ConfigError(f"checkpoint does not fit this dataset: {e}") from e
-    if out.shape[-1] != num_classes:
-        raise ConfigError(
-            f"checkpoint predicts {out.shape[-1]} classes but dataset has {num_classes}"
-        )
 
 
 def _corruption_lists(args) -> tuple[list[str], list[int]]:
@@ -511,8 +517,7 @@ def _manifest_row(r: list[str], n_val: int) -> tuple[int, str, int, str]:
         raise ValueError(f"unknown corruption kind {kind!r}")
     if not (1 <= severity <= 5):
         raise ValueError(f"severity {severity} outside 1..5")
-    rel = os.path.normpath(path)
-    if os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep):
+    if fileio.leaves_directory(path):
         raise ValueError(f"path {path!r} leaves the manifest's directory")
     return orig_id, kind, severity, path
 
@@ -535,11 +540,7 @@ def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    train_ds, val_ds = resolve_dataset(cfg)
-    spec, params, _ = _load_checkpoint_or_die(args.checkpoint)
-    x_val = _features(spec.architecture, val_ds.inputs)
-    _check_model_matches(spec, val_ds.task, x_val, val_ds.num_classes)
+    _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
     out = Path(args.out or "eval.csv")
     if args.manifest:
         if val_ds.task != "multiclass":
@@ -605,13 +606,9 @@ def _warn_if_pinned(tm) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = resolve_config(args)
-    _, val_ds = resolve_dataset(cfg)
+    _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
     if val_ds.task != "multiclass":
         raise ConfigError("calibration requires a multiclass dataset")
-    spec, params, _ = _load_checkpoint_or_die(args.checkpoint)
-    x_val = _features(spec.architecture, val_ds.inputs)
-    _check_model_matches(spec, val_ds.task, x_val, val_ds.num_classes)
     logits = models.forward(spec, params, x_val)
     tm = fit_temperature(logits, val_ds.targets)
     probs = apply_temperature(logits, 1.0)
@@ -669,7 +666,7 @@ def cmd_report(args) -> int:
         cfg_path = run / "resolved_config.json"
         if cfg_path.exists():
             task = fileio.load_json(cfg_path).get("task", "?")
-        row = [str(run), task, final.get("epoch", "NA")]
+        row = [str(run), task, str(len(mrows))]
         for metric in _REPORT_METRICS:
             row.append(final.get(metric, "NA") or "NA")
         out_rows.append(row)
@@ -687,7 +684,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="base seed for all derived randomness")
     p.add_argument("--out", help="output file or directory")
-    p.add_argument("--preset", help="named hyper-parameter preset")
+    p.add_argument("--preset", help=f"named config layer: {', '.join(PRESETS)}")
     p.add_argument("--data", help="dataset spec: blobs | multilabel | shapes | cifar10:<path> | dir:<path>")
 
 

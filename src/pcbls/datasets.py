@@ -17,6 +17,7 @@ import numpy as np
 
 from .fileio import (
     FormatError,
+    leaves_directory,
     load_csv,
     load_image,
     load_json,
@@ -252,24 +253,60 @@ def save_image_dataset(ds: LabeledDataset, directory: str | Path) -> None:
 
 
 def load_image_dataset(directory: str | Path) -> LabeledDataset:
+    """Read a directory that save_image_dataset wrote. Both index files are
+    checked before any image is read: meta.json must be an object with task
+    "multiclass" and a positive integer num_classes, and each labels.csv row
+    must hold an id, an integer label in [0, num_classes) and a relative path
+    inside the directory. A malformed file raises FormatError naming it (and
+    the labels.csv line)."""
     directory = Path(directory)
-    meta = load_json(directory / "meta.json")
-    header, rows = load_csv(directory / "labels.csv")
+    meta_path, labels_path = directory / "meta.json", directory / "labels.csv"
+    try:
+        meta = load_json(meta_path)
+    except ValueError as e:
+        raise FormatError(f"{meta_path}: {e}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: expected a JSON object, got {meta!r}")
+    num_classes, task = meta.get("num_classes"), meta.get("task")
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
+        raise FormatError(f"{meta_path}: num_classes must be a positive integer, got {num_classes!r}")
+    if task != "multiclass":
+        raise FormatError(f"{meta_path}: task must be 'multiclass' (one label per image), got {task!r}")
+    header, rows = load_csv(labels_path)
     if header != ["id", "label", "path"]:
-        raise FormatError(f"{directory}/labels.csv: bad header {header}")
-    images = []
-    labels = []
-    for _id, label, name in rows:
-        images.append(load_image(directory / name))
-        labels.append(int(label))
+        raise FormatError(f"{labels_path}: bad header {header}")
+    labels, names = [], []
+    for line, row in enumerate(rows, start=2):
+        try:
+            label, name = _label_row(row, num_classes)
+        except ValueError as e:
+            raise FormatError(f"{labels_path} line {line} {row}: {e}") from None
+        labels.append(label)
+        names.append(name)
+    images = [load_image(directory / name) for name in names]
     inputs = np.stack(images) if images else np.zeros((0, 1, 1))
     return LabeledDataset(
-        task=meta["task"],
+        task=task,
         inputs=inputs,
         targets=np.asarray(labels, dtype=np.int64),
-        num_classes=int(meta["num_classes"]),
+        num_classes=num_classes,
         split=meta.get("split", "train"),
     )
+
+
+def _label_row(row: list[str], num_classes: int) -> tuple[int, str]:
+    if len(row) != 3:
+        raise ValueError("expected the 3 fields id,label,path")
+    _, label, name = row
+    try:
+        label = int(label)
+    except ValueError:
+        raise ValueError(f"label {label!r} is not an integer") from None
+    if not (0 <= label < num_classes):
+        raise ValueError(f"label {label} outside [0, {num_classes})")
+    if leaves_directory(name):
+        raise ValueError(f"path {name!r} leaves the dataset directory")
+    return label, name
 
 
 def split_dataset(

@@ -288,6 +288,13 @@ def load_json(path: str | Path):
         return json.load(fh)
 
 
+def leaves_directory(path: str) -> bool:
+    """Whether ``path``, read relative to an index file's directory, names a
+    place outside it: it is absolute or climbs out through '..'."""
+    rel = os.path.normpath(path)
+    return os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep)
+
+
 def format_float(x: float) -> str:
     """Shortest round-trip decimal form; stable across reruns."""
     return repr(float(x))

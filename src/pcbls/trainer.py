@@ -32,7 +32,7 @@ from .metrics import accuracy, iou_dice, mean_average_precision
 from .models import ModelSpec
 from .numerics import sigmoid, softmax
 from .pacing import PacePlan, SampleBank
-from .schedules import SmoothingSchedule, constant, exponential, linear, random_schedule
+from .schedules import SmoothingSchedule
 from .seeding import derive_seed, fold_seed
 
 OPTIMIZERS = ("sgd", "adam")
@@ -49,7 +49,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-3
     lr_decay_factor: float = 0.1
-    lr_decay_at: int | None = None  # default: floor(0.75 * epochs)
     seed: int = 0
     uls_schedule: SmoothingSchedule | None = None
     svls_schedule: SmoothingSchedule | None = None
@@ -75,7 +74,7 @@ class TrainConfig:
             raise ValueError("a spatial smoothing schedule requires the segmentation task")
 
     def decay_epoch(self) -> int:
-        return int(0.75 * self.epochs) if self.lr_decay_at is None else self.lr_decay_at
+        return int(0.75 * self.epochs)
 
 
 @dataclass(frozen=True)
@@ -321,25 +320,25 @@ def train_baseline(cfg: TrainConfig, *args, **kwargs) -> TrainResult:
 
 
 def score_training_set(
-    cfg: TrainConfig,
+    spec: ModelSpec,
+    task: str,
     params: np.ndarray,
     inputs: np.ndarray,
     targets: np.ndarray,
-    num_classes: int,
     variant: str = "plain",
     temperature: float = 1.0,
 ) -> SampleBank:
-    """Freeze a trained model and build its confidence bank."""
-    logits = models.forward(cfg.model, params, np.asarray(inputs, dtype=np.float64))
+    """Freeze a trained ``task`` model and build its confidence bank."""
+    logits = models.forward(spec, params, np.asarray(inputs, dtype=np.float64))
     source = {
         "plain": "plain",
         "ts": "temperature_scaled",
         "ls": "label_smoothed",
     }[variant]
-    if cfg.task == "multiclass":
+    if task == "multiclass":
         probs = apply_temperature(logits, temperature)
         return pacing.build_bank_multiclass(probs, targets, source=source)
-    if cfg.task == "multilabel":
+    if task == "multilabel":
         probs = sigmoid(logits / temperature)
         return pacing.build_bank_multilabel(probs, np.asarray(targets, dtype=bool), source=source)
     probs = apply_temperature(logits, temperature)
@@ -347,13 +346,13 @@ def score_training_set(
 
 
 def score_pixel_bank(
-    cfg: TrainConfig,
+    spec: ModelSpec,
     params: np.ndarray,
     inputs: np.ndarray,
     targets: np.ndarray,
 ) -> np.ndarray:
     """The frozen model's (N,H,W) pixel bank: each pixel's true-class probability."""
-    logits = models.forward(cfg.model, params, np.asarray(inputs, dtype=np.float64))
+    logits = models.forward(spec, params, np.asarray(inputs, dtype=np.float64))
     return pacing.build_pixel_bank(softmax(logits, axis=-1), targets)
 
 
@@ -380,53 +379,3 @@ def records_to_csv(task: str, records: list[EpochRecord]) -> tuple[list[str], li
         row += [format_float(r.val_metrics[m]) for m in METRIC_COLUMNS[task]]
         rows.append(row)
     return header, rows
-
-
-# ---------------------------------------------------------------------------
-# presets: named hyper-parameter bundles
-
-
-def preset(name: str) -> dict:
-    """Hyper-parameter fragments for the common experiment setups."""
-    if name == "workflow_cls":
-        return {
-            "task": "multiclass",
-            "optimizer": "sgd",
-            "lr": 5e-3,
-            "momentum": 0.9,
-            "weight_decay": 5e-3,
-            "lr_decay_factor": 0.1,
-            "uls_schedule": exponential(0.5, 0.9),
-            "pace_lambda": 0.6,
-            "pace_e_all": 0.4,
-        }
-    if name == "tool_cls":
-        return {
-            "task": "multilabel",
-            "optimizer": "adam",
-            "lr": 1e-4,
-            "uls_schedule": exponential(0.5, 0.9),
-            "pace_lambda": 0.6,
-            "pace_e_all": 0.4,
-        }
-    if name == "segmentation":
-        return {
-            "task": "segmentation",
-            "optimizer": "adam",
-            "lr": 1e-4,
-            "uls_schedule": exponential(0.6, 0.9),
-            "svls_schedule": exponential(0.9, 0.5),
-            "svls_kernel": 3,
-            "pace_lambda": 0.8,
-            "pace_e_all": 0.4,
-            "granularity": "pixel",
-        }
-    if name == "anti":
-        return {"uls_schedule": SmoothingSchedule(kind="anti", init=0.005, rate=1.1, cap=0.5)}
-    if name == "random":
-        return {"uls_schedule": random_schedule(0.0, 0.5, seed=0)}
-    if name == "linear":
-        return {"uls_schedule": linear(0.5, 0.015)}
-    if name == "ls":
-        return {"uls_schedule": constant(0.1)}
-    raise ValueError(f"unknown preset {name!r}")

@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pcbls.cli import main
+from pcbls import cli
+from pcbls.cli import PRESETS, ConfigError, main, resolve_config
+from pcbls.datasets import gen_blobs, save_image_dataset
 from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
 
 
@@ -102,6 +105,27 @@ class TestTrain:
         assert resolved["schedule"]["rate"] == 0.9
         _, rows = load_csv(out / "metrics.csv")
         assert rows[0][2] == "0.5"
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_preset_resolves_as_its_config_file(self, tmp_path, name):
+        # a preset is a config layer whose pace plan waits for --pace
+        layer = {key: value for key, value in PRESETS[name].items() if key != "pace"}
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps(layer))
+        assert resolve_config(SimpleNamespace(preset=name)) == resolve_config(SimpleNamespace(config=str(path)))
+        if "pace" in PRESETS[name]:
+            paced = resolve_config(SimpleNamespace(preset=name, pace=True))
+            assert paced == {**resolve_config(SimpleNamespace(preset=name)), "pace": PRESETS[name]["pace"]}
+        else:
+            with pytest.raises(ConfigError, match="--pace needs a preset that defines a pace plan"):
+                resolve_config(SimpleNamespace(preset=name, pace=True))
+
+    def test_presets_are_named_in_the_docstring_and_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["train", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for name in PRESETS:
+            assert name in cli.__doc__ and name in help_text
 
     def test_missing_bank_is_config_error(self, tmp_path, capsys):
         cfg = _write_small_config(tmp_path)
@@ -424,11 +448,6 @@ class TestBankCommand:
         assert f"bank sample id {shifted[0]} outside the training set [0, 60)" in err
         assert not (out / "metrics.csv").exists()
 
-    def test_checkpoint_mismatch_is_config_error(self, tmp_path):
-        cfg, ckpt = self._trained(tmp_path)
-        other_cfg = _write_small_config(tmp_path, data={"name": "blobs", "classes": 5, "per_class": 10, "per_class_val": 5, "dim": 6})
-        assert run(["bank", "--config", other_cfg, "--seed", 1, "--checkpoint", ckpt, "--out", tmp_path / "b.csv"]) == 2
-
     def test_ls_variant_bank(self, tmp_path):
         # smoothed model trained with the constant-0.1 preset, then banked as ls
         cfg = _write_small_config(tmp_path)
@@ -508,10 +527,6 @@ class TestCorruptEvalCalibrateReport:
         t = json.loads((calib / "temperature.json").read_text())
         assert t["pinned"] is False and "warning" not in capsys.readouterr().err
 
-    def test_missing_checkpoint_exit2(self, tmp_path):
-        cfg, _ = self._trained(tmp_path)
-        assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "nope.pckpt", "--out", tmp_path / "x.csv"]) == 2
-
     def test_report_rows_and_na(self, tmp_path):
         cfg, out = self._trained(tmp_path)
         report = tmp_path / "report.csv"
@@ -521,6 +536,7 @@ class TestCorruptEvalCalibrateReport:
         assert len(rows) == 1
         row = dict(zip(header, rows[0]))
         assert row["task"] == "multiclass"
+        assert row["epochs"] == "3"  # the number of epochs run, not the last 0-based index
         assert row["val_map"] == "NA" and row["val_miou"] == "NA"
         assert row["val_accuracy"] not in ("", "NA")
 
@@ -694,6 +710,98 @@ class TestEvalManifestChecks:
         assert self._eval_edited(corrupted_run, "odd_shape", "1,fog,1,odd_shape.pgm") == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "(2, 3)" in err and "(1, 6)" in err
+
+
+class TestCheckpointLoader:
+    """bank, eval and calibrate load a checkpoint alike: one that is missing,
+    malformed or does not fit the dataset exits 2, naming the problem."""
+
+    @pytest.mark.parametrize("command", ["bank", "eval", "calibrate"])
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ({"classes": 5, "per_class": 10, "per_class_val": 5, "dim": 6}, "checkpoint predicts 3 classes but dataset has 5"),
+            ({"classes": 3, "per_class": 10, "per_class_val": 5, "dim": 7}, "checkpoint does not fit this dataset"),
+        ],
+        ids=["classes", "width"],
+    )
+    def test_checkpoint_that_does_not_fit_is_config_error(self, corrupted_run, tmp_path, capsys, command, data, problem):
+        _, ckpt, _ = corrupted_run
+        cfg = _write_small_config(tmp_path, data={"name": "blobs", **data})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--out", out]) == 2
+        assert f"error: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bank", "eval", "calibrate"])
+    @pytest.mark.parametrize(
+        "content, problem", [(None, "checkpoint not found"), (b"PCKPT", "not a checkpoint (bad magic)")],
+        ids=["missing", "malformed"],
+    )
+    def test_missing_or_malformed_checkpoint_is_config_error(self, tmp_path, capsys, command, content, problem):
+        cfg = _write_small_config(tmp_path)
+        ckpt = tmp_path / "c.pckpt"
+        if content is not None:
+            ckpt.write_bytes(content)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--out", out]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_of_a_multilabel_checkpoint_writes_the_map_rows(self, tmp_path):
+        cfg = _write_small_config(tmp_path, data={"name": "multilabel", "labels": 3, "n": 40, "n_val": 20, "dim": 6})
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 0
+        dest = tmp_path / "eval.csv"
+        assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", out / "checkpoint.pckpt", "--out", dest]) == 0
+        header, rows = load_csv(dest)
+        assert header == ["metric", "value"]
+        assert [r[0] for r in rows] == ["val_map", "skipped_labels"]
+        assert 0.0 <= float(rows[0][1]) <= 1.0
+
+
+class TestDirDataset:
+    """A malformed dir: dataset exits 2 through "cannot load dataset dir",
+    naming the file (and the labels.csv line) before any image is read."""
+
+    @pytest.mark.parametrize(
+        "meta, line3, problem",
+        [
+            ([1, 2], None, "meta.json: expected a JSON object, got [1, 2]"),
+            ({"task": "multiclass"}, None, "meta.json: num_classes must be a positive integer, got None"),
+            ({"task": "multiclass", "num_classes": "3"}, None, "meta.json: num_classes must be a positive integer"),
+            ({"task": "regression", "num_classes": 3}, None, "meta.json: task must be 'multiclass'"),
+            (None, "1,1", "labels.csv line 3 ['1', '1']: expected the 3 fields id,label,path"),
+            (None, "1,x,000001.pgm", "labels.csv line 3 ['1', 'x', '000001.pgm']: label 'x' is not an integer"),
+            (None, "1,3,000001.pgm", "labels.csv line 3 ['1', '3', '000001.pgm']: label 3 outside [0, 3)"),
+            (None, "1,1,../outside.pgm", "labels.csv line 3 ['1', '1', '../outside.pgm']: path '../outside.pgm' leaves"),
+        ],
+        ids=["meta_not_object", "no_num_classes", "num_classes_not_integer", "unknown_task",
+             "short_row", "label_not_integer", "label_out_of_range", "path_leaves_the_directory"],
+    )
+    def test_malformed_dataset_is_config_error(self, tmp_path, capsys, meta, line3, problem):
+        d = tmp_path / "data"
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
+        # a readable image outside the directory, which a path must not reach
+        (tmp_path / "outside.pgm").write_bytes((d / "000001.pgm").read_bytes())
+        if meta is not None:
+            (d / "meta.json").write_text(json.dumps(meta))
+        if line3 is not None:
+            lines = (d / "labels.csv").read_text().splitlines()
+            lines[2] = line3
+            (d / "labels.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot load dataset dir {d}: {d}" in err and problem in err
+        assert not out.exists()
+
+    def test_well_formed_dataset_trains(self, tmp_path):
+        d = tmp_path / "data"
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
+        out = tmp_path / "run"
+        assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 0
+        assert load_checkpoint(out / "checkpoint.pckpt")[0].dims == (8, 32, 3)
 
 
 class TestCorruptFlagChecks:

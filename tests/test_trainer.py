@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import RefOptimizer, ref_train
 from pcbls import models
+from pcbls.cli import PRESETS, ConfigError, resolve_config
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
 from pcbls.models import ModelSpec, init_params
 from pcbls.pacing import PacePlan, build_bank_multiclass
@@ -14,7 +17,6 @@ from pcbls.trainer import (
     NonFiniteParameters,
     TrainConfig,
     _Optimizer,
-    preset,
     records_to_csv,
     score_pixel_bank,
     score_training_set,
@@ -226,12 +228,8 @@ class TestMatchesReferenceLoop:
         tr, va = _blob_setup()
         n = len(tr)
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=n), tr.targets)
-        p = preset("workflow_cls")
-        cfg = _config(
-            epochs=epochs,
-            uls_schedule=p["uls_schedule"],
-            pace=PacePlan(p["pace_lambda"], p["pace_e_all"], epochs, n),
-        )
+        # the workflow_cls preset's schedule and pace plan
+        cfg = _config(epochs=epochs, uls_schedule=exponential(0.5, 0.9), pace=PacePlan(0.6, 0.4, epochs, n))
         return cfg, tr, va, bank
 
     def test_mlp_sgd_sample_pacing(self):
@@ -258,9 +256,7 @@ class TestMatchesReferenceLoop:
         tr = gen_shapes_seg(16, 16, 2, 7, seed=3, split="train")
         va = gen_shapes_seg(16, 16, 2, 3, seed=3, split="val")
         spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
-        p = preset("segmentation")
-        base = TrainConfig(task="segmentation", model=spec, epochs=2, seed=4)
-        pixel_bank = score_pixel_bank(base, init_params(spec, 0), tr.inputs, tr.targets)
+        pixel_bank = score_pixel_bank(spec, init_params(spec, 0), tr.inputs, tr.targets)
         total = sum(m.size for m in pixel_bank)
         cfg = TrainConfig(
             task="segmentation",
@@ -270,10 +266,11 @@ class TestMatchesReferenceLoop:
             optimizer="adam",
             lr=1e-2,
             seed=4,
-            uls_schedule=p["uls_schedule"],
-            svls_schedule=p["svls_schedule"],
-            svls_kernel=p["svls_kernel"],
-            pace=PacePlan(p["pace_lambda"], p["pace_e_all"], 2, total),
+            # the segmentation preset's schedules and pace plan
+            uls_schedule=exponential(0.6, 0.9),
+            svls_schedule=exponential(0.9, 0.5),
+            svls_kernel=3,
+            pace=PacePlan(0.8, 0.4, 2, total),
             granularity="pixel",
         )
         _assert_matches_reference(cfg, tr, va, 3, pixel_bank=pixel_bank)
@@ -285,9 +282,7 @@ class TestMatchesReferenceLoop:
         tr = gen_shapes_seg(16, 16, 3, 10, seed=6, split="train")
         va = gen_shapes_seg(16, 16, 3, 4, seed=6, split="val")
         spec = ModelSpec("tiny_fcn", (3, 8, 8, 4))
-        p = preset("segmentation")
-        base = TrainConfig(task="segmentation", model=spec, epochs=2, seed=7)
-        pixel_bank = score_pixel_bank(base, init_params(spec, 1), tr.inputs, tr.targets)
+        pixel_bank = score_pixel_bank(spec, init_params(spec, 1), tr.inputs, tr.targets)
         cfg = TrainConfig(
             task="segmentation",
             model=spec,
@@ -296,10 +291,11 @@ class TestMatchesReferenceLoop:
             optimizer="adam",
             lr=1e-2,
             seed=7,
-            uls_schedule=p["uls_schedule"],
-            svls_schedule=p["svls_schedule"],
-            svls_kernel=p["svls_kernel"],
-            pace=PacePlan(p["pace_lambda"], p["pace_e_all"], 2, sum(m.size for m in pixel_bank)),
+            # the segmentation preset's schedules and pace plan
+            uls_schedule=exponential(0.6, 0.9),
+            svls_schedule=exponential(0.9, 0.5),
+            svls_kernel=3,
+            pace=PacePlan(0.8, 0.4, 2, sum(m.size for m in pixel_bank)),
             granularity="pixel",
         )
         _assert_matches_reference(cfg, tr, va, 4, pixel_bank=pixel_bank)
@@ -412,7 +408,7 @@ class TestTasks:
         spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
         base_cfg = TrainConfig(task="segmentation", model=spec, epochs=1, optimizer="adam", lr=1e-3, seed=1)
         base = train_baseline(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3)
-        pixel_bank = score_pixel_bank(base_cfg, base.params, tr.inputs, tr.targets)
+        pixel_bank = score_pixel_bank(spec, base.params, tr.inputs, tr.targets)
         total = sum(m.size for m in pixel_bank)
         cfg = TrainConfig(
             task="segmentation",
@@ -441,9 +437,9 @@ class TestBankScoring:
         tr, va = _blob_setup()
         cfg = _config(epochs=2)
         result = train_baseline(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
-        plain = score_training_set(cfg, result.params, tr.inputs, tr.targets, 4, variant="plain")
+        plain = score_training_set(cfg.model, cfg.task, result.params, tr.inputs, tr.targets, variant="plain")
         ts = score_training_set(
-            cfg, result.params, tr.inputs, tr.targets, 4, variant="ts", temperature=2.63
+            cfg.model, cfg.task, result.params, tr.inputs, tr.targets, variant="ts", temperature=2.63
         )
         assert ts.source == "temperature_scaled"
         assert set(plain.sample_ids.tolist()) == set(ts.sample_ids.tolist())
@@ -463,7 +459,7 @@ class TestBankScoring:
         spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
         cfg = TrainConfig(task="segmentation", model=spec, epochs=1, seed=0)
         result = train_baseline(cfg, tr.inputs, tr.targets, tr.inputs, tr.targets, 3)
-        bank = score_training_set(cfg, result.params, tr.inputs, tr.targets, 3)
+        bank = score_training_set(cfg.model, cfg.task, result.params, tr.inputs, tr.targets)
         empty = [i for i in range(len(tr)) if (tr.targets[i] == 0).all()]
         by_id = dict(zip(bank.sample_ids.tolist(), bank.scores.tolist()))
         assert all(by_id[i] == 0.0 for i in empty)
@@ -471,33 +467,33 @@ class TestBankScoring:
 
 class TestPresets:
     def test_workflow_cls_values(self):
-        p = preset("workflow_cls")
-        s = p["uls_schedule"]
-        assert (s.init, s.rate) == (0.5, 0.9)
-        assert (p["pace_lambda"], p["pace_e_all"]) == (0.6, 0.4)
+        p = PRESETS["workflow_cls"]
+        s = p["schedule"]
+        assert (s["kind"], s["init"], s["rate"]) == ("exponential", 0.5, 0.9)
+        assert (p["pace"]["lambda"], p["pace"]["e_all"]) == (0.6, 0.4)
         assert p["optimizer"] == "sgd"
         assert (p["lr"], p["momentum"], p["weight_decay"]) == (5e-3, 0.9, 5e-3)
 
     def test_segmentation_values(self):
-        p = preset("segmentation")
-        assert (p["uls_schedule"].init, p["uls_schedule"].rate) == (0.6, 0.9)
-        assert (p["svls_schedule"].init, p["svls_schedule"].rate) == (0.9, 0.5)
-        assert (p["pace_lambda"], p["pace_e_all"]) == (0.8, 0.4)
+        p = PRESETS["segmentation"]
+        assert (p["schedule"]["init"], p["schedule"]["rate"]) == (0.6, 0.9)
+        assert (p["svls_schedule"]["init"], p["svls_schedule"]["rate"]) == (0.9, 0.5)
+        assert (p["pace"]["lambda"], p["pace"]["e_all"]) == (0.8, 0.4)
         assert p["optimizer"] == "adam" and p["lr"] == 1e-4
 
     def test_ablation_presets(self):
-        anti = preset("anti")["uls_schedule"]
-        assert (anti.init, anti.rate, anti.cap) == (0.005, 1.1, 0.5)
-        lin = preset("linear")["uls_schedule"]
-        assert (lin.init, lin.rate) == (0.5, 0.015)
-        rnd = preset("random")["uls_schedule"]
-        assert (rnd.range_lo, rnd.range_hi) == (0.0, 0.5)
-        ls = preset("ls")["uls_schedule"]
-        assert (ls.kind, ls.init) == ("constant", 0.1)
+        anti = PRESETS["anti"]["schedule"]
+        assert (anti["init"], anti["rate"], anti["cap"]) == (0.005, 1.1, 0.5)
+        lin = PRESETS["linear"]["schedule"]
+        assert (lin["init"], lin["rate"]) == (0.5, 0.015)
+        rnd = PRESETS["random"]["schedule"]
+        assert rnd["range"] == [0.0, 0.5]
+        ls = PRESETS["ls"]["schedule"]
+        assert (ls["kind"], ls["init"]) == ("constant", 0.1)
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset("nope")
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            resolve_config(SimpleNamespace(preset="nope"))
 
     def test_metric_columns_cover_tasks(self):
         assert set(METRIC_COLUMNS) == {"multiclass", "multilabel", "segmentation"}
