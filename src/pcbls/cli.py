@@ -183,6 +183,18 @@ def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") ->
             _typed(None, kind, path + key)
 
 
+def _read_config_file(path) -> dict:
+    """A --config file or a run's resolved_config.json: a JSON object, or a
+    ConfigError naming the file."""
+    try:
+        obj = fileio.load_json(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return obj
+
+
 def resolve_config(args) -> dict:
     """preset < config file < CLI flags, each layer merged through _CONFIG,
     into one dict that holds every top-level key with a value of its type.
@@ -212,13 +224,7 @@ def resolve_config(args) -> dict:
         held_pace = layer.pop("pace", None)
         merge(layer, f"preset {preset!r}")
     if getattr(args, "config", None):
-        try:
-            file_cfg = fileio.load_json(args.config)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"cannot read config {args.config}: {e}") from e
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
-        merge(file_cfg, args.config)
+        merge(_read_config_file(args.config), args.config)
     flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "granularity", "arch")}
     if getattr(args, "data", None):
         flags["data"] = _parse_data_spec(args.data)
@@ -492,9 +498,9 @@ def cmd_corrupt(args) -> int:
     kinds, severities = _corruption_lists(args)
     _, val_ds = resolve_dataset(cfg)
     out_dir = Path(args.out or "corrupted")
-    # vector datasets corrupt as one-row grayscale images
-    images = [v if v.ndim >= 2 else v[None, :] for v in (val_ds.inputs[i] for i in range(len(val_ds)))]
-    rows = corruption.corrupt_dataset(images, kinds, severities, derive_seed(cfg["seed"], "corruption"), out_dir)
+    rows = corruption.corrupt_dataset(
+        datasets.as_images(val_ds.inputs), kinds, severities, derive_seed(cfg["seed"], "corruption"), out_dir
+    )
     fileio.save_csv(
         out_dir / "labels.csv", ["id", "label"],
         [[i, int(val_ds.targets[i])] for i in range(len(val_ds))] if val_ds.task == "multiclass" else [],
@@ -550,9 +556,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"manifest not found: {manifest_path}")
         rows = _read_manifest(manifest_path, len(val_ds))
         base = os.fspath(manifest_path.parent)
-        # the shape cmd_corrupt wrote: vectors are one-row grayscale images
-        inputs = np.asarray(val_ds.inputs)
-        want = inputs.shape[1:] if inputs.ndim >= 3 else (1, inputs.shape[1])
+        want = datasets.as_images(val_ds.inputs).shape[1:]  # the shape cmd_corrupt wrote
 
         def where(path):
             line = next(i for i, r in enumerate(rows, start=2) if r[3] == path)
@@ -568,15 +572,12 @@ def cmd_eval(args) -> int:
             return img
 
         def evaluate_images(images):
-            arr = np.stack([np.asarray(im, dtype=np.float64) for im in images])
-            feats = _features(spec.architecture, arr)
-            return np.argmax(models.forward(spec, params, feats), axis=1)
+            return np.argmax(models.forward(spec, params, _features(spec.architecture, images)), axis=1)
 
         clean_preds = np.argmax(models.forward(spec, params, x_val), axis=1)
         clean_acc = accuracy(clean_preds, val_ds.targets)
-        labels_by_id = {i: int(val_ds.targets[i]) for i in range(len(val_ds))}
         header, table = corruption.robustness_report(
-            evaluate_images, rows, load_row_image, labels_by_id, clean_acc
+            evaluate_images, rows, load_row_image, val_ds.targets, clean_acc
         )
         fileio.save_csv(out, header, table)
         print(f"robustness table ({len(table) - 1} kinds) written to {out}")
@@ -665,7 +666,7 @@ def cmd_report(args) -> int:
         task = "?"
         cfg_path = run / "resolved_config.json"
         if cfg_path.exists():
-            task = fileio.load_json(cfg_path).get("task", "?")
+            task = _read_config_file(cfg_path).get("task", "?")
         row = [str(run), task, str(len(mrows))]
         for metric in _REPORT_METRICS:
             row.append(final.get(metric, "NA") or "NA")

@@ -11,10 +11,10 @@ impulse_noise (9). Images are float arrays in [0,1], shape (H,W) or
 
 ``corrupt_batch`` is the one implementation: it corrupts an (N,H,W,C)
 stack at one (kind, severity) parameter row, with one generator per image,
-and ``corrupt`` is its N=1 case. ``corrupt_dataset`` runs one batch per
-(kind, severity) and image shape, seeding each image from (base seed, kind,
-severity, image id), so a file's bytes do not depend on which other images
-share its batch.
+and ``corrupt`` is its N=1 case. ``corrupt_dataset`` takes one (N,H,W) or
+(N,H,W,3) stack and runs one batch per (kind, severity) over it, seeding
+image i from (base seed, kind, severity, i), so a file's bytes do not depend
+on which other images share its batch.
 
 jpeg_like is a DCT-quantization approximation of JPEG's loss profile, not
 a standards-conforming codec.
@@ -295,18 +295,12 @@ def corrupt_batch(imgs: np.ndarray, kind: str, params, rngs) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def corrupt_with_params(image: np.ndarray, kind: str, params, rng: np.random.Generator) -> np.ndarray:
-    """Apply ``kind`` at explicit parameters to one (H,W) or (H,W,C) image;
-    drives both the severity table and the zero-strength identity checks."""
-    img, squeeze = _as_hwc(image)
-    out = corrupt_batch(img[None], kind, params, [rng])[0]
-    return out[:, :, 0] if squeeze else out
-
-
 def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    """Deterministic corruption: a pure function of (image, spec)."""
-    rng = np.random.default_rng(spec.seed)
-    return corrupt_with_params(image, spec.kind, spec.params(), rng)
+    """Deterministic corruption of one (H,W) or (H,W,C) image: a pure
+    function of (image, spec)."""
+    img, squeeze = _as_hwc(image)
+    out = corrupt_batch(img[None], spec.kind, spec.params(), [np.random.default_rng(spec.seed)])[0]
+    return out[:, :, 0] if squeeze else out
 
 
 def _kind_seed(base_seed: int, kind: str, severity: int) -> int:
@@ -319,51 +313,41 @@ def image_seed(base_seed: int, kind: str, severity: int, image_id: int) -> int:
 
 
 def corrupt_dataset(
-    images: list[np.ndarray],
+    images: np.ndarray,
     kinds: list[str],
     severities: list[int],
     base_seed: int,
     out_dir: str | Path,
-    image_ids: list[int] | None = None,
 ) -> list[tuple[int, str, int, str]]:
-    """Write every (image, kind, severity) corruption plus a manifest CSV.
+    """Write every (image, kind, severity) corruption of an (N,H,W) or
+    (N,H,W,3) stack plus a manifest CSV.
 
-    Per-image seeds derive from (base seed, kind, severity, image id), so
-    every file is a pure function of its own image and key. Each (kind,
-    severity) runs as one ``corrupt_batch`` per image shape; files are
+    Image i's id is i, and its seed derives from (base seed, kind, severity,
+    i), so every file is a pure function of its own image and key. Each
+    (kind, severity) runs as one ``corrupt_batch`` over the stack; files are
     written in (kind, severity, image) order. Returns the manifest rows
     (orig_id, kind, severity, path).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = os.fspath(out_dir)
-    ids = list(range(len(images))) if image_ids is None else list(image_ids)
+    images = np.asarray(images, dtype=np.float64)
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown corruption kind {kind!r}")
-
-    # positions of the images of each shape, and those images as one stack
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, img in enumerate(images[: len(ids)]):
-        groups.setdefault(np.shape(img), []).append(i)
-    stacks = {shape: np.stack([_as_hwc(images[i])[0] for i in pos]) for shape, pos in groups.items()}
-    exts = [("ppm" if np.ndim(img) == 3 else "pgm") for img in images[: len(ids)]]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    base = os.fspath(out_dir)
+    stack = images.reshape(images.shape[:3] + (-1,))
+    ext = "ppm" if images.ndim == 4 else "pgm"
 
     rows = []
     for kind in kinds:
         for severity in severities:
-            params = SEVERITY_TABLE[kind][severity - 1]
             key = _kind_seed(base_seed, kind, severity)
-            encoded: list[bytes] = [b""] * len(exts)
-            for shape, pos in groups.items():
-                rngs = [np.random.default_rng(fold_seed(key, ids[i])) for i in pos]
-                out = corrupt_batch(stacks[shape], kind, params, rngs)
-                for i, data in zip(pos, encode_images(out.reshape((len(pos),) + shape))):
-                    encoded[i] = data
-            for img_id, ext, data in zip(ids, exts, encoded):
-                rel = f"{kind}_s{severity}_{img_id:06d}.{ext}"
+            rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(images))]
+            out = corrupt_batch(stack, kind, SEVERITY_TABLE[kind][severity - 1], rngs)
+            for i, data in enumerate(encode_images(out.reshape(images.shape))):
+                rel = f"{kind}_s{severity}_{i:06d}.{ext}"
                 atomic_write_bytes(os.path.join(base, rel), data)
-                rows.append((img_id, kind, severity, rel))
+                rows.append((i, kind, severity, rel))
 
     save_csv(out_dir / "manifest.csv", ["orig_id", "kind", "severity", "path"], [list(r) for r in rows])
     return rows
@@ -373,14 +357,15 @@ def robustness_report(
     evaluate,
     manifest_rows: list[tuple[int, str, int, str]],
     images_by_path,
-    labels_by_id: dict[int, int],
+    labels: np.ndarray,
     clean_accuracy: float,
 ) -> tuple[list[str], list[list]]:
     """Accuracy per corruption kind averaged over severities.
 
-    ``evaluate`` maps a list of images to predicted class indices. Returns
-    (header, rows): one row per kind with the five severity accuracies and
-    their mean, plus a final clean-accuracy row.
+    ``labels`` holds the class of each image id. ``evaluate`` maps the
+    stacked images of one (kind, severity) cell to predicted class indices.
+    Returns (header, rows): one row per kind with the five severity
+    accuracies and their mean, plus a final clean-accuracy row.
     """
     by_kind_sev: dict[str, dict[int, list[tuple[int, str]]]] = {}
     for orig_id, kind, severity, path in manifest_rows:
@@ -396,10 +381,8 @@ def robustness_report(
         accs = []
         for severity in range(1, 6):
             entries = sev_map[severity]
-            imgs = [images_by_path(p) for _, p in entries]
-            preds = np.asarray(evaluate(imgs))
-            truth = np.asarray([labels_by_id[i] for i, _ in entries])
-            accs.append(float((preds == truth).mean()))
+            preds = np.asarray(evaluate(np.stack([images_by_path(p) for _, p in entries])))
+            accs.append(float((preds == np.take(labels, [i for i, _ in entries])).mean()))
         rows.append([kind] + [f"{a:.6f}" for a in accs] + [f"{np.mean(accs):.6f}"])
     rows.append(["clean", "", "", "", "", "", f"{clean_accuracy:.6f}"])
     return header, rows

@@ -17,12 +17,13 @@ import numpy as np
 
 from .fileio import (
     FormatError,
+    atomic_write_bytes,
+    encode_images,
     leaves_directory,
     load_csv,
     load_image,
     load_json,
     save_csv,
-    save_image,
     save_json,
 )
 from .seeding import rng_for
@@ -226,6 +227,13 @@ def load_cifar10(path: str | Path) -> LabeledDataset:
     )
 
 
+def as_images(inputs: np.ndarray) -> np.ndarray:
+    """Feature vectors (N,D) as one-row grayscale images (N,1,D); image
+    stacks (N,H,W) and (N,H,W,C) come back unchanged."""
+    inputs = np.asarray(inputs)
+    return inputs[:, None, :] if inputs.ndim == 2 else inputs
+
+
 def save_image_dataset(ds: LabeledDataset, directory: str | Path) -> None:
     """Materialize a multiclass dataset as PGM/PPM files plus labels.csv.
 
@@ -236,14 +244,12 @@ def save_image_dataset(ds: LabeledDataset, directory: str | Path) -> None:
         raise ValueError("only multiclass datasets materialize to image directories")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    images = as_images(ds.inputs)
+    ext = "ppm" if images.ndim == 4 else "pgm"
     rows = []
-    for i in range(len(ds)):
-        img = ds.inputs[i]
-        if img.ndim == 1:
-            img = img[None, :]
-        ext = "ppm" if img.ndim == 3 else "pgm"
+    for i, data in enumerate(encode_images(images)):
         name = f"{i:06d}.{ext}"
-        save_image(directory / name, img)
+        atomic_write_bytes(directory / name, data)
         rows.append([i, int(ds.targets[i]), name])
     save_csv(directory / "labels.csv", ["id", "label", "path"], rows)
     save_json(
@@ -257,8 +263,8 @@ def load_image_dataset(directory: str | Path) -> LabeledDataset:
     checked before any image is read: meta.json must be an object with task
     "multiclass" and a positive integer num_classes, and each labels.csv row
     must hold an id, an integer label in [0, num_classes) and a relative path
-    inside the directory. A malformed file raises FormatError naming it (and
-    the labels.csv line)."""
+    inside the directory; every image must have the first one's shape. A
+    malformed file raises FormatError naming it (and the labels.csv line)."""
     directory = Path(directory)
     meta_path, labels_path = directory / "meta.json", directory / "labels.csv"
     try:
@@ -283,7 +289,15 @@ def load_image_dataset(directory: str | Path) -> LabeledDataset:
             raise FormatError(f"{labels_path} line {line} {row}: {e}") from None
         labels.append(label)
         names.append(name)
-    images = [load_image(directory / name) for name in names]
+    images = []
+    for line, name in enumerate(names, start=2):
+        img = load_image(directory / name)
+        if images and img.shape != images[0].shape:
+            raise FormatError(
+                f"{directory / name} ({labels_path} line {line}): image shape {img.shape}, "
+                f"but {names[0]} has shape {images[0].shape}"
+            )
+        images.append(img)
     inputs = np.stack(images) if images else np.zeros((0, 1, 1))
     return LabeledDataset(
         task=task,

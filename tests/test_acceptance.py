@@ -253,7 +253,7 @@ def test_criterion_07_calibration():
 
 def test_criterion_08_corruption(tmp_path):
     rng = np.random.default_rng(808)
-    images = [rng.uniform(size=(10, 10, 3)) for _ in range(2)]
+    images = rng.uniform(size=(2, 10, 10, 3))
     kinds = ["gaussian_noise", "pixelate", "fog"]
     rows_a = corrupt_dataset(images, kinds, [1, 2, 3, 4, 5], 4242, tmp_path / "a")
     rows_b = corrupt_dataset(images, kinds, [1, 2, 3, 4, 5], 4242, tmp_path / "b")
@@ -288,7 +288,7 @@ def test_criterion_08_corruption(tmp_path):
         lambda ims: np.zeros(len(ims), dtype=int),
         manifest,
         lambda p: np.zeros((2, 2)),
-        {0: 0, 1: 0, 2: 0},
+        np.zeros(3, dtype=int),
         clean_accuracy=1.0,
     )
     assert header == ["kind", "sev1", "sev2", "sev3", "sev4", "sev5", "mean"]

@@ -9,6 +9,9 @@ from pcbls import cli
 from pcbls.cli import PRESETS, ConfigError, main, resolve_config
 from pcbls.datasets import gen_blobs, save_image_dataset
 from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
+from pcbls.seeding import derive_seed
+
+from conftest import ref_corrupt_dataset
 
 
 def run(args):
@@ -491,6 +494,16 @@ class TestCorruptEvalCalibrateReport:
         for f in sorted(Path(a).glob("*.pgm")):
             assert f.read_bytes() == (Path(b) / f.name).read_bytes()
 
+    def test_corrupt_rgb_files_equal_per_image_oracle(self, tmp_path):
+        corr, ref = tmp_path / "corr", tmp_path / "ref"
+        assert run(["corrupt", "--data", "shapes", "--seed", 1, "--severities", "1,5", "--out", corr]) == 0
+        _, val_ds = cli.resolve_dataset(resolve_config(SimpleNamespace(data="shapes", seed=1)))
+        ref_corrupt_dataset(list(val_ds.inputs), list(cli.corruption.KINDS), [1, 5], derive_seed(1, "corruption"), ref)
+        names = sorted(p.name for p in ref.iterdir())
+        assert len(names) == 12 * 2 * len(val_ds) + 1 and names[0].endswith(".ppm")
+        for name in names:
+            assert (corr / name).read_bytes() == (ref / name).read_bytes(), name
+
     def test_eval_clean(self, tmp_path):
         cfg, out = self._trained(tmp_path)
         dest = tmp_path / "metrics_eval.csv"
@@ -549,6 +562,20 @@ class TestCorruptEvalCalibrateReport:
 
     def test_report_missing_run_dir(self, tmp_path):
         assert run(["report", tmp_path / "ghost", "--out", tmp_path / "r.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("[1, 2]", "config must be a JSON object"), ("nope", "cannot read config")],
+        ids=["not_an_object", "not_json"],
+    )
+    def test_report_of_malformed_resolved_config_is_config_error(self, tmp_path, capsys, text, problem):
+        _, out = self._trained(tmp_path)
+        (out / "resolved_config.json").write_text(text)
+        report = tmp_path / "report.csv"
+        assert run(["report", out, "--out", report]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and str(out / "resolved_config.json") in err and problem in err
+        assert not report.exists()
 
 
 class TestSegmentationPipeline:

@@ -14,7 +14,6 @@ from pcbls.corruption import (
     corrupt,
     corrupt_batch,
     corrupt_dataset,
-    corrupt_with_params,
     robustness_report,
 )
 from pcbls.fileio import load_csv, load_image
@@ -70,8 +69,8 @@ class TestCorrupt:
     def test_identity_parameters(self, rng):
         img = rng.uniform(size=(12, 14, 3))
         for kind in KINDS:
-            out = corrupt_with_params(img, kind, IDENTITY_PARAMS[kind], np.random.default_rng(0))
-            assert np.allclose(out, img, atol=1e-9), kind
+            out = corrupt_batch(img[None], kind, IDENTITY_PARAMS[kind], [np.random.default_rng(0)])
+            assert np.allclose(out[0], img, atol=1e-9), kind
 
     def test_deterministic(self, rng):
         img = rng.uniform(size=(10, 10, 3))
@@ -136,11 +135,11 @@ class TestCorrupt:
 
 class TestCorruptDataset:
     def test_empty_kinds(self, tmp_path, rng):
-        rows = corrupt_dataset([rng.uniform(size=(6, 6))], [], [1], 0, tmp_path)
+        rows = corrupt_dataset(rng.uniform(size=(1, 6, 6)), [], [1], 0, tmp_path)
         assert rows == []
 
     def test_row_counting(self, tmp_path, rng):
-        images = [rng.uniform(size=(6, 6, 3)) for _ in range(2)]
+        images = rng.uniform(size=(2, 6, 6, 3))
         rows = corrupt_dataset(images, ["fog", "brightness", "contrast"], [1, 2, 3, 4, 5], 0, tmp_path)
         assert len(rows) == 2 * 3 * 5
         header, csv_rows = load_csv(tmp_path / "manifest.csv")
@@ -148,7 +147,7 @@ class TestCorruptDataset:
         assert len(csv_rows) == 30
 
     def test_replay_byte_identical(self, tmp_path, rng):
-        images = [rng.uniform(size=(8, 8, 3)) for _ in range(2)]
+        images = rng.uniform(size=(2, 8, 8, 3))
         rows1 = corrupt_dataset(images, ["gaussian_noise", "pixelate"], [1, 3], 42, tmp_path / "a")
         rows2 = corrupt_dataset(images, ["gaussian_noise", "pixelate"], [1, 3], 42, tmp_path / "b")
         assert rows1 == rows2
@@ -158,14 +157,14 @@ class TestCorruptDataset:
             assert a == b
 
     def test_different_base_seed_differs(self, tmp_path, rng):
-        images = [rng.uniform(size=(8, 8, 3))]
+        images = rng.uniform(size=(1, 8, 8, 3))
         corrupt_dataset(images, ["gaussian_noise"], [3], 1, tmp_path / "a")
         corrupt_dataset(images, ["gaussian_noise"], [3], 2, tmp_path / "b")
         name = "gaussian_noise_s3_000000.ppm"
         assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
 
     def test_written_images_load_in_range(self, tmp_path, rng):
-        images = [rng.uniform(size=(6, 6, 3))]
+        images = rng.uniform(size=(1, 6, 6, 3))
         rows = corrupt_dataset(images, ["fog"], [2], 7, tmp_path)
         img = load_image(tmp_path / rows[0][3])
         assert img.shape == (6, 6, 3)
@@ -179,35 +178,12 @@ class TestCorruptDataset:
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-class TestCorruptDatasetIdOrder:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        shapes=st.lists(st.sampled_from([(1, 8), (4, 5), (3, 3, 3)]), min_size=1, max_size=5),
-        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True),
-        severities=st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True),
-        seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
-    )
-    def test_files_do_not_depend_on_the_order_of_ids(self, shapes, kinds, severities, seed, data):
-        # permuting the ids, and the images alike, writes the same bytes
-        # under the same names; only the manifest's row order follows the ids
-        n = len(shapes)
-        ids = data.draw(st.lists(st.integers(0, 999_999), min_size=n, max_size=n, unique=True))
-        order = data.draw(st.permutations(range(n)))
-        rng = np.random.default_rng(seed)
-        images = [rng.uniform(size=s) for s in shapes]
-        with tempfile.TemporaryDirectory() as tmp:
-            a, b = Path(tmp) / "a", Path(tmp) / "b"
-            rows = corrupt_dataset(images, kinds, severities, seed, a, image_ids=ids)
-            permuted = corrupt_dataset(
-                [images[i] for i in order], kinds, severities, seed, b, image_ids=[ids[i] for i in order]
-            )
-            assert sorted(permuted) == sorted(rows)
-            names = sorted(p.name for p in a.iterdir())
-            assert names == sorted(p.name for p in b.iterdir())
-            for name in names:
-                if name != "manifest.csv":
-                    assert (a / name).read_bytes() == (b / name).read_bytes(), name
+def _assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return names
 
 
 class TestBatchedMatchesPerImage:
@@ -226,19 +202,30 @@ class TestBatchedMatchesPerImage:
                     want = ref_corrupt_with_params(im, kind, params, np.random.default_rng(s))
                     assert np.array_equal(got[s].reshape(shape), want), (kind, params)
 
-    def test_corrupt_dataset_files_equal_oracle_writer(self, tmp_path, rng):
-        shapes = [(1, 32), (5, 7), (4, 4, 3), (1, 32), (4, 4, 3), (5, 7), (1, 32)]
-        images = [rng.uniform(size=s) for s in shapes]
-        ids = [3, 10, 11, 42, 7, 100, 0]
+    @pytest.mark.parametrize("shape", [(4, 1, 32), (4, 5, 7), (4, 4, 4, 3)])
+    def test_corrupt_dataset_files_equal_oracle_writer(self, tmp_path, rng, shape):
+        images = rng.uniform(size=shape)
         severities = [1, 2, 3, 4, 5]
-        rows = corrupt_dataset(images, list(KINDS), severities, 123, tmp_path / "new", image_ids=ids)
-        want = ref_corrupt_dataset(images, list(KINDS), severities, 123, tmp_path / "ref", image_ids=ids)
-        assert rows == want
-        names = sorted(p.name for p in (tmp_path / "new").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "ref").iterdir())
+        rows = corrupt_dataset(images, list(KINDS), severities, 123, tmp_path / "new")
+        assert rows == ref_corrupt_dataset(list(images), list(KINDS), severities, 123, tmp_path / "ref")
+        names = _assert_same_files(tmp_path / "new", tmp_path / "ref")
         assert len(names) == len(KINDS) * len(severities) * len(images) + 1
-        for name in names:
-            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 8), (4, 5), (3, 3, 3)]),
+        n=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True),
+        severities=st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_corrupt_dataset_files_equal_oracle_on_random_stacks(self, shape, n, kinds, severities, seed):
+        images = np.random.default_rng(seed).uniform(size=(n, *shape))
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            rows = corrupt_dataset(images, kinds, severities, seed, a)
+            assert rows == ref_corrupt_dataset(list(images), kinds, severities, seed, b)
+            _assert_same_files(a, b)
 
     @pytest.mark.parametrize("length", range(1, 12))
     def test_line_kernel_equals_oracle(self, length):
@@ -266,7 +253,7 @@ class TestRobustnessReport:
             lambda images: np.zeros(len(images), dtype=int),
             rows,
             lambda p: np.zeros((2, 2)),
-            {i: 0 for i in range(4)},
+            np.zeros(4, dtype=int),
             clean_accuracy=1.0,
         )
         assert header == ["kind", "sev1", "sev2", "sev3", "sev4", "sev5", "mean"]
@@ -276,7 +263,7 @@ class TestRobustnessReport:
 
     def test_random_guess_near_chance(self, rng):
         k = 4
-        labels = {i: int(rng.integers(0, k)) for i in range(1000)}
+        labels = rng.integers(0, k, size=1000)
         rows = self._manifest(["fog"], 1000)
         state = {"i": 0}
 
@@ -292,13 +279,13 @@ class TestRobustnessReport:
     def test_missing_severity_rejected(self):
         rows = [(0, "fog", 1, "x")]
         with pytest.raises(ValueError):
-            robustness_report(lambda im: np.zeros(1, dtype=int), rows, lambda p: None, {0: 0}, 1.0)
+            robustness_report(lambda im: np.zeros(1, dtype=int), rows, lambda p: None, np.zeros(1, dtype=int), 1.0)
 
     def test_one_row_per_kind(self, rng):
         kinds = ["fog", "brightness", "gaussian_noise"]
         rows = self._manifest(kinds, 3)
         _, table = robustness_report(
             lambda im: np.zeros(len(im), dtype=int), rows, lambda p: np.zeros((2, 2)),
-            {i: 0 for i in range(3)}, 1.0,
+            np.zeros(3, dtype=int), 1.0,
         )
         assert [r[0] for r in table] == sorted(kinds) + ["clean"]

@@ -3,6 +3,8 @@ import pytest
 
 from pcbls.datasets import (
     CIFAR_RECORD,
+    LabeledDataset,
+    as_images,
     gen_blobs,
     gen_multilabel,
     gen_shapes_seg,
@@ -283,3 +285,30 @@ class TestImages:
         assert np.array_equal(back.targets, ds.targets)
         # quantized to 1/255 on disk
         assert np.allclose(back.inputs.reshape(len(ds), -1), ds.inputs, atol=0.5 / 255)
+
+    def test_rgb_image_dataset_dir_round_trip(self, tmp_path, rng):
+        ds = LabeledDataset("multiclass", rng.uniform(size=(5, 4, 6, 3)), rng.integers(0, 3, size=5), 3)
+        save_image_dataset(ds, tmp_path / "data")
+        # each file holds the bytes save_image writes for its image alone
+        save_image(tmp_path / "alone.ppm", ds.inputs[3])
+        assert (tmp_path / "data" / "000003.ppm").read_bytes() == (tmp_path / "alone.ppm").read_bytes()
+        back = load_image_dataset(tmp_path / "data")
+        assert back.inputs.shape == (5, 4, 6, 3)
+        assert np.array_equal(back.inputs, np.rint(ds.inputs * 255) / 255)
+        assert np.array_equal(back.targets, ds.targets)
+
+    def test_image_dataset_dir_of_mixed_shapes_names_the_file(self, tmp_path, rng):
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), tmp_path / "data")
+        save_image(tmp_path / "data" / "000002.pgm", rng.uniform(size=(4, 2)))
+        with pytest.raises(FormatError) as e:
+            load_image_dataset(tmp_path / "data")
+        message = str(e.value)
+        assert "000002.pgm" in message and "labels.csv line 4" in message
+        assert "(4, 2)" in message and "(1, 8)" in message
+
+    def test_as_images_makes_vectors_one_row_images(self, rng):
+        vectors = rng.uniform(size=(3, 7))
+        assert np.array_equal(as_images(vectors), vectors.reshape(3, 1, 7))
+        for shape in [(3, 4, 5), (3, 4, 5, 3)]:
+            stack = rng.uniform(size=shape)
+            assert as_images(stack) is stack
