@@ -22,7 +22,6 @@ a standards-conforming codec.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from ._kernels import glass_swaps
 # save_image stays bound here: e2ebench traces writers under this module
-from .fileio import atomic_write_bytes, encode_images, save_csv, save_image  # noqa: F401
+from .fileio import _write_files, encode_images, save_csv, save_image  # noqa: F401
 from .numerics import conv2d_same
 from .seeding import derive_seed, fold_seed
 
@@ -312,6 +311,22 @@ def image_seed(base_seed: int, kind: str, severity: int, image_id: int) -> int:
     return fold_seed(_kind_seed(base_seed, kind, severity), image_id)
 
 
+def check_plan(kinds: list[str], severities: list[int]) -> None:
+    """Refuse a list of kinds or severities that names an unknown kind, a
+    severity that is not an integer in 1..5, or any value twice: each would
+    write mislabelled or duplicate files. The error names the value."""
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown corruption kind {kind!r}")
+    for severity in severities:
+        if isinstance(severity, bool) or not isinstance(severity, (int, np.integer)) or not 1 <= severity <= 5:
+            raise ValueError(f"severity {severity!r} outside 1..5")
+    for name, values in (("kinds", kinds), ("severities", severities)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} lists {repeated[0]!r} more than once")
+
+
 def corrupt_dataset(
     images: np.ndarray,
     kinds: list[str],
@@ -324,31 +339,31 @@ def corrupt_dataset(
 
     Image i's id is i, and its seed derives from (base seed, kind, severity,
     i), so every file is a pure function of its own image and key. Each
-    (kind, severity) runs as one ``corrupt_batch`` over the stack; files are
-    written in (kind, severity, image) order. Returns the manifest rows
-    (orig_id, kind, severity, path).
+    (kind, severity) runs as one ``corrupt_batch`` over the stack and goes
+    to the file writer as one batch; the manifest lists the files in (kind,
+    severity, image) order. The plan is checked (``check_plan``) before any
+    file is written. Returns the manifest rows (orig_id, kind, severity,
+    path).
     """
     images = np.asarray(images, dtype=np.float64)
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown corruption kind {kind!r}")
+    check_plan(kinds, severities)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = os.fspath(out_dir)
     stack = images.reshape(images.shape[:3] + (-1,))
     ext = "ppm" if images.ndim == 4 else "pgm"
 
     rows = []
-    for kind in kinds:
-        for severity in severities:
-            key = _kind_seed(base_seed, kind, severity)
-            rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(images))]
-            out = corrupt_batch(stack, kind, SEVERITY_TABLE[kind][severity - 1], rngs)
-            for i, data in enumerate(encode_images(out.reshape(images.shape))):
-                rel = f"{kind}_s{severity}_{i:06d}.{ext}"
-                atomic_write_bytes(os.path.join(base, rel), data)
-                rows.append((i, kind, severity, rel))
 
+    def cells():
+        for kind in kinds:
+            for severity in severities:
+                key = _kind_seed(base_seed, kind, severity)
+                rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(images))]
+                out = corrupt_batch(stack, kind, SEVERITY_TABLE[kind][severity - 1], rngs)
+                names = [f"{kind}_s{severity}_{i:06d}.{ext}" for i in range(len(images))]
+                rows.extend((i, kind, severity, name) for i, name in enumerate(names))
+                yield zip(names, encode_images(out.reshape(images.shape)))
+
+    _write_files(out_dir, cells())
     save_csv(out_dir / "manifest.csv", ["orig_id", "kind", "severity", "path"], [list(r) for r in rows])
     return rows
 

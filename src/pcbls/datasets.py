@@ -17,7 +17,7 @@ import numpy as np
 
 from .fileio import (
     FormatError,
-    atomic_write_bytes,
+    _write_files,
     encode_images,
     leaves_directory,
     load_csv,
@@ -243,14 +243,11 @@ def save_image_dataset(ds: LabeledDataset, directory: str | Path) -> None:
     if ds.task != "multiclass":
         raise ValueError("only multiclass datasets materialize to image directories")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     images = as_images(ds.inputs)
     ext = "ppm" if images.ndim == 4 else "pgm"
-    rows = []
-    for i, data in enumerate(encode_images(images)):
-        name = f"{i:06d}.{ext}"
-        atomic_write_bytes(directory / name, data)
-        rows.append([i, int(ds.targets[i]), name])
+    names = [f"{i:06d}.{ext}" for i in range(len(images))]
+    _write_files(directory, [zip(names, encode_images(images))])
+    rows = [[i, int(label), name] for i, (label, name) in enumerate(zip(ds.targets, names))]
     save_csv(directory / "labels.csv", ["id", "label", "path"], rows)
     save_json(
         directory / "meta.json",

@@ -4,7 +4,14 @@ All writers go through a temp-file-then-rename step so readers never see a
 partially written file: the bytes go to ``.{name}.{pid}.tmp`` in the
 target's directory (created mode 0600 with O_EXCL; a ``tempfile.mkstemp``
 name if that one is taken), which ``os.replace`` then moves over the
-target. Formats:
+target. Writers of many files into one directory (corrupted image sets,
+pixel banks, image datasets) stage instead: each of two workers, the
+calling thread and one helper thread, creates its temp files in its own
+hidden ``.*.tmp`` staging directory inside the target directory and renames
+each into place under its final name, so each file still appears through
+one rename of a complete temp file. Creating a file costs far more than
+writing or renaming it, and two threads creating in one directory contend
+on it. Formats:
 
   checkpoint   magic PCKPT1, u8 architecture tag, per-arch u32 dims,
                float64 LE parameters, u64 LE epoch counter
@@ -20,9 +27,13 @@ import csv
 import io
 import json
 import os
+import queue
 import re
+import shutil
 import struct
 import tempfile
+import threading
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +66,9 @@ def _open_temp(directory: str, name: str) -> tuple[int, str]:
         return tempfile.mkstemp(dir=directory, prefix=f".{name}.")
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temp file and a rename, creating
-    missing parent directories; the file gets mode 0600."""
-    directory, name = os.path.split(os.fspath(path))
-    directory = directory or os.curdir
-    try:
-        fd, tmp = _open_temp(directory, name)
-    except FileNotFoundError:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = _open_temp(directory, name)
+def _write_and_replace(fd: int, tmp: str, path: str | Path, data: bytes) -> None:
+    """Write ``data`` to the temp file ``tmp`` open as ``fd``, close it and
+    rename it to ``path``; on any failure the temp file is unlinked."""
     try:
         try:
             view = memoryview(data)
@@ -77,6 +81,82 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename, creating
+    missing parent directories; the file gets mode 0600."""
+    directory, name = os.path.split(os.fspath(path))
+    directory = directory or os.curdir
+    try:
+        fd, tmp = _open_temp(directory, name)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = _open_temp(directory, name)
+    _write_and_replace(fd, tmp, path, data)
+
+
+def _write_files(directory: str | Path, batches: Iterable[Iterable[tuple[str, bytes]]]) -> None:
+    """Write each (name, data) of each batch to ``directory/name``, creating
+    the directory; names are flat file names, and each file gets the bytes
+    and mode 0600 that ``atomic_write_bytes`` gives it.
+
+    Two workers write, the calling thread and one helper thread (the calling
+    thread alone on a one-CPU host), each through its own staging directory,
+    made once per call and removed before returning. Batches are drawn on the
+    calling thread only, after it has handed the previous batch over, so the
+    helper writes while the next batch is computed and at most two batches
+    are held. The helper runs only syscalls and ``_write_and_replace``. The
+    first error of either worker stops both and is raised as it was.
+    """
+    directory = os.fspath(directory)
+    os.makedirs(directory, exist_ok=True)
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    errors: list[BaseException] = []
+
+    def drain(stage: str, block: bool) -> None:
+        # a worker's loop: without ``block`` it returns once the queue is
+        # empty, with it at the None that ends the call; both stop at the
+        # first error of either worker
+        while not errors:
+            try:
+                item = pending.get(block)
+            except queue.Empty:
+                return
+            if item is None:
+                return
+            name, data = item
+            tmp = os.path.join(stage, name)
+            try:
+                _write_and_replace(os.open(tmp, _TEMP_FLAGS, 0o600), tmp, os.path.join(directory, name), data)
+            except BaseException as e:
+                errors.append(e)
+
+    stages: list[str] = []
+    helper = None
+    try:
+        for _ in range(2 if (os.cpu_count() or 1) > 1 else 1):
+            stages.append(tempfile.mkdtemp(dir=directory, prefix=".", suffix=".tmp"))
+        if len(stages) > 1:
+            helper = threading.Thread(target=drain, args=(stages[1], True))
+            helper.start()
+        for batch in batches:
+            drain(stages[0], False)
+            if errors:
+                break
+            for item in batch:
+                pending.put(item)
+        drain(stages[0], False)
+    except BaseException as e:
+        errors.append(e)
+    finally:
+        pending.put(None)
+        if helper is not None:
+            helper.join()
+        for stage in stages:
+            shutil.rmtree(stage, ignore_errors=True)
+    if errors:
+        raise errors[0]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -172,13 +252,11 @@ def load_bank(path: str | Path) -> SampleBank:
 
 def save_pixel_bank(directory: str | Path, maps: np.ndarray) -> None:
     """One sidecar per (H,W) map of an (N,H,W) bank."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, m in enumerate(maps):
-        h, w = m.shape
-        payload = PIXELBANK_MAGIC + struct.pack("<II", h, w)
-        payload += np.asarray(m, dtype="<f4").tobytes()
-        atomic_write_bytes(directory / f"{i:06d}.pcbl", payload)
+    sidecars = (
+        (f"{i:06d}.pcbl", PIXELBANK_MAGIC + struct.pack("<II", *m.shape) + np.asarray(m, dtype="<f4").tobytes())
+        for i, m in enumerate(maps)
+    )
+    _write_files(directory, [sidecars])
 
 
 def load_pixel_bank(directory: str | Path) -> np.ndarray:

@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 
@@ -137,6 +138,25 @@ class TestCorruptDataset:
     def test_empty_kinds(self, tmp_path, rng):
         rows = corrupt_dataset(rng.uniform(size=(1, 6, 6)), [], [1], 0, tmp_path)
         assert rows == []
+
+    @pytest.mark.parametrize(
+        "kinds, severities, problem",
+        [
+            (["fog"], [0], "severity 0 outside 1..5"),
+            (["fog"], [1, 6], "severity 6 outside 1..5"),
+            (["fog", "contrast", "fog"], [1], "kinds lists 'fog' more than once"),
+            (["fog"], [2, 3, 2], "severities lists 2 more than once"),
+            (["fog", "sleet"], [1], "unknown corruption kind 'sleet'"),
+        ],
+    )
+    def test_bad_plan_is_refused_before_any_file(self, tmp_path, rng, kinds, severities, problem):
+        with pytest.raises(ValueError, match=problem):
+            corrupt_dataset(rng.uniform(size=(2, 4, 4)), kinds, severities, 0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_holds_the_manifest_files_only(self, tmp_path, rng):
+        rows = corrupt_dataset(rng.uniform(size=(3, 5, 4)), ["fog", "pixelate"], [1, 4], 0, tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted([path for *_, path in rows] + ["manifest.csv"])
 
     def test_row_counting(self, tmp_path, rng):
         images = rng.uniform(size=(2, 6, 6, 3))

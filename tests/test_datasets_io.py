@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,10 @@ class TestBanks:
         for a, b in zip(maps, back):
             assert np.array_equal(a, b)
 
+    def test_pixel_bank_directory_holds_the_sidecars_only(self, tmp_path, rng):
+        save_pixel_bank(tmp_path / "pix", rng.uniform(size=(3, 2, 2)).astype(np.float32))
+        assert sorted(os.listdir(tmp_path / "pix")) == ["000000.pcbl", "000001.pcbl", "000002.pcbl"]
+
     def test_pixel_bank_magic_corruption(self, tmp_path, rng):
         save_pixel_bank(tmp_path / "pix", [rng.uniform(size=(2, 2)).astype(np.float32)])
         f = next((tmp_path / "pix").glob("*.pcbl"))
@@ -296,6 +302,11 @@ class TestImages:
         assert back.inputs.shape == (5, 4, 6, 3)
         assert np.array_equal(back.inputs, np.rint(ds.inputs * 255) / 255)
         assert np.array_equal(back.targets, ds.targets)
+
+    def test_image_dataset_dir_holds_the_images_and_index_files_only(self, tmp_path):
+        save_image_dataset(gen_blobs(2, 10, dim=4, seed=0), tmp_path / "data")
+        images = [f"{i:06d}.pgm" for i in range(20)]
+        assert sorted(os.listdir(tmp_path / "data")) == sorted(images + ["labels.csv", "meta.json"])
 
     def test_image_dataset_dir_of_mixed_shapes_names_the_file(self, tmp_path, rng):
         save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), tmp_path / "data")

@@ -1,15 +1,20 @@
-"""The atomic writer, and parsers that refuse malformed bytes with FormatError only."""
+"""The atomic writers, and parsers that refuse malformed bytes with FormatError only."""
 
 import os
 import stat
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pcbls import fileio
 from pcbls.fileio import (
     FormatError,
+    _write_files,
     atomic_write_bytes,
     encode_images,
     load_bank,
@@ -62,6 +67,108 @@ class TestAtomicWriteBytes:
         assert _mode(tmp_path / "f.bin") == 0o600
         assert stale.read_bytes() == b"stale"
         assert sorted(os.listdir(tmp_path)) == sorted([stale.name, "f.bin"])
+
+
+def _files(count, size=7):
+    return [(f"f{i:04d}.bin", bytes([i % 251]) * (size + i)) for i in range(count)]
+
+
+class TestWriteFiles:
+    """The many-file writer: what each file holds, what the directory holds
+    afterwards, and that its helper thread never outlives a call."""
+
+    def test_each_file_is_what_atomic_write_bytes_writes(self, tmp_path):
+        files = _files(40) + [("empty", b""), ("large", bytes(range(256)) * 4096)]
+        _write_files(tmp_path / "many", [files[:10], iter(files[10:]), []])
+        for name, data in files:
+            atomic_write_bytes(tmp_path / "one" / name, data)
+            assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes() == data
+            assert _mode(tmp_path / "many" / name) == _mode(tmp_path / "one" / name) == 0o600
+
+    def test_directory_holds_exactly_the_written_names(self, tmp_path):
+        threads = threading.active_count()
+        files = _files(50)
+        _write_files(tmp_path / "a" / "b", [files[:25], files[25:]])
+        assert sorted(os.listdir(tmp_path / "a" / "b")) == [name for name, _ in files]
+        assert threading.active_count() == threads
+
+    def test_empty_input_creates_only_the_directory(self, tmp_path):
+        _write_files(tmp_path / "none", [])
+        _write_files(tmp_path / "empty", [[], []])
+        assert os.listdir(tmp_path / "none") == os.listdir(tmp_path / "empty") == []
+
+    @pytest.mark.parametrize("blocked", [[7], list(range(30))])
+    def test_failed_write_raises_and_leaves_no_staging_entry(self, tmp_path, blocked):
+        # a directory cannot be replaced by a file: the write of each blocked
+        # name fails, on whichever worker takes it
+        threads = threading.active_count()
+        files = _files(30)
+        for i in blocked:
+            (tmp_path / files[i][0]).mkdir()
+        with pytest.raises(OSError):
+            _write_files(tmp_path, [files[:15], files[15:]])
+        names = {name for name, _ in files}
+        assert set(os.listdir(tmp_path)) <= names
+        for i in blocked:
+            assert os.listdir(tmp_path / files[i][0]) == []
+        assert threading.active_count() == threads
+
+    def test_error_of_the_batch_source_is_raised_as_it_was(self, tmp_path):
+        threads = threading.active_count()
+        files = _files(20)
+        failure = RuntimeError("no next batch")
+
+        def batches():
+            yield files
+            raise failure
+
+        with pytest.raises(RuntimeError) as e:
+            _write_files(tmp_path, batches())
+        assert e.value is failure
+        # both workers stop at the first error, done or not with the first batch
+        assert set(os.listdir(tmp_path)) <= {name for name, _ in files}
+        assert threading.active_count() == threads
+
+    def test_returns_after_the_helper_thread_has_finished(self, tmp_path, monkeypatch):
+        # slow writes on the helper thread: a call that returned before
+        # joining it would leave the thread running and its files unwritten
+        threads = threading.active_count()
+        write = fileio._write_and_replace
+
+        def slow_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.01)
+            write(*args)
+
+        monkeypatch.setattr(fileio, "_write_and_replace", slow_off_the_calling_thread)
+        files = _files(20)
+        _write_files(tmp_path, [files])
+        assert threading.active_count() == threads
+        assert sorted(os.listdir(tmp_path)) == [name for name, _ in files]
+
+    def test_one_cpu_writes_on_the_calling_thread_alone(self, tmp_path, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-CPU host starts no writer thread")
+
+        monkeypatch.setattr(fileio.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(fileio.threading, "Thread", no_thread)
+        files = _files(20)
+        _write_files(tmp_path, [files[:5], files[5:]])
+        assert sorted(os.listdir(tmp_path)) == [name for name, _ in files]
+        assert all((tmp_path / name).read_bytes() == data for name, data in files)
+
+    def test_frequent_thread_switches_lose_no_file(self, tmp_path):
+        # the two workers share one queue and one error list; switching
+        # threads every microsecond exposes a lost item
+        files = _files(600, size=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _write_files(tmp_path, (files[i : i + 40] for i in range(0, len(files), 40)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(os.listdir(tmp_path)) == [name for name, _ in files]
+        assert all((tmp_path / name).read_bytes() == data for name, data in files)
 
 
 class TestEncodeImages:
