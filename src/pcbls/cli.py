@@ -384,19 +384,17 @@ def _resolved_dict(cfg: dict, tc: TrainConfig) -> dict:
 # subcommands
 
 
-def _out_path(path: str, directory: bool) -> Path:
-    """The --out path a command writes, a directory or a file; refused
-    before any work when it names an existing entry of the other kind."""
+def _out_dir(path: str) -> Path:
+    """The --out directory a command writes many files into; refused before
+    any work when it names an existing entry that is not a directory."""
     out = Path(path)
-    if out.exists() and out.is_dir() != directory:
-        kind = "file, not a directory" if directory else "directory, not a file"
-        raise ConfigError(f"--out {out} is an existing {kind}")
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} is an existing file, not a directory")
     return out
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    out_dir = _out_path(args.out or "run", directory=True)
     train_ds, val_ds = resolve_dataset(cfg)
     cfg["task"] = train_ds.task
     tc = build_train_config(cfg, train_ds)
@@ -416,6 +414,7 @@ def cmd_train(args) -> int:
             pixel_bank = fileio.load_pixel_bank(bank_path)
         else:
             bank = fileio.load_bank(bank_path)
+    out_dir = Path(args.out or "run")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     x_train = _features(tc.model.architecture, train_ds.inputs)
@@ -455,9 +454,8 @@ def _load_checkpoint_run(args):
 
 
 def cmd_bank(args) -> int:
-    if args.out is None:
-        raise ConfigError("bank needs --out: the bank file, or the pixel-bank directory for --granularity pixel")
-    _out_path(args.out, directory=args.granularity == "pixel")
+    if args.granularity == "pixel" and args.out is not None:
+        _out_dir(args.out)
     train_ds, val_ds, spec, params, x_train, x_val = _load_checkpoint_run(args)
     temperature = 1.0
     if args.variant == "ts":
@@ -500,7 +498,7 @@ def _corruption_lists(args) -> tuple[list[str], list[int]]:
 def cmd_corrupt(args) -> int:
     cfg = resolve_config(args)
     kinds, severities = _corruption_lists(args)
-    out_dir = _out_path(args.out or "corrupted", directory=True)
+    out_dir = _out_dir(args.out or "corrupted")
     _, val_ds = resolve_dataset(cfg)
     rows = corruption.corrupt_dataset(
         datasets.as_images(val_ds.inputs), kinds, severities, derive_seed(cfg["seed"], "corruption"), out_dir
@@ -550,8 +548,8 @@ def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
 
 
 def cmd_eval(args) -> int:
-    out = _out_path(args.out or "eval.csv", directory=False)
     _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
+    out = Path(args.out or "eval.csv")
     if args.manifest:
         if val_ds.task != "multiclass":
             raise ConfigError("robustness evaluation requires a multiclass dataset")
@@ -611,7 +609,6 @@ def _warn_if_pinned(tm) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    out_dir = _out_path(args.out or "calibration", directory=True)
     _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
     if val_ds.task != "multiclass":
         raise ConfigError("calibration requires a multiclass dataset")
@@ -625,6 +622,7 @@ def cmd_calibrate(args) -> int:
         brier_score=brier(probs, val_ds.targets),
         nll_score=nll(logits, val_ds.targets, 1.0),
     )
+    out_dir = Path(args.out or "calibration")
     out_dir.mkdir(parents=True, exist_ok=True)
     _warn_if_pinned(tm)
     fileio.save_json(
@@ -656,7 +654,6 @@ _REPORT_METRICS = ["val_accuracy", "val_map", "val_miou", "val_mdice", "train_lo
 
 
 def cmd_report(args) -> int:
-    out = _out_path(args.out or "report.csv", directory=False)
     header = ["run", "task", "epochs"] + _REPORT_METRICS
     out_rows = []
     for run_dir in args.runs:
@@ -676,6 +673,7 @@ def cmd_report(args) -> int:
         for metric in _REPORT_METRICS:
             row.append(final.get(metric, "NA") or "NA")
         out_rows.append(row)
+    out = Path(args.out or "report.csv")
     fileio.save_csv(out, header, out_rows)
     print(f"comparison table for {len(out_rows)} runs written to {out}")
     return 0

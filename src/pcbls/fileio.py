@@ -101,12 +101,11 @@ def _write_files(directory: str | Path, batches: Iterable[Iterable[tuple[str, by
     the directory; names are flat file names, and each file gets the bytes
     and mode 0600 that ``atomic_write_bytes`` gives it.
 
-    Two workers write, the calling thread and one helper thread (the calling
-    thread alone on a one-CPU host), each through its own staging directory,
-    made once per call and removed before returning. Batches are drawn on the
-    calling thread only, after it has handed the previous batch over, so the
-    helper writes while the next batch is computed and at most two batches
-    are held. The helper runs only syscalls and ``_write_and_replace``. The
+    Two workers write, the calling thread and one helper thread, each through
+    its own staging directory, made once per call and removed before
+    returning. Batches are drawn on the calling thread only, after it has
+    handed the previous batch over, so the helper writes while the next batch
+    is computed and at most two batches are held. The helper runs only syscalls and ``_write_and_replace``. The
     first error of either worker stops both and is raised as it was.
     """
     directory = os.fspath(directory)
@@ -135,11 +134,12 @@ def _write_files(directory: str | Path, batches: Iterable[Iterable[tuple[str, by
     stages: list[str] = []
     helper = None
     try:
-        for _ in range(2 if (os.cpu_count() or 1) > 1 else 1):
+        for _ in range(2):
             stages.append(tempfile.mkdtemp(dir=directory, prefix=".", suffix=".tmp"))
-        if len(stages) > 1:
-            helper = threading.Thread(target=drain, args=(stages[1], True))
-            helper.start()
+        thread = threading.Thread(target=drain, args=(stages[1], True))
+        thread.start()
+        # only a started thread can be joined
+        helper = thread
         for batch in batches:
             drain(stages[0], False)
             if errors:

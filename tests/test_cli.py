@@ -850,54 +850,24 @@ class TestCorruptFlagChecks:
 
 
 class TestOutChecks:
-    """An --out that names an existing entry of the wrong kind exits 2 before
-    any work, naming --out and the path."""
+    """corrupt and a pixel bank write many files into --out: an existing file
+    there exits 2 before any work, naming --out and the path."""
 
-    @pytest.fixture
-    def small_run(self, tmp_path):
+    @pytest.mark.parametrize("command", ["corrupt", "pixel_bank"])
+    def test_out_that_is_an_existing_file_is_config_error(self, tmp_path, capsys, command):
         cfg = _write_small_config(tmp_path, epochs=1)
-        assert run(["train", "--config", cfg, "--seed", 1, "--out", tmp_path / "run"]) == 0
-        return ["--config", cfg, "--seed", 1], tmp_path / "run" / "checkpoint.pckpt"
-
-    @pytest.mark.parametrize(
-        "command, flags, scores_a_checkpoint, writes",
-        [
-            ("train", [], False, "directory"),
-            ("corrupt", [], False, "directory"),
-            ("calibrate", [], True, "directory"),
+        flags = ["--config", cfg, "--seed", 1]
+        if command == "pixel_bank":
+            assert run(["train", *flags, "--out", tmp_path / "run"]) == 0
             # checked before the task, which a blobs run fails for pixel banks
-            ("bank", ["--granularity", "pixel"], True, "directory"),
-            ("bank", [], True, "file"),
-            ("eval", [], True, "file"),
-        ],
-    )
-    def test_out_of_the_wrong_kind_is_config_error(
-        self, tmp_path, capsys, small_run, command, flags, scores_a_checkpoint, writes
-    ):
-        common, checkpoint = small_run
-        if scores_a_checkpoint:
-            flags = [*flags, "--checkpoint", checkpoint]
+            flags = ["bank", *flags, "--granularity", "pixel", "--checkpoint", tmp_path / "run" / "checkpoint.pckpt"]
+        else:
+            flags = ["corrupt", *flags]
         taken = tmp_path / "taken"
-        if writes == "directory":
-            taken.write_text("keep")
-        else:
-            (taken / "inside").mkdir(parents=True)
-        assert run([command, *common, *flags, "--out", taken]) == 2
-        other = "file" if writes == "directory" else "directory"
-        assert f"--out {taken} is an existing {other}, not a {writes}" in capsys.readouterr().err
-        if writes == "directory":
-            assert taken.read_text() == "keep"
-        else:
-            assert [p.name for p in taken.iterdir()] == ["inside"]
-
-    def test_report_into_a_directory_is_config_error(self, tmp_path, capsys, small_run):
-        assert run(["report", tmp_path / "run", "--out", tmp_path]) == 2
-        assert f"--out {tmp_path} is an existing directory, not a file" in capsys.readouterr().err
-
-    def test_bank_without_out_is_config_error(self, capsys, small_run):
-        common, checkpoint = small_run
-        assert run(["bank", *common, "--checkpoint", checkpoint]) == 2
-        assert "bank needs --out" in capsys.readouterr().err
+        taken.write_text("keep")
+        assert run([*flags, "--out", taken]) == 2
+        assert f"--out {taken} is an existing file, not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
 
 
 class TestParserReuse:

@@ -146,16 +146,21 @@ class TestWriteFiles:
         assert threading.active_count() == threads
         assert sorted(os.listdir(tmp_path)) == [name for name, _ in files]
 
-    def test_one_cpu_writes_on_the_calling_thread_alone(self, tmp_path, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a one-CPU host starts no writer thread")
+    def test_helper_that_cannot_start_raises_its_error_and_leaves_no_staging_entry(self, tmp_path, monkeypatch):
+        # out of threads or memory: the error is the one start() raised, not
+        # one from joining a thread that never ran
+        threads = threading.active_count()
+        failure = RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(fileio.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(fileio.threading, "Thread", no_thread)
-        files = _files(20)
-        _write_files(tmp_path, [files[:5], files[5:]])
-        assert sorted(os.listdir(tmp_path)) == [name for name, _ in files]
-        assert all((tmp_path / name).read_bytes() == data for name, data in files)
+        def no_start(self):
+            raise failure
+
+        monkeypatch.setattr(fileio.threading.Thread, "start", no_start)
+        with pytest.raises(RuntimeError) as e:
+            _write_files(tmp_path / "out", [_files(5)])
+        assert e.value is failure
+        assert os.listdir(tmp_path / "out") == []
+        assert threading.active_count() == threads
 
     def test_frequent_thread_switches_lose_no_file(self, tmp_path):
         # the two workers share one queue and one error list; switching
