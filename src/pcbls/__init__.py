@@ -9,7 +9,7 @@ calibration metrics, and a corruption-robustness harness.
 from .calibration import CalibrationReport, TemperatureModel, apply_temperature, ece, fit_temperature
 from .corruption import SEVERITY_TABLE, CorruptionSpec, corrupt, corrupt_dataset
 from .models import ModelSpec
-from .pacing import PacePlan, SampleBank, active_count, active_set, pace_parameter
+from .pacing import PacePlan, SampleBank, active_count, active_mask, pace_parameter, ranks
 from .schedules import SmoothingSchedule
 from .soft_labels import svls, uls, uls_svls
 from .trainer import EpochRecord, TrainConfig, TrainResult, train, train_baseline
@@ -29,13 +29,14 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "active_count",
-    "active_set",
+    "active_mask",
     "apply_temperature",
     "corrupt",
     "corrupt_dataset",
     "ece",
     "fit_temperature",
     "pace_parameter",
+    "ranks",
     "svls",
     "train",
     "train_baseline",

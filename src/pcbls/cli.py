@@ -91,7 +91,7 @@ _CONFIG = {
     "svls_kernel": (int, 3),
     "pace": (_PACE, None),
     "bank": (str, None),
-    "granularity": (str, "sample"),
+    "granularity": (str, None),  # None: the bank's (see _train_bank)
     "data": (_DATA, {"name": "blobs"}),
     "seed": (int, 0),
     "model_dims": (_DERIVED, None),
@@ -114,7 +114,7 @@ PRESETS = {
         "task": "segmentation", "optimizer": "adam", "lr": 1e-4,
         "schedule": {"kind": "exponential", "init": 0.6, "rate": 0.9},
         "svls_schedule": {"kind": "exponential", "init": 0.9, "rate": 0.5}, "svls_kernel": 3,
-        "pace": {"lambda": 0.8, "e_all": 0.4}, "granularity": "pixel",
+        "pace": {"lambda": 0.8, "e_all": 0.4},
     },
     "anti": {"schedule": {"kind": "anti", "init": 0.005, "rate": 1.1, "cap": 0.5}},
     "random": {"schedule": {"kind": "random", "range": [0.0, 0.5], "seed": 0}},
@@ -225,7 +225,7 @@ def resolve_config(args) -> dict:
         merge(layer, f"preset {preset!r}")
     if getattr(args, "config", None):
         merge(_read_config_file(args.config), args.config)
-    flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "granularity", "arch")}
+    flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "arch")}
     if getattr(args, "data", None):
         flags["data"] = _parse_data_spec(args.data)
     pace, lam, e_all = cfg["pace"], getattr(args, "pace_lambda", None), getattr(args, "pace_e_all", None)
@@ -354,7 +354,6 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
             svls_schedule=_schedule(cfg, "svls_schedule"),
             svls_kernel=cfg["svls_kernel"],
             pace=pace,
-            granularity=cfg["granularity"],
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -385,7 +384,7 @@ def _resolved_dict(cfg: dict, tc: TrainConfig) -> dict:
 
 
 def _out_dir(path: str) -> Path:
-    """The --out directory a command writes many files into; refused before
+    """The --out directory a command writes its files into; refused before
     any work when it names an existing entry that is not a directory."""
     out = Path(path)
     if out.exists() and not out.is_dir():
@@ -393,36 +392,48 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _out_file(path: str) -> Path:
+    """The twin of _out_dir for a command that writes one file: an --out
+    that names an existing directory is refused before any work."""
+    if Path(path).is_dir():
+        raise ConfigError(f"--out {path} is an existing directory, not a file")
+    return Path(path)
+
+
+def _train_bank(cfg: dict):
+    """A paced run's bank as what it is (a directory is an (N,H,W) pixel
+    bank, a file a SampleBank), or None. It sets cfg["granularity"] (sample
+    with no bank); a given value that differs is refused, naming both."""
+    path = None if cfg["bank"] is None else Path(cfg["bank"])
+    if cfg["pace"] is None and path is not None:
+        raise ConfigError(
+            f"bank {path} is given but no pace plan is active: "
+            "add --pace with a preset that defines one, --pace-lambda or a config 'pace'"
+        )
+    if cfg["pace"] is not None and path is None:
+        raise ConfigError("pacing is enabled but no --bank was given")
+    if path is not None and not path.exists():
+        raise ConfigError(f"bank file not found: {path}")
+    implied = "pixel" if path is not None and path.is_dir() else "sample"
+    if cfg["granularity"] not in (None, implied):
+        of = f"the bank {path}" if path is not None else "a run without a bank"
+        raise ConfigError(f"granularity {cfg['granularity']!r} contradicts {of}, whose granularity is {implied!r}")
+    cfg["granularity"] = implied
+    if path is not None:
+        return fileio.load_pixel_bank(path) if implied == "pixel" else fileio.load_bank(path)
+
+
 def cmd_train(args) -> int:
+    out_dir = _out_dir(args.out or "run")
     cfg = resolve_config(args)
     train_ds, val_ds = resolve_dataset(cfg)
     cfg["task"] = train_ds.task
+    bank = _train_bank(cfg)
     tc = build_train_config(cfg, train_ds)
-    bank = pixel_bank = None
-    if tc.pace is None and cfg["bank"] is not None:
-        raise ConfigError(
-            f"bank {cfg['bank']} is given but no pace plan is active: "
-            "add --pace with a preset that defines one, --pace-lambda or a config 'pace'"
-        )
-    if tc.pace is not None:
-        if cfg["bank"] is None:
-            raise ConfigError("pacing is enabled but no --bank was given")
-        bank_path = Path(cfg["bank"])
-        if not bank_path.exists():
-            raise ConfigError(f"bank file not found: {bank_path}")
-        if tc.granularity == "pixel":
-            pixel_bank = fileio.load_pixel_bank(bank_path)
-        else:
-            bank = fileio.load_bank(bank_path)
-    out_dir = Path(args.out or "run")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     x_train = _features(tc.model.architecture, train_ds.inputs)
     x_val = _features(tc.model.architecture, val_ds.inputs)
-    result = trainer.train(
-        tc, x_train, train_ds.targets, x_val, val_ds.targets, train_ds.num_classes,
-        bank=bank, pixel_bank=pixel_bank,
-    )
+    result = trainer.train(tc, x_train, train_ds.targets, x_val, val_ds.targets, train_ds.num_classes, bank=bank)
+    out_dir.mkdir(parents=True, exist_ok=True)
     header, rows = trainer.records_to_csv(tc.task, result.records)
     fileio.save_csv(out_dir / "metrics.csv", header, rows)
     fileio.save_checkpoint(out_dir / "checkpoint.pckpt", tc.model, result.params, tc.epochs)
@@ -454,8 +465,7 @@ def _load_checkpoint_run(args):
 
 
 def cmd_bank(args) -> int:
-    if args.granularity == "pixel" and args.out is not None:
-        _out_dir(args.out)
+    (_out_dir if args.granularity == "pixel" else _out_file)(args.out)
     train_ds, val_ds, spec, params, x_train, x_val = _load_checkpoint_run(args)
     temperature = 1.0
     if args.variant == "ts":
@@ -548,8 +558,8 @@ def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
 
 
 def cmd_eval(args) -> int:
+    out = _out_file(args.out or "eval.csv")
     _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
-    out = Path(args.out or "eval.csv")
     if args.manifest:
         if val_ds.task != "multiclass":
             raise ConfigError("robustness evaluation requires a multiclass dataset")
@@ -609,6 +619,7 @@ def _warn_if_pinned(tm) -> None:
 
 
 def cmd_calibrate(args) -> int:
+    out_dir = _out_dir(args.out or "calibration")
     _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
     if val_ds.task != "multiclass":
         raise ConfigError("calibration requires a multiclass dataset")
@@ -622,7 +633,6 @@ def cmd_calibrate(args) -> int:
         brier_score=brier(probs, val_ds.targets),
         nll_score=nll(logits, val_ds.targets, 1.0),
     )
-    out_dir = Path(args.out or "calibration")
     out_dir.mkdir(parents=True, exist_ok=True)
     _warn_if_pinned(tm)
     fileio.save_json(
@@ -654,6 +664,7 @@ _REPORT_METRICS = ["val_accuracy", "val_map", "val_miou", "val_mdice", "train_lo
 
 
 def cmd_report(args) -> int:
+    out = _out_file(args.out or "report.csv")
     header = ["run", "task", "epochs"] + _REPORT_METRICS
     out_rows = []
     for run_dir in args.runs:
@@ -673,7 +684,6 @@ def cmd_report(args) -> int:
         for metric in _REPORT_METRICS:
             row.append(final.get(metric, "NA") or "NA")
         out_rows.append(row)
-    out = Path(args.out or "report.csv")
     fileio.save_csv(out, header, out_rows)
     print(f"comparison table for {len(out_rows)} runs written to {out}")
     return 0
@@ -683,10 +693,10 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="base seed for all derived randomness")
-    p.add_argument("--out", help="output file or directory")
+    p.add_argument("--out", required=out_required, help="output file or directory")
     p.add_argument("--preset", help=f"named config layer: {', '.join(PRESETS)}")
     p.add_argument("--data", help="dataset spec: blobs | multilabel | shapes | cifar10:<path> | dir:<path>")
 
@@ -700,17 +710,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--arch", choices=list(models.ARCHITECTURES))
-    p.add_argument("--bank", help="sample-bank CSV (or pixel-bank directory)")
+    p.add_argument("--bank", help="sample-bank CSV or pixel-bank directory; the bank sets the pacing granularity")
     p.add_argument("--pace", action="store_true", help="enable the preset's pace plan")
     p.add_argument("--pace-lambda", dest="pace_lambda", type=float, help="initial active fraction of a pace plan")
     p.add_argument("--pace-e-all", dest="pace_e_all", type=float, help="epoch fraction of the active pace plan")
-    p.add_argument("--granularity", choices=["sample", "pixel"])
 
     p = sub.add_parser("bank", help="score a training set with a frozen checkpoint")
-    _add_common(p)
+    _add_common(p, out_required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--variant", choices=["plain", "ts", "ls"], default="plain")
-    p.add_argument("--granularity", choices=["sample", "pixel"], default="sample")
+    p.add_argument("--granularity", choices=["sample", "pixel"], default="sample", help="sample-bank CSV or pixel-bank dir")
 
     p = sub.add_parser("corrupt", help="corrupt a dataset's validation images")
     _add_common(p)

@@ -1,10 +1,11 @@
 """Confidence-paced sample/pixel introduction.
 
-A frozen baseline model scores every training sample (or pixel); the bank
-sorts them easy-to-hard by that confidence, and the pace plan decides how
-many of them are active at each epoch: the initial fraction lambda grows by
-mu = (1-lambda)/(e_all*epochs) per epoch until the epoch fraction e_all is
-reached, after which everything is active. Samples are only ever added.
+A frozen baseline model scores every training sample (a SampleBank, sorted
+easy-to-hard) or pixel (an (N,H,W) pixel bank). One rule paces both: each
+epoch trains on the active_count(plan, epoch) units ranked most confident,
+where the initial fraction lambda grows by mu = (1-lambda)/(e_all*epochs)
+per epoch until the epoch fraction e_all is reached, after which everything
+is active. Units are only ever added.
 """
 
 from __future__ import annotations
@@ -169,35 +170,35 @@ def build_pixel_bank(probmaps: np.ndarray, labelmaps: np.ndarray) -> np.ndarray:
     return np.take_along_axis(probmaps, labelmaps[..., None], axis=-1)[..., 0].astype(np.float32)
 
 
-def pixel_ranks(pixel_bank: np.ndarray) -> np.ndarray:
-    """Rank of every pixel of a bank by score, 0 = most confident.
+def ranks(bank: SampleBank | np.ndarray) -> np.ndarray:
+    """Every unit's rank in ``bank``, 0 = most confident; a run takes it once.
 
-    One stable sort of the whole bank, so ties go by (sample, pixel)
-    position; each epoch's active pixels are then those ranked below its
-    active count.
+    A SampleBank's ids must be 0..len(bank)-1; its ranks are indexed by
+    sample id, and a sample's rank is its position in the bank, so ties keep
+    the bank's (file) order. An (N,H,W) pixel bank's ranks are shaped like
+    it and come from one stable sort of the whole bank, so ties go by
+    (sample, pixel) position.
     """
-    scores = np.asarray(pixel_bank, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("pixel bank scores must be finite")
-    order = np.argsort(-scores.ravel(), kind="stable")
-    ranks = np.empty(scores.size, dtype=np.int64)
-    ranks[order] = np.arange(scores.size)
-    return ranks.reshape(scores.shape)
+    if isinstance(bank, SampleBank):
+        order, shape = bank.sample_ids, (len(bank),)
+        outside = (order < 0) | (order >= len(bank))
+        if outside.any():
+            raise ValueError(f"bank sample id {order[outside.argmax()]} outside the training set [0, {len(bank)})")
+    else:
+        scores = np.asarray(bank, dtype=np.float64)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("pixel bank scores must be finite")
+        order, shape = np.argsort(-scores.ravel(), kind="stable"), scores.shape
+    out = np.empty(order.size, dtype=np.int64)
+    out[order] = np.arange(order.size)
+    return out.reshape(shape)
 
 
-def active_set(bank: SampleBank, plan: PacePlan, epoch: int) -> np.ndarray:
-    """Ids of the easiest active_count(plan, epoch) samples."""
-    if len(bank) != plan.n:
-        raise ValueError(f"bank size {len(bank)} != plan population {plan.n}")
-    return bank.sample_ids[: active_count(plan, epoch)].copy()
-
-
-def pixel_mask_at(ranks: np.ndarray, plan: PacePlan, epoch: int) -> np.ndarray:
-    """Boolean masks, shaped like ``ranks``, keeping the globally most-confident pixels.
-
-    One shared threshold across the whole training set: the top
-    active_count(plan, epoch) pixels of ``pixel_ranks`` are kept.
-    """
+def active_mask(ranks: np.ndarray, plan: PacePlan, epoch: int) -> np.ndarray:
+    """Which units train at ``epoch``: a boolean array shaped like ``ranks``
+    that is true for the active_count(plan, epoch) units ranked most
+    confident. ``np.flatnonzero`` of a sample mask gives the active ids in
+    ascending order; a pixel mask is the epoch's (N,H,W) loss masks."""
     if ranks.size != plan.n:
-        raise ValueError(f"pixel bank holds {ranks.size} pixels, plan expects {plan.n}")
+        raise ValueError(f"bank holds {ranks.size} units, plan expects {plan.n}")
     return ranks < active_count(plan, epoch)

@@ -1,13 +1,12 @@
 """The paced-curriculum training loop.
 
-Each epoch: look up the smoothing factor(s) for this epoch, pick the active
-sample set (or pixel masks, from pixel ranks sorted once before the first
-epoch) from the confidence bank, gather the inputs, soft targets and masks
-of a seeded shuffle of the active ids once, check them once, and step the
-optimizer over consecutive slices of that shuffle. Identical (config,
-data, seed) replays bit-for-bit: shuffles are keyed by (seed, epoch),
-batches run in shuffle order, and validation never sees smoothing or
-pacing.
+Each epoch: look up the smoothing factor(s) for this epoch, take the bank's
+active mask (over ranks taken once: the active sample ids, or every frame's
+pixel masks), gather the inputs, soft targets and masks of a seeded shuffle
+of the active ids once, check them once, and step the optimizer over
+consecutive slices of that shuffle. Identical (config, data, seed) replays
+bit-for-bit: shuffles are keyed by (seed, epoch), batches run in shuffle
+order, and validation never sees smoothing or pacing.
 
 A run owns one flat parameter buffer and one flat gradient buffer, each
 unpacked into tensor views once. A step writes the gradient views
@@ -54,7 +53,6 @@ class TrainConfig:
     svls_schedule: SmoothingSchedule | None = None
     svls_kernel: int = soft_labels.DEFAULT_KERNEL_SIZE
     pace: PacePlan | None = None
-    granularity: str = "sample"  # sample | pixel
 
     def __post_init__(self) -> None:
         if self.task not in ("multiclass", "multilabel", "segmentation"):
@@ -66,10 +64,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.granularity not in ("sample", "pixel"):
-            raise ValueError(f"unknown pacing granularity {self.granularity!r}")
-        if self.granularity == "pixel" and self.task != "segmentation":
-            raise ValueError("pixel-wise pacing requires the segmentation task")
         if self.svls_schedule is not None and self.task != "segmentation":
             raise ValueError("a spatial smoothing schedule requires the segmentation task")
 
@@ -204,38 +198,35 @@ def train(
     val_inputs: np.ndarray,
     val_targets: np.ndarray,
     num_classes: int,
-    bank: SampleBank | None = None,
-    pixel_bank: np.ndarray | None = None,
+    bank: SampleBank | np.ndarray | None = None,
     instrument_epochs: frozenset[int] = frozenset(),
 ) -> TrainResult:
     """Run the full curriculum loop and return final parameters + records.
 
-    With no schedules and no pace plan this is a plain cross-entropy
-    trainer; a constant-0 schedule reproduces it exactly because the
-    smoothing formula at factor 0 returns the one-hot target bit-for-bit.
+    A pace plan paces the units of ``bank``, whose type is the granularity:
+    a SampleBank paces samples, an (N,H,W) pixel bank (segmentation only)
+    pixels. With no schedules and no pace plan this is a plain
+    cross-entropy trainer; a constant-0 schedule reproduces it exactly
+    because the smoothing formula at factor 0 returns the one-hot target
+    bit-for-bit.
     """
     n = len(train_inputs)
     if n == 0 or len(val_inputs) == 0:
         raise ValueError("training and validation sets must be non-empty")
+    ranks = None
+    pixel = cfg.pace is not None and not isinstance(bank, SampleBank)
     if cfg.pace is not None:
-        if cfg.granularity == "sample":
-            if bank is None:
-                raise ValueError("sample-wise pacing requires a sample bank")
-            if len(bank) != n or cfg.pace.n != n:
-                raise ValueError("bank/plan size must match the training set")
-            outside = (bank.sample_ids < 0) | (bank.sample_ids >= n)
-            if outside.any():
-                bad = bank.sample_ids[outside.argmax()]
-                raise ValueError(f"bank sample id {bad} outside the training set [0, {n})")
-        else:
-            if pixel_bank is None:
-                raise ValueError("pixel-wise pacing requires a pixel bank")
-            bank_shape, map_shape = np.shape(pixel_bank), np.shape(train_targets)
+        if bank is None:
+            raise ValueError("pacing requires a bank: a SampleBank or an (N,H,W) pixel bank")
+        if pixel:
+            if cfg.task != "segmentation":
+                raise ValueError("pixel-wise pacing requires the segmentation task")
+            bank_shape, map_shape = np.shape(bank), np.shape(train_targets)
             if bank_shape != map_shape:
                 raise ValueError(f"pixel bank shape {bank_shape} does not match the label maps {map_shape}")
-            if cfg.pace.n != np.size(pixel_bank):
-                raise ValueError("plan population must equal the total pixel count")
-            ranks = pacing.pixel_ranks(pixel_bank)
+        elif len(bank) != n:
+            raise ValueError(f"bank holds {len(bank)} samples, the training set {n}")
+        ranks = pacing.ranks(bank)  # active_mask refuses a plan of another n
 
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets)
@@ -257,21 +248,18 @@ def train(
         sigma = cfg.svls_schedule.value_at(epoch) if cfg.svls_schedule else None
         lr = np.asarray(cfg.lr * (cfg.lr_decay_factor if epoch >= cfg.decay_epoch() else 1.0))
 
-        if cfg.pace is not None and cfg.granularity == "sample":
-            ids = np.sort(pacing.active_set(bank, cfg.pace, epoch))
-            count = len(ids)
-        else:
-            ids = np.arange(n)
-            count = n
+        ids, count = np.arange(n), n
+        if ranks is not None:
+            active = pacing.active_mask(ranks, cfg.pace, epoch)
+            count = pacing.active_count(cfg.pace, epoch)
+            if not pixel:
+                ids = np.flatnonzero(active)  # ascending
         order = np.random.default_rng(fold_seed(shuffle_key, epoch)).permutation(len(ids))
         shuffled = ids[order]
 
         # the epoch's inputs, targets and masks in shuffle order, checked
         # once: each batch is a slice of them
-        masks = None
-        if cfg.pace is not None and cfg.granularity == "pixel":
-            masks = pacing.pixel_mask_at(ranks, cfg.pace, epoch)[shuffled].astype(np.float64)
-            count = pacing.active_count(cfg.pace, epoch)
+        masks = active[shuffled].astype(np.float64) if pixel else None
         soft = _soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
         # np.take copies whole rows faster than fancy indexing, same bytes
         xs = np.take(train_inputs, shuffled, axis=0)
@@ -315,7 +303,7 @@ def train(
 
 def train_baseline(cfg: TrainConfig, *args, **kwargs) -> TrainResult:
     """Plain cross-entropy training: no smoothing schedules, no pacing."""
-    plain = replace(cfg, uls_schedule=None, svls_schedule=None, pace=None, granularity="sample")
+    plain = replace(cfg, uls_schedule=None, svls_schedule=None, pace=None)
     return train(plain, *args, **kwargs)
 
 

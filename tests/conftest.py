@@ -302,7 +302,7 @@ def ref_segmentation_targets(labels, num_classes, epsilon=0.0, sigma=None, k=3):
     return maps
 
 
-def ref_pixel_mask_at(pixel_bank, plan, epoch):
+def ref_pixel_masks(pixel_bank, plan, epoch):
     """Per-epoch masks from a fresh sort of every pixel of a list of maps."""
     total = sum(m.size for m in pixel_bank)
     if total != plan.n:
@@ -476,9 +476,11 @@ class RefOptimizer:
         return params - lr * mh / (np.sqrt(vh) + eps)
 
 
-def ref_train(cfg, inputs, targets, num_classes, bank=None, pixel_bank=None, instrument_epochs=frozenset()):
+def ref_train(cfg, inputs, targets, num_classes, bank=None, instrument_epochs=frozenset()):
     """Reference curriculum loop: soft targets rebuilt for every batch, frame
-    by frame, and pixel masks re-sorted every epoch.
+    by frame, the active sample ids re-sorted and the pixel masks re-sorted
+    every epoch. ``bank`` is a SampleBank or an (N,H,W) pixel bank, as for
+    ``trainer.train``.
 
     Returns (final params, train loss per epoch, gradient contributions of
     the instrumented epochs), the quantities ``trainer.train`` must match
@@ -501,11 +503,11 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None, pixel_bank=None, ins
         sigma = cfg.svls_schedule.value_at(epoch) if cfg.svls_schedule else None
         lr = cfg.lr * (cfg.lr_decay_factor if epoch >= cfg.decay_epoch() else 1.0)
         ids = np.arange(n)
-        if cfg.pace is not None and cfg.granularity == "sample":
-            ids = np.sort(pacing.active_set(bank, cfg.pace, epoch))
         masks = None
-        if cfg.pace is not None and cfg.granularity == "pixel":
-            masks = np.stack(ref_pixel_mask_at(list(pixel_bank), cfg.pace, epoch)).astype(np.float64)
+        if cfg.pace is not None and isinstance(bank, pacing.SampleBank):
+            ids = np.sort(bank.sample_ids[: pacing.active_count(cfg.pace, epoch)])
+        elif cfg.pace is not None:
+            masks = np.stack(ref_pixel_masks(list(bank), cfg.pace, epoch)).astype(np.float64)
         shuffled = ids[rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))]
         if epoch in instrument_epochs:
             contributions[epoch] = np.zeros(n)

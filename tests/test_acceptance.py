@@ -25,7 +25,7 @@ from pcbls.losses import soft_ce
 from pcbls.metrics import accuracy
 from pcbls.models import ModelSpec, forward, loss, loss_and_grad
 from pcbls.numerics import softmax
-from pcbls.pacing import PacePlan, active_count, active_set, build_bank_multiclass, pace_parameter
+from pcbls.pacing import PacePlan, active_count, build_bank_multiclass, pace_parameter
 from pcbls.schedules import anti, constant, exponential, random_schedule
 from pcbls.soft_labels import segmentation_targets, svls, uls, uls_matrix, uls_svls
 from pcbls.trainer import TrainConfig, records_to_csv, train, train_baseline
@@ -202,7 +202,7 @@ def test_criterion_06_pacing_trace():
     assert counts == [600 + 20 * e for e in range(20)] + [1000] * 30
     for e in probes:
         contrib = result.grad_contributions[e]
-        active = set(active_set(bank, plan, e).tolist())
+        active = set(bank.sample_ids[: active_count(plan, e)].tolist())
         for sid in range(n):
             if sid not in active:
                 assert contrib[sid] == 0.0

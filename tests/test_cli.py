@@ -7,9 +7,12 @@ import pytest
 
 from pcbls import cli
 from pcbls.cli import PRESETS, ConfigError, main, resolve_config
-from pcbls.datasets import gen_blobs, save_image_dataset
+from pcbls.datasets import gen_blobs, gen_shapes_seg, save_image_dataset
 from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
+from pcbls.models import ModelSpec
+from pcbls.pacing import PacePlan
 from pcbls.seeding import derive_seed
+from pcbls.trainer import TrainConfig, train
 
 from conftest import ref_corrupt_dataset
 
@@ -604,7 +607,7 @@ class TestSegmentationPipeline:
         paced = tmp_path / "paced"
         assert run(
             ["train", "--config", cfg, "--seed", 1, "--out", paced, "--preset", "segmentation",
-             "--pace", "--bank", pix, "--granularity", "pixel",
+             "--pace", "--bank", pix,
              "--epochs", 2, "--batch-size", 4]
         ) == 0
         header, rows = load_csv(paced / "metrics.csv")
@@ -658,7 +661,7 @@ class TestSegmentationChecks:
         out = tmp_path / "paced"
         assert run(
             ["train", "--config", cfg, "--seed", 1, "--out", out, "--preset", "segmentation",
-             "--pace", "--bank", pix, "--granularity", "pixel"]
+             "--pace", "--bank", pix]
         ) == 2
         err = capsys.readouterr().err
         assert "(4, 32, 16)" in err and "(8, 16, 16)" in err
@@ -670,7 +673,7 @@ class TestSegmentationChecks:
         save_pixel_bank(pix, [np.zeros((16, 16), np.float32)] * 6 + [np.zeros((8, 32), np.float32)] * 2)
         assert run(
             ["train", "--config", cfg, "--seed", 1, "--out", tmp_path / "paced", "--preset", "segmentation",
-             "--pace", "--bank", pix, "--granularity", "pixel"]
+             "--pace", "--bank", pix]
         ) == 2
         assert "000006.pcbl: map is 8x32 but 000000.pcbl is 16x16" in capsys.readouterr().err
 
@@ -688,6 +691,72 @@ class TestSegmentationChecks:
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "smoothing factor must lie in [0, 1), got 1.5" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+
+class TestBankGranularity:
+    """The bank decides the pacing granularity: a directory is a pixel bank,
+    a file a sample bank, and no bank means sample."""
+
+    def test_pixel_bank_dir_without_a_preset_trains_as_the_trainer_does(self, tmp_path):
+        cfg = _write_shapes_config(tmp_path, epochs=2)
+        maps = np.random.default_rng(3).uniform(size=(8, 16, 16)).astype(np.float32)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, maps)
+        out = tmp_path / "paced"
+        assert run(
+            ["train", "--data", "shapes", "--config", cfg, "--seed", 1, "--out", out,
+             "--pace", "--pace-lambda", 0.5, "--bank", pix]
+        ) == 0
+        seed = derive_seed(1, "data")
+        tr = gen_shapes_seg(16, 16, 2, 8, seed=seed, split="train")
+        va = gen_shapes_seg(16, 16, 2, 4, seed=seed, split="val")
+        tc = TrainConfig(
+            task="segmentation", model=ModelSpec("tiny_fcn", (3, 4, 4, 3)), epochs=2,
+            optimizer="adam", lr=1e-3, seed=1, pace=PacePlan(0.5, 0.4, 2, maps.size),
+        )
+        result = train(tc, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=maps)
+        _, params, _ = load_checkpoint(out / "checkpoint.pckpt")
+        assert params.tobytes() == result.params.tobytes()
+        _, rows = load_csv(out / "metrics.csv")
+        assert [int(r[1]) for r in rows] == [r.active_count for r in result.records] == [1024, 2048]
+        assert json.loads((out / "resolved_config.json").read_text())["granularity"] == "pixel"
+
+    @pytest.mark.parametrize("given", ["sample", "voxel"])
+    def test_granularity_the_pixel_bank_contradicts_is_config_error(self, tmp_path, capsys, given):
+        cfg = _write_shapes_config(tmp_path, granularity=given)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, np.full((8, 16, 16), 0.5, dtype=np.float32))
+        out = tmp_path / "paced"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out, "--pace-lambda", 0.5, "--bank", pix]) == 2
+        assert f"granularity {given!r} contradicts the bank {pix}, whose granularity is 'pixel'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_granularity_the_sample_bank_contradicts_is_config_error(self, tmp_path, capsys):
+        cfg = _write_small_config(tmp_path, granularity="pixel")
+        bank = tmp_path / "bank.csv"
+        bank.write_text("sample_id,score,source\n" + "".join(f"{i},0.5,plain\n" for i in range(60)))
+        out = tmp_path / "paced"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out, "--pace-lambda", 0.5, "--bank", bank]) == 2
+        assert f"granularity 'pixel' contradicts the bank {bank}, whose granularity is 'sample'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pixel_granularity_without_a_bank_is_config_error(self, tmp_path, capsys):
+        cfg = _write_shapes_config(tmp_path, granularity="pixel")
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert "granularity 'pixel' contradicts a run without a bank, whose granularity is 'sample'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_pixel_bank_on_blobs_is_config_error(self, tmp_path, capsys):
+        cfg = _write_small_config(tmp_path)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, np.full((60, 2, 2), 0.5, dtype=np.float32))
+        out = tmp_path / "paced"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out, "--pace-lambda", 0.5, "--bank", pix]) == 2
+        assert "pixel-wise pacing requires the segmentation task" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -850,8 +919,10 @@ class TestCorruptFlagChecks:
 
 
 class TestOutChecks:
-    """corrupt and a pixel bank write many files into --out: an existing file
-    there exits 2 before any work, naming --out and the path."""
+    """Every --out is checked before any work. A command that writes a
+    directory (train, corrupt, a pixel bank, calibrate) exits 2 on an existing
+    file there; one that writes a file (eval, a sample bank, report) exits 2
+    on an existing directory. Both name --out and the path."""
 
     @pytest.mark.parametrize("command", ["corrupt", "pixel_bank"])
     def test_out_that_is_an_existing_file_is_config_error(self, tmp_path, capsys, command):
@@ -868,6 +939,46 @@ class TestOutChecks:
         assert run([*flags, "--out", taken]) == 2
         assert f"--out {taken} is an existing file, not a directory" in capsys.readouterr().err
         assert taken.read_text() == "keep"
+
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Fails any command that gets as far as resolving its config or
+        reading a run's metrics: an --out refusal must come first."""
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the --out check")
+
+        monkeypatch.setattr(cli, "resolve_config", work)
+        monkeypatch.setattr(cli.fileio, "load_csv", work)
+
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    def test_directory_out_that_is_an_existing_file_is_config_error(self, tmp_path, capsys, no_work, command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        flags = ["--checkpoint", tmp_path / "ckpt.pckpt"] if command == "calibrate" else []
+        assert run([command, "--data", "blobs", "--seed", 1, *flags, "--out", taken]) == 2
+        assert f"--out {taken} is an existing file, not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["eval", "sample_bank", "report"])
+    def test_file_out_that_is_an_existing_directory_is_config_error(self, tmp_path, capsys, no_work, command):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        flags = {
+            "eval": ["eval", "--data", "blobs", "--checkpoint", tmp_path / "ckpt.pckpt"],
+            "sample_bank": ["bank", "--data", "blobs", "--checkpoint", tmp_path / "ckpt.pckpt"],
+            "report": ["report", tmp_path / "run"],
+        }[command]
+        assert run([*flags, "--out", taken]) == 2
+        assert f"--out {taken} is an existing directory, not a file" in capsys.readouterr().err
+        assert list(taken.iterdir()) == []
+
+    def test_bank_without_out_is_refused_before_scoring(self, tmp_path, capsys, no_work):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["bank", "--data", "blobs", "--seed", 1, "--checkpoint", tmp_path / "ckpt.pckpt"])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 class TestParserReuse:

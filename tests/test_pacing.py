@@ -7,17 +7,16 @@ from pcbls.pacing import (
     PacePlan,
     SampleBank,
     active_count,
-    active_set,
+    active_mask,
     build_bank_multiclass,
     build_bank_multilabel,
     build_bank_segmentation,
     build_pixel_bank,
     pace_parameter,
-    pixel_mask_at,
-    pixel_ranks,
+    ranks,
 )
 
-from conftest import ref_pixel_mask_at
+from conftest import ref_pixel_masks
 
 
 class TestPaceParameter:
@@ -198,7 +197,7 @@ class TestActiveSet:
             np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]]), np.array([0, 1, 0])
         )
         plan = PacePlan(0.4, 0.5, 10, 3)
-        ids0 = active_set(bank, plan, 0)
+        ids0 = np.flatnonzero(active_mask(ranks(bank), plan, 0))
         assert len(ids0) == 1
         assert ids0[0] == 0  # highest confidence sample
 
@@ -209,7 +208,7 @@ class TestActiveSet:
         plan = PacePlan(0.25, 0.6, 20, 40)
         previous = set()
         for e in range(20):
-            current = set(active_set(bank, plan, e).tolist())
+            current = set(np.flatnonzero(active_mask(ranks(bank), plan, e)).tolist())
             assert previous <= current
             previous = current
         assert previous == set(range(40))
@@ -217,44 +216,44 @@ class TestActiveSet:
     def test_size_mismatch(self):
         bank = build_bank_multiclass(np.ones((3, 2)) / 2, np.array([0, 1, 0]))
         with pytest.raises(ValueError):
-            active_set(bank, PacePlan(0.5, 0.5, 10, 4), 0)
+            active_mask(ranks(bank), PacePlan(0.5, 0.5, 10, 4), 0)
 
 
 class TestPixelMasks:
     def test_lambda_one_all_ones(self):
         maps = [np.array([[0.5, 0.1]], dtype=np.float32)]
         plan = PacePlan(1.0, 0.4, 10, 2)
-        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0)
         assert masks[0].all()
 
     def test_top_half_kept(self):
         maps = [np.array([[0.9, 0.1]], dtype=np.float32)]
         plan = PacePlan(0.5, 0.4, 10, 2)
-        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0)
         assert masks[0][0, 0] and not masks[0][0, 1]
 
     def test_late_epochs_all_ones(self):
         maps = [np.random.default_rng(0).uniform(size=(3, 3)).astype(np.float32)]
         plan = PacePlan(0.5, 0.4, 10, 9)
         for e in range(4, 10):
-            assert pixel_mask_at(pixel_ranks(np.stack(maps)), plan, e)[0].all()
+            assert active_mask(ranks(np.stack(maps)), plan, e)[0].all()
 
     def test_exact_count_with_ties(self):
         maps = [np.full((2, 3), 0.5, dtype=np.float32), np.full((2, 3), 0.5, dtype=np.float32)]
         plan = PacePlan(0.5, 0.5, 10, 12)
-        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0)
         assert sum(int(m.sum()) for m in masks) == 6
         # deterministic tie-break: earlier samples/pixels win
         assert masks[0].all() and not masks[1].any()
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
-            pixel_mask_at(pixel_ranks(np.stack([np.zeros((2, 2), dtype=np.float32)])), PacePlan(0.5, 0.5, 10, 5), 0)
+            active_mask(ranks(np.stack([np.zeros((2, 2), dtype=np.float32)])), PacePlan(0.5, 0.5, 10, 5), 0)
 
     def test_across_sample_selection(self, rng):
         maps = [rng.uniform(size=(4, 4)).astype(np.float32) for _ in range(3)]
         plan = PacePlan(0.25, 0.5, 8, 48)
-        masks = pixel_mask_at(pixel_ranks(np.stack(maps)), plan, 0)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0)
         kept = np.concatenate([m.ravel() for m in masks])
         scores = np.concatenate([m.ravel() for m in maps])
         count = int(kept.sum())
@@ -270,23 +269,23 @@ class TestPixelRanks:
             bank = (rng.integers(0, 4, size=(n, h, w)) / 4).astype(np.float32)
             epochs = int(rng.integers(1, 12))
             plan = PacePlan(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.1, 1.0)), epochs, bank.size)
-            ranks = pixel_ranks(bank)
+            bank_ranks = ranks(bank)
             for e in range(epochs):
-                got = pixel_mask_at(ranks, plan, e)
+                got = active_mask(bank_ranks, plan, e)
                 assert got.shape == bank.shape and got.dtype == bool
-                assert np.array_equal(got, np.stack(ref_pixel_mask_at(list(bank), plan, e)))
+                assert np.array_equal(got, np.stack(ref_pixel_masks(list(bank), plan, e)))
 
     def test_ranks_are_a_permutation_in_score_order(self, rng):
         bank = rng.uniform(size=(3, 4, 5)).astype(np.float32)
-        ranks = pixel_ranks(bank)
-        assert sorted(ranks.ravel().tolist()) == list(range(bank.size))
-        assert np.all(np.diff(bank.ravel()[np.argsort(ranks.ravel())]) <= 0)
+        bank_ranks = ranks(bank)
+        assert sorted(bank_ranks.ravel().tolist()) == list(range(bank.size))
+        assert np.all(np.diff(bank.ravel()[np.argsort(bank_ranks.ravel())]) <= 0)
 
     def test_rejects_non_finite_scores(self):
         bank = np.zeros((2, 2, 2), dtype=np.float32)
         bank[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            pixel_ranks(bank)
+            ranks(bank)
 
     def test_pixel_bank_is_a_stack(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(2, 4, 5))
@@ -313,15 +312,50 @@ class TestPixelRanks:
 def test_pixel_masks_follow_the_pace_plan(shape, lam, e_all, epochs, seed):
     bank = np.random.default_rng(seed).uniform(size=shape).astype(np.float32)
     plan = PacePlan(lam, e_all, epochs, bank.size)
-    ranks = pixel_ranks(bank)
+    bank_ranks = ranks(bank)
     previous = np.zeros(shape, dtype=bool)
     for e in range(epochs):
-        mask = pixel_mask_at(ranks, plan, e)
+        mask = active_mask(bank_ranks, plan, e)
         assert int(mask.sum()) == active_count(plan, e)
         assert not (previous & ~mask).any()  # pixels are only ever added
         if e >= e_all * epochs:
             assert mask.all()
         previous = mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    levels=st.integers(1, 4),
+    lam=st.floats(0.01, 1.0),
+    e_all=st.floats(0.05, 1.0),
+    epochs=st.integers(1, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_masks_hold_the_bank_prefix(n, levels, lam, e_all, epochs, seed):
+    # a bank as a file may hold it: shuffled ids, non-increasing coarse scores
+    # with many ties; the mask's ids are the first active_count of the bank
+    rng = np.random.default_rng(seed)
+    scores = np.sort(rng.integers(0, levels, size=n) / levels)[::-1]
+    bank = SampleBank(rng.permutation(n).astype(np.int64), scores)
+    plan = PacePlan(lam, e_all, epochs, n)
+    bank_ranks = ranks(bank)
+    for e in range(epochs):
+        want = np.sort(bank.sample_ids[: active_count(plan, e)])
+        assert np.array_equal(np.flatnonzero(active_mask(bank_ranks, plan, e)), want)
+
+
+class TestSampleRanks:
+    def test_rank_is_the_position_in_the_bank(self):
+        # all scores tie: the bank's (file) order decides, not the id order
+        bank = SampleBank(np.array([2, 0, 3, 1]), np.full(4, 0.5))
+        assert ranks(bank).tolist() == [1, 3, 0, 2]
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_id_outside_the_bank_range_is_refused(self, bad):
+        bank = SampleBank(np.array([0, bad, 2, 3]), np.full(4, 0.5))
+        with pytest.raises(ValueError, match=f"bank sample id {bad} outside the training set \\[0, 4\\)"):
+            ranks(bank)
 
 
 class TestSampleBankValidation:

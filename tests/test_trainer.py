@@ -45,8 +45,11 @@ def _config(task="multiclass", **kw):
 
 class TestValidation:
     def test_pixel_granularity_needs_segmentation(self):
-        with pytest.raises(ValueError):
-            _config(granularity="pixel")
+        tr, va = _blob_setup()
+        pixel_bank = np.full((len(tr), 2, 2), 0.5, dtype=np.float32)
+        cfg = _config(pace=PacePlan(0.5, 0.5, 4, pixel_bank.size))
+        with pytest.raises(ValueError, match="pixel-wise pacing requires the segmentation task"):
+            train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=pixel_bank)
 
     def test_svls_needs_segmentation(self):
         with pytest.raises(ValueError):
@@ -183,7 +186,7 @@ class TestRecords:
 
 
 class TestInstrumentation:
-    def test_gradients_zero_outside_active_set(self):
+    def test_gradients_zero_outside_the_active_samples(self):
         tr, va = _blob_setup(per_class=25, classes=4)
         n = len(tr)
         rng = np.random.default_rng(5)
@@ -196,11 +199,11 @@ class TestInstrumentation:
             cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4,
             bank=bank, instrument_epochs=probes,
         )
-        from pcbls.pacing import active_set
+        from pcbls.pacing import active_count
 
         for e in probes:
             contrib = result.grad_contributions[e]
-            active = set(active_set(bank, plan, e).tolist())
+            active = set(bank.sample_ids[: active_count(plan, e)].tolist())
             inactive = set(range(n)) - active
             assert all(contrib[i] == 0.0 for i in inactive)
             assert np.count_nonzero([contrib[i] for i in active]) > 0.9 * len(active)
@@ -271,9 +274,8 @@ class TestMatchesReferenceLoop:
             svls_schedule=exponential(0.9, 0.5),
             svls_kernel=3,
             pace=PacePlan(0.8, 0.4, 2, total),
-            granularity="pixel",
         )
-        _assert_matches_reference(cfg, tr, va, 3, pixel_bank=pixel_bank)
+        _assert_matches_reference(cfg, tr, va, 3, bank=pixel_bank)
 
     def test_fcn_at_the_workload_model(self):
         # the benchmark's segmentation model (RGB -> 8 -> 8 -> 4 classes on
@@ -296,9 +298,8 @@ class TestMatchesReferenceLoop:
             svls_schedule=exponential(0.9, 0.5),
             svls_kernel=3,
             pace=PacePlan(0.8, 0.4, 2, sum(m.size for m in pixel_bank)),
-            granularity="pixel",
         )
-        _assert_matches_reference(cfg, tr, va, 4, pixel_bank=pixel_bank)
+        _assert_matches_reference(cfg, tr, va, 4, bank=pixel_bank)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
@@ -363,9 +364,8 @@ class TestCallerArraysUnwritten:
             uls_schedule=exponential(0.6, 0.9),
             svls_schedule=exponential(0.9, 0.5),
             pace=PacePlan(0.8, 0.4, 2, pixel_bank.size),
-            granularity="pixel",
         )
-        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, pixel_bank=pixel_bank)
+        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=pixel_bank)
         assert [a.tobytes() for a in arrays] == before
 
 
@@ -420,10 +420,9 @@ class TestTasks:
             uls_schedule=exponential(0.6, 0.9),
             svls_schedule=exponential(0.9, 0.5),
             pace=PacePlan(0.8, 0.4, 3, total),
-            granularity="pixel",
         )
         result = train(
-            cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, pixel_bank=pixel_bank
+            cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=pixel_bank
         )
         assert result.records[0].active_count == int(0.8 * total)
         assert result.records[-1].active_count == total
