@@ -33,7 +33,7 @@ from .seeding import derive_seed
 from .trainer import TrainConfig
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """User-facing configuration/validation problem (exit code 2)."""
 
 
@@ -91,7 +91,7 @@ _CONFIG = {
     "svls_kernel": (int, 3),
     "pace": (_PACE, None),
     "bank": (str, None),
-    "granularity": (str, None),  # None: the bank's (see _train_bank)
+    "granularity": (str, None),  # None: train takes the bank's (see _train_bank), bank builds a sample bank
     "data": (_DATA, {"name": "blobs"}),
     "seed": (int, 0),
     "model_dims": (_DERIVED, None),
@@ -225,7 +225,7 @@ def resolve_config(args) -> dict:
         merge(layer, f"preset {preset!r}")
     if getattr(args, "config", None):
         merge(_read_config_file(args.config), args.config)
-    flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "arch")}
+    flags = {key: getattr(args, key, None) for key in ("epochs", "batch_size", "seed", "bank", "arch", "granularity")}
     if getattr(args, "data", None):
         flags["data"] = _parse_data_spec(args.data)
     pace, lam, e_all = cfg["pace"], getattr(args, "pace_lambda", None), getattr(args, "pace_e_all", None)
@@ -338,25 +338,22 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
     if cfg["pace"] is not None:
         n = train_ds.targets.size if cfg["granularity"] == "pixel" else len(train_ds)
         pace = PacePlan(lam=cfg["pace"]["lambda"], e_all=cfg["pace"]["e_all"], epochs=cfg["epochs"], n=n)
-    try:
-        return TrainConfig(
-            task=task,
-            model=spec,
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            optimizer=cfg["optimizer"],
-            lr=cfg["lr"],
-            momentum=cfg["momentum"],
-            weight_decay=cfg["weight_decay"],
-            lr_decay_factor=cfg["lr_decay_factor"],
-            seed=cfg["seed"],
-            uls_schedule=_schedule(cfg, "schedule"),
-            svls_schedule=_schedule(cfg, "svls_schedule"),
-            svls_kernel=cfg["svls_kernel"],
-            pace=pace,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return TrainConfig(
+        task=task,
+        model=spec,
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        optimizer=cfg["optimizer"],
+        lr=cfg["lr"],
+        momentum=cfg["momentum"],
+        weight_decay=cfg["weight_decay"],
+        lr_decay_factor=cfg["lr_decay_factor"],
+        seed=cfg["seed"],
+        uls_schedule=_schedule(cfg, "schedule"),
+        svls_schedule=_schedule(cfg, "svls_schedule"),
+        svls_kernel=cfg["svls_kernel"],
+        pace=pace,
+    )
 
 
 def _schedule(cfg: dict, key: str) -> SmoothingSchedule | None:
@@ -444,12 +441,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_run(args):
+def _load_checkpoint_run(cfg: dict, checkpoint: str):
     """What bank, eval and calibrate score: the resolved config's (train, val)
     datasets, the checkpoint's spec and params (missing or malformed: exit
     2) and each dataset's features, checked to fit the model."""
-    train_ds, val_ds = resolve_dataset(resolve_config(args))
-    path = Path(args.checkpoint)
+    train_ds, val_ds = resolve_dataset(cfg)
+    path = Path(checkpoint)
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
     spec, params, _ = fileio.load_checkpoint(path)
@@ -465,8 +462,12 @@ def _load_checkpoint_run(args):
 
 
 def cmd_bank(args) -> int:
-    (_out_dir if args.granularity == "pixel" else _out_file)(args.out)
-    train_ds, val_ds, spec, params, x_train, x_val = _load_checkpoint_run(args)
+    cfg = resolve_config(args)
+    granularity = cfg["granularity"] or "sample"
+    if granularity not in ("sample", "pixel"):
+        raise ConfigError(f"granularity must be 'sample' or 'pixel', got {granularity!r}")
+    (_out_dir if granularity == "pixel" else _out_file)(args.out)
+    train_ds, val_ds, spec, params, x_train, x_val = _load_checkpoint_run(cfg, args.checkpoint)
     temperature = 1.0
     if args.variant == "ts":
         if train_ds.task != "multiclass":
@@ -474,7 +475,7 @@ def cmd_bank(args) -> int:
         tm = fit_temperature(models.forward(spec, params, x_val), val_ds.targets)
         _warn_if_pinned(tm)
         temperature = tm.temperature
-    if args.granularity == "pixel":
+    if granularity == "pixel":
         if train_ds.task != "segmentation":
             raise ConfigError("pixel banks require the segmentation task")
         maps = trainer.score_pixel_bank(spec, params, x_train, train_ds.targets)
@@ -522,8 +523,6 @@ def cmd_corrupt(args) -> int:
 
 
 def _manifest_row(r: list[str], n_val: int) -> tuple[int, str, int, str]:
-    if len(r) != 4:
-        raise ValueError("expected the 4 fields orig_id,kind,severity,path")
     orig_id, kind, severity, path = r
     try:
         orig_id, severity = int(orig_id), int(severity)
@@ -531,35 +530,22 @@ def _manifest_row(r: list[str], n_val: int) -> tuple[int, str, int, str]:
         raise ValueError("orig_id and severity must be integers") from None
     if not (0 <= orig_id < n_val):
         raise ValueError(f"orig_id {orig_id} is not one of the {n_val} validation images")
-    if kind not in corruption.KINDS:
-        raise ValueError(f"unknown corruption kind {kind!r}")
-    if not (1 <= severity <= 5):
-        raise ValueError(f"severity {severity} outside 1..5")
-    if fileio.leaves_directory(path):
-        raise ValueError(f"path {path!r} leaves the manifest's directory")
+    corruption.check_plan([kind], [severity])
+    fileio.check_inside(path, "the manifest's directory")
     return orig_id, kind, severity, path
 
 
 def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
     """The rows of a corruption manifest, each checked before any image is
-    read: four fields, an orig_id among the n_val validation images, a known
-    kind, a severity in 1..5 and a relative path inside the manifest's
-    directory. A bad row fails with its line number."""
-    header, raw = fileio.load_csv(path)
-    if header != ["orig_id", "kind", "severity", "path"]:
-        raise FormatError(f"{path}: bad manifest header {header}")
-    rows = []
-    for line, r in enumerate(raw, start=2):
-        try:
-            rows.append(_manifest_row(r, n_val))
-        except ValueError as e:
-            raise ConfigError(f"{path} line {line} {r}: {e}") from None
-    return rows
+    read: an orig_id among the n_val validation images, a known kind, a
+    severity in 1..5 and a relative path inside the manifest's directory. A
+    bad row fails with its line number."""
+    return fileio._load_table(path, ["orig_id", "kind", "severity", "path"], lambda r: _manifest_row(r, n_val))
 
 
 def cmd_eval(args) -> int:
     out = _out_file(args.out or "eval.csv")
-    _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
+    _, val_ds, spec, params, _, x_val = _load_checkpoint_run(resolve_config(args), args.checkpoint)
     if args.manifest:
         if val_ds.task != "multiclass":
             raise ConfigError("robustness evaluation requires a multiclass dataset")
@@ -620,7 +606,7 @@ def _warn_if_pinned(tm) -> None:
 
 def cmd_calibrate(args) -> int:
     out_dir = _out_dir(args.out or "calibration")
-    _, val_ds, spec, params, _, x_val = _load_checkpoint_run(args)
+    _, val_ds, spec, params, _, x_val = _load_checkpoint_run(resolve_config(args), args.checkpoint)
     if val_ds.task != "multiclass":
         raise ConfigError("calibration requires a multiclass dataset")
     logits = models.forward(spec, params, x_val)
@@ -719,7 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--variant", choices=["plain", "ts", "ls"], default="plain")
-    p.add_argument("--granularity", choices=["sample", "pixel"], default="sample", help="sample-bank CSV or pixel-bank dir")
+    p.add_argument(
+        "--granularity", choices=["sample", "pixel"],
+        help="sample-bank CSV or pixel-bank dir; default: the config's granularity, else sample",
+    )
 
     p = sub.add_parser("corrupt", help="corrupt a dataset's validation images")
     _add_common(p)
@@ -755,13 +744,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (trainer.NonFiniteLoss, trainer.NonFiniteParameters) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, FormatError) as e:
+    except ValueError as e:  # ConfigError and FormatError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ._kernels import glass_swaps
-# save_image stays bound here: e2ebench traces writers under this module
+# save_image stays bound here: the benchmark's tracer test wraps it under this module
 from .fileio import _write_files, encode_images, save_csv, save_image  # noqa: F401
 from .numerics import conv2d_same
 from .seeding import derive_seed, fold_seed
@@ -89,10 +89,7 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if not (1 <= self.severity <= 5):
-            raise ValueError(f"severity must be 1..5, got {self.severity}")
+        check_plan([self.kind], [self.severity])
 
     def params(self):
         return SEVERITY_TABLE[self.kind][self.severity - 1]
@@ -322,9 +319,9 @@ def check_plan(kinds: list[str], severities: list[int]) -> None:
         if isinstance(severity, bool) or not isinstance(severity, (int, np.integer)) or not 1 <= severity <= 5:
             raise ValueError(f"severity {severity!r} outside 1..5")
     for name, values in (("kinds", kinds), ("severities", severities)):
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ValueError(f"{name} lists {repeated[0]!r} more than once")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{name} lists {v!r} more than once")
 
 
 def corrupt_dataset(

@@ -17,10 +17,10 @@ import numpy as np
 
 from .fileio import (
     FormatError,
+    _load_table,
     _write_files,
+    check_inside,
     encode_images,
-    leaves_directory,
-    load_csv,
     load_image,
     load_json,
     save_csv,
@@ -275,17 +275,8 @@ def load_image_dataset(directory: str | Path) -> LabeledDataset:
         raise FormatError(f"{meta_path}: num_classes must be a positive integer, got {num_classes!r}")
     if task != "multiclass":
         raise FormatError(f"{meta_path}: task must be 'multiclass' (one label per image), got {task!r}")
-    header, rows = load_csv(labels_path)
-    if header != ["id", "label", "path"]:
-        raise FormatError(f"{labels_path}: bad header {header}")
-    labels, names = [], []
-    for line, row in enumerate(rows, start=2):
-        try:
-            label, name = _label_row(row, num_classes)
-        except ValueError as e:
-            raise FormatError(f"{labels_path} line {line} {row}: {e}") from None
-        labels.append(label)
-        names.append(name)
+    rows = _load_table(labels_path, ["id", "label", "path"], lambda row: _label_row(row, num_classes))
+    labels, names = [label for label, _ in rows], [name for _, name in rows]
     images = []
     for line, name in enumerate(names, start=2):
         img = load_image(directory / name)
@@ -306,8 +297,6 @@ def load_image_dataset(directory: str | Path) -> LabeledDataset:
 
 
 def _label_row(row: list[str], num_classes: int) -> tuple[int, str]:
-    if len(row) != 3:
-        raise ValueError("expected the 3 fields id,label,path")
     _, label, name = row
     try:
         label = int(label)
@@ -315,8 +304,7 @@ def _label_row(row: list[str], num_classes: int) -> tuple[int, str]:
         raise ValueError(f"label {label!r} is not an integer") from None
     if not (0 <= label < num_classes):
         raise ValueError(f"label {label} outside [0, {num_classes})")
-    if leaves_directory(name):
-        raise ValueError(f"path {name!r} leaves the dataset directory")
+    check_inside(name, "the dataset directory")
     return label, name
 
 

@@ -19,13 +19,15 @@ on it. Formats:
   pixel bank   one sidecar per sample: magic PCBL, u32 H, u32 W,
                H*W float32 LE scores; all sidecars of a bank share H and W
   images       binary PPM (P6) for RGB, PGM (P5) for grayscale, maxval 255
+  CSV tables   UTF-8; sample banks, corruption manifests and dataset
+               labels.csv are read through one checked reader, _load_table
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import os
 import queue
 import re
@@ -38,14 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import ARCHITECTURES, ModelSpec
+from .models import ARCH_NDIMS, ARCHITECTURES, ModelSpec
 from .pacing import SampleBank
 
 CHECKPOINT_MAGIC = b"PCKPT1"
 PIXELBANK_MAGIC = b"PCBL"
 _ARCH_TAG = {name: i + 1 for i, name in enumerate(ARCHITECTURES)}
 _TAG_ARCH = {v: k for k, v in _ARCH_TAG.items()}
-_ARCH_NDIMS = {"linear_softmax": 2, "mlp": 3, "tiny_fcn": 4}
 
 
 class FormatError(ValueError):
@@ -187,7 +188,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, np.ndarray, int]:
     if tag not in _TAG_ARCH:
         raise FormatError(f"{path}: unknown architecture tag {tag}")
     arch = _TAG_ARCH[tag]
-    nd = _ARCH_NDIMS[arch]
+    nd = ARCH_NDIMS[arch]
     if len(data) < pos + 4 * nd:
         raise FormatError(f"{path}: truncated checkpoint header")
     dims = struct.unpack_from(f"<{nd}I", data, pos)
@@ -211,38 +212,30 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, np.ndarray, int]:
 
 
 def save_bank(path: str | Path, bank: SampleBank) -> None:
-    lines = ["sample_id,score,source"]
-    for sid, score in zip(bank.sample_ids, bank.scores):
-        lines.append(f"{int(sid)},{score:.9f},{bank.source}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [[int(sid), f"{score:.9f}", bank.source] for sid, score in zip(bank.sample_ids, bank.scores)]
+    save_csv(path, ["sample_id", "score", "source"], rows)
+
+
+def _bank_row(row: list[str]) -> tuple[int, float, str]:
+    sid, score, source = int(row[0]), float(row[1]), row[2]
+    if not math.isfinite(score):
+        raise ValueError(f"score {row[1]!r} is not finite")
+    return sid, score, source
 
 
 def load_bank(path: str | Path) -> SampleBank:
+    rows = _load_table(path, ["sample_id", "score", "source"], _bank_row)
+    sources = sorted({source for _, _, source in rows})
+    if len(sources) > 1:
+        raise FormatError(f"{path}: mixed bank sources {sources}")
     try:
-        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
-        header = next(reader, None)
-        if header != ["sample_id", "score", "source"]:
-            raise FormatError(f"{path}: bad bank header {header}")
-        ids, scores, sources = [], [], set()
-        for row in reader:
-            if len(row) != 3:
-                raise FormatError(f"{path}: malformed bank row {row}")
-            ids.append(int(row[0]))
-            scores.append(float(row[1]))
-            sources.add(row[2])
-        if len(sources) > 1:
-            raise FormatError(f"{path}: mixed bank sources {sorted(sources)}")
-        source = sources.pop() if sources else "plain"
         return SampleBank(
-            sample_ids=np.asarray(ids, dtype=np.int64),
-            scores=np.asarray(scores, dtype=np.float64),
-            source=source,
+            sample_ids=np.asarray([sid for sid, _, _ in rows], dtype=np.int64),
+            scores=np.asarray([score for _, score, _ in rows], dtype=np.float64),
+            source=sources[0] if sources else "plain",
         )
-    except FormatError:
-        raise
-    except (ValueError, OverflowError, csv.Error) as e:
-        # undecodable bytes, a non-numeric or out-of-range field, or a bank
-        # that SampleBank refuses
+    except (ValueError, OverflowError) as e:
+        # an id out of int64 range, or a bank that SampleBank refuses
         raise FormatError(f"{path}: {e}") from e
 
 
@@ -349,12 +342,35 @@ def save_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 
 
 def load_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty CSV")
-        return header, [row for row in reader]
+    """The header and rows of a UTF-8 CSV file. Undecodable bytes, a field
+    longer than csv's limit or an empty file raise FormatError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path}: {e}") from None
+    if not rows:
+        raise FormatError(f"{path}: empty CSV")
+    return rows[0], rows[1:]
+
+
+def _load_table(path: str | Path, header: list[str], parse) -> list:
+    """``parse(row)`` of each row of the CSV table at ``path``, which must
+    have exactly this header. A row with another field count, or one that
+    ``parse`` refuses with a ValueError, raises FormatError naming the file,
+    the line and the row."""
+    found, rows = load_csv(path)
+    if found != header:
+        raise FormatError(f"{path}: bad header {found}, expected {','.join(header)}")
+    out = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected the {len(header)} fields {','.join(header)}")
+            out.append(parse(row))
+        except (ValueError, OverflowError) as e:
+            raise FormatError(f"{path} line {line} {row}: {e}") from None
+    return out
 
 
 def save_json(path: str | Path, obj) -> None:
@@ -366,11 +382,15 @@ def load_json(path: str | Path):
         return json.load(fh)
 
 
-def leaves_directory(path: str) -> bool:
-    """Whether ``path``, read relative to an index file's directory, names a
-    place outside it: it is absolute or climbs out through '..'."""
+def check_inside(path: str, where: str) -> None:
+    """Refuse ``path``, read relative to an index file's directory, when it
+    cannot name a file inside ``where``, that directory: it holds a NUL byte,
+    is absolute or climbs out through '..'."""
+    if "\0" in path:
+        raise ValueError(f"path {path!r} holds a NUL byte")
     rel = os.path.normpath(path)
-    return os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep)
+    if os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        raise ValueError(f"path {path!r} leaves {where}")
 
 
 def format_float(x: float) -> str:

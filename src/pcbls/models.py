@@ -81,7 +81,9 @@ from numpy.lib.stride_tricks import as_strided
 from . import losses
 from .seeding import rng_for
 
-ARCHITECTURES = ("linear_softmax", "mlp", "tiny_fcn")
+# each architecture's count of dims (its layer widths), in checkpoint tag order
+ARCH_NDIMS = {"linear_softmax": 2, "mlp": 3, "tiny_fcn": 4}
+ARCHITECTURES = tuple(ARCH_NDIMS)
 FCN_KERNEL = 3
 _PAD = FCN_KERNEL // 2  # edge rows and columns padded onto each side of a conv's input
 
@@ -94,7 +96,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        want = {"linear_softmax": 2, "mlp": 3, "tiny_fcn": 4}[self.architecture]
+        want = ARCH_NDIMS[self.architecture]
         if len(self.dims) != want:
             raise ValueError(f"{self.architecture} needs {want} dims, got {self.dims}")
         if any(d < 1 for d in self.dims):

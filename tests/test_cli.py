@@ -440,6 +440,21 @@ class TestBankCommand:
         assert "finite" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "index, row, problem",
+        [
+            (1, "7,0.5", "line 3 ['7', '0.5']: expected the 3 fields sample_id,score,source"),
+            (5, "5,nan,plain", "line 7 ['5', 'nan', 'plain']: score 'nan' is not finite"),
+            (0, "x,0.5,plain", "line 2 ['x', '0.5', 'plain']: invalid literal for int()"),
+        ],
+        ids=["short_row", "nan_score", "id_not_integer"],
+    )
+    def test_malformed_bank_row_names_the_file_and_line(self, tmp_path, capsys, index, row, problem):
+        code, out = self._paced_run_with_edited_bank(tmp_path, lambda i, line: row if i == index else line)
+        assert code == 2
+        assert f"error: {tmp_path / 'bank.csv'} {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bank_ids_past_the_training_set_are_rejected(self, tmp_path, capsys):
         shifted = []
 
@@ -524,6 +539,15 @@ class TestCorruptEvalCalibrateReport:
         header, rows = load_csv(calib / "calibration.csv")
         assert rows[0][0] == "summary"
         assert len(rows) == 1 + 10  # summary + one row per bin
+
+    def test_report_of_an_undecodable_metrics_csv_names_the_file(self, tmp_path, capsys):
+        metrics = tmp_path / "run" / "metrics.csv"
+        metrics.parent.mkdir()
+        metrics.write_bytes(b"epoch,train_loss\n0,\xff\n")
+        out = tmp_path / "report.csv"
+        assert run(["report", metrics.parent, "--out", out]) == 2
+        assert f"error: {metrics}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibrate_warns_when_temperature_is_pinned(self, tmp_path, capsys):
         # the default blobs baseline fits T at the window's lower edge
@@ -749,6 +773,33 @@ class TestBankGranularity:
         )
         assert not out.exists()
 
+    def test_bank_builds_the_granularity_of_its_config(self, tmp_path):
+        assert run(["train", "--config", _write_shapes_config(tmp_path), "--seed", 1, "--out", tmp_path / "base"]) == 0
+        # a train run without a bank refuses "pixel"; the bank command takes it
+        cfg = _write_shapes_config(tmp_path, granularity="pixel")
+        flags = ["bank", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "base" / "checkpoint.pckpt"]
+        assert run([*flags, "--out", tmp_path / "pix"]) == 0
+        assert sorted(p.name for p in (tmp_path / "pix").iterdir()) == [f"{i:06d}.pcbl" for i in range(8)]
+        # the flag is the layer above the config
+        assert run([*flags, "--granularity", "sample", "--out", tmp_path / "bank.csv"]) == 0
+        assert len(load_bank(tmp_path / "bank.csv")) == 8
+
+    def test_bank_out_is_checked_against_the_config_granularity(self, tmp_path, capsys):
+        cfg = _write_shapes_config(tmp_path, granularity="pixel")
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "none.pckpt", "--out", taken]) == 2
+        assert f"--out {taken} is an existing file, not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
+    def test_bank_of_an_unknown_config_granularity_is_config_error(self, tmp_path, capsys):
+        # refused before the checkpoint, which does not exist, is looked for
+        cfg = _write_shapes_config(tmp_path, granularity="voxel")
+        out = tmp_path / "bank"
+        assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "none.pckpt", "--out", out]) == 2
+        assert "granularity must be 'sample' or 'pixel', got 'voxel'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pixel_bank_on_blobs_is_config_error(self, tmp_path, capsys):
         cfg = _write_small_config(tmp_path)
         pix = tmp_path / "pixbank"
@@ -779,7 +830,7 @@ class TestEvalManifestChecks:
         lines = (corr / "manifest.csv").read_text().splitlines()
         lines[2] = line3
         manifest = corr / f"manifest_{name}.csv"
-        manifest.write_text("\n".join(lines) + "\n")
+        manifest.write_text("\n".join(lines) + "\n", errors="surrogateescape")
         return run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", ckpt,
                     "--manifest", manifest, "--out", corr.parent / f"{name}.csv"])
 
@@ -797,6 +848,21 @@ class TestEvalManifestChecks:
         assert self._eval_edited(corrupted_run, name, line3) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and problem in err
+        assert not (corrupted_run[2].parent / f"{name}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, line3, problem",
+        [
+            ("undecodable", "1,fog,1,fog_s1_\udcff.pgm", "'utf-8' codec can't decode byte 0xff"),
+            ("oversized", "1,fog,1," + "x" * 131073, "field larger than field limit (131072)"),
+        ],
+        ids=["undecodable", "oversized"],
+    )
+    def test_unreadable_manifest_names_the_file(self, corrupted_run, capsys, name, line3, problem):
+        # the line goes through surrogateescape, so the bad byte reaches the file
+        assert self._eval_edited(corrupted_run, name, line3) == 2
+        manifest = corrupted_run[2] / f"manifest_{name}.csv"
+        assert f"error: {manifest}: {problem}" in capsys.readouterr().err
         assert not (corrupted_run[2].parent / f"{name}.csv").exists()
 
     def test_image_of_another_shape_is_config_error(self, corrupted_run, capsys):
@@ -892,6 +958,25 @@ class TestDirDataset:
         assert f"error: cannot load dataset dir {d}: {d}" in err and problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line3, problem",
+        [
+            (b"1,1,\xff.pgm", "'utf-8' codec can't decode byte 0xff"),
+            (b"1,1," + b"x" * 131073, "field larger than field limit (131072)"),
+        ],
+        ids=["undecodable", "oversized"],
+    )
+    def test_unreadable_labels_csv_names_the_file(self, tmp_path, capsys, line3, problem):
+        d = tmp_path / "data"
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
+        lines = (d / "labels.csv").read_bytes().splitlines()
+        lines[2] = line3
+        (d / "labels.csv").write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 2
+        assert f"error: cannot load dataset dir {d}: {d / 'labels.csv'}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_well_formed_dataset_trains(self, tmp_path):
         d = tmp_path / "data"
         save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
@@ -943,13 +1028,16 @@ class TestOutChecks:
 
     @pytest.fixture
     def no_work(self, monkeypatch):
-        """Fails any command that gets as far as resolving its config or
-        reading a run's metrics: an --out refusal must come first."""
+        """Fails any command that gets as far as loading a dataset, a
+        checkpoint or a run's metrics: an --out refusal must come first.
+        Resolving the config comes before it, because bank takes from the
+        config the granularity that decides whether --out is a file."""
 
         def work(*args, **kwargs):
             raise AssertionError("work started before the --out check")
 
-        monkeypatch.setattr(cli, "resolve_config", work)
+        monkeypatch.setattr(cli, "resolve_dataset", work)
+        monkeypatch.setattr(cli.fileio, "load_checkpoint", work)
         monkeypatch.setattr(cli.fileio, "load_csv", work)
 
     @pytest.mark.parametrize("command", ["train", "calibrate"])

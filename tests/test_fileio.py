@@ -11,14 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcbls import fileio
+from pcbls import cli, fileio
+from pcbls.corruption import corrupt_dataset
+from pcbls.datasets import gen_blobs, load_image_dataset, save_image_dataset
 from pcbls.fileio import (
     FormatError,
+    _load_table,
     _write_files,
     atomic_write_bytes,
     encode_images,
     load_bank,
     load_checkpoint,
+    load_csv,
     load_image,
     load_pixel_bank,
     save_bank,
@@ -215,6 +219,40 @@ class TestLoadImage:
         assert np.array_equal(load_image(p), np.arange(6.0).reshape(2, 3) / 255.0)
 
 
+class TestTables:
+    """The one CSV table reader behind banks, manifests and labels.csv."""
+
+    def test_bank_bytes(self, tmp_path):
+        save_bank(tmp_path / "b.csv", SampleBank(np.array([2, 0]), np.array([0.9, 1 / 3]), "plain"))
+        assert (tmp_path / "b.csv").read_bytes() == b"sample_id,score,source\n2,0.900000000,plain\n0,0.333333333,plain\n"
+
+    def test_rows_go_through_the_parser_in_file_order(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(b"a,b\n1,x\n2,y\n")
+        assert _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: (int(r[0]), r[1])) == [(1, "x"), (2, "y")]
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (b"", "t.csv: empty CSV"),
+            (b"a,c\n1,2\n", "t.csv: bad header ['a', 'c'], expected a,b"),
+            (b"a,b\n1,2\n3\n", "t.csv line 3 ['3']: expected the 2 fields a,b"),
+            (b"a,b\n1,2\n3,4,5\n", "t.csv line 3 ['3', '4', '5']: expected the 2 fields a,b"),
+            (b"a,b\n1,2\nx,4\n", "t.csv line 3 ['x', '4']: invalid literal for int() with base 10: 'x'"),
+            (b"a,b\n\xff\n", "t.csv: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+        ],
+    )
+    def test_refusals_name_the_file_and_line(self, tmp_path, data, problem):
+        (tmp_path / "t.csv").write_bytes(data)
+        with pytest.raises(FormatError) as e:
+            _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: (int(r[0]), int(r[1])))
+        assert str(e.value) == f"{tmp_path / problem}"
+
+    def test_load_csv_reports_an_oversized_field_with_the_file(self, tmp_path):
+        (tmp_path / "m.csv").write_bytes(b"run,value\nx," + b"9" * 131073 + b"\n")
+        with pytest.raises(FormatError, match=r"m\.csv: field larger than field limit \(131072\)"):
+            load_csv(tmp_path / "m.csv")
+
+
 class TestPixelBankStack:
     def test_loads_one_stack_in_file_order(self, tmp_path, rng):
         bank = rng.uniform(size=(3, 4, 6)).astype(np.float32)
@@ -259,21 +297,44 @@ def _rgb(tmp_path):
     return "c.ppm", (tmp_path / "c.ppm").read_bytes(), load_image
 
 
-FORMATS = {"checkpoint": _checkpoint, "pixel_bank": _pixel_bank, "bank": _bank, "pgm": _gray, "ppm": _rgb}
+def _manifest(tmp_path):
+    corrupt_dataset(np.linspace(0, 1, 6).reshape(2, 1, 3), ["fog"], [1, 2], 0, tmp_path / "corr")
+    return "corr/manifest.csv", (tmp_path / "corr" / "manifest.csv").read_bytes(), lambda p: cli._read_manifest(p, 2)
+
+
+def _labels(tmp_path):
+    save_image_dataset(gen_blobs(2, 2, dim=3, seed=0), tmp_path / "data")
+    return "data/labels.csv", (tmp_path / "data" / "labels.csv").read_bytes(), lambda p: load_image_dataset(p.parent)
+
+
+FORMATS = {
+    "checkpoint": _checkpoint,
+    "pixel_bank": _pixel_bank,
+    "bank": _bank,
+    "pgm": _gray,
+    "ppm": _rgb,
+    "manifest": _manifest,
+    "labels": _labels,
+}
 MAGIC = {
     "checkpoint": b"PCKPT1",
     "pixel_bank": b"PCBL",
     "bank": b"sample_id,score,source\n",
     "pgm": b"P5",
     "ppm": b"P6",
+    "manifest": b"orig_id,kind,severity,path\n",
+    "labels": b"id,label,path\n",
 }
+# a labels.csv row may name an image that is not there
+REFUSALS = {"labels": (FormatError, OSError)}
 
 
-def _load_or_format_error(load, path):
-    """Load ``path``; a FormatError is the one refusal allowed."""
+def _load_or_format_error(load, path, fmt):
+    """Load ``path``; a FormatError (or the format's REFUSALS) is the one
+    refusal allowed."""
     try:
         load(path)
-    except FormatError:
+    except REFUSALS.get(fmt, FormatError):
         pass
 
 
@@ -284,7 +345,7 @@ def test_every_truncation_loads_or_raises_format_error(tmp_path, fmt):
     load(path)
     for cut in range(len(valid)):
         path.write_bytes(valid[:cut])
-        _load_or_format_error(load, path)
+        _load_or_format_error(load, path, fmt)
 
 
 @pytest.mark.parametrize(
@@ -296,6 +357,13 @@ def test_every_truncation_loads_or_raises_format_error(tmp_path, fmt):
         ("bank", b"sample_id,score,source\n1,0.5,pl\xffain\n"),
         ("bank", b"sample_id,score,source\n99999999999999999999999,0.5,plain\n"),
         ("bank", b"sample_id,score,source\n1,x,plain\n"),
+        ("bank", b"sample_id,score,source\n1,inf,plain\n"),
+        ("manifest", b"orig_id,kind,severity,path\n0,fog,1,\xff.pgm\n"),
+        pytest.param("manifest", b"orig_id,kind,severity,path\n0,fog,1," + b"x" * 131073 + b"\n", id="manifest-oversized"),
+        ("manifest", b"orig_id,kind,severity,path\n0,fog,1,a\x00.pgm\n"),
+        ("labels", b"id,label,path\n0,0,\xff.pgm\n"),
+        pytest.param("labels", b"id,label,path\n0,0," + b"x" * 131073 + b"\n", id="labels-oversized"),
+        ("labels", b"id,label,path\n0,0,a\x00.pgm\n"),
     ],
 )
 def test_known_malformed_files_raise_format_error(tmp_path, fmt, data):
@@ -311,4 +379,4 @@ def test_known_malformed_files_raise_format_error(tmp_path, fmt, data):
 def test_random_bytes_after_the_magic_load_or_raise_format_error(tmp_path, fmt, tail):
     name, _, load = FORMATS[fmt](tmp_path)
     (tmp_path / name).write_bytes(MAGIC[fmt] + tail)
-    _load_or_format_error(load, tmp_path / name)
+    _load_or_format_error(load, tmp_path / name, fmt)
