@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +24,7 @@ import numpy as np
 from . import corruption, datasets, fileio, models, trainer
 from .calibration import apply_temperature, ece, fit_temperature, nll
 from .fileio import FormatError, format_float
-from .metrics import accuracy, brier, iou_dice, mean_average_precision
-from .numerics import sigmoid
+from .metrics import accuracy, brier
 from .pacing import PacePlan
 from .schedules import SmoothingSchedule
 from .seeding import derive_seed
@@ -301,16 +299,12 @@ def _datasets(cfg: dict):
             data["height"], data["width"], data["foreground"], data["n_val"], seed=data_seed, split="val"
         )
         return train_ds, val_ds
-    if name == "cifar10":
-        try:
-            ds = datasets.load_cifar10(data["path"])
-        except (OSError, FormatError) as e:
-            raise ConfigError(f"cannot load CIFAR-10 from {data['path']}: {e}") from e
-    else:
-        try:
-            ds = datasets.load_image_dataset(data["path"])
-        except (OSError, FormatError) as e:
-            raise ConfigError(f"cannot load dataset dir {data['path']}: {e}") from e
+    load = datasets.load_cifar10 if name == "cifar10" else datasets.load_image_dataset
+    try:
+        ds = load(data["path"])
+    except (OSError, FormatError) as e:
+        what = "CIFAR-10 from" if name == "cifar10" else "dataset dir"
+        raise ConfigError(f"cannot load {what} {data['path']}: {e}") from e
     return datasets.split_dataset(ds, data["val_fraction"], derive_seed(cfg["seed"], "split"))
 
 
@@ -546,6 +540,7 @@ def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
 def cmd_eval(args) -> int:
     out = _out_file(args.out or "eval.csv")
     _, val_ds, spec, params, _, x_val = _load_checkpoint_run(resolve_config(args), args.checkpoint)
+    logits = models.forward(spec, params, x_val)
     if args.manifest:
         if val_ds.task != "multiclass":
             raise ConfigError("robustness evaluation requires a multiclass dataset")
@@ -553,43 +548,22 @@ def cmd_eval(args) -> int:
         if not manifest_path.exists():
             raise ConfigError(f"manifest not found: {manifest_path}")
         rows = _read_manifest(manifest_path, len(val_ds))
-        base = os.fspath(manifest_path.parent)
         want = datasets.as_images(val_ds.inputs).shape[1:]  # the shape cmd_corrupt wrote
 
-        def where(path):
-            line = next(i for i, r in enumerate(rows, start=2) if r[3] == path)
-            return f"{manifest_path} line {line} ({path})"
-
-        def load_row_image(path):
-            try:
-                img = fileio.load_image(os.path.join(base, path))
-            except OSError as e:
-                raise ConfigError(f"{where(path)}: cannot read the image: {e.strerror}") from e
-            if img.shape != want:
-                raise ConfigError(f"{where(path)}: image shape {img.shape}, but the validation images are {want}")
-            return img
-
-        def evaluate_images(images):
+        def predict(cell):
+            names, lines = [rows[i][3] for i in cell], [i + 2 for i in cell]
+            images = fileio._load_stack(fileio.load_image, manifest_path.parent, names, want, manifest_path, lines)
             return np.argmax(models.forward(spec, params, _features(spec.architecture, images)), axis=1)
 
-        clean_preds = np.argmax(models.forward(spec, params, x_val), axis=1)
-        clean_acc = accuracy(clean_preds, val_ds.targets)
-        header, table = corruption.robustness_report(
-            evaluate_images, rows, load_row_image, val_ds.targets, clean_acc
-        )
+        clean_acc = accuracy(np.argmax(logits, axis=1), val_ds.targets)
+        header, table = corruption.robustness_report(predict, rows, val_ds.targets, clean_acc)
         fileio.save_csv(out, header, table)
         print(f"robustness table ({len(table) - 1} kinds) written to {out}")
         return 0
-    logits = models.forward(spec, params, x_val)
-    if val_ds.task == "multiclass":
-        rows = [["val_accuracy", format_float(accuracy(np.argmax(logits, axis=1), val_ds.targets))]]
-    elif val_ds.task == "multilabel":
-        value, skipped = mean_average_precision(sigmoid(logits), val_ds.targets)
-        rows = [["val_map", format_float(value)], ["skipped_labels", ";".join(map(str, skipped))]]
-    else:
-        preds = np.argmax(logits, axis=-1)
-        _, miou, mdice = iou_dice(preds, val_ds.targets, val_ds.num_classes)
-        rows = [["val_miou", format_float(miou)], ["val_mdice", format_float(mdice)]]
+    metrics, skipped = trainer.logit_metrics(val_ds.task, logits, val_ds.targets, val_ds.num_classes)
+    rows = [[name, format_float(value)] for name, value in metrics.items()]
+    if val_ds.task == "multilabel":
+        rows.append(["skipped_labels", ";".join(map(str, skipped))])
     fileio.save_csv(out, ["metric", "value"], rows)
     print(f"metrics written to {out}")
     return 0

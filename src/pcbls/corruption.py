@@ -6,8 +6,9 @@ is that each kind's parameter rows grow in strength from severity 1 to 5.
 What does not hold is that one image moves further as severity rises: its
 mean |corrupt - clean| can fall. On 20 uniform random 1x32 rows it fell for
 7 of the 12 kinds, among them glass_blur (19 rows), pixelate (15) and
-impulse_noise (9). Images are float arrays in [0,1], shape (H,W) or
-(H,W,C); outputs are always clipped back to [0,1].
+impulse_noise (9). Its mean over a validation set does not fall
+(test_set_mean_change_does_not_fall_with_severity). Images are float arrays
+in [0,1], shape (H,W) or (H,W,C); outputs are always clipped back to [0,1].
 
 ``corrupt_batch`` is the one implementation: it corrupts an (N,H,W,C)
 stack at one (kind, severity) parameter row, with one generator per image,
@@ -366,22 +367,21 @@ def corrupt_dataset(
 
 
 def robustness_report(
-    evaluate,
+    predict,
     manifest_rows: list[tuple[int, str, int, str]],
-    images_by_path,
     labels: np.ndarray,
     clean_accuracy: float,
 ) -> tuple[list[str], list[list]]:
     """Accuracy per corruption kind averaged over severities.
 
-    ``labels`` holds the class of each image id. ``evaluate`` maps the
-    stacked images of one (kind, severity) cell to predicted class indices.
-    Returns (header, rows): one row per kind with the five severity
-    accuracies and their mean, plus a final clean-accuracy row.
+    ``labels`` holds the class of each image id. ``predict`` maps the
+    positions of one (kind, severity) cell's ``manifest_rows`` to the class
+    predicted for each. Returns (header, rows): one row per kind with the
+    five severity accuracies and their mean, plus a final clean-accuracy row.
     """
-    by_kind_sev: dict[str, dict[int, list[tuple[int, str]]]] = {}
-    for orig_id, kind, severity, path in manifest_rows:
-        by_kind_sev.setdefault(kind, {}).setdefault(int(severity), []).append((int(orig_id), path))
+    by_kind_sev: dict[str, dict[int, list[int]]] = {}
+    for i, (_, kind, severity, _) in enumerate(manifest_rows):
+        by_kind_sev.setdefault(kind, {}).setdefault(int(severity), []).append(i)
 
     header = ["kind", "sev1", "sev2", "sev3", "sev4", "sev5", "mean"]
     rows: list[list] = []
@@ -392,9 +392,9 @@ def robustness_report(
             raise ValueError(f"kind {kind}: missing severities {missing}")
         accs = []
         for severity in range(1, 6):
-            entries = sev_map[severity]
-            preds = np.asarray(evaluate(np.stack([images_by_path(p) for _, p in entries])))
-            accs.append(float((preds == np.take(labels, [i for i, _ in entries])).mean()))
+            cell = sev_map[severity]
+            preds = np.asarray(predict(cell))
+            accs.append(float((preds == np.take(labels, [int(manifest_rows[i][0]) for i in cell])).mean()))
         rows.append([kind] + [f"{a:.6f}" for a in accs] + [f"{np.mean(accs):.6f}"])
     rows.append(["clean", "", "", "", "", "", f"{clean_accuracy:.6f}"])
     return header, rows

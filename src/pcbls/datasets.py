@@ -17,6 +17,7 @@ import numpy as np
 
 from .fileio import (
     FormatError,
+    _load_stack,
     _load_table,
     _write_files,
     check_inside,
@@ -277,16 +278,7 @@ def load_image_dataset(directory: str | Path) -> LabeledDataset:
         raise FormatError(f"{meta_path}: task must be 'multiclass' (one label per image), got {task!r}")
     rows = _load_table(labels_path, ["id", "label", "path"], lambda row: _label_row(row, num_classes))
     labels, names = [label for label, _ in rows], [name for _, name in rows]
-    images = []
-    for line, name in enumerate(names, start=2):
-        img = load_image(directory / name)
-        if images and img.shape != images[0].shape:
-            raise FormatError(
-                f"{directory / name} ({labels_path} line {line}): image shape {img.shape}, "
-                f"but {names[0]} has shape {images[0].shape}"
-            )
-        images.append(img)
-    inputs = np.stack(images) if images else np.zeros((0, 1, 1))
+    inputs = _load_stack(load_image, directory, names, index=labels_path, lines=range(2, len(names) + 2))
     return LabeledDataset(
         task=task,
         inputs=inputs,

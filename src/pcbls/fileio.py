@@ -35,7 +35,7 @@ import shutil
 import struct
 import tempfile
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +218,8 @@ def save_bank(path: str | Path, bank: SampleBank) -> None:
 
 def _bank_row(row: list[str]) -> tuple[int, float, str]:
     sid, score, source = int(row[0]), float(row[1]), row[2]
+    if not -(2**63) <= sid < 2**63:
+        raise ValueError(f"sample id {sid} is outside int64")
     if not math.isfinite(score):
         raise ValueError(f"score {row[1]!r} is not finite")
     return sid, score, source
@@ -234,13 +236,41 @@ def load_bank(path: str | Path) -> SampleBank:
             scores=np.asarray([score for _, score, _ in rows], dtype=np.float64),
             source=sources[0] if sources else "plain",
         )
-    except (ValueError, OverflowError) as e:
-        # an id out of int64 range, or a bank that SampleBank refuses
+    except ValueError as e:
+        # a bank that SampleBank refuses
         raise FormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
-# pixel banks (one sidecar file per sample)
+# per-sample file sets, and pixel banks (one sidecar file per sample)
+
+
+def _load_stack(decode, base, names: Sequence[str], shape=None, index=None, lines=None) -> np.ndarray:
+    """The stack of ``decode(base/name)`` over ``names``, each of ``shape``
+    or else of the first one's shape. No names, or a file that cannot be
+    read or decoded or has another shape, raise FormatError naming the file
+    (``{base/name}: {reason}``) or, for names that the file ``index`` lists
+    on ``lines``, its line (``{index} line {n} ({name}): {reason}``).
+    ``decode`` is passed at each call, so a wrapper installed over
+    ``load_image`` after import is the one called."""
+    if not names:
+        raise FormatError(f"{index or base}: no sample files")
+    arrays, like = [], "expected"
+    for i, name in enumerate(names):
+        path = os.path.join(base, name)
+        try:
+            array = decode(path)
+            if shape is None:
+                shape, like = array.shape, f"but {name} has shape"
+            if array.shape != shape:
+                raise FormatError(f"shape {array.shape}, {like} {shape}")
+        except (OSError, FormatError) as e:
+            reason = f"cannot read the file: {e.strerror}" if isinstance(e, OSError) else str(e)
+            where = path if index is None else f"{index} line {lines[i]} ({name})"
+            # a decoder's message names the file first; the set's form names it instead
+            raise FormatError(f"{where}: {reason.removeprefix(f'{path}: ')}") from e
+        arrays.append(array)
+    return np.stack(arrays)
 
 
 def save_pixel_bank(directory: str | Path, maps: np.ndarray) -> None:
@@ -252,28 +282,24 @@ def save_pixel_bank(directory: str | Path, maps: np.ndarray) -> None:
     _write_files(directory, [sidecars])
 
 
+def _load_sidecar(path: str) -> np.ndarray:
+    """The (H,W) float32 map of one pixel-bank sidecar."""
+    data = Path(path).read_bytes()
+    if not data.startswith(PIXELBANK_MAGIC):
+        raise FormatError(f"{path}: bad pixel-bank magic")
+    offset = len(PIXELBANK_MAGIC) + 8
+    if len(data) < offset:
+        raise FormatError(f"{path}: truncated pixel-bank header")
+    h, w = struct.unpack_from("<II", data, len(PIXELBANK_MAGIC))
+    if len(data) != offset + 4 * h * w:
+        raise FormatError(f"{path}: truncated pixel bank")
+    return np.frombuffer(data, dtype="<f4", count=h * w, offset=offset).reshape(h, w)
+
+
 def load_pixel_bank(directory: str | Path) -> np.ndarray:
     """The (N,H,W) float32 bank of a sidecar directory; every sidecar must
     hold the same H and W."""
-    directory = Path(directory)
-    files = sorted(directory.glob("*.pcbl"))
-    if not files:
-        raise FormatError(f"{directory}: no pixel-bank sidecars found")
-    maps = []
-    for f in files:
-        data = f.read_bytes()
-        if not data.startswith(PIXELBANK_MAGIC):
-            raise FormatError(f"{f}: bad pixel-bank magic")
-        offset = len(PIXELBANK_MAGIC) + 8
-        if len(data) < offset:
-            raise FormatError(f"{f}: truncated pixel-bank header")
-        h, w = struct.unpack_from("<II", data, len(PIXELBANK_MAGIC))
-        if len(data) != offset + 4 * h * w:
-            raise FormatError(f"{f}: truncated pixel bank")
-        if maps and maps[0].shape != (h, w):
-            raise FormatError(f"{f}: map is {h}x{w} but {files[0].name} is {maps[0].shape[0]}x{maps[0].shape[1]}")
-        maps.append(np.frombuffer(data, dtype="<f4", count=h * w, offset=offset).reshape(h, w))
-    return np.stack(maps)
+    return _load_stack(_load_sidecar, directory, sorted(f.name for f in Path(directory).glob("*.pcbl")))
 
 
 # ---------------------------------------------------------------------------

@@ -178,17 +178,23 @@ def _soft_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sig
     return soft_labels.segmentation_targets(targets, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
 
 
+def logit_metrics(task: str, logits: np.ndarray, targets, num_classes: int) -> tuple[dict[str, float], list[int]]:
+    """The validation metrics of ``task`` on ``logits``, and the labels with
+    no positive that mean average precision skipped (none for other tasks)."""
+    if task == "multiclass":
+        return {"val_accuracy": accuracy(logits.argmax(axis=1), targets)}, []
+    if task == "multilabel":
+        value, skipped = mean_average_precision(sigmoid(logits), targets)
+        return {"val_map": value}, skipped
+    preds = np.argmax(logits, axis=-1)
+    _, miou, mdice = iou_dice(preds, targets, num_classes)
+    return {"val_miou": miou, "val_mdice": mdice}, []
+
+
 def evaluate(cfg: TrainConfig, params: np.ndarray, inputs, targets, num_classes: int) -> dict[str, float]:
     """Validation metrics on raw (unsmoothed, unpaced) data."""
     logits = models.forward(cfg.model, params, np.asarray(inputs, dtype=np.float64))
-    if cfg.task == "multiclass":
-        return {"val_accuracy": accuracy(logits.argmax(axis=1), targets)}
-    if cfg.task == "multilabel":
-        value, _ = mean_average_precision(sigmoid(logits), targets)
-        return {"val_map": value}
-    preds = np.argmax(logits, axis=-1)
-    _, miou, mdice = iou_dice(preds, targets, num_classes)
-    return {"val_miou": miou, "val_mdice": mdice}
+    return logit_metrics(cfg.task, logits, targets, num_classes)[0]
 
 
 def train(

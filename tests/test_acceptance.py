@@ -285,9 +285,8 @@ def test_criterion_08_corruption(tmp_path):
         for i in range(3)
     ]
     header, table = robustness_report(
-        lambda ims: np.zeros(len(ims), dtype=int),
+        lambda cell: np.zeros(len(cell), dtype=int),
         manifest,
-        lambda p: np.zeros((2, 2)),
         np.zeros(3, dtype=int),
         clean_accuracy=1.0,
     )

@@ -16,11 +16,12 @@ import pytest
 E2EBENCH = Path(__file__).resolve().parent.parent / "e2ebench"
 sys.path.insert(0, str(E2EBENCH))
 
+import layers  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
 import pcbls  # noqa: E402
-from pcbls import cli  # noqa: E402
+from pcbls import cli, fileio  # noqa: E402
 
 # (module, attribute) the benchmark reads: the workloads' set-up and quality
 # numbers, the run manifest and the tracer test in e2ebench/test_e2ebench.py
@@ -79,3 +80,25 @@ def test_workload_inputs_generate_at_their_sizes(tmp_path, monkeypatch):
         for name, cfg in w.configs().items():
             Path(name).write_text(json.dumps(cfg, sort_keys=True))
         assert w.generate_inputs(pcbls) == [], w.name
+
+
+def test_traced_eval_reads_each_manifest_image_through_load_image(tmp_path):
+    # robustness_io's fileio.load_image.* metrics count the spans of the
+    # wrapper the tracer installs, so eval must look load_image up at call time
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"name": "blobs", "classes": 3, "per_class": 10, "per_class_val": 4, "dim": 6},
+                               "epochs": 1, "hidden": 4}))
+    common = ["--config", str(cfg), "--seed", "1"]
+    assert cli.main(["train", *common, "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["corrupt", *common, "--kinds", "fog,pixelate", "--out", str(tmp_path / "corr")]) == 0
+    tracer, modules, functions = layers.tracer_for_pcbls()
+    tracer.install(modules, functions)
+    try:
+        code = cli.main(["eval", *common, "--checkpoint", str(tmp_path / "run" / "checkpoint.pckpt"),
+                         "--manifest", str(tmp_path / "corr" / "manifest.csv"), "--out", str(tmp_path / "rob.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    _, rows = fileio.load_csv(tmp_path / "corr" / "manifest.csv")
+    assert len(rows) == 2 * 5 * 12
+    assert sum(s.name == "fileio.load_image" for s in tracer.spans) == len(rows)

@@ -446,8 +446,12 @@ class TestBankCommand:
             (1, "7,0.5", "line 3 ['7', '0.5']: expected the 3 fields sample_id,score,source"),
             (5, "5,nan,plain", "line 7 ['5', 'nan', 'plain']: score 'nan' is not finite"),
             (0, "x,0.5,plain", "line 2 ['x', '0.5', 'plain']: invalid literal for int()"),
+            (
+                3, "99999999999999999999,0.5,plain",
+                "line 5 ['99999999999999999999', '0.5', 'plain']: sample id 99999999999999999999 is outside int64",
+            ),
         ],
-        ids=["short_row", "nan_score", "id_not_integer"],
+        ids=["short_row", "nan_score", "id_not_integer", "id_outside_int64"],
     )
     def test_malformed_bank_row_names_the_file_and_line(self, tmp_path, capsys, index, row, problem):
         code, out = self._paced_run_with_edited_bank(tmp_path, lambda i, line: row if i == index else line)
@@ -699,7 +703,20 @@ class TestSegmentationChecks:
             ["train", "--config", cfg, "--seed", 1, "--out", tmp_path / "paced", "--preset", "segmentation",
              "--pace", "--bank", pix]
         ) == 2
-        assert "000006.pcbl: map is 8x32 but 000000.pcbl is 16x16" in capsys.readouterr().err
+        assert "000006.pcbl: shape (8, 32), but 000000.pcbl has shape (16, 16)" in capsys.readouterr().err
+
+    def test_pixel_bank_sidecar_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        cfg = _write_shapes_config(tmp_path)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, np.zeros((8, 16, 16), np.float32))
+        (pix / "000003.pcbl").unlink()
+        (pix / "000003.pcbl").mkdir()
+        out = tmp_path / "paced"
+        assert run(
+            ["train", "--config", cfg, "--seed", 1, "--out", out, "--preset", "segmentation", "--pace", "--bank", pix]
+        ) == 2
+        assert f"error: {pix / '000003.pcbl'}: cannot read the file: Is a directory" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_nan_spatial_schedule_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.json"
@@ -873,6 +890,14 @@ class TestEvalManifestChecks:
         err = capsys.readouterr().err
         assert "line 3" in err and "(2, 3)" in err and "(1, 6)" in err
 
+    def test_image_with_a_bad_header_names_the_manifest_line(self, corrupted_run, capsys):
+        corr = corrupted_run[2]
+        (corr / "bad_header.pgm").write_bytes(b"P5\n6")
+        assert self._eval_edited(corrupted_run, "bad_header", "1,fog,1,bad_header.pgm") == 2
+        manifest = corr / "manifest_bad_header.csv"
+        assert f"error: {manifest} line 3 (bad_header.pgm): bad or truncated header" in capsys.readouterr().err
+        assert not (corr.parent / "bad_header.csv").exists()
+
 
 class TestCheckpointLoader:
     """bank, eval and calibrate load a checkpoint alike: one that is missing,
@@ -909,6 +934,26 @@ class TestCheckpointLoader:
         assert run([command, "--config", cfg, "--seed", 1, "--checkpoint", ckpt, "--out", out]) == 2
         assert problem in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"name": "blobs", "classes": 3, "per_class": 20, "per_class_val": 10, "dim": 6},
+            {"name": "multilabel", "labels": 3, "n": 40, "n_val": 20, "dim": 6},
+            {"name": "shapes", "height": 16, "width": 16, "foreground": 2, "n": 8, "n_val": 4},
+        ],
+        ids=["multiclass", "multilabel", "segmentation"],
+    )
+    def test_eval_metrics_equal_the_last_epoch_of_training(self, tmp_path, data):
+        cfg = _write_small_config(tmp_path, data=data)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 0
+        dest = tmp_path / "eval.csv"
+        assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", out / "checkpoint.pckpt", "--out", dest]) == 0
+        header, rows = load_csv(out / "metrics.csv")
+        last = dict(zip(header, rows[-1]))
+        metrics = [(name, value) for name, value in load_csv(dest)[1] if name != "skipped_labels"]
+        assert metrics and all(last[name] == value for name, value in metrics)
 
     def test_eval_of_a_multilabel_checkpoint_writes_the_map_rows(self, tmp_path):
         cfg = _write_small_config(tmp_path, data={"name": "multilabel", "labels": 3, "n": 40, "n_val": 20, "dim": 6})
@@ -975,6 +1020,34 @@ class TestDirDataset:
         out = tmp_path / "run"
         assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 2
         assert f"error: cannot load dataset dir {d}: {d / 'labels.csv'}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda img: img.unlink(), "cannot read the file: No such file or directory"),
+            (lambda img: img.write_bytes(img.read_bytes()[:-1]), "expected 8 pixel bytes, found 7"),
+        ],
+        ids=["missing", "truncated"],
+    )
+    def test_unreadable_image_names_the_labels_csv_line(self, tmp_path, capsys, edit, problem):
+        d = tmp_path / "data"
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
+        edit(d / "000004.pgm")
+        out = tmp_path / "run"
+        assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 2
+        assert f"error: cannot load dataset dir {d}: {d / 'labels.csv'} line 6 (000004.pgm): {problem}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_labels_csv_without_images_is_config_error(self, tmp_path, capsys):
+        d = tmp_path / "data"
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
+        (d / "labels.csv").write_text("id,label,path\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 2
+        assert f"error: cannot load dataset dir {d}: {d / 'labels.csv'}: no sample files" in capsys.readouterr().err
         assert not out.exists()
 
     def test_well_formed_dataset_trains(self, tmp_path):

@@ -15,8 +15,10 @@ from pcbls.corruption import (
     corrupt,
     corrupt_batch,
     corrupt_dataset,
+    image_seed,
     robustness_report,
 )
+from pcbls.datasets import as_images, gen_blobs, gen_shapes_seg
 from pcbls.fileio import load_csv, load_image
 
 from conftest import ref_corrupt_dataset, ref_corrupt_with_params, ref_line_kernel
@@ -64,6 +66,24 @@ class TestSeverityTable:
                 assert all(a < b for a, b in zip(keys, keys[1:])), kind
             else:
                 assert all(a > b for a, b in zip(keys, keys[1:])), kind
+
+    # the validation stacks the benchmark corrupts: 80 blob rows of 1x32 and
+    # 20 shapes frames of 16x16x3
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dataset", ["blobs", "shapes"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_set_mean_change_does_not_fall_with_severity(self, kind, dataset, seed):
+        # one image's mean |corrupt - clean| can fall (see the module
+        # docstring); the mean over a validation set must not
+        if dataset == "blobs":
+            clean = as_images(gen_blobs(8, 10, dim=32, spread=0.35, seed=seed, split="val").inputs)[..., None]
+        else:
+            clean = gen_shapes_seg(16, 16, 3, 20, seed=seed, split="val").inputs
+        means = []
+        for severity, params in enumerate(SEVERITY_TABLE[kind], start=1):
+            rngs = [np.random.default_rng(image_seed(seed, kind, severity, i)) for i in range(len(clean))]
+            means.append(np.abs(corrupt_batch(clean, kind, params, rngs) - clean).mean())
+        assert all(a <= b for a, b in zip(means, means[1:])), means
 
 
 class TestCorrupt:
@@ -270,9 +290,8 @@ class TestRobustnessReport:
     def test_constant_model_single_class(self):
         rows = self._manifest(["fog", "contrast"], 4)
         header, table = robustness_report(
-            lambda images: np.zeros(len(images), dtype=int),
+            lambda cell: np.zeros(len(cell), dtype=int),
             rows,
-            lambda p: np.zeros((2, 2)),
             np.zeros(4, dtype=int),
             clean_accuracy=1.0,
         )
@@ -287,25 +306,24 @@ class TestRobustnessReport:
         rows = self._manifest(["fog"], 1000)
         state = {"i": 0}
 
-        def guess(images):
-            out = np.random.default_rng(state["i"]).integers(0, k, size=len(images))
+        def guess(cell):
+            out = np.random.default_rng(state["i"]).integers(0, k, size=len(cell))
             state["i"] += 1
             return out
 
-        _, table = robustness_report(guess, rows, lambda p: np.zeros((2, 2)), labels, 0.25)
+        _, table = robustness_report(guess, rows, labels, 0.25)
         mean_acc = float(table[0][6])
         assert mean_acc == pytest.approx(1.0 / k, abs=0.03)
 
     def test_missing_severity_rejected(self):
         rows = [(0, "fog", 1, "x")]
         with pytest.raises(ValueError):
-            robustness_report(lambda im: np.zeros(1, dtype=int), rows, lambda p: None, np.zeros(1, dtype=int), 1.0)
+            robustness_report(lambda cell: np.zeros(1, dtype=int), rows, np.zeros(1, dtype=int), 1.0)
 
     def test_one_row_per_kind(self, rng):
         kinds = ["fog", "brightness", "gaussian_noise"]
         rows = self._manifest(kinds, 3)
         _, table = robustness_report(
-            lambda im: np.zeros(len(im), dtype=int), rows, lambda p: np.zeros((2, 2)),
-            np.zeros(3, dtype=int), 1.0,
+            lambda cell: np.zeros(len(cell), dtype=int), rows, np.zeros(3, dtype=int), 1.0
         )
         assert [r[0] for r in table] == sorted(kinds) + ["clean"]

@@ -1,6 +1,7 @@
 """The atomic writers, and parsers that refuse malformed bytes with FormatError only."""
 
 import os
+import re
 import stat
 import sys
 import threading
@@ -263,7 +264,12 @@ class TestPixelBankStack:
 
     def test_sidecars_of_different_shapes_raise_format_error(self, tmp_path):
         save_pixel_bank(tmp_path / "pix", [np.zeros((4, 6), np.float32), np.zeros((6, 4), np.float32)])
-        with pytest.raises(FormatError, match="000001.pcbl: map is 6x4 but 000000.pcbl is 4x6"):
+        with pytest.raises(FormatError, match=re.escape("000001.pcbl: shape (6, 4), but 000000.pcbl has shape (4, 6)")):
+            load_pixel_bank(tmp_path / "pix")
+
+    def test_a_directory_without_sidecars_raises_format_error(self, tmp_path):
+        (tmp_path / "pix").mkdir()
+        with pytest.raises(FormatError, match="pix: no sample files"):
             load_pixel_bank(tmp_path / "pix")
 
 
@@ -325,16 +331,14 @@ MAGIC = {
     "manifest": b"orig_id,kind,severity,path\n",
     "labels": b"id,label,path\n",
 }
-# a labels.csv row may name an image that is not there
-REFUSALS = {"labels": (FormatError, OSError)}
 
 
-def _load_or_format_error(load, path, fmt):
-    """Load ``path``; a FormatError (or the format's REFUSALS) is the one
-    refusal allowed."""
+def _load_or_format_error(load, path):
+    """Load ``path``; a FormatError is the one refusal allowed (a labels.csv
+    row that names a missing image among them)."""
     try:
         load(path)
-    except REFUSALS.get(fmt, FormatError):
+    except FormatError:
         pass
 
 
@@ -345,7 +349,7 @@ def test_every_truncation_loads_or_raises_format_error(tmp_path, fmt):
     load(path)
     for cut in range(len(valid)):
         path.write_bytes(valid[:cut])
-        _load_or_format_error(load, path, fmt)
+        _load_or_format_error(load, path)
 
 
 @pytest.mark.parametrize(
@@ -379,4 +383,4 @@ def test_known_malformed_files_raise_format_error(tmp_path, fmt, data):
 def test_random_bytes_after_the_magic_load_or_raise_format_error(tmp_path, fmt, tail):
     name, _, load = FORMATS[fmt](tmp_path)
     (tmp_path / name).write_bytes(MAGIC[fmt] + tail)
-    _load_or_format_error(load, tmp_path / name, fmt)
+    _load_or_format_error(load, tmp_path / name)
