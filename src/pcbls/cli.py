@@ -529,12 +529,21 @@ def _manifest_row(r: list[str], n_val: int) -> tuple[int, str, int, str]:
     return orig_id, kind, severity, path
 
 
-def _read_manifest(path: Path, n_val: int) -> list[tuple[int, str, int, str]]:
-    """The rows of a corruption manifest, each checked before any image is
-    read: an orig_id among the n_val validation images, a known kind, a
-    severity in 1..5 and a relative path inside the manifest's directory. A
-    bad row fails with its line number."""
-    return fileio._load_table(path, ["orig_id", "kind", "severity", "path"], lambda r: _manifest_row(r, n_val))
+def _read_manifest(path: Path, n_val: int) -> tuple[list[tuple[int, str, int, str]], list[int]]:
+    """The rows of a corruption manifest and their lines, each row checked
+    before any image is read: an orig_id among the n_val validation images,
+    a known kind, a severity in 1..5 and a relative path inside the
+    manifest's directory. A bad row fails with its line number, and a
+    (orig_id, kind, severity) listed twice with both."""
+    rows, lines = fileio._load_table(path, ["orig_id", "kind", "severity", "path"], lambda r: _manifest_row(r, n_val))
+    first: dict[tuple[int, str, int], int] = {}
+    for (orig_id, kind, severity, _), line in zip(rows, lines):
+        seen = first.setdefault((orig_id, kind, severity), line)
+        if seen != line:
+            raise FormatError(
+                f"{path} lines {seen} and {line}: orig_id {orig_id}, kind {kind}, severity {severity} listed twice"
+            )
+    return rows, lines
 
 
 def cmd_eval(args) -> int:
@@ -547,12 +556,12 @@ def cmd_eval(args) -> int:
         manifest_path = Path(args.manifest)
         if not manifest_path.exists():
             raise ConfigError(f"manifest not found: {manifest_path}")
-        rows = _read_manifest(manifest_path, len(val_ds))
+        rows, lines = _read_manifest(manifest_path, len(val_ds))
         want = datasets.as_images(val_ds.inputs).shape[1:]  # the shape cmd_corrupt wrote
 
         def predict(cell):
-            names, lines = [rows[i][3] for i in cell], [i + 2 for i in cell]
-            images = fileio._load_stack(fileio.load_image, manifest_path.parent, names, want, manifest_path, lines)
+            names, cell_lines = [rows[i][3] for i in cell], [lines[i] for i in cell]
+            images = fileio._load_stack(fileio.load_image, manifest_path.parent, names, want, manifest_path, cell_lines)
             return np.argmax(models.forward(spec, params, _features(spec.architecture, images)), axis=1)
 
         clean_acc = accuracy(np.argmax(logits, axis=1), val_ds.targets)

@@ -276,9 +276,9 @@ def load_image_dataset(directory: str | Path) -> LabeledDataset:
         raise FormatError(f"{meta_path}: num_classes must be a positive integer, got {num_classes!r}")
     if task != "multiclass":
         raise FormatError(f"{meta_path}: task must be 'multiclass' (one label per image), got {task!r}")
-    rows = _load_table(labels_path, ["id", "label", "path"], lambda row: _label_row(row, num_classes))
+    rows, lines = _load_table(labels_path, ["id", "label", "path"], lambda row: _label_row(row, num_classes))
     labels, names = [label for label, _ in rows], [name for _, name in rows]
-    inputs = _load_stack(load_image, directory, names, index=labels_path, lines=range(2, len(names) + 2))
+    inputs = _load_stack(load_image, directory, names, index=labels_path, lines=lines)
     return LabeledDataset(
         task=task,
         inputs=inputs,

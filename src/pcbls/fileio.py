@@ -20,7 +20,8 @@ on it. Formats:
                H*W float32 LE scores; all sidecars of a bank share H and W
   images       binary PPM (P6) for RGB, PGM (P5) for grayscale, maxval 255
   CSV tables   UTF-8; sample banks, corruption manifests and dataset
-               labels.csv are read through one checked reader, _load_table
+               labels.csv are read through one checked reader, _load_table,
+               which numbers a row by the file line it starts on
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def _bank_row(row: list[str]) -> tuple[int, float, str]:
 
 
 def load_bank(path: str | Path) -> SampleBank:
-    rows = _load_table(path, ["sample_id", "score", "source"], _bank_row)
+    rows, _ = _load_table(path, ["sample_id", "score", "source"], _bank_row)
     sources = sorted({source for _, _, source in rows})
     if len(sources) > 1:
         raise FormatError(f"{path}: mixed bank sources {sources}")
@@ -367,36 +368,48 @@ def save_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """The header and rows of a UTF-8 CSV file. Undecodable bytes, a field
-    longer than csv's limit or an empty file raise FormatError naming it."""
+def _read_csv(path: str | Path) -> tuple[list[list[str]], list[int]]:
+    """The records of a UTF-8 CSV file and the line each starts on (a quoted
+    field may span lines). Undecodable bytes, a field longer than csv's
+    limit or an empty file raise FormatError naming it."""
+    rows, lines, end = [], [], 0
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            for row in reader:
+                rows.append(row)
+                lines.append(end + 1)
+                end = reader.line_num  # the line this record ends on
     except (UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"{path}: {e}") from None
     if not rows:
         raise FormatError(f"{path}: empty CSV")
+    return rows, lines
+
+
+def load_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of a UTF-8 CSV file, checked as _read_csv does."""
+    rows, _ = _read_csv(path)
     return rows[0], rows[1:]
 
 
-def _load_table(path: str | Path, header: list[str], parse) -> list:
+def _load_table(path: str | Path, header: list[str], parse) -> tuple[list, list[int]]:
     """``parse(row)`` of each row of the CSV table at ``path``, which must
-    have exactly this header. A row with another field count, or one that
-    ``parse`` refuses with a ValueError, raises FormatError naming the file,
-    the line and the row."""
-    found, rows = load_csv(path)
-    if found != header:
-        raise FormatError(f"{path}: bad header {found}, expected {','.join(header)}")
+    have exactly this header, and the line each row starts on. A row with
+    another field count, or one that ``parse`` refuses with a ValueError,
+    raises FormatError naming the file, the line and the row."""
+    rows, lines = _read_csv(path)
+    if rows[0] != header:
+        raise FormatError(f"{path}: bad header {rows[0]}, expected {','.join(header)}")
     out = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in zip(lines[1:], rows[1:]):
         try:
             if len(row) != len(header):
                 raise ValueError(f"expected the {len(header)} fields {','.join(header)}")
             out.append(parse(row))
         except (ValueError, OverflowError) as e:
             raise FormatError(f"{path} line {line} {row}: {e}") from None
-    return out
+    return out, lines[1:]
 
 
 def save_json(path: str | Path, obj) -> None:

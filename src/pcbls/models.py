@@ -1,12 +1,18 @@
 """Small differentiable predictors with hand-derived gradients.
 
-Three architectures over a flat float64 parameter vector:
+Three architectures over a flat float64 parameter vector, each a stack of
+affine layers, one per consecutive pair of its dims, with tanh between
+them and the last layer linear:
 
   linear_softmax  dims (D, K)            logits = x W^T + b
   mlp             dims (D, H, K)         one tanh hidden layer
-  tiny_fcn        dims (Cin, c1, c2, K)  three 3x3 convs (replicate padding,
-                                         tanh between, linear last), no
-                                         pooling, so spatial dims survive
+  tiny_fcn        dims (Cin, c1, c2, K)  three 3x3 convs (replicate padding),
+                                         no pooling, so spatial dims survive
+
+One loop runs the layers forward and, last to first, backward; the one
+thing an architecture chooses is its layer kind: dense (the two vector
+models) or conv (tiny_fcn). Each layer's weight has shape (out, in,
+*kernel) and its bias (out,).
 
 The convs run on the whole (N,H,W,C) batch at once, over contiguous tap
 matrices ((k,k,Cin,Cout) for the forward, (k,k,Cout,Cin) for the input
@@ -74,6 +80,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -103,16 +110,10 @@ class ModelSpec:
             raise ValueError("dims must be positive")
 
     def shapes(self) -> list[tuple[int, ...]]:
-        """Per-tensor shapes in flat-vector order (weight, bias alternating)."""
-        if self.architecture == "linear_softmax":
-            d, k = self.dims
-            return [(k, d), (k,)]
-        if self.architecture == "mlp":
-            d, h, k = self.dims
-            return [(h, d), (h,), (k, h), (k,)]
-        cin, c1, c2, k = self.dims
-        f = FCN_KERNEL
-        return [(c1, cin, f, f), (c1,), (c2, c1, f, f), (c2,), (k, c2, f, f), (k,)]
+        """Per-tensor shapes in flat-vector order: (out, in, *kernel), (out,)
+        per layer."""
+        kernel = _KINDS[self.architecture].kernel
+        return [s for n, m in zip(self.dims, self.dims[1:]) for s in ((m, n, *kernel), (m,))]
 
     def param_count(self) -> int:
         return _layout(self)[0][-1]
@@ -143,31 +144,17 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     rng = rng_for(seed, "init", spec.architecture)
     tensors = []
     for shape in spec.shapes():
-        if len(shape) == 1:
-            fan_in = tensors[-1].shape[1] if tensors[-1].ndim == 2 else int(
-                np.prod(tensors[-1].shape[1:])
-            )
-        elif len(shape) == 2:
-            fan_in = shape[1]
-        else:
-            fan_in = int(np.prod(shape[1:]))
-        s = 1.0 / np.sqrt(fan_in)
+        if len(shape) > 1:  # a weight; its bias, next, shares its fan-in
+            s = 1.0 / np.sqrt(prod(shape[1:]))
         tensors.append(rng.uniform(-s, s, size=shape))
     return pack(tensors)
 
 
 def _check_inputs(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if spec.architecture == "tiny_fcn":
-        if x.ndim != 4 or x.shape[3] != spec.dims[0]:
-            raise ValueError(
-                f"tiny_fcn expects (N,H,W,{spec.dims[0]}) inputs, got {x.shape}"
-            )
-    else:
-        if x.ndim != 2 or x.shape[1] != spec.dims[0]:
-            raise ValueError(
-                f"{spec.architecture} expects (N,{spec.dims[0]}) inputs, got {x.shape}"
-            )
+    axes = _KINDS[spec.architecture].axes
+    if x.ndim != len(axes) + 1 or x.shape[-1] != spec.dims[0]:
+        raise ValueError(f"{spec.architecture} expects ({','.join(axes)},{spec.dims[0]}) inputs, got {x.shape}")
     return x
 
 
@@ -289,30 +276,55 @@ def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
     return dxp[:, c : c + h, c : c + wd]
 
 
+def _dense_affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    z = a.dot(w.T)
+    z += b
+    return z
+
+
+def _dense_weight_grad(a: np.ndarray, dz: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
+    dz.T.dot(a, out=dw)
+    np.add.reduce(dz, axis=0, out=db)
+
+
+# A layer kind: the operations of one kind of layer, where a is a layer's
+# input as _logits keeps it in acts.
+#   kernel       a weight's axes after (out, in)
+#   axes         the input axes before the channel axis
+#   first        x -> the first layer's input a
+#   affine       (a, w, b) -> z
+#   tanh         z -> tanh(z), as the next layer's input a
+#   plain        a -> its plain (unpadded) values
+#   weight_grad  (a, dz, dw, db): write the weight and bias gradients
+#   input_grad   (w, dz) -> the gradient of the plain values of a
+_DENSE = SimpleNamespace(
+    kernel=(), axes=("N",), first=lambda x: x, affine=_dense_affine, tanh=lambda z: np.tanh(z, out=z),
+    plain=lambda a: a, weight_grad=_dense_weight_grad, input_grad=lambda w, dz: dz.dot(w),
+)
+# conv layers keep their inputs edge-padded, so the backward never re-pads
+_CONV = SimpleNamespace(
+    kernel=(FCN_KERNEL, FCN_KERNEL), axes=("N", "H", "W"), first=lambda x: _edge_padded(x, _PAD),
+    affine=_conv_forward, tanh=lambda z: _tanh_padded(z, _PAD), plain=lambda a: a[:, _PAD:-_PAD, _PAD:-_PAD],
+    weight_grad=_conv_weight_grad, input_grad=_conv_input_grad,
+)
+_KINDS = {"linear_softmax": _DENSE, "mlp": _DENSE, "tiny_fcn": _CONV}
+
+
 def _logits(spec: ModelSpec, tensors: list[np.ndarray], x: np.ndarray):
-    """Logits of a checked batch plus the activations backward() needs.
+    """Logits of a checked batch plus the activations backward() needs: each
+    layer's input (x, then the tanh of each hidden layer's output).
 
     tiny_fcn keeps each conv's edge-padded input (the padded x, h1 and h2)
     in place of the plain activations, so the backward never re-pads.
     """
-    if spec.architecture == "linear_softmax":
-        w, b = tensors
-        logits = x.dot(w.T)
-        logits += b
-        return logits, (x,)
-    if spec.architecture == "mlp":
-        w1, b1, w2, b2 = tensors
-        h = x.dot(w1.T)
-        h += b1
-        np.tanh(h, out=h)
-        logits = h.dot(w2.T)
-        logits += b2
-        return logits, (x, h)
-    w1, b1, w2, b2, w3, b3 = tensors
-    xp = _edge_padded(x, _PAD)
-    h1p = _tanh_padded(_conv_forward(xp, w1, b1), _PAD)
-    h2p = _tanh_padded(_conv_forward(h1p, w2, b2), _PAD)
-    return _conv_forward(h2p, w3, b3), (xp, h1p, h2p)
+    kind = _KINDS[spec.architecture]
+    a = kind.first(x)
+    acts = [a]
+    last = len(tensors) - 2  # the last layer's weight
+    for i in range(0, last, 2):
+        a = kind.tanh(kind.affine(a, tensors[i], tensors[i + 1]))
+        acts.append(a)
+    return kind.affine(a, tensors[last], tensors[last + 1]), tuple(acts)
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
@@ -343,48 +355,21 @@ def backward(
     ``grads`` are the tensor views of a flat gradient buffer, as ``unpack``
     gives them; every element of them is overwritten.
     """
-    want = acts[-1].shape[:-1] + (spec.dims[-1],)
-    if spec.architecture == "tiny_fcn":  # the activations are padded maps
-        want = (want[0], want[1] - 2 * _PAD, want[2] - 2 * _PAD, want[3])
+    kind = _KINDS[spec.architecture]
+    want = kind.plain(acts[-1]).shape[:-1] + (spec.dims[-1],)
     if dlogits.shape != want:
         raise ValueError(f"dlogits shape {dlogits.shape} != logits {want}")
-    if spec.architecture == "linear_softmax":
-        (x,) = acts
-        dw, db = grads
-        dlogits.T.dot(x, out=dw)
-        np.add.reduce(dlogits, axis=0, out=db)
-        return
-    if spec.architecture == "mlp":
-        w1, b1, w2, b2 = tensors
-        x, h = acts
-        dw1, db1, dw2, db2 = grads
-        dlogits.T.dot(h, out=dw2)
-        np.add.reduce(dlogits, axis=0, out=db2)
-        dtanh = h * h
-        np.subtract(1.0, dtanh, out=dtanh)
-        da = dlogits.dot(w2)
-        da *= dtanh
-        da.T.dot(x, out=dw1)
-        np.add.reduce(da, axis=0, out=db1)
-        return
-    w1, b1, w2, b2, w3, b3 = tensors
-    xp, h1p, h2p = acts
-    dw1, db1, dw2, db2, dw3, db3 = grads
-    _, h, wd, _ = dlogits.shape
-    h1 = h1p[:, _PAD : _PAD + h, _PAD : _PAD + wd]
-    h2 = h2p[:, _PAD : _PAD + h, _PAD : _PAD + wd]
-    # each tanh derivative 1 - h*h is built in one temporary, which then
-    # takes the input gradient's product (the same bits as dx * (1 - h*h))
-    _conv_weight_grad(h2p, dlogits, dw3, db3)
-    da2 = h2 * h2
-    np.subtract(1.0, da2, out=da2)
-    da2 *= _conv_input_grad(w3, dlogits)
-    _conv_weight_grad(h1p, da2, dw2, db2)
-    da1 = h1 * h1
-    np.subtract(1.0, da1, out=da1)
-    da1 *= _conv_input_grad(w2, da2)
-    # the input gradient of the first conv is never used
-    _conv_weight_grad(xp, da1, dw1, db1)
+    dz = dlogits
+    for i in reversed(range(len(acts))):
+        kind.weight_grad(acts[i], dz, grads[2 * i], grads[2 * i + 1])
+        if i:  # the input gradient of the first layer is never used
+            # the tanh derivative 1 - a*a is built in one temporary, which then
+            # takes the product with the input gradient (the same bits either way)
+            a = kind.plain(acts[i])
+            dtanh = a * a
+            np.subtract(1.0, dtanh, out=dtanh)
+            dtanh *= kind.input_grad(tensors[2 * i], dz)
+            dz = dtanh
 
 
 def loss(

@@ -102,3 +102,33 @@ def test_traced_eval_reads_each_manifest_image_through_load_image(tmp_path):
     _, rows = fileio.load_csv(tmp_path / "corr" / "manifest.csv")
     assert len(rows) == 2 * 5 * 12
     assert sum(s.name == "fileio.load_image" for s in tracer.spans) == len(rows)
+
+
+@pytest.mark.parametrize(
+    "cfg, steps",
+    [
+        # 30 samples in batches of 8: 4 steps an epoch
+        ({"data": {"name": "blobs", "classes": 3, "per_class": 10, "per_class_val": 4, "dim": 6},
+          "hidden": 4, "batch_size": 8}, 8),
+        # 8 frames in batches of 4: 2 steps an epoch
+        ({"data": {"name": "shapes", "height": 16, "width": 16, "foreground": 2, "n": 8, "n_val": 2},
+          "task": "segmentation", "channels": [3, 3], "batch_size": 4}, 4),
+    ],
+    ids=["mlp", "tiny_fcn"],
+)
+def test_traced_train_runs_one_backward_per_step(tmp_path, cfg, steps):
+    # models.backward.busy_s is the backward's one per-layer metric: it reads
+    # 0 unless each training step calls backward through the module global
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "epochs": 2}))
+    tracer, modules, functions = layers.tracer_for_pcbls()
+    tracer.install(modules, functions)
+    try:
+        code = cli.main(["train", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "run")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    step_spans = [s for s in tracer.spans if s.name == "models.loss_and_grad_into"]
+    backward_spans = [s for s in tracer.spans if s.name == "models.backward"]
+    assert len(step_spans) == len(backward_spans) == steps
+    assert [s.parent for s in backward_spans] == step_spans

@@ -459,6 +459,21 @@ class TestBankCommand:
         assert f"error: {tmp_path / 'bank.csv'} {problem}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bank_rows_after_a_quoted_line_break_name_their_own_line(self, tmp_path, capsys):
+        def edit(i, line):
+            sid, score, source = line.split(",")
+            if i == 1:  # float() takes the trailing line break, so this row loads
+                return f'{sid},"{score}\n",{source}'
+            return f"{sid},nan,{source}" if i == 5 else line
+
+        code, out = self._paced_run_with_edited_bank(tmp_path, edit)
+        assert code == 2
+        sid = (tmp_path / "bank.csv").read_text().splitlines()[7].split(",")[0]
+        assert f"error: {tmp_path / 'bank.csv'} line 8 ['{sid}', 'nan', 'plain']: score 'nan' is not finite" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_bank_ids_past_the_training_set_are_rejected(self, tmp_path, capsys):
         shifted = []
 
@@ -882,6 +897,44 @@ class TestEvalManifestChecks:
         assert f"error: {manifest}: {problem}" in capsys.readouterr().err
         assert not (corrupted_run[2].parent / f"{name}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line4, problem",
+        [
+            ("1000,fog,1,fog_s1_000001.pgm", "line 4 ['1000', 'fog', '1', 'fog_s1_000001.pgm']: orig_id 1000"),
+            ("1,fog,1,fog_s1_999999.pgm", "line 4 (fog_s1_999999.pgm): cannot read the file"),
+        ],
+        ids=["bad_row", "missing_image"],
+    )
+    def test_rows_after_a_quoted_line_break_name_their_own_line(self, corrupted_run, capsys, line4, problem):
+        cfg, ckpt, corr = corrupted_run
+        lines = (corr / "manifest.csv").read_text().splitlines()
+        orig_id, rest = lines[1].split(",", 1)
+        # int() takes the trailing line break, so the first row spans lines 2 and 3
+        lines[1:3] = [f'"{orig_id}\n",{rest}', line4]
+        manifest = corr / "manifest_spanning.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = corr.parent / "spanning.csv"
+        assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", ckpt,
+                    "--manifest", manifest, "--out", out]) == 2
+        assert f"error: {manifest} {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_cell_image_listed_twice_is_config_error(self, corrupted_run, capsys):
+        # a repeated image would count twice in its cell's accuracy
+        cfg, ckpt, corr = corrupted_run
+        lines = (corr / "manifest.csv").read_text().splitlines()
+        manifest = corr / "manifest_twice.csv"
+        manifest.write_text("\n".join(lines + [lines[3]]) + "\n")
+        out = corr.parent / "twice.csv"
+        assert run(["eval", "--config", cfg, "--seed", 1, "--checkpoint", ckpt,
+                    "--manifest", manifest, "--out", out]) == 2
+        orig_id, kind, severity, _ = lines[3].split(",")
+        assert (
+            f"error: {manifest} lines 4 and {len(lines) + 1}: "
+            f"orig_id {orig_id}, kind {kind}, severity {severity} listed twice"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_image_of_another_shape_is_config_error(self, corrupted_run, capsys):
         corr = corrupted_run[2]
         # as many pixels as a (1, 6) validation vector, so a reshape would accept it
@@ -1039,6 +1092,19 @@ class TestDirDataset:
         assert f"error: cannot load dataset dir {d}: {d / 'labels.csv'} line 6 (000004.pgm): {problem}" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    def test_an_image_after_a_quoted_line_break_names_its_own_line(self, tmp_path, capsys):
+        d = tmp_path / "data"
+        save_image_dataset(gen_blobs(3, 10, dim=8, seed=0), d)
+        lines = (d / "labels.csv").read_text().splitlines()
+        sample_id, rest = lines[1].split(",", 1)
+        lines[1] = f'"{sample_id}\nzero",{rest}'  # the id is not read, so this row loads
+        (d / "labels.csv").write_text("\n".join(lines) + "\n")
+        (d / "000004.pgm").unlink()
+        out = tmp_path / "run"
+        assert run(["train", "--data", f"dir:{d}", "--epochs", 1, "--seed", 1, "--out", out]) == 2
+        assert f"{d / 'labels.csv'} line 7 (000004.pgm): cannot read the file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_labels_csv_without_images_is_config_error(self, tmp_path, capsys):

@@ -228,8 +228,10 @@ class TestTables:
         assert (tmp_path / "b.csv").read_bytes() == b"sample_id,score,source\n2,0.900000000,plain\n0,0.333333333,plain\n"
 
     def test_rows_go_through_the_parser_in_file_order(self, tmp_path):
-        (tmp_path / "t.csv").write_bytes(b"a,b\n1,x\n2,y\n")
-        assert _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: (int(r[0]), r[1])) == [(1, "x"), (2, "y")]
+        # a quoted field may hold a line break; a row's line is the one it starts on
+        (tmp_path / "t.csv").write_bytes(b'a,b\n1,"x\ny"\n2,y\n')
+        rows, lines = _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: (int(r[0]), r[1]))
+        assert rows == [(1, "x\ny"), (2, "y")] and lines == [2, 4]
 
     @pytest.mark.parametrize(
         "data, problem",
@@ -239,6 +241,7 @@ class TestTables:
             (b"a,b\n1,2\n3\n", "t.csv line 3 ['3']: expected the 2 fields a,b"),
             (b"a,b\n1,2\n3,4,5\n", "t.csv line 3 ['3', '4', '5']: expected the 2 fields a,b"),
             (b"a,b\n1,2\nx,4\n", "t.csv line 3 ['x', '4']: invalid literal for int() with base 10: 'x'"),
+            (b'a,b\n"1\n",2\nx,4\n', "t.csv line 4 ['x', '4']: invalid literal for int() with base 10: 'x'"),
             (b"a,b\n\xff\n", "t.csv: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
         ],
     )
