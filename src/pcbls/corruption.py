@@ -15,7 +15,8 @@ stack at one (kind, severity) parameter row, with one generator per image,
 and ``corrupt`` is its N=1 case. ``corrupt_dataset`` takes one (N,H,W) or
 (N,H,W,3) stack and runs one batch per (kind, severity) over it, seeding
 image i from (base seed, kind, severity, i), so a file's bytes do not depend
-on which other images share its batch.
+on which other images share its batch; it builds those generators only for
+DRAWING_KINDS.
 
 jpeg_like is a DCT-quantization approximation of JPEG's loss profile, not
 a standards-conforming codec.
@@ -66,6 +67,10 @@ SEVERITY_TABLE: dict[str, list] = {
     "pixelate": [2, 3, 4, 6, 8],  # box-downsample factor
     "jpeg_like": [0.5, 1.0, 1.5, 2.5, 4.0],  # quantization-table scale
 }
+
+# the kinds whose corrupt_batch draws from the per-image generators; the
+# others are pure functions of the image and get no generator built
+DRAWING_KINDS = frozenset({"gaussian_noise", "shot_noise", "impulse_noise", "glass_blur", "motion_blur", "fog"})
 
 # standard luminance quantization steps, used as relative coefficient weights
 _JPEG_Q = np.array(
@@ -224,7 +229,8 @@ def corrupt_batch(imgs: np.ndarray, kind: str, params, rngs) -> np.ndarray:
 
     Image n draws only from ``rngs[n]``, in the order it would alone, and
     comes out as it would alone: the batch changes how often the arithmetic
-    is dispatched, not its result. Returns (N,H,W,C), clipped to [0,1].
+    is dispatched, not its result. A kind outside DRAWING_KINDS never
+    touches ``rngs``. Returns (N,H,W,C), clipped to [0,1].
     """
     imgs = np.asarray(imgs, dtype=np.float64)
     if imgs.ndim != 4 or len(rngs) != len(imgs):
@@ -355,7 +361,10 @@ def corrupt_dataset(
         for kind in kinds:
             for severity in severities:
                 key = _kind_seed(base_seed, kind, severity)
-                rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(images))]
+                if kind in DRAWING_KINDS:
+                    rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(images))]
+                else:
+                    rngs = [None] * len(images)
                 out = corrupt_batch(stack, kind, SEVERITY_TABLE[kind][severity - 1], rngs)
                 names = [f"{kind}_s{severity}_{i:06d}.{ext}" for i in range(len(images))]
                 rows.extend((i, kind, severity, name) for i, name in enumerate(names))

@@ -36,6 +36,7 @@ import shutil
 import struct
 import tempfile
 import threading
+from array import array
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -368,11 +369,11 @@ def save_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_csv(path: str | Path) -> tuple[list[list[str]], list[int]]:
+def _read_csv(path: str | Path) -> tuple[list[list[str]], array]:
     """The records of a UTF-8 CSV file and the line each starts on (a quoted
-    field may span lines). Undecodable bytes, a field longer than csv's
-    limit or an empty file raise FormatError naming it."""
-    rows, lines, end = [], [], 0
+    field may span lines), as 8-byte ints. Undecodable bytes, a field longer
+    than csv's limit or an empty file raise FormatError naming it."""
+    rows, lines, end = [], array("q"), 0
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -393,7 +394,7 @@ def load_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _load_table(path: str | Path, header: list[str], parse) -> tuple[list, list[int]]:
+def _load_table(path: str | Path, header: list[str], parse) -> tuple[list, array]:
     """``parse(row)`` of each row of the CSV table at ``path``, which must
     have exactly this header, and the line each row starts on. A row with
     another field count, or one that ``parse`` refuses with a ValueError,
@@ -402,14 +403,15 @@ def _load_table(path: str | Path, header: list[str], parse) -> tuple[list, list[
     if rows[0] != header:
         raise FormatError(f"{path}: bad header {rows[0]}, expected {','.join(header)}")
     out = []
-    for line, row in zip(lines[1:], rows[1:]):
+    lines = lines[1:]
+    for line, row in zip(lines, rows[1:]):
         try:
             if len(row) != len(header):
                 raise ValueError(f"expected the {len(header)} fields {','.join(header)}")
             out.append(parse(row))
         except (ValueError, OverflowError) as e:
             raise FormatError(f"{path} line {line} {row}: {e}") from None
-    return out, lines[1:]
+    return out, lines
 
 
 def save_json(path: str | Path, obj) -> None:

@@ -37,6 +37,16 @@ and never pads. The backward has two layouts:
 Each tap's dot products and the order of the sums over taps are those of
 per-tap loops; only the GEMM shapes that BLAS sees change.
 
+forward() runs tiny_fcn over ``numerics.frame_chunks`` of its batch (as
+many whole frames as fit in 4 096 pixels, at least one) and writes each
+chunk's logits into one output, so a whole-set pass (validation, banks,
+eval) holds one chunk's activations at a time. Each tap is one GEMM per
+map row, so every frame's logits are its own and the bytes do not depend
+on the chunk. The vector models stay one call: a GEMM's last bits can
+depend on its row count (on OpenBLAS 0.3.31, x86-64, chunking a.dot(w.T)
+changed the bytes of 32 of 84 (rows, shape, chunk) cases, by up to
+4.3e-14), and their activations are a few floats per sample.
+
 Bit domain: on maps of at least two rows and two columns, with at most 15
 channels per conv, at least two input channels on each conv whose input
 gradient is taken, and at most 7 classes, a training step is byte-equal
@@ -86,6 +96,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import losses
+from .numerics import _fill_border, frame_chunks
 from .seeding import rng_for
 
 # each architecture's count of dims (its layer widths), in checkpoint tag order
@@ -193,18 +204,6 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j in range(k):
             out += xp[:, i : i + h, j : j + wd] @ taps[i, j]
     return out
-
-
-def _fill_border(p: np.ndarray, c: int) -> np.ndarray:
-    """Copy into each of the c border rows and columns of the padded maps p
-    (N,H+2c,W+2c,C) the edge of the interior it pads, as np.pad(mode="edge")
-    would, and return p."""
-    h, w = p.shape[1] - 2 * c, p.shape[2] - 2 * c
-    p[:, :c, c : c + w] = p[:, c : c + 1, c : c + w]
-    p[:, c + h :, c : c + w] = p[:, c + h - 1 : c + h, c : c + w]
-    p[:, :, :c] = p[:, :, c : c + 1]
-    p[:, :, c + w :] = p[:, :, c + w - 1 : c + w]
-    return p
 
 
 def _edge_padded(x: np.ndarray, c: int) -> np.ndarray:
@@ -336,8 +335,22 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batch logits: (N,K) for the vector models, (N,H,W,K) for tiny_fcn."""
-    return _forward(spec, params, x)[0]
+    """Batch logits: (N,K) for the vector models, (N,H,W,K) for tiny_fcn.
+
+    tiny_fcn runs over ``numerics.frame_chunks`` of the batch, each chunk's
+    logits written into one output, so the activations of one chunk are
+    alive at a time; a batch of one chunk is one pass. The vector models
+    are one pass at any size.
+    """
+    x = _check_inputs(spec, x)
+    tensors = unpack(spec, params)
+    chunks = frame_chunks(*x.shape[:3]) if spec.architecture == "tiny_fcn" else []
+    if len(chunks) < 2:
+        return _logits(spec, tensors, x)[0]
+    out = np.empty(x.shape[:-1] + (spec.dims[-1],))
+    for s in chunks:
+        out[s] = _logits(spec, tensors, x[s])[0]
+    return out
 
 
 def backward(

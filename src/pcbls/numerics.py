@@ -2,11 +2,40 @@
 
 Arrays are float64 throughout; image bytes are converted to [0,1] reals at
 ingestion so the exactness gates in the tests are meaningful.
+
+Whole-set image passes (``models.forward`` of tiny_fcn, the segmentation
+soft targets and the pixel-bank scores of ``trainer``) run over
+``frame_chunks``: consecutive slices of whole frames, as many as fit in
+CHUNK_PIXELS pixels and at least one. Each of them computes every frame on
+its own, so the chunks change how much memory a pass holds at once, not
+its bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# pixels per chunk of a whole-set image pass: 16 frames of 16x16
+CHUNK_PIXELS = 4096
+
+
+def frame_chunks(n: int, h: int, w: int) -> list[slice]:
+    """Consecutive slices over n frames of h*w pixels, each holding as many
+    whole frames as fit in CHUNK_PIXELS, and at least one."""
+    step = max(1, CHUNK_PIXELS // max(1, h * w))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _fill_border(p: np.ndarray, c: int) -> np.ndarray:
+    """Copy into each of the c border rows and columns of the padded maps p
+    (..., H+2c, W+2c, C) the edge of the interior it pads, as
+    np.pad(mode="edge") would, and return p."""
+    h, w = p.shape[-3] - 2 * c, p.shape[-2] - 2 * c
+    p[..., :c, c : c + w, :] = p[..., c : c + 1, c : c + w, :]
+    p[..., c + h :, c : c + w, :] = p[..., c + h - 1 : c + h, c : c + w, :]
+    p[..., :c, :] = p[..., c : c + 1, :]
+    p[..., c + w :, :] = p[..., c + w - 1 : c + w, :]
+    return p
 
 
 def gaussian_kernel2d(k: int, sigma: float) -> np.ndarray:
@@ -46,8 +75,11 @@ def conv2d_same(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if kernel.ndim < 2 or kernel.shape[-1] != kernel.shape[-2] or kernel.shape[-1] % 2 == 0:
         raise ValueError(f"kernel must be square with odd size, got shape {kernel.shape}")
     k = kernel.shape[-1]
+    c = k // 2
     h, w = arr.shape[-2:]
-    padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(k // 2, k // 2)] * 2, mode="edge")
+    padded = np.empty(arr.shape[:-2] + (h + 2 * c, w + 2 * c))
+    padded[..., c : c + h, c : c + w] = arr
+    _fill_border(padded[..., None], c)  # the maps' edges, as np.pad(mode="edge")
     # per-map kernel taps broadcast as (..., 1, 1) over the map axes
     taps = kernel[..., None, None]
     out = np.zeros(np.broadcast_shapes(arr.shape, taps.shape[:-4] + (1, 1)))

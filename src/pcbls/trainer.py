@@ -15,6 +15,16 @@ its own state in place. The first non-finite step loss stops the run
 with NonFiniteLoss, naming the epoch and the batch; parameters that are
 not all finite at the end of an epoch (a non-finite gradient behind a
 finite loss) stop it with NonFiniteParameters, naming the epoch.
+
+Whole-set image passes run in frame chunks (``numerics.frame_chunks``: as
+many whole frames as fit in 4 096 pixels, at least one), each chunk written
+into one preallocated output: the per-epoch validation forward and the
+pixel bank's forward (``models.forward`` chunks tiny_fcn), each epoch's
+segmentation soft targets, and the pixel bank's softmax and gather. Every
+frame is computed on its own, so the bytes do not depend on the chunk.
+Class and multi-label targets and the dense models stay one call: their
+rows are a few floats a sample, and a dense GEMM's last bits can depend on
+its row count (see ``models``).
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from .calibration import apply_temperature
 from .fileio import format_float
 from .metrics import accuracy, iou_dice, mean_average_precision
 from .models import ModelSpec
-from .numerics import sigmoid, softmax
+from .numerics import frame_chunks, sigmoid, softmax
 from .pacing import PacePlan, SampleBank
 from .schedules import SmoothingSchedule
 from .seeding import derive_seed, fold_seed
@@ -170,12 +180,27 @@ def _loss_kind(task: str) -> str:
 
 
 def _soft_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sigma: float | None):
-    """Soft targets, one row (or map) per hard target, in the given order."""
+    """Soft targets, one row (or map) per hard target, in the given order.
+
+    An (N,H,W) stack of label maps goes through ``segmentation_targets``
+    one frame chunk at a time (``numerics.frame_chunks``), each chunk
+    written into one preallocated (N,H,W,K) output, even when there is only
+    one: the one-hot, smoothed and padded maps of one chunk are alive at a
+    time, so the memory a build holds beyond its output does not grow with
+    N. Every map's targets are its own, so the bytes do not depend on the
+    chunk.
+    """
     if cfg.task == "multiclass":
         return soft_labels.uls_matrix(targets, k, eps)
     if cfg.task == "multilabel":
         return soft_labels.smooth_binary(targets, eps)
-    return soft_labels.segmentation_targets(targets, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
+    targets = np.asarray(targets)
+    if targets.ndim != 3:  # not a stack of maps; check_batch refuses it next
+        return soft_labels.segmentation_targets(targets, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
+    out = np.empty(targets.shape + (k,))
+    for s in frame_chunks(*targets.shape):
+        out[s] = soft_labels.segmentation_targets(targets[s], k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
+    return out
 
 
 def logit_metrics(task: str, logits: np.ndarray, targets, num_classes: int) -> tuple[dict[str, float], list[int]]:
@@ -345,9 +370,19 @@ def score_pixel_bank(
     inputs: np.ndarray,
     targets: np.ndarray,
 ) -> np.ndarray:
-    """The frozen model's (N,H,W) pixel bank: each pixel's true-class probability."""
+    """The frozen model's (N,H,W) pixel bank: each pixel's true-class probability.
+
+    The softmax and the gather run one frame chunk at a time into one
+    float32 bank, so the (N,H,W,K) probabilities never exist at once.
+    """
     logits = models.forward(spec, params, np.asarray(inputs, dtype=np.float64))
-    return pacing.build_pixel_bank(softmax(logits, axis=-1), targets)
+    targets = np.asarray(targets)
+    if targets.ndim != 3 or targets.shape != logits.shape[:-1]:
+        raise ValueError(f"prob maps {logits.shape} vs label maps {targets.shape}")
+    bank = np.empty(targets.shape, dtype=np.float32)
+    for s in frame_chunks(*targets.shape):
+        bank[s] = pacing.build_pixel_bank(softmax(logits[s], axis=-1), targets[s])
+    return bank
 
 
 METRIC_COLUMNS = {

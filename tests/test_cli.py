@@ -1214,7 +1214,7 @@ class TestParserReuse:
 
         builds, seen = [], []
         build = cli.build_parser
-        monkeypatch.setattr(cli, "_parser", None)
+        cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
         # a command replaced after the parser was built still runs
         assert run(["report", tmp_path / "ghost", "--out", tmp_path / "r.csv"]) == 2
@@ -1223,3 +1223,15 @@ class TestParserReuse:
         assert run(["report", "c"]) == 0
         assert builds == [1]
         assert seen == [(["a", "b"], "x.csv"), (["c"], None)]
+        cli._parser.cache_clear()  # drop the parser built through the counting stub
+
+    def test_main_leaves_every_module_attribute_as_it_found_it(self, tmp_path):
+        from pcbls import cli
+
+        cli._parser.cache_clear()  # the first call builds the parser
+        before = dict(vars(cli))
+        assert run(["report", tmp_path / "ghost", "--out", tmp_path / "r.csv"]) == 2
+        assert run(["report", tmp_path / "ghost"]) == 2
+        after = vars(cli)
+        assert after.keys() == before.keys()
+        assert [k for k, v in before.items() if after[k] is not v] == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbls.corruption import (
+    DRAWING_KINDS,
     KINDS,
     SEVERITY_TABLE,
     CorruptionSpec,
@@ -271,6 +272,24 @@ class TestBatchedMatchesPerImage:
     def test_line_kernel_equals_oracle(self, length):
         for angle in (0.0, 0.3, np.pi / 4, 1.0, np.pi / 2, 2.2, np.pi - 1e-9):
             assert _line_kernel(length, angle).tobytes() == ref_line_kernel(length, angle).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_only_drawing_kinds_use_their_generators(self, rng, kind):
+        # corrupt_dataset builds generators only for DRAWING_KINDS, so a kind
+        # outside it must not touch them, and a kind inside it must
+        class Untouchable:
+            def __getattr__(self, name):
+                raise LookupError(f"generator used: {name}")
+
+        stack = rng.uniform(size=(3, 8, 8, 1))
+        for params in SEVERITY_TABLE[kind]:
+            if kind in DRAWING_KINDS:
+                with pytest.raises(LookupError, match="generator used"):
+                    corrupt_batch(stack, kind, params, [Untouchable()] * 3)
+            else:
+                got = corrupt_batch(stack, kind, params, [Untouchable()] * 3)
+                want = corrupt_batch(stack, kind, params, [np.random.default_rng(s) for s in range(3)])
+                assert got.tobytes() == want.tobytes(), (kind, params)
 
     def test_batch_rejects_out_of_range_image(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -6,6 +6,7 @@ import stat
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestTables:
         # a quoted field may hold a line break; a row's line is the one it starts on
         (tmp_path / "t.csv").write_bytes(b'a,b\n1,"x\ny"\n2,y\n')
         rows, lines = _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: (int(r[0]), r[1]))
-        assert rows == [(1, "x\ny"), (2, "y")] and lines == [2, 4]
+        assert rows == [(1, "x\ny"), (2, "y")] and list(lines) == [2, 4]
 
     @pytest.mark.parametrize(
         "data, problem",
@@ -250,6 +251,25 @@ class TestTables:
         with pytest.raises(FormatError) as e:
             _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: (int(r[0]), int(r[1])))
         assert str(e.value) == f"{tmp_path / problem}"
+
+    def test_line_numbers_cost_at_most_8_bytes_a_row(self, tmp_path):
+        n = 20_000
+        (tmp_path / "t.csv").write_text("a,b\n" + "".join(f"{i},{i}\n" for i in range(n)))
+        _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: None)  # warm the csv module up
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows, lines = _load_table(tmp_path / "t.csv", ["a", "b"], lambda r: None)
+            del rows
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert list(lines[:2]) == [2, 3] and lines[-1] == n + 1
+        # 8 bytes a row, plus a few KiB the csv reader keeps whatever the size
+        assert held <= 8 * n + 8192, f"{held / n:.1f} bytes a row"
 
     def test_load_csv_reports_an_oversized_field_with_the_file(self, tmp_path):
         (tmp_path / "m.csv").write_bytes(b"run,value\nx," + b"9" * 131073 + b"\n")
