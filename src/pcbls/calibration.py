@@ -27,8 +27,6 @@ _PIN_TOL = 1e-3
 @dataclass(frozen=True)
 class CalibrationReport:
     ece: float
-    brier: float
-    nll: float
     bins: int
     bin_confidence: np.ndarray  # mean confidence per bin (0 where empty)
     bin_accuracy: np.ndarray  # accuracy per bin (0 where empty)
@@ -56,13 +54,7 @@ def bin_index(confidence: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum((c * bins).astype(np.int64), bins - 1)
 
 
-def ece(
-    confidences: np.ndarray,
-    correct: np.ndarray,
-    bins: int = DEFAULT_BINS,
-    brier_score: float = float("nan"),
-    nll_score: float = float("nan"),
-) -> CalibrationReport:
+def ece(confidences: np.ndarray, correct: np.ndarray, bins: int = DEFAULT_BINS) -> CalibrationReport:
     """Expected calibration error: bin-weighted |accuracy - confidence| gap."""
     confidences = np.asarray(confidences, dtype=np.float64)
     correct = np.asarray(correct, dtype=bool)
@@ -85,8 +77,6 @@ def ece(
     value = float((count[nonzero] / n * np.abs(mean_acc - mean_conf)[nonzero]).sum())
     return CalibrationReport(
         ece=value,
-        brier=brier_score,
-        nll=nll_score,
         bins=bins,
         bin_confidence=mean_conf,
         bin_accuracy=mean_acc,

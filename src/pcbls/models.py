@@ -9,6 +9,9 @@ them and the last layer linear:
   tiny_fcn        dims (Cin, c1, c2, K)  three 3x3 convs (replicate padding),
                                          no pooling, so spatial dims survive
 
+The vector models read each sample of an (N, ...) batch flattened to its D
+values, tiny_fcn an (N,H,W,Cin) batch; ``spec_for`` derives the dims from it.
+
 One loop runs the layers forward and, last to first, backward; the one
 thing an architecture chooses is its layer kind: dense (the two vector
 models) or conv (tiny_fcn). Each layer's weight has shape (out, in,
@@ -161,11 +164,28 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return pack(tensors)
 
 
-def _check_inputs(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+def spec_for(architecture: str, input_shape: tuple, hidden: int, channels: list[int], classes: int) -> ModelSpec:
+    """The ModelSpec of ``architecture`` for a batch of ``input_shape`` and
+    ``classes`` outputs; its hidden widths are ``hidden`` for mlp and the two
+    ``channels`` for tiny_fcn."""
+    if architecture not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    kind = _KINDS[architecture]
+    shape = kind.read(input_shape)
+    if len(shape) != len(kind.axes) + 1:
+        raise ValueError(f"{architecture} expects ({','.join(kind.axes)},C) inputs, got {shape}")
+    widths = {"linear_softmax": (), "mlp": (hidden,), "tiny_fcn": tuple(channels)}[architecture]
+    return ModelSpec(architecture, (shape[-1], *widths, classes))
+
+
+def check_inputs(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``x`` as the float64 batch the model reads (for dense, a reshape: the
+    same bytes), or a ValueError naming the layout it expects."""
     x = np.asarray(x, dtype=np.float64)
-    axes = _KINDS[spec.architecture].axes
-    if x.ndim != len(axes) + 1 or x.shape[-1] != spec.dims[0]:
-        raise ValueError(f"{spec.architecture} expects ({','.join(axes)},{spec.dims[0]}) inputs, got {x.shape}")
+    kind = _KINDS[spec.architecture]
+    x = x.reshape(kind.read(x.shape))
+    if x.ndim != len(kind.axes) + 1 or x.shape[-1] != spec.dims[0]:
+        raise ValueError(f"{spec.architecture} expects ({','.join(kind.axes)},{spec.dims[0]}) inputs, got {x.shape}")
     return x
 
 
@@ -182,7 +202,7 @@ def check_batch(
     check holds sample by sample, so checking a whole epoch's stacked
     arrays once covers every batch sliced from them.
     """
-    x = _check_inputs(spec, x)
+    x = check_inputs(spec, x)
     if loss_kind == "masked_pixel_ce":
         if spec.architecture != "tiny_fcn":
             raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
@@ -290,6 +310,7 @@ def _dense_weight_grad(a: np.ndarray, dz: np.ndarray, dw: np.ndarray, db: np.nda
 # input as _logits keeps it in acts.
 #   kernel       a weight's axes after (out, in)
 #   axes         the input axes before the channel axis
+#   read         a batch's shape -> the shape the first layer reads it as
 #   first        x -> the first layer's input a
 #   affine       (a, w, b) -> z
 #   tanh         z -> tanh(z), as the next layer's input a
@@ -299,12 +320,13 @@ def _dense_weight_grad(a: np.ndarray, dz: np.ndarray, dw: np.ndarray, db: np.nda
 _DENSE = SimpleNamespace(
     kernel=(), axes=("N",), first=lambda x: x, affine=_dense_affine, tanh=lambda z: np.tanh(z, out=z),
     plain=lambda a: a, weight_grad=_dense_weight_grad, input_grad=lambda w, dz: dz.dot(w),
+    read=lambda shape: (shape[0], prod(shape[1:])) if len(shape) > 2 else shape,  # each sample flattened
 )
 # conv layers keep their inputs edge-padded, so the backward never re-pads
 _CONV = SimpleNamespace(
     kernel=(FCN_KERNEL, FCN_KERNEL), axes=("N", "H", "W"), first=lambda x: _edge_padded(x, _PAD),
     affine=_conv_forward, tanh=lambda z: _tanh_padded(z, _PAD), plain=lambda a: a[:, _PAD:-_PAD, _PAD:-_PAD],
-    weight_grad=_conv_weight_grad, input_grad=_conv_input_grad,
+    weight_grad=_conv_weight_grad, input_grad=_conv_input_grad, read=lambda shape: shape,
 )
 _KINDS = {"linear_softmax": _DENSE, "mlp": _DENSE, "tiny_fcn": _CONV}
 
@@ -328,7 +350,7 @@ def _logits(spec: ModelSpec, tensors: list[np.ndarray], x: np.ndarray):
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Logits plus what backward() needs: the unpacked tensors and the activations."""
-    x = _check_inputs(spec, x)
+    x = check_inputs(spec, x)
     tensors = unpack(spec, params)
     logits, acts = _logits(spec, tensors, x)
     return logits, tensors, acts
@@ -342,7 +364,7 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     alive at a time; a batch of one chunk is one pass. The vector models
     are one pass at any size.
     """
-    x = _check_inputs(spec, x)
+    x = check_inputs(spec, x)
     tensors = unpack(spec, params)
     chunks = frame_chunks(*x.shape[:3]) if spec.architecture == "tiny_fcn" else []
     if len(chunks) < 2:

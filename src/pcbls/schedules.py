@@ -72,20 +72,6 @@ class SmoothingSchedule:
             d.update(range=[self.range_lo, self.range_hi], seed=self.seed)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SmoothingSchedule":
-        lo, hi = d.get("range", [0.0, 0.5])
-        return cls(
-            kind=d["kind"],
-            init=float(d.get("init", 0.0)),
-            rate=float(d.get("rate", 0.0)),
-            floor=float(d.get("floor", 0.0)),
-            cap=float(d.get("cap", 0.5)),
-            range_lo=float(lo),
-            range_hi=float(hi),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 def exponential(init: float, rate: float, floor: float = 0.0) -> SmoothingSchedule:
     return SmoothingSchedule(kind="exponential", init=init, rate=rate, floor=floor)

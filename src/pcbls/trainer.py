@@ -316,6 +316,8 @@ def train(
                     contributions[epoch][shuffled[j]] += float(np.linalg.norm(g))
             opt.step(params, grad, lr)
             total_loss += loss * (stop - start)
+        # the next epoch builds its own arrays: hold one epoch's at a time
+        del xs, soft, masks, mask
         if not np.isfinite(params).all():
             raise NonFiniteParameters(epoch)
 

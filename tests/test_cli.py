@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from pcbls import cli
+from pcbls.calibration import apply_temperature, nll
 from pcbls.cli import PRESETS, ConfigError, main, resolve_config
 from pcbls.datasets import gen_blobs, gen_shapes_seg, save_image_dataset
 from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
-from pcbls.models import ModelSpec
+from pcbls.metrics import brier
+from pcbls.models import ModelSpec, forward
 from pcbls.pacing import PacePlan
 from pcbls.seeding import derive_seed
 from pcbls.trainer import TrainConfig, train
@@ -558,6 +560,12 @@ class TestCorruptEvalCalibrateReport:
         header, rows = load_csv(calib / "calibration.csv")
         assert rows[0][0] == "summary"
         assert len(rows) == 1 + 10  # summary + one row per bin
+        # the summary's Brier and NLL cells are those of the checkpoint's validation logits
+        _, val_ds = cli.resolve_dataset(resolve_config(SimpleNamespace(config=str(cfg), seed=1)))
+        spec, params, _ = load_checkpoint(out / "checkpoint.pckpt")
+        logits = forward(spec, params, val_ds.inputs)
+        assert float(rows[0][2]) == brier(apply_temperature(logits, 1.0), val_ds.targets)
+        assert float(rows[0][3]) == nll(logits, val_ds.targets) == t["nll_at_1"]
 
     def test_report_of_an_undecodable_metrics_csv_names_the_file(self, tmp_path, capsys):
         metrics = tmp_path / "run" / "metrics.csv"
@@ -831,6 +839,22 @@ class TestBankGranularity:
         assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "none.pckpt", "--out", out]) == 2
         assert "granularity must be 'sample' or 'pixel', got 'voxel'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, shape", [("blobs", (1000, 16)), ("multilabel", (600, 16))])
+    def test_tiny_fcn_on_vector_data_is_config_error(self, tmp_path, capsys, data, shape):
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--arch", "tiny_fcn", "--seed", 1, "--epochs", 1, "--out", out]) == 2
+        assert f"error: tiny_fcn expects (N,H,W,C) inputs, got {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_fcn_checkpoint_on_vector_data_is_config_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "seg_run"
+        assert run(["train", "--config", _write_shapes_config(tmp_path), "--seed", 1, "--out", run_dir]) == 0
+        dest = tmp_path / "eval.csv"
+        assert run(["eval", "--data", "blobs", "--seed", 1, "--checkpoint", run_dir / "checkpoint.pckpt", "--out", dest]) == 2
+        err = capsys.readouterr().err
+        assert "error: checkpoint does not fit this dataset: tiny_fcn expects (N,H,W,3) inputs, got (1, 16)" in err
+        assert not dest.exists()
 
     def test_pixel_bank_on_blobs_is_config_error(self, tmp_path, capsys):
         cfg = _write_small_config(tmp_path)

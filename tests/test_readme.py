@@ -1,0 +1,67 @@
+"""README's config tables agree with the tables the program reads.
+
+The key table, the ``data`` key table and the preset table in README's
+"Config file" section restate ``config._CONFIG``, ``config._DATA`` and
+``config.PRESETS``; a default or a preset changed in one place and not the
+other fails here.
+"""
+
+import json
+import re
+from pathlib import Path
+
+from pcbls import config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _unquoted(cell: str) -> str:
+    """A cell that is one code span, without its backticks; any other as it is."""
+    return cell[1:-1] if re.fullmatch(r"`[^`]*`", cell) else cell
+
+
+def _table(header: list[str]) -> dict[str, list[str]]:
+    """The body of the README table whose header row is ``header``, by the
+    first cell of each row; a cell that is one code span is unquoted."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    head = "| " + " | ".join(header) + " |"
+    start = lines.index(head) + 2  # past the header and the |---| row
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip()[1:-1].split("|")]
+        rows[_unquoted(cells[0])] = [_unquoted(c) for c in cells[1:]]
+    return rows
+
+
+def test_key_table_gives_each_key_and_default():
+    rows = _table(["key", "type", "default", "notes"])
+    assert list(rows) == list(config._CONFIG)
+    for key, (kind, default) in config._CONFIG.items():
+        kind_cell, default_cell, _ = rows[key]
+        if kind is config._DERIVED:
+            assert (kind_cell, default_cell) == ("derived", ""), key
+        else:
+            assert json.loads(default_cell) == default, key
+
+
+def test_data_table_gives_each_field_type_and_default():
+    rows = _table(["`name`", "keys (type, default)"])
+    assert list(rows) == list(config._DATA)
+    for name, fields in config._DATA.items():
+        listed = re.findall(r"`(\w+)` \((\w+), ([^)]*)\)", rows[name][0])
+        assert [key for key, _, _ in listed] == list(fields), name
+        for key, type_name, default in listed:
+            kind, want = fields[key]
+            assert type_name == config._TYPE_NAMES[kind], f"data.{key} of {name}"
+            assert (config._REQUIRED if default == "required" else json.loads(default)) == want, f"data.{key} of {name}"
+
+
+def test_preset_table_gives_each_layer_and_pace():
+    rows = _table(["preset", "layer", "`pace` (added by `--pace`)"])
+    assert list(rows) == list(config.PRESETS)
+    for name, preset in config.PRESETS.items():
+        layer, pace = rows[name]
+        assert json.loads(layer) == {key: value for key, value in preset.items() if key != "pace"}, name
+        assert (None if pace == "none" else json.loads(pace)) == preset.get("pace"), name

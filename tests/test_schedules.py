@@ -1,6 +1,10 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pcbls import config
 from pcbls.schedules import (
     SmoothingSchedule,
     anti,
@@ -93,7 +97,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SmoothingSchedule(kind="constant", **{field: value})
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
+        # to_dict is what resolved_config.json records, and config resolution
+        # is how a replay reads it back
+        path = tmp_path / "c.json"
         for s in (
             exponential(0.5, 0.9, floor=0.01),
             linear(0.5, 0.015),
@@ -101,5 +108,7 @@ class TestValidation:
             random_schedule(0.1, 0.3, seed=3),
             constant(0.1),
         ):
-            back = SmoothingSchedule.from_dict(s.to_dict())
+            path.write_text(json.dumps({"schedule": s.to_dict()}))
+            back = config._schedule(config.resolve_config(SimpleNamespace(config=str(path))), "schedule")
+            assert back == s
             assert [back.value_at(e) for e in range(20)] == [s.value_at(e) for e in range(20)]
