@@ -1,15 +1,17 @@
 """The config layer: every config key and preset, and how a run resolves them.
 
-This module declares each key once with its type and default (``_CONFIG``
-and its nested tables) and the named layers (``PRESETS``). It merges preset <
-config file < flags into one checked dict (``resolve_config``), loads the data
-that dict names (``resolve_dataset``) and builds the run's ``TrainConfig``.
+This module declares each key once with its type, its default and, for a
+ranged number, its range (``_CONFIG`` and its nested tables), and the named
+layers (``PRESETS``). It merges preset < config file < flags into one
+checked dict (``resolve_config``), loads the data that dict names
+(``resolve_dataset``) and builds the run's ``TrainConfig``.
 ``pcbls.cli`` owns argv and the commands; a ``ConfigError`` exits 2 there.
 """
 
 from __future__ import annotations
 
-import difflib
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import datasets, fileio, models
@@ -25,13 +27,44 @@ class ConfigError(ValueError):
 
 
 # Every config key, declared once as key -> (type, default). A type is float
-# (any number), int (an integer, or a float that is integral), str, [t, t]
-# (a JSON list of two t) or a nested table (a JSON object with its own keys).
+# (any number), int (an integer, or a float that is integral), str, a _Range
+# of float or int (a number in a domain), [t, t] (a JSON list of two t) or a
+# nested table (a JSON object with its own keys).
 # A key whose default is None may be null. _REQUIRED marks a key that has no
 # default. A _DERIVED key is recomputed by every run from the data, so a
 # value given for it (as a replayed resolved_config.json gives) is dropped.
 _REQUIRED = object()
 _DERIVED = object()
+
+
+@dataclass(frozen=True)
+class _Range:
+    """A number type of the tables whose values must also be finite and lie
+    in a domain: at least ``lo`` (above it when ``above``), below ``hi`` when
+    one is given, and odd when ``odd``. Its str() is the domain as the errors
+    and README give it."""
+
+    kind: type
+    lo: float
+    hi: float | None = None
+    above: bool = False
+    odd: bool = False
+
+    def __str__(self) -> str:
+        odd = "odd and " if self.odd else ""
+        if self.hi is not None:
+            return f"{odd}in {'(' if self.above else '['}{self.lo}, {self.hi})"
+        return f"{odd}{'above' if self.above else 'at least'} {self.lo}"
+
+    def admits(self, value) -> bool:
+        return (
+            (value > self.lo if self.above else value >= self.lo)
+            and (self.hi is None or value < self.hi)
+            and (not self.odd or value % 2 == 1)
+        )
+
+
+_POSITIVE = _Range(int, 1)
 
 _SCHEDULE = {
     "kind": (str, _REQUIRED),
@@ -49,7 +82,7 @@ _PACE = {"lambda": (float, _REQUIRED), "e_all": (float, 0.4), "epochs": (_DERIVE
 _DATA = {
     "blobs": {
         "classes": (int, 8), "per_class": (int, 125), "per_class_val": (int, 40), "dim": (int, 16),
-        "spread": (float, 0.06), "label_noise": (float, 0.2),
+        "spread": (_Range(float, 0), 0.06), "label_noise": (float, 0.2),
     },
     "multilabel": {"labels": (int, 8), "n": (int, 600), "n_val": (int, 250), "dim": (int, 16)},
     "shapes": {"height": (int, 24), "width": (int, 24), "foreground": (int, 3), "n": (int, 60), "n_val": (int, 20)},
@@ -60,18 +93,18 @@ _DATA = {
 _CONFIG = {
     "task": (str, None),  # None: the dataset's task
     "arch": (str, None),
-    "hidden": (int, 32),
-    "channels": ([int, int], [8, 8]),
-    "epochs": (int, 20),
-    "batch_size": (int, 32),
+    "hidden": (_POSITIVE, 32),
+    "channels": ([_POSITIVE, _POSITIVE], [8, 8]),
+    "epochs": (_POSITIVE, 20),
+    "batch_size": (_POSITIVE, 32),
     "optimizer": (str, "sgd"),
-    "lr": (float, 5e-3),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 5e-3),
+    "lr": (_Range(float, 0, above=True), 5e-3),
+    "momentum": (_Range(float, 0, 1), 0.9),
+    "weight_decay": (_Range(float, 0), 5e-3),
     "lr_decay_factor": (float, 0.1),
     "schedule": (_SCHEDULE, None),
     "svls_schedule": (_SCHEDULE, None),
-    "svls_kernel": (int, 3),
+    "svls_kernel": (_Range(int, 1, odd=True), 3),
     "pace": (_PACE, None),
     "bank": (str, None),
     "granularity": (str, None),  # None: train takes the bank's (see _train_bank), bank builds a sample bank
@@ -121,10 +154,19 @@ def _defaults(table: dict) -> dict:
 
 def _typed(value, kind, path: str):
     """``value`` as a ``kind`` of the table. Booleans are refused by name (a
-    JSON true is a Python int), and an int is taken from an integral float."""
+    JSON true is a Python int), an int is taken from an integral float, and
+    a _Range refuses a value outside its domain."""
+    if isinstance(kind, _Range):
+        value = _typed(value, kind.kind, path)
+        if kind.kind is float and not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+        if not kind.admits(value):
+            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+        return value
     if isinstance(kind, list):
         if not isinstance(value, list) or len(value) != len(kind):
-            raise ConfigError(f"{path} must be a list of two {_TYPE_NAMES[kind[0]]}s, got {value!r}")
+            each = kind[0].kind if isinstance(kind[0], _Range) else kind[0]
+            raise ConfigError(f"{path} must be a list of two {_TYPE_NAMES[each]}s, got {value!r}")
         return [_typed(v, k, path) for v, k in zip(value, kind)]
     if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
@@ -142,6 +184,8 @@ def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") ->
     its fields are checked once all layers are in (see resolve_config)."""
     for key, value in layer.items():
         if key not in table:
+            import difflib  # here, not at module level: only this error path uses it
+
             near = difflib.get_close_matches(key, table, n=1)
             hint = f" (did you mean {path + near[0]!r}?)" if near else ""
             raise ConfigError(f"{source}: unknown config key {path + key!r}{hint}")

@@ -80,8 +80,13 @@ class SampleBank:
             raise ValueError(f"unknown bank source {self.source!r}")
         if self.sample_ids.shape != self.scores.shape or self.sample_ids.ndim != 1:
             raise ValueError("ids and scores must be aligned 1-D arrays")
-        if len(np.unique(self.sample_ids)) != len(self.sample_ids):
-            raise ValueError("sample ids must be unique")
+        # a set of Python ints, not np.unique: that imports numpy.ma (+1.6 MB
+        # resident) the first time a process builds or loads a bank
+        seen = set()
+        for sid in self.sample_ids.tolist():
+            if sid in seen:
+                raise ValueError(f"sample ids must be unique (id {sid} repeats)")
+            seen.add(sid)
         if not np.all(np.isfinite(self.scores)):
             bad = self.sample_ids[np.argmin(np.isfinite(self.scores))]
             raise ValueError(f"bank scores must be finite (sample id {bad})")

@@ -68,6 +68,26 @@ WRONG_TYPES = [
     ({"data": {"name": "cifar10", "path": "b.bin", "val_fraction": "x"}}, "data.val_fraction must be a number, got 'x'"),
 ]
 
+# a config value outside its key's range, and the message that names the key
+# and the range; the range is checked before any data is generated
+OUT_OF_RANGE = [
+    ({"hidden": 0}, "hidden must be at least 1, got 0"),
+    ({"channels": [8, 0]}, "channels must be at least 1, got 0"),
+    ({"epochs": 0}, "epochs must be at least 1, got 0"),
+    ({"batch_size": -4}, "batch_size must be at least 1, got -4"),
+    ({"svls_kernel": 2}, "svls_kernel must be odd and at least 1, got 2"),
+    ({"svls_kernel": -1}, "svls_kernel must be odd and at least 1, got -1"),
+    ({"lr": -1}, "lr must be above 0, got -1.0"),
+    ({"lr": 0}, "lr must be above 0, got 0.0"),
+    ({"lr": float("inf")}, "lr must be finite, got inf"),
+    ({"momentum": 5}, "momentum must be in [0, 1), got 5.0"),
+    ({"momentum": 1}, "momentum must be in [0, 1), got 1.0"),
+    ({"momentum": -0.1}, "momentum must be in [0, 1), got -0.1"),
+    ({"weight_decay": -0.5}, "weight_decay must be at least 0, got -0.5"),
+    ({"data": {"name": "blobs", "spread": -1}}, "data.spread must be at least 0, got -1.0"),
+    ({"data": {"name": "blobs", "spread": float("nan")}}, "data.spread must be finite, got nan"),
+]
+
 # a misspelt config key at any depth, by its dotted path, and the key it is close to
 UNKNOWN_KEYS = [
     ({"epoch": 3}, "epoch", "epochs"),
@@ -276,6 +296,22 @@ class TestTrain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("extra,message", OUT_OF_RANGE, ids=[json.dumps(e) for e, _ in OUT_OF_RANGE])
+    def test_config_value_out_of_range_names_the_key_before_data(self, tmp_path, capsys, monkeypatch, extra, message):
+        def generate(*args, **kwargs):
+            raise AssertionError("data generated before the range check")
+
+        monkeypatch.setattr("pcbls.datasets.gen_blobs", generate)
+        cfg = _write_small_config(tmp_path, **extra)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_value_at_the_edge_of_its_range_trains(self, tmp_path):
+        cfg = _write_small_config(tmp_path, epochs=1, batch_size=1, hidden=1, momentum=0, weight_decay=0)
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", tmp_path / "run"]) == 0
+
     @pytest.mark.parametrize("seed,message", [(None, "got None"), ("x", "got 'x'"), (1.5, "got 1.5")])
     def test_config_seed_of_wrong_type_names_the_key(self, tmp_path, capsys, seed, message):
         cfg = _write_small_config(tmp_path, seed=seed)
@@ -459,6 +495,21 @@ class TestBankCommand:
         code, out = self._paced_run_with_edited_bank(tmp_path, lambda i, line: row if i == index else line)
         assert code == 2
         assert f"error: {tmp_path / 'bank.csv'} {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bank_that_repeats_an_id_names_the_file_and_the_id(self, tmp_path, capsys):
+        ids = []
+
+        def repeat(i, line):
+            sid, rest = line.split(",", 1)
+            ids.append(sid)
+            return f"{ids[2]},{rest}" if i == 5 else line  # the third row's id again
+
+        code, out = self._paced_run_with_edited_bank(tmp_path, repeat)
+        assert code == 2
+        assert f"error: {tmp_path / 'bank.csv'}: sample ids must be unique (id {ids[2]} repeats)" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_bank_rows_after_a_quoted_line_break_name_their_own_line(self, tmp_path, capsys):
@@ -748,6 +799,17 @@ class TestSegmentationChecks:
         assert run(["train", "--data", "shapes", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "svls_schedule: init must be finite, got nan" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    def test_even_svls_kernel_is_refused_before_data(self, tmp_path, capsys, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("data generated before the range check")
+
+        monkeypatch.setattr("pcbls.datasets.gen_shapes_seg", generate)
+        cfg = _write_shapes_config(tmp_path, svls_kernel=2, svls_schedule={"kind": "constant", "init": 0.5})
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert "error: svls_kernel must be odd and at least 1, got 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_smoothing_factor_out_of_range_is_config_error(self, tmp_path, capsys):
         cfg = _write_shapes_config(tmp_path, schedule={"kind": "constant", "init": 1.5})

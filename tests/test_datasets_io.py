@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -49,6 +50,23 @@ class TestGenerators:
         ds = gen_blobs(8, 125, label_noise_rate=0.2, seed=9)
         flipped = (ds.targets != ds.meta["true_targets"]).mean()
         assert flipped == pytest.approx(0.2, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "65c26f8fe0a37459e05cc8c593a150fedcb2dc93517b019da4793f87eee1c1f8"),
+            (2, "af478527debd2f21805604bb564728b05bf5e231b9df1459bd2543ac8ec8ff77"),
+        ],
+    )
+    def test_blobs_bytes_match_their_golden_digest(self, seed, digest):
+        # the default blobs shape; a rewrite of the generator must keep
+        # every byte of the points, the labels and the true labels
+        ds = gen_blobs(8, 125, 16, 0.06, 0.2, seed=seed, split="train")
+        h = hashlib.sha256()
+        for a in (ds.inputs, ds.targets, ds.meta["true_targets"]):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     def test_blobs_replay(self):
         a = gen_blobs(5, 20, seed=7)

@@ -2,8 +2,8 @@
 
 The key table, the ``data`` key table and the preset table in README's
 "Config file" section restate ``config._CONFIG``, ``config._DATA`` and
-``config.PRESETS``; a default or a preset changed in one place and not the
-other fails here.
+``config.PRESETS``; a default, a range or a preset changed in one place and
+not the other fails here.
 """
 
 import json
@@ -35,27 +35,39 @@ def _table(header: list[str]) -> dict[str, list[str]]:
     return rows
 
 
+def _range(kind) -> str:
+    """The README form of a table type's domain: a _Range's, the one of a
+    list's entries, or empty."""
+    if isinstance(kind, list):
+        assert len(set(kind)) == 1, kind  # one cell states the range of every entry
+        kind = kind[0]
+    return str(kind) if isinstance(kind, config._Range) else ""
+
+
 def test_key_table_gives_each_key_and_default():
-    rows = _table(["key", "type", "default", "notes"])
+    rows = _table(["key", "type", "range", "default", "notes"])
     assert list(rows) == list(config._CONFIG)
     for key, (kind, default) in config._CONFIG.items():
-        kind_cell, default_cell, _ = rows[key]
+        kind_cell, range_cell, default_cell, _ = rows[key]
         if kind is config._DERIVED:
             assert (kind_cell, default_cell) == ("derived", ""), key
         else:
             assert json.loads(default_cell) == default, key
+        assert range_cell == _range(kind), key
 
 
 def test_data_table_gives_each_field_type_and_default():
-    rows = _table(["`name`", "keys (type, default)"])
+    rows = _table(["`name`", "keys (type, default, range if any)"])
     assert list(rows) == list(config._DATA)
     for name, fields in config._DATA.items():
-        listed = re.findall(r"`(\w+)` \((\w+), ([^)]*)\)", rows[name][0])
-        assert [key for key, _, _ in listed] == list(fields), name
-        for key, type_name, default in listed:
+        listed = re.findall(r"`(\w+)` \((\w+), ([^,)]*)(?:, ([^)]*))?\)", rows[name][0])
+        assert [key for key, _, _, _ in listed] == list(fields), name
+        for key, type_name, default, range_text in listed:
             kind, want = fields[key]
-            assert type_name == config._TYPE_NAMES[kind], f"data.{key} of {name}"
+            base = kind.kind if isinstance(kind, config._Range) else kind
+            assert type_name == config._TYPE_NAMES[base], f"data.{key} of {name}"
             assert (config._REQUIRED if default == "required" else json.loads(default)) == want, f"data.{key} of {name}"
+            assert range_text == _range(kind), f"data.{key} of {name}"
 
 
 def test_preset_table_gives_each_layer_and_pace():
