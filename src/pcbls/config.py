@@ -11,7 +11,7 @@ checked dict (``resolve_config``), loads the data that dict names
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import datasets, fileio, models
@@ -65,15 +65,20 @@ class _Range:
 
 
 _POSITIVE = _Range(int, 1)
+_FRACTION = _Range(float, 0, 1, above=True)
+
+# the defaults the tables share with the dataclasses a run is built from
+_TRAIN = {f.name: f.default for f in fields(TrainConfig)}
+_SMOOTH = {f.name: f.default for f in fields(SmoothingSchedule)}
 
 _SCHEDULE = {
     "kind": (str, _REQUIRED),
-    "init": (float, 0.0),
-    "rate": (float, 0.0),
-    "floor": (float, 0.0),
-    "cap": (float, 0.5),
-    "range": ([float, float], [0.0, 0.5]),
-    "seed": (int, 0),
+    "init": (float, _SMOOTH["init"]),
+    "rate": (float, _SMOOTH["rate"]),
+    "floor": (float, _SMOOTH["floor"]),
+    "cap": (float, _SMOOTH["cap"]),
+    "range": ([float, float], [_SMOOTH["range_lo"], _SMOOTH["range_hi"]]),
+    "seed": (int, _SMOOTH["seed"]),
 }
 
 _PACE = {"lambda": (float, _REQUIRED), "e_all": (float, 0.4), "epochs": (_DERIVED, None), "n": (_DERIVED, None)}
@@ -81,13 +86,18 @@ _PACE = {"lambda": (float, _REQUIRED), "e_all": (float, 0.4), "epochs": (_DERIVE
 # the fields of each dataset besides its name, by data.name
 _DATA = {
     "blobs": {
-        "classes": (int, 8), "per_class": (int, 125), "per_class_val": (int, 40), "dim": (int, 16),
-        "spread": (_Range(float, 0), 0.06), "label_noise": (float, 0.2),
+        "classes": (_Range(int, 2), 8), "per_class": (_POSITIVE, 125), "per_class_val": (_POSITIVE, 40),
+        "dim": (_POSITIVE, 16), "spread": (_Range(float, 0), 0.06), "label_noise": (_Range(float, 0, 1), 0.2),
     },
-    "multilabel": {"labels": (int, 8), "n": (int, 600), "n_val": (int, 250), "dim": (int, 16)},
-    "shapes": {"height": (int, 24), "width": (int, 24), "foreground": (int, 3), "n": (int, 60), "n_val": (int, 20)},
-    "cifar10": {"path": (str, _REQUIRED), "val_fraction": (float, 0.1)},
-    "dir": {"path": (str, _REQUIRED), "val_fraction": (float, 0.2)},
+    "multilabel": {
+        "labels": (_Range(int, 2), 8), "n": (_POSITIVE, 600), "n_val": (_POSITIVE, 250), "dim": (_POSITIVE, 16),
+    },
+    "shapes": {
+        "height": (_Range(int, 16), 24), "width": (_Range(int, 16), 24), "foreground": (_POSITIVE, 3),
+        "n": (_POSITIVE, 60), "n_val": (_POSITIVE, 20),
+    },
+    "cifar10": {"path": (str, _REQUIRED), "val_fraction": (_FRACTION, 0.1)},
+    "dir": {"path": (str, _REQUIRED), "val_fraction": (_FRACTION, 0.2)},
 }
 
 _CONFIG = {
@@ -96,20 +106,20 @@ _CONFIG = {
     "hidden": (_POSITIVE, 32),
     "channels": ([_POSITIVE, _POSITIVE], [8, 8]),
     "epochs": (_POSITIVE, 20),
-    "batch_size": (_POSITIVE, 32),
-    "optimizer": (str, "sgd"),
-    "lr": (_Range(float, 0, above=True), 5e-3),
-    "momentum": (_Range(float, 0, 1), 0.9),
-    "weight_decay": (_Range(float, 0), 5e-3),
-    "lr_decay_factor": (float, 0.1),
+    "batch_size": (_POSITIVE, _TRAIN["batch_size"]),
+    "optimizer": (str, _TRAIN["optimizer"]),
+    "lr": (_Range(float, 0, above=True), _TRAIN["lr"]),
+    "momentum": (_Range(float, 0, 1), _TRAIN["momentum"]),
+    "weight_decay": (_Range(float, 0), _TRAIN["weight_decay"]),
+    "lr_decay_factor": (_Range(float, 0, above=True), _TRAIN["lr_decay_factor"]),
     "schedule": (_SCHEDULE, None),
     "svls_schedule": (_SCHEDULE, None),
-    "svls_kernel": (_Range(int, 1, odd=True), 3),
+    "svls_kernel": (_Range(int, 1, odd=True), _TRAIN["svls_kernel"]),
     "pace": (_PACE, None),
     "bank": (str, None),
     "granularity": (str, None),  # None: train takes the bank's (see _train_bank), bank builds a sample bank
     "data": (_DATA, {"name": "blobs"}),
-    "seed": (int, 0),
+    "seed": (int, _TRAIN["seed"]),
     "model_dims": (_DERIVED, None),
 }
 

@@ -1,17 +1,16 @@
 """On-disk formats: PPM/PGM images, checkpoints, banks, manifests, CSVs.
 
 All writers go through a temp-file-then-rename step so readers never see a
-partially written file: the bytes go to ``.{name}.{pid}.tmp`` in the
-target's directory (created mode 0600 with O_EXCL; a ``tempfile.mkstemp``
-name if that one is taken), which ``os.replace`` then moves over the
-target. Writers of many files into one directory (corrupted image sets,
-pixel banks, image datasets) stage instead: each of two workers, the
-calling thread and one helper thread, creates its temp files in its own
-hidden ``.*.tmp`` staging directory inside the target directory and renames
-each into place under its final name, so each file still appears through
-one rename of a complete temp file. Creating a file costs far more than
-writing or renaming it, and two threads creating in one directory contend
-on it. Formats:
+partially written file: the bytes go to a ``tempfile.mkstemp`` file
+``.{name}.XXXXXXXX.tmp`` in the target's directory (mode 0600), which
+``os.replace`` then moves over the target. Writers of many files into one
+directory (corrupted image sets, pixel banks, image datasets) stage
+instead: each of two workers, the calling thread and one helper thread,
+creates its temp files in its own hidden ``.*.tmp`` staging directory
+inside the target directory and renames each into place under its final
+name, so each file still appears through one rename of a complete temp
+file. Creating a file costs far more than writing or renaming it, and two
+threads creating in one directory contend on it. Formats:
 
   checkpoint   magic PCKPT1, u8 architecture tag, per-arch u32 dims,
                float64 LE parameters, u64 LE epoch counter
@@ -59,16 +58,6 @@ class FormatError(ValueError):
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
 
 
-def _open_temp(directory: str, name: str) -> tuple[int, str]:
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
-    except FileExistsError:
-        # left by a crashed writer with this pid, or written right now by
-        # another thread of this process
-        return tempfile.mkstemp(dir=directory, prefix=f".{name}.")
-
-
 def _write_and_replace(fd: int, tmp: str, path: str | Path, data: bytes) -> None:
     """Write ``data`` to the temp file ``tmp`` open as ``fd``, close it and
     rename it to ``path``; on any failure the temp file is unlinked."""
@@ -91,11 +80,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     missing parent directories; the file gets mode 0600."""
     directory, name = os.path.split(os.fspath(path))
     directory = directory or os.curdir
-    try:
-        fd, tmp = _open_temp(directory, name)
-    except FileNotFoundError:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = _open_temp(directory, name)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
     _write_and_replace(fd, tmp, path, data)
 
 

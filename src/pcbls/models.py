@@ -348,14 +348,6 @@ def _logits(spec: ModelSpec, tensors: list[np.ndarray], x: np.ndarray):
     return kind.affine(a, tensors[last], tensors[last + 1]), tuple(acts)
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Logits plus what backward() needs: the unpacked tensors and the activations."""
-    x = check_inputs(spec, x)
-    tensors = unpack(spec, params)
-    logits, acts = _logits(spec, tensors, x)
-    return logits, tensors, acts
-
-
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Batch logits: (N,K) for the vector models, (N,H,W,K) for tiny_fcn.
 
@@ -385,8 +377,9 @@ def backward(
     """Write the parameter gradient for a given dL/dlogits into ``grads``.
 
     ``tensors`` and ``acts`` are the unpacked weight tensors and the
-    activations of the forward pass that produced the logits (the second
-    and third items of ``_forward``); nothing is unpacked or recomputed.
+    activations of the forward pass that produced the logits (``unpack``'s
+    views and the second item of ``_logits``); nothing is unpacked or
+    recomputed.
     ``grads`` are the tensor views of a flat gradient buffer, as ``unpack``
     gives them; every element of them is overwritten.
     """

@@ -30,7 +30,7 @@ its row count (see ``models``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,6 +74,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.uls_schedule is not None:  # ULS needs its factor in [0, 1) at every epoch
+            for epoch in range(self.epochs):
+                eps = self.uls_schedule.value_at(epoch)
+                if not 0.0 <= eps < 1.0:
+                    raise ValueError(f"schedule: smoothing factor {eps!r} at epoch {epoch} is outside [0, 1)")
         if self.svls_schedule is not None and self.task != "segmentation":
             raise ValueError("a spatial smoothing schedule requires the segmentation task")
 
@@ -95,9 +100,6 @@ class EpochRecord:
 class TrainResult:
     params: np.ndarray
     records: list[EpochRecord]
-    # per-sample accumulated gradient-contribution norms, only for the
-    # epochs that were instrumented
-    grad_contributions: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 class NonFiniteLoss(ArithmeticError):
@@ -230,7 +232,6 @@ def train(
     val_targets: np.ndarray,
     num_classes: int,
     bank: SampleBank | np.ndarray | None = None,
-    instrument_epochs: frozenset[int] = frozenset(),
 ) -> TrainResult:
     """Run the full curriculum loop and return final parameters + records.
 
@@ -273,7 +274,6 @@ def train(
     shuffle_key = derive_seed(cfg.seed, "shuffle")
 
     records: list[EpochRecord] = []
-    contributions: dict[int, np.ndarray] = {}
     for epoch in range(cfg.epochs):
         eps = cfg.uls_schedule.value_at(epoch) if cfg.uls_schedule else 0.0
         sigma = cfg.svls_schedule.value_at(epoch) if cfg.svls_schedule else None
@@ -295,9 +295,6 @@ def train(
         # np.take copies whole rows faster than fancy indexing, same bytes
         xs = np.take(train_inputs, shuffled, axis=0)
         xs, soft, masks = models.check_batch(spec, xs, soft, loss_kind, masks)
-        probe = epoch in instrument_epochs
-        if probe:
-            contributions[epoch] = np.zeros(n)
 
         total_loss = 0.0
         size, batch_size = len(shuffled), cfg.batch_size
@@ -309,11 +306,6 @@ def train(
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(epoch, batch, loss)
-            if probe:
-                for j in range(start, stop):
-                    m = masks[j : j + 1] if masks is not None else None
-                    _, g = models.loss_and_grad(spec, params, xs[j : j + 1], soft[j : j + 1], loss_kind, mask=m)
-                    contributions[epoch][shuffled[j]] += float(np.linalg.norm(g))
             opt.step(params, grad, lr)
             total_loss += loss * (stop - start)
         # the next epoch builds its own arrays: hold one epoch's at a time
@@ -331,7 +323,7 @@ def train(
         )
         records.append(record)
 
-    return TrainResult(params=params, records=records, grad_contributions=contributions)
+    return TrainResult(params=params, records=records)
 
 
 def train_baseline(cfg: TrainConfig, *args, **kwargs) -> TrainResult:

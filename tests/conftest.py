@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcbls import losses, models, pacing, soft_labels
+from pcbls import losses, models, pacing, soft_labels, trainer
 from pcbls.corruption import _DCT8, _JPEG_Q, KINDS, SEVERITY_TABLE, _as_hwc, _disk_kernel
 from pcbls.numerics import gaussian_kernel2d, log_softmax, softmax
 from pcbls.seeding import derive_seed, rng_for
@@ -476,15 +476,14 @@ class RefOptimizer:
         return params - lr * mh / (np.sqrt(vh) + eps)
 
 
-def ref_train(cfg, inputs, targets, num_classes, bank=None, instrument_epochs=frozenset()):
+def ref_train(cfg, inputs, targets, num_classes, bank=None):
     """Reference curriculum loop: soft targets rebuilt for every batch, frame
     by frame, the active sample ids re-sorted and the pixel masks re-sorted
     every epoch. ``bank`` is a SampleBank or an (N,H,W) pixel bank, as for
     ``trainer.train``.
 
-    Returns (final params, train loss per epoch, gradient contributions of
-    the instrumented epochs), the quantities ``trainer.train`` must match
-    bit for bit.
+    Returns (final params, train loss per epoch), the quantities
+    ``trainer.train`` must match bit for bit.
     """
     n = len(inputs)
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -497,7 +496,7 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None, instrument_epochs=fr
         loss, dlogits = _ref_loss(cfg.task, logits, soft, mask)
         return loss, ref_backward(cfg.model, tensors, acts, dlogits)
 
-    train_losses, contributions = [], {}
+    train_losses = []
     for epoch in range(cfg.epochs):
         eps = cfg.uls_schedule.value_at(epoch) if cfg.uls_schedule else 0.0
         sigma = cfg.svls_schedule.value_at(epoch) if cfg.svls_schedule else None
@@ -509,8 +508,6 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None, instrument_epochs=fr
         elif cfg.pace is not None:
             masks = np.stack(ref_pixel_masks(list(bank), cfg.pace, epoch)).astype(np.float64)
         shuffled = ids[rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))]
-        if epoch in instrument_epochs:
-            contributions[epoch] = np.zeros(n)
         total, seen = 0.0, 0
         for start in range(0, len(shuffled), cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
@@ -518,16 +515,41 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None, instrument_epochs=fr
             soft = _ref_batch_targets(cfg, targets[batch], num_classes, eps, sigma)
             mask = masks[batch] if masks is not None else None
             loss, grad = loss_and_grad(params, x, soft, mask)
-            if epoch in instrument_epochs:
-                for j, sid in enumerate(batch):
-                    m = mask[j : j + 1] if mask is not None else None
-                    _, g = loss_and_grad(params, x[j : j + 1], soft[j : j + 1], m)
-                    contributions[epoch][sid] += float(np.linalg.norm(g))
             params = opt.step(params, grad, lr)
             total += loss * len(batch)
             seen += len(batch)
         train_losses.append(total / seen)
-    return params, train_losses, contributions
+    return params, train_losses
+
+
+def record_epoch_ids(monkeypatch, inputs):
+    """Patch the training step and the per-epoch validation so that a
+    ``trainer.train`` run on ``inputs`` records which samples each epoch's
+    steps saw.
+
+    Each row of a step's batch is mapped back to its sample id by its bytes
+    (so the rows of ``inputs`` must differ); the validation at the end of an
+    epoch closes that epoch's list. Returns the list of per-epoch id lists,
+    filled as the run goes.
+    """
+    rows = np.asarray(inputs, dtype=np.float64)
+    ids = {row.tobytes(): i for i, row in enumerate(rows)}
+    assert len(ids) == len(rows), "sample rows must differ"
+    epochs, seen = [], []
+    step, evaluate = models.loss_and_grad_into, trainer.evaluate
+
+    def recording_step(spec, tensors, grads, x, *args):
+        seen.extend(ids[row.tobytes()] for row in x)
+        return step(spec, tensors, grads, x, *args)
+
+    def closing_evaluate(*args):
+        epochs.append(seen.copy())
+        seen.clear()
+        return evaluate(*args)
+
+    monkeypatch.setattr(models, "loss_and_grad_into", recording_step)
+    monkeypatch.setattr(trainer, "evaluate", closing_evaluate)
+    return epochs
 
 
 def ref_gaussian_kernel(k, sigma):

@@ -30,7 +30,7 @@ from pcbls.schedules import anti, constant, exponential, random_schedule
 from pcbls.soft_labels import segmentation_targets, svls, uls, uls_matrix, uls_svls
 from pcbls.trainer import TrainConfig, records_to_csv, train, train_baseline
 
-from conftest import fd_gradient, grad_rel_error, ref_conv2d_replicate, ref_gaussian_kernel
+from conftest import fd_gradient, grad_rel_error, record_epoch_ids, ref_conv2d_replicate, ref_gaussian_kernel
 
 
 def _report(n, text):
@@ -182,7 +182,7 @@ def test_criterion_05_ce_degeneracy(tmp_path):
     _report(5, "constant-0 schedule + lambda=1 metrics CSV is byte-identical to the plain-CE trainer")
 
 
-def test_criterion_06_pacing_trace():
+def test_criterion_06_pacing_trace(monkeypatch):
     n = 1000
     tr = gen_blobs(8, 125, dim=8, label_noise_rate=0.2, seed=6, split="train")
     va = gen_blobs(8, 10, dim=8, seed=6, split="val")
@@ -193,20 +193,16 @@ def test_criterion_06_pacing_trace():
         task="multiclass", model=ModelSpec("mlp", (8, 16, 8)), epochs=50, batch_size=64,
         seed=2, uls_schedule=exponential(0.5, 0.9), pace=plan,
     )
-    probes = frozenset({0, 10, 30})
-    result = train(
-        cfg, tr.inputs, tr.targets, va.inputs, va.targets, 8,
-        bank=bank, instrument_epochs=probes,
-    )
+    # each batch row is mapped back to its sample id; a sample that no step
+    # of an epoch sees contributes no gradient to that epoch
+    epochs = record_epoch_ids(monkeypatch, tr.inputs)
+    result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 8, bank=bank)
     counts = [r.active_count for r in result.records]
     assert counts == [600 + 20 * e for e in range(20)] + [1000] * 30
-    for e in probes:
-        contrib = result.grad_contributions[e]
-        active = set(bank.sample_ids[: active_count(plan, e)].tolist())
-        for sid in range(n):
-            if sid not in active:
-                assert contrib[sid] == 0.0
-    _report(6, "active counts run 600,620,...,1000 and inactive samples contribute zero gradient")
+    assert len(epochs) == cfg.epochs
+    for e, seen in enumerate(epochs):
+        assert sorted(seen) == sorted(bank.sample_ids[: active_count(plan, e)].tolist())
+    _report(6, "active counts run 600,620,...,1000 and each epoch's steps see exactly the active samples, once each")
 
 
 def test_criterion_07_calibration():

@@ -21,7 +21,7 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 import pcbls  # noqa: E402
-from pcbls import cli, fileio  # noqa: E402
+from pcbls import cli, fileio, models  # noqa: E402
 
 # (module, attribute) the benchmark reads: the workloads' set-up and quality
 # numbers, the run manifest and the tracer test in e2ebench/test_e2ebench.py
@@ -132,3 +132,6 @@ def test_traced_train_runs_one_backward_per_step(tmp_path, cfg, steps):
     backward_spans = [s for s in tracer.spans if s.name == "models.backward"]
     assert len(step_spans) == len(backward_spans) == steps
     assert [s.parent for s in backward_spans] == step_spans
+    # the checked loss_and_grad is traced but no training step calls it
+    assert functions[models.loss_and_grad] == "models.loss_and_grad"
+    assert not [s for s in tracer.spans if s.name == "models.loss_and_grad"]

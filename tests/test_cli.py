@@ -86,6 +86,45 @@ OUT_OF_RANGE = [
     ({"weight_decay": -0.5}, "weight_decay must be at least 0, got -0.5"),
     ({"data": {"name": "blobs", "spread": -1}}, "data.spread must be at least 0, got -1.0"),
     ({"data": {"name": "blobs", "spread": float("nan")}}, "data.spread must be finite, got nan"),
+    ({"lr_decay_factor": -1}, "lr_decay_factor must be above 0, got -1.0"),
+    ({"lr_decay_factor": 0}, "lr_decay_factor must be above 0, got 0.0"),
+    ({"lr_decay_factor": float("nan")}, "lr_decay_factor must be finite, got nan"),
+]
+
+# a data field outside the range its generator or loader enforces, and the
+# message that names it before that generator or loader runs
+_LOADERS = {
+    "blobs": "gen_blobs", "multilabel": "gen_multilabel", "shapes": "gen_shapes_seg",
+    "cifar10": "load_cifar10", "dir": "load_image_dataset",
+}
+DATA_OUT_OF_RANGE = [
+    ({"name": "blobs", "classes": 1}, "data.classes must be at least 2, got 1"),
+    ({"name": "blobs", "per_class": 0}, "data.per_class must be at least 1, got 0"),
+    ({"name": "blobs", "per_class_val": 0}, "data.per_class_val must be at least 1, got 0"),
+    ({"name": "blobs", "dim": 0}, "data.dim must be at least 1, got 0"),
+    ({"name": "blobs", "label_noise": 1}, "data.label_noise must be in [0, 1), got 1.0"),
+    ({"name": "blobs", "label_noise": -0.1}, "data.label_noise must be in [0, 1), got -0.1"),
+    ({"name": "multilabel", "labels": 1}, "data.labels must be at least 2, got 1"),
+    ({"name": "multilabel", "n": 0}, "data.n must be at least 1, got 0"),
+    ({"name": "multilabel", "n_val": 0}, "data.n_val must be at least 1, got 0"),
+    ({"name": "multilabel", "dim": 0}, "data.dim must be at least 1, got 0"),
+    ({"name": "shapes", "height": 15}, "data.height must be at least 16, got 15"),
+    ({"name": "shapes", "width": 8}, "data.width must be at least 16, got 8"),
+    ({"name": "shapes", "foreground": 0}, "data.foreground must be at least 1, got 0"),
+    ({"name": "shapes", "n": 0}, "data.n must be at least 1, got 0"),
+    ({"name": "shapes", "n_val": 0}, "data.n_val must be at least 1, got 0"),
+    ({"name": "cifar10", "path": "batch.bin", "val_fraction": 0}, "data.val_fraction must be in (0, 1), got 0.0"),
+    ({"name": "cifar10", "path": "batch.bin", "val_fraction": 1}, "data.val_fraction must be in (0, 1), got 1.0"),
+    ({"name": "dir", "path": "d", "val_fraction": 1.5}, "data.val_fraction must be in (0, 1), got 1.5"),
+]
+
+# a ULS schedule whose factor leaves [0, 1) at some epoch of the run, and
+# the message that names the key and that epoch
+SCHEDULES_OUT_OF_RANGE = [
+    ({"kind": "anti", "init": 0.5, "rate": 1.5, "cap": 2}, "schedule: smoothing factor 1.125 at epoch 2 is outside [0, 1)"),
+    ({"kind": "linear", "init": 0.5, "rate": 0.25, "floor": -1}, "schedule: smoothing factor -0.25 at epoch 3 is outside [0, 1)"),
+    ({"kind": "constant", "init": 1}, "schedule: smoothing factor 1.0 at epoch 0 is outside [0, 1)"),
+    ({"kind": "random", "range": [1, 1.5]}, " at epoch 0 is outside [0, 1)"),
 ]
 
 # a misspelt config key at any depth, by its dotted path, and the key it is close to
@@ -306,6 +345,33 @@ class TestTrain:
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("data,message", DATA_OUT_OF_RANGE, ids=[json.dumps(d) for d, _ in DATA_OUT_OF_RANGE])
+    def test_data_field_out_of_range_names_the_key_before_data(self, tmp_path, capsys, monkeypatch, data, message):
+        def generate(*args, **kwargs):
+            raise AssertionError("data generated before the range check")
+
+        monkeypatch.setattr(f"pcbls.datasets.{_LOADERS[data['name']]}", generate)
+        cfg = _write_small_config(tmp_path, data=data)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "schedule,message", SCHEDULES_OUT_OF_RANGE, ids=[json.dumps(s) for s, _ in SCHEDULES_OUT_OF_RANGE]
+    )
+    def test_schedule_out_of_range_is_refused_before_training(self, tmp_path, capsys, monkeypatch, schedule, message):
+        def train_(*args, **kwargs):
+            raise AssertionError("trained before the schedule check")
+
+        monkeypatch.setattr("pcbls.trainer.train", train_)
+        cfg = _write_small_config(tmp_path, schedule=schedule, epochs=5)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: schedule: smoothing factor " in err and message in err
         assert not (out / "metrics.csv").exists()
 
     def test_value_at_the_edge_of_its_range_trains(self, tmp_path):
@@ -815,7 +881,7 @@ class TestSegmentationChecks:
         cfg = _write_shapes_config(tmp_path, schedule={"kind": "constant", "init": 1.5})
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        assert "smoothing factor must lie in [0, 1), got 1.5" in capsys.readouterr().err
+        assert "error: schedule: smoothing factor 1.5 at epoch 0 is outside [0, 1)" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
 

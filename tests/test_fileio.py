@@ -65,14 +65,22 @@ class TestAtomicWriteBytes:
         assert os.listdir(tmp_path) == ["d"]
         assert os.listdir(tmp_path / "d") == []
 
-    def test_falls_back_when_the_pid_temp_name_is_taken(self, tmp_path):
-        stale = tmp_path / f".f.bin.{os.getpid()}.tmp"
+    def test_leaves_a_stale_temp_file_alone(self, tmp_path):
+        stale = tmp_path / ".f.bin.12345.tmp"
         stale.write_bytes(b"stale")
         atomic_write_bytes(tmp_path / "f.bin", b"fresh")
         assert (tmp_path / "f.bin").read_bytes() == b"fresh"
         assert _mode(tmp_path / "f.bin") == 0o600
         assert stale.read_bytes() == b"stale"
         assert sorted(os.listdir(tmp_path)) == sorted([stale.name, "f.bin"])
+
+    def test_temp_file_is_a_hidden_sibling_of_the_target(self, tmp_path, monkeypatch):
+        renamed, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append((src, dst)) or replace(src, dst))
+        atomic_write_bytes(tmp_path / "d" / "f.bin", b"x")
+        ((src, dst),) = renamed
+        assert os.path.dirname(src) == str(tmp_path / "d") and dst == tmp_path / "d" / "f.bin"
+        assert re.fullmatch(r"\.f\.bin\.\w+\.tmp", os.path.basename(src))
 
 
 def _files(count, size=7):

@@ -343,7 +343,7 @@ class TestBatchedConv:
         spec = ModelSpec("tiny_fcn", (2, 3, 4, 3))
         params = rng.normal(scale=0.5, size=spec.param_count())
         x = rng.uniform(size=(3, 5, 4, 2))
-        logits, _, acts = models._forward(spec, params, x)
+        logits, acts = models._logits(spec, unpack(spec, params), models.check_inputs(spec, x))
         want_logits, _, plain = ref_forward(spec, params, x)
         assert np.array_equal(logits, want_logits)
         assert len(acts) == len(plain) == 3
@@ -363,7 +363,8 @@ class TestBackwardInto:
     def test_into_views_equals_allocating_reference(self, rng, arch):
         spec, params, x = _random_case(rng, arch)
         x = np.concatenate([x, x[::-1] * 0.5])
-        logits, tensors, acts = models._forward(spec, params, x)
+        tensors = unpack(spec, params)
+        logits, acts = models._logits(spec, tensors, models.check_inputs(spec, x))
         dlogits = rng.normal(size=logits.shape)
         buf = np.full(spec.param_count(), np.nan)
         models.backward(spec, tensors, acts, dlogits, unpack(spec, buf))
@@ -384,7 +385,8 @@ class TestBackwardInto:
 
     def test_rejects_dlogits_of_another_shape(self, rng):
         spec, params, x = _random_case(rng, "tiny_fcn")
-        logits, tensors, acts = models._forward(spec, params, x)
+        tensors = unpack(spec, params)
+        logits, acts = models._logits(spec, tensors, models.check_inputs(spec, x))
         grads = unpack(spec, np.empty(spec.param_count()))
         with pytest.raises(ValueError, match="dlogits shape"):
             models.backward(spec, tensors, acts, np.zeros(logits.shape[:3] + (4,)), grads)

@@ -60,7 +60,8 @@ def test_data_table_gives_each_field_type_and_default():
     rows = _table(["`name`", "keys (type, default, range if any)"])
     assert list(rows) == list(config._DATA)
     for name, fields in config._DATA.items():
-        listed = re.findall(r"`(\w+)` \((\w+), ([^,)]*)(?:, ([^)]*))?\)", rows[name][0])
+        # a range may end in its own ")", as "in [0, 1)" does
+        listed = re.findall(r"`(\w+)` \((\w+), ([^,)]*)(?:, ([^)]*\)?))?\)", rows[name][0])
         assert [key for key, _, _, _ in listed] == list(fields), name
         for key, type_name, default, range_text in listed:
             kind, want = fields[key]

@@ -3,13 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import RefOptimizer, ref_train
+from conftest import RefOptimizer, record_epoch_ids, ref_train
 from pcbls import models
 from pcbls.cli import PRESETS, ConfigError, resolve_config
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
 from pcbls.models import ModelSpec, init_params
-from pcbls.pacing import PacePlan, build_bank_multiclass
-from pcbls.schedules import constant, exponential
+from pcbls.pacing import PacePlan, active_count, build_bank_multiclass
+from pcbls.schedules import anti, constant, exponential, linear, random_schedule
 from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
     METRIC_COLUMNS,
@@ -50,6 +50,28 @@ class TestValidation:
         cfg = _config(pace=PacePlan(0.5, 0.5, 4, pixel_bank.size))
         with pytest.raises(ValueError, match="pixel-wise pacing requires the segmentation task"):
             train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=pixel_bank)
+
+    @pytest.mark.parametrize(
+        "schedule,epoch",
+        [(anti(0.5, 1.5, cap=2.0), 2), (linear(0.5, 0.25, floor=-1.0), 3), (random_schedule(1.0, 1.5, 0), 0)],
+        ids=["anti", "linear", "random"],
+    )
+    def test_schedule_leaving_the_unit_interval_is_refused(self, monkeypatch, schedule, epoch):
+        tr, va = _blob_setup()
+
+        def step(*args):
+            raise AssertionError("trained before the schedule check")
+
+        monkeypatch.setattr(models, "loss_and_grad_into", step)
+        with pytest.raises(ValueError, match=rf"^schedule: smoothing factor \S+ at epoch {epoch} is outside \[0, 1\)$"):
+            train(_config(epochs=5, uls_schedule=schedule), tr.inputs, tr.targets, va.inputs, va.targets, 4)
+
+    def test_schedule_inside_the_unit_interval_to_the_last_epoch_trains(self):
+        # 0.5 * 1.5^e stays below 1 up to epoch 1 only
+        tr, va = _blob_setup()
+        cfg = _config(epochs=2, uls_schedule=anti(0.5, 1.5, cap=2.0))
+        result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        assert [r.eps for r in result.records] == [0.5, 0.75]
 
     def test_svls_needs_segmentation(self):
         with pytest.raises(ValueError):
@@ -186,7 +208,8 @@ class TestRecords:
 
 
 class TestInstrumentation:
-    def test_gradients_zero_outside_the_active_samples(self):
+    def test_steps_see_only_the_active_samples(self, monkeypatch):
+        # a sample no step sees contributes no gradient
         tr, va = _blob_setup(per_class=25, classes=4)
         n = len(tr)
         rng = np.random.default_rng(5)
@@ -194,19 +217,11 @@ class TestInstrumentation:
         bank = build_bank_multiclass(probs, tr.targets)
         plan = PacePlan(0.5, 0.5, 8, n)
         cfg = _config(epochs=8, pace=plan)
-        probes = frozenset({0, 2, 5})
-        result = train(
-            cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4,
-            bank=bank, instrument_epochs=probes,
-        )
-        from pcbls.pacing import active_count
-
-        for e in probes:
-            contrib = result.grad_contributions[e]
-            active = set(bank.sample_ids[: active_count(plan, e)].tolist())
-            inactive = set(range(n)) - active
-            assert all(contrib[i] == 0.0 for i in inactive)
-            assert np.count_nonzero([contrib[i] for i in active]) > 0.9 * len(active)
+        epochs = record_epoch_ids(monkeypatch, tr.inputs)
+        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
+        assert len(epochs) == cfg.epochs
+        for e, seen in enumerate(epochs):
+            assert sorted(seen) == sorted(bank.sample_ids[: active_count(plan, e)].tolist())
 
 
 def _vector_data(task):
@@ -217,10 +232,9 @@ def _vector_data(task):
 
 def _assert_matches_reference(cfg, tr, va, num_classes, **kw):
     result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, num_classes, **kw)
-    params, train_losses, contributions = ref_train(cfg, tr.inputs, tr.targets, num_classes, **kw)
+    params, train_losses = ref_train(cfg, tr.inputs, tr.targets, num_classes, **kw)
     assert result.params.tobytes() == params.tobytes()
     assert [r.train_loss for r in result.records] == train_losses
-    return result, contributions
 
 
 class TestMatchesReferenceLoop:
@@ -328,13 +342,6 @@ class TestMatchesReferenceLoop:
         tr, va = _blob_setup()
         _assert_matches_reference(_config(batch_size=batch_size, epochs=2), tr, va, 4)
 
-    def test_instrumented_epochs(self):
-        cfg, tr, va, bank = self._paced_blobs(epochs=2)
-        probes = frozenset({0, 1})
-        result, contributions = _assert_matches_reference(cfg, tr, va, 4, bank=bank, instrument_epochs=probes)
-        for e in probes:
-            assert result.grad_contributions[e].tobytes() == contributions[e].tobytes()
-
 
 class TestCallerArraysUnwritten:
     def test_sample_paced_run(self):
@@ -343,7 +350,7 @@ class TestCallerArraysUnwritten:
         arrays = [tr.inputs, tr.targets, va.inputs, va.targets, bank.sample_ids, bank.scores]
         before = [a.tobytes() for a in arrays]
         cfg = _config(uls_schedule=exponential(0.5, 0.9), pace=PacePlan(0.6, 0.4, 4, len(tr)))
-        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank, instrument_epochs=frozenset({0}))
+        train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
         assert [a.tobytes() for a in arrays] == before
 
     def test_pixel_paced_run(self):
