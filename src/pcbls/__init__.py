@@ -7,18 +7,17 @@ calibration metrics, and a corruption-robustness harness.
 """
 
 from .calibration import CalibrationReport, TemperatureModel, apply_temperature, ece, fit_temperature
-from .corruption import SEVERITY_TABLE, CorruptionSpec, corrupt, corrupt_dataset
+from .corruption import SEVERITY_TABLE, corrupt_dataset
 from .models import ModelSpec
 from .pacing import PacePlan, SampleBank, active_count, active_mask, pace_parameter, ranks
 from .schedules import SmoothingSchedule
-from .soft_labels import svls, uls, uls_svls
-from .trainer import EpochRecord, TrainConfig, TrainResult, train, train_baseline
+from .soft_labels import uls
+from .trainer import EpochRecord, TrainConfig, TrainResult, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationReport",
-    "CorruptionSpec",
     "EpochRecord",
     "ModelSpec",
     "PacePlan",
@@ -31,15 +30,11 @@ __all__ = [
     "active_count",
     "active_mask",
     "apply_temperature",
-    "corrupt",
     "corrupt_dataset",
     "ece",
     "fit_temperature",
     "pace_parameter",
     "ranks",
-    "svls",
     "train",
-    "train_baseline",
     "uls",
-    "uls_svls",
 ]

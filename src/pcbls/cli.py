@@ -227,6 +227,8 @@ def _warn_if_pinned(tm) -> None:
 
 
 def cmd_calibrate(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be at least 1, got {args.bins}")
     out_dir = _out_dir(args.out or "calibration")
     _, val_ds, spec, params = _load_checkpoint_run(resolve_config(args), args.checkpoint)
     if val_ds.task != "multiclass":

@@ -11,6 +11,7 @@ checked dict (``resolve_config``), loads the data that dict names
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -185,20 +186,21 @@ def _typed(value, kind, path: str):
     return float(value) if kind is float else value
 
 
-def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") -> None:
+def _merge(into: dict, layer: dict, table: dict, path: str = "") -> None:
     """Merge one layer of settings (a preset, a config file, the flags) into
     ``into`` through ``table``. A key unknown at any depth is refused by its
-    dotted path, and each value is coerced to its declared type. A JSON
-    object replaces the one below it, filled with its table's defaults;
-    ``data`` is updated instead when it names the same dataset or none, and
-    its fields are checked once all layers are in (see resolve_config)."""
+    dotted path, each value is coerced to its declared type, and the caller
+    names the layer in the error (``_layer``). A JSON object replaces the one
+    below it, filled with its table's defaults; ``data`` is updated instead
+    when it names the same dataset or none, and its fields are checked once
+    all layers are in (see resolve_config)."""
     for key, value in layer.items():
         if key not in table:
             import difflib  # here, not at module level: only this error path uses it
 
             near = difflib.get_close_matches(key, table, n=1)
             hint = f" (did you mean {path + near[0]!r}?)" if near else ""
-            raise ConfigError(f"{source}: unknown config key {path + key!r}{hint}")
+            raise ConfigError(f"unknown config key {path + key!r}{hint}")
         kind, default = table[key]
         if kind is _DERIVED:
             continue
@@ -207,17 +209,27 @@ def _merge(into: dict, layer: dict, table: dict, source: str, path: str = "") ->
         elif not isinstance(kind, dict):
             into[key] = _typed(value, kind, path + key)
         elif not isinstance(value, dict):
-            raise ConfigError(f"{source}: {path + key!r} must be a JSON object, got {value!r}")
+            raise ConfigError(f"{path + key!r} must be a JSON object, got {value!r}")
         elif kind is _DATA:
             below = into[key]
             same = value.get("name", below["name"]) == below["name"]
             into[key] = {**below, **value} if same else {"name": value["name"], **value}
         else:
             into[key] = _defaults(kind)
-            _merge(into[key], value, kind, source, f"{path}{key}.")
+            _merge(into[key], value, kind, f"{path}{key}.")
     for key, (kind, default) in table.items():
         if default is _REQUIRED and key not in into:
             _typed(None, kind, path + key)
+
+
+@contextmanager
+def _layer(source: str):
+    """Prefix a ConfigError raised inside with the layer whose value it
+    refuses: a preset, a config file or the flags."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from None
 
 
 def _read_config_file(path) -> dict:
@@ -250,7 +262,8 @@ def resolve_config(args) -> dict:
                     nameless.pop(key, None)
             else:
                 nameless.update(data)
-        _merge(cfg, layer, _CONFIG, source)
+        with _layer(source):
+            _merge(cfg, layer, _CONFIG)
 
     held_pace = None  # the preset's pace plan, applied by --pace
     preset = getattr(args, "preset", None)
@@ -283,11 +296,12 @@ def resolve_config(args) -> dict:
     # the data fields are checked against the dataset named last: a --data of
     # another dataset replaces the fields given with a dataset name
     data = {**cfg["data"], **nameless}
-    name = _typed(data["name"], str, "data.name")
-    if name not in _DATA:
-        raise ConfigError(f"unknown data source {name!r}")
-    cfg["data"] = {}
-    _merge(cfg["data"], data, {"name": (str, _REQUIRED), **_DATA[name]}, getattr(args, "config", None), "data.")
+    with _layer(getattr(args, "config", None) or "flags"):
+        name = _typed(data["name"], str, "data.name")
+        if name not in _DATA:
+            raise ConfigError(f"unknown data source {name!r}")
+        cfg["data"] = {}
+        _merge(cfg["data"], data, {"name": (str, _REQUIRED), **_DATA[name]}, "data.")
     return cfg
 
 

@@ -8,15 +8,14 @@ mean |corrupt - clean| can fall. On 20 uniform random 1x32 rows it fell for
 7 of the 12 kinds, among them glass_blur (19 rows), pixelate (15) and
 impulse_noise (9). Its mean over a validation set does not fall
 (test_set_mean_change_does_not_fall_with_severity). Images are float arrays
-in [0,1], shape (H,W) or (H,W,C); outputs are always clipped back to [0,1].
+in [0,1]; outputs are always clipped back to [0,1].
 
 ``corrupt_batch`` is the one implementation: it corrupts an (N,H,W,C)
-stack at one (kind, severity) parameter row, with one generator per image,
-and ``corrupt`` is its N=1 case. ``corrupt_dataset`` takes one (N,H,W) or
-(N,H,W,3) stack and runs one batch per (kind, severity) over it, seeding
-image i from (base seed, kind, severity, i), so a file's bytes do not depend
-on which other images share its batch; it builds those generators only for
-DRAWING_KINDS.
+stack at one (kind, severity) parameter row, with one generator per image.
+``corrupt_dataset`` takes one (N,H,W) or (N,H,W,3) stack and runs one batch
+per (kind, severity) over it, seeding image i from (base seed, kind,
+severity, i), so a file's bytes do not depend on which other images share
+its batch; it builds those generators only for DRAWING_KINDS.
 
 jpeg_like is a DCT-quantization approximation of JPEG's loss profile, not
 a standards-conforming codec.
@@ -24,7 +23,6 @@ a standards-conforming codec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,28 +84,6 @@ _JPEG_Q = np.array(
     ],
     dtype=np.float64,
 )
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    kind: str
-    severity: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_plan([self.kind], [self.severity])
-
-    def params(self):
-        return SEVERITY_TABLE[self.kind][self.severity - 1]
-
-
-def _as_hwc(image: np.ndarray) -> tuple[np.ndarray, bool]:
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        return image[:, :, None], True
-    if image.ndim == 3:
-        return image, False
-    raise ValueError(f"expected (H,W) or (H,W,C) image, got shape {image.shape}")
 
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -298,21 +274,9 @@ def corrupt_batch(imgs: np.ndarray, kind: str, params, rngs) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def corrupt(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    """Deterministic corruption of one (H,W) or (H,W,C) image: a pure
-    function of (image, spec)."""
-    img, squeeze = _as_hwc(image)
-    out = corrupt_batch(img[None], spec.kind, spec.params(), [np.random.default_rng(spec.seed)])[0]
-    return out[:, :, 0] if squeeze else out
-
-
 def _kind_seed(base_seed: int, kind: str, severity: int) -> int:
     """The seed shared by one (kind, severity); ``fold_seed`` adds an image id."""
     return derive_seed(base_seed, "corrupt", KINDS.index(kind), severity)
-
-
-def image_seed(base_seed: int, kind: str, severity: int, image_id: int) -> int:
-    return fold_seed(_kind_seed(base_seed, kind, severity), image_id)
 
 
 def check_plan(kinds: list[str], severities: list[int]) -> None:

@@ -71,23 +71,3 @@ class SmoothingSchedule:
         if self.kind == "random":
             d.update(range=[self.range_lo, self.range_hi], seed=self.seed)
         return d
-
-
-def exponential(init: float, rate: float, floor: float = 0.0) -> SmoothingSchedule:
-    return SmoothingSchedule(kind="exponential", init=init, rate=rate, floor=floor)
-
-
-def linear(init: float, rate: float, floor: float = 0.0) -> SmoothingSchedule:
-    return SmoothingSchedule(kind="linear", init=init, rate=rate, floor=floor)
-
-
-def anti(init: float, rate: float, cap: float = 0.5) -> SmoothingSchedule:
-    return SmoothingSchedule(kind="anti", init=init, rate=rate, cap=cap)
-
-
-def random_schedule(lo: float, hi: float, seed: int) -> SmoothingSchedule:
-    return SmoothingSchedule(kind="random", range_lo=lo, range_hi=hi, seed=seed)
-
-
-def constant(value: float) -> SmoothingSchedule:
-    return SmoothingSchedule(kind="constant", init=value)

@@ -9,9 +9,9 @@ The fused order matters: smoothing happens before the convolution.
 Segmentation targets take a label map (H,W) or a stack (..., H, W) and go
 through one path, ``segmentation_targets``: one broadcast one-hot, the
 uniform smoothing, then one ``conv2d_same`` over every class map of every
-frame. ``svls`` and ``uls_svls`` are its cases with a positive sigma. The
-closed form ``(1-eps)*svls + eps/K`` and a separable kernel would agree only
-to rounding, so neither is used.
+frame: SVLS is its epsilon = 0 case with a positive sigma, the fused form
+its epsilon > 0 case. The closed form ``(1-eps)*SVLS + eps/K`` and a
+separable kernel would agree only to rounding, so neither is used.
 """
 
 from __future__ import annotations
@@ -74,37 +74,6 @@ def one_hot_maps(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return (labels[..., None] == np.arange(num_classes)).astype(np.float64)
 
 
-def _check_sigma(sigma: float) -> float:
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return sigma
-
-
-def svls(
-    labels: np.ndarray,
-    num_classes: int,
-    sigma: float,
-    k: int = DEFAULT_KERNEL_SIZE,
-) -> np.ndarray:
-    """Blur the one-hot channel maps of a label map with a Gaussian kernel.
-
-    Only pixels within (k-1)/2 of a class boundary move away from one-hot;
-    replicate padding keeps every pixel a distribution.
-    """
-    return segmentation_targets(labels, num_classes, 0.0, _check_sigma(sigma), k)
-
-
-def uls_svls(
-    labels: np.ndarray,
-    num_classes: int,
-    epsilon: float,
-    sigma: float,
-    k: int = DEFAULT_KERNEL_SIZE,
-) -> np.ndarray:
-    """Fused form: uniform-smooth each pixel first, then blur channel-wise."""
-    return segmentation_targets(labels, num_classes, epsilon, _check_sigma(sigma), k)
-
-
 def segmentation_targets(
     labels: np.ndarray,
     num_classes: int,
@@ -115,14 +84,19 @@ def segmentation_targets(
     """Per-pixel soft targets (..., H, W, K) of a label map or stack (..., H, W).
 
     epsilon 0 means no uniform smoothing; sigma None (or 0) means no spatial
-    blur. All class maps of all frames go through one ``conv2d_same``.
+    blur, and a negative or non-finite sigma is refused. All class maps of
+    all frames go through one ``conv2d_same``: only pixels within (k-1)/2 of
+    a class boundary move, and replicate padding keeps every pixel a
+    distribution.
     """
     _check_epsilon(epsilon)
+    if sigma is not None and not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and at least 0, got {sigma}")
     maps = one_hot_maps(labels, num_classes)
     if epsilon > 0.0:
         maps *= 1.0 - epsilon
         maps += epsilon / num_classes
-    if sigma is None or sigma <= 0.0:
+    if sigma is None or sigma == 0.0:
         return maps
     blurred = conv2d_same(np.moveaxis(maps, -1, -3), gaussian_kernel2d(k, sigma))
     # C order, like the unblurred maps, so later reductions see one layout

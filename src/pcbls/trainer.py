@@ -30,7 +30,7 @@ its row count (see ``models``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +74,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.uls_schedule is not None:  # ULS needs its factor in [0, 1) at every epoch
-            for epoch in range(self.epochs):
-                eps = self.uls_schedule.value_at(epoch)
-                if not 0.0 <= eps < 1.0:
-                    raise ValueError(f"schedule: smoothing factor {eps!r} at epoch {epoch} is outside [0, 1)")
         if self.svls_schedule is not None and self.task != "segmentation":
             raise ValueError("a spatial smoothing schedule requires the segmentation task")
+        # at every epoch, the ULS factor must lie in [0, 1) and the SVLS sigma be at least 0
+        for epoch in range(self.epochs):
+            eps = self.uls_schedule.value_at(epoch) if self.uls_schedule else 0.0
+            if not 0.0 <= eps < 1.0:
+                raise ValueError(f"schedule: smoothing factor {eps!r} at epoch {epoch} is outside [0, 1)")
+            sigma = self.svls_schedule.value_at(epoch) if self.svls_schedule else 0.0
+            if not sigma >= 0.0:
+                raise ValueError(f"svls_schedule: sigma {sigma!r} at epoch {epoch} is below 0")
 
     def decay_epoch(self) -> int:
         return int(0.75 * self.epochs)
@@ -324,12 +327,6 @@ def train(
         records.append(record)
 
     return TrainResult(params=params, records=records)
-
-
-def train_baseline(cfg: TrainConfig, *args, **kwargs) -> TrainResult:
-    """Plain cross-entropy training: no smoothing schedules, no pacing."""
-    plain = replace(cfg, uls_schedule=None, svls_schedule=None, pace=None)
-    return train(plain, *args, **kwargs)
 
 
 def score_training_set(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcbls import losses, models, pacing, soft_labels, trainer
-from pcbls.corruption import _DCT8, _JPEG_Q, KINDS, SEVERITY_TABLE, _as_hwc, _disk_kernel
+from pcbls.corruption import _DCT8, _JPEG_Q, KINDS, SEVERITY_TABLE, _disk_kernel
 from pcbls.numerics import gaussian_kernel2d, log_softmax, softmax
 from pcbls.seeding import derive_seed, rng_for
 
@@ -171,8 +171,12 @@ def _ref_jpeg_like(img, scale):
 
 
 def ref_corrupt_with_params(image, kind, params, rng):
-    """One image at a time: the per-image corruption that batches must match."""
-    img, squeeze = _as_hwc(image)
+    """One (H,W) or (H,W,C) image at a time: the per-image corruption that
+    batches must match."""
+    img = np.asarray(image, dtype=np.float64)
+    squeeze = img.ndim == 2
+    if squeeze:
+        img = img[:, :, None]
     if np.any(img < -1e-9) or np.any(img > 1 + 1e-9):
         raise ValueError("image values must lie in [0, 1]")
     h, w, c = img.shape

@@ -5,20 +5,13 @@ lines; the whole suite is also part of the default pytest run.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcbls.calibration import apply_temperature, ece, fit_temperature, nll
-from pcbls.corruption import (
-    KINDS,
-    SEVERITY_TABLE,
-    CorruptionSpec,
-    corrupt,
-    corrupt_dataset,
-    image_seed,
-    robustness_report,
-)
+from pcbls.corruption import KINDS, SEVERITY_TABLE, _kind_seed, corrupt_batch, corrupt_dataset, robustness_report
 from pcbls.datasets import CIFAR_RECORD, gen_blobs, load_cifar10
 from pcbls.fileio import FormatError, save_csv
 from pcbls.losses import soft_ce
@@ -26,9 +19,10 @@ from pcbls.metrics import accuracy
 from pcbls.models import ModelSpec, forward, loss, loss_and_grad
 from pcbls.numerics import softmax
 from pcbls.pacing import PacePlan, active_count, build_bank_multiclass, pace_parameter
-from pcbls.schedules import anti, constant, exponential, random_schedule
-from pcbls.soft_labels import segmentation_targets, svls, uls, uls_matrix, uls_svls
-from pcbls.trainer import TrainConfig, records_to_csv, train, train_baseline
+from pcbls.schedules import SmoothingSchedule
+from pcbls.seeding import fold_seed
+from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
+from pcbls.trainer import TrainConfig, records_to_csv, train
 
 from conftest import fd_gradient, grad_rel_error, record_epoch_ids, ref_conv2d_replicate, ref_gaussian_kernel
 
@@ -50,7 +44,7 @@ def test_criterion_01_formula_exactness():
         want = min(1000, int(np.floor((0.6 + 0.02 * e) * 1000 + 1e-9))) if e < 20 else 1000
         assert active_count(plan, e) == want
     # exponential decay at init 0.5, rate 0.9
-    sched = exponential(0.5, 0.9)
+    sched = SmoothingSchedule(kind="exponential", init=0.5, rate=0.9)
     for e in range(50):
         assert abs(sched.value_at(e) - 0.5 * 0.9**e) < 1e-9
     elapsed = time.perf_counter() - start
@@ -69,14 +63,14 @@ def test_criterion_02_svls_oracle():
         eps = float(rng.uniform(0.0, 0.9))
         kernel = ref_gaussian_kernel(3, sigma)
 
-        got_svls = svls(labels, k, sigma)
+        got_svls = segmentation_targets(labels, k, 0.0, sigma, 3)
         want = np.stack(
             [ref_conv2d_replicate((labels == c).astype(np.float64), kernel) for c in range(k)],
             axis=2,
         )
         assert np.abs(got_svls - want).max() < 1e-12
 
-        got_fused = uls_svls(labels, k, eps, sigma)
+        got_fused = segmentation_targets(labels, k, eps, sigma, 3)
         want_fused = np.stack(
             [
                 ref_conv2d_replicate(
@@ -93,7 +87,7 @@ def test_criterion_02_svls_oracle():
             assert out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    _report(2, f"svls/uls_svls equal the triple-loop reference on 200 maps to 1e-12 ({elapsed:.1f}s)")
+    _report(2, f"SVLS and ULS+SVLS targets equal the triple-loop reference on 200 maps to 1e-12 ({elapsed:.1f}s)")
 
 
 def test_criterion_03_gradient_suite():
@@ -168,11 +162,11 @@ def test_criterion_05_ce_degeneracy(tmp_path):
     bank = build_bank_multiclass(np.full((len(tr), 4), 0.25), tr.targets)
     cbls_cfg = TrainConfig(
         task="multiclass", model=spec, epochs=5, batch_size=16, seed=7,
-        uls_schedule=constant(0.0), pace=PacePlan(1.0, 0.4, 5, len(tr)),
+        uls_schedule=SmoothingSchedule(kind="constant", init=0.0), pace=PacePlan(1.0, 0.4, 5, len(tr)),
     )
     base_cfg = TrainConfig(task="multiclass", model=spec, epochs=5, batch_size=16, seed=7)
     r_cbls = train(cbls_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
-    r_base = train_baseline(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+    r_base = train(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
     h1, rows1 = records_to_csv("multiclass", r_cbls.records)
     h2, rows2 = records_to_csv("multiclass", r_base.records)
     save_csv(tmp_path / "cbls.csv", h1, rows1)
@@ -191,7 +185,7 @@ def test_criterion_06_pacing_trace(monkeypatch):
     plan = PacePlan(0.6, 0.4, 50, n)
     cfg = TrainConfig(
         task="multiclass", model=ModelSpec("mlp", (8, 16, 8)), epochs=50, batch_size=64,
-        seed=2, uls_schedule=exponential(0.5, 0.9), pace=plan,
+        seed=2, uls_schedule=SmoothingSchedule(kind="exponential", init=0.5, rate=0.9), pace=plan,
     )
     # each batch row is mapped back to its sample id; a sample that no step
     # of an epoch sees contributes no gradient to that epoch
@@ -258,20 +252,16 @@ def test_criterion_08_corruption(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     for kind in KINDS:
-        out = corrupt(images[0], CorruptionSpec(kind=kind, severity=5, seed=3))
+        out = corrupt_batch(images[:1], kind, SEVERITY_TABLE[kind][4], [np.random.default_rng(3)])
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-    flat = np.full((16, 16), 0.5)
+    # 100 copies of one flat image, copy s drawing from seed s
+    flat = np.full((100, 16, 16, 1), 0.5)
     for kind in ("gaussian_noise", "shot_noise", "impulse_noise"):
         mags = []
-        for severity in range(1, 6):
-            deltas = [
-                np.abs(
-                    corrupt(flat, CorruptionSpec(kind=kind, severity=severity, seed=s)) - flat
-                ).mean()
-                for s in range(100)
-            ]
-            mags.append(float(np.mean(deltas)))
+        for params in SEVERITY_TABLE[kind]:
+            out = corrupt_batch(flat, kind, params, [np.random.default_rng(s) for s in range(100)])
+            mags.append(float(np.abs(out - flat).mean(axis=(1, 2, 3)).mean()))
         assert all(a < b for a, b in zip(mags, mags[1:]))
 
     manifest = [
@@ -296,16 +286,13 @@ def test_criterion_09_directional_experiment():
     spec = ModelSpec("mlp", (16, 128, 8))
 
     def corrupted_acc(params, val_x, val_y, base_seed=99):
+        # each sample as a 1xD image, seeded as corrupt_dataset seeds it
         accs = []
-        for severity in range(1, 6):
-            batch = []
-            for i in range(len(val_x)):
-                cs = CorruptionSpec(
-                    "gaussian_noise", severity,
-                    seed=image_seed(base_seed, "gaussian_noise", severity, i),
-                )
-                batch.append(corrupt(val_x[i][None, :], cs)[0])
-            preds = np.argmax(forward(spec, params, np.asarray(batch)), axis=1)
+        for severity, noise in enumerate(SEVERITY_TABLE["gaussian_noise"], start=1):
+            key = _kind_seed(base_seed, "gaussian_noise", severity)
+            rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(val_x))]
+            batch = corrupt_batch(val_x[:, None, :, None], "gaussian_noise", noise, rngs)[:, 0, :, 0]
+            preds = np.argmax(forward(spec, params, batch), axis=1)
             accs.append(accuracy(preds, val_y))
         return float(np.mean(accs))
 
@@ -313,13 +300,13 @@ def test_criterion_09_directional_experiment():
     for seed in range(5):
         tr = gen_blobs(8, 125, dim=16, spread=0.15, label_noise_rate=0.2, seed=seed, split="train")
         va = gen_blobs(8, 40, dim=16, spread=0.15, seed=seed, split="val")
-        cfg = TrainConfig(
+        base_cfg = TrainConfig(
             task="multiclass", model=spec, epochs=50, batch_size=32,
-            optimizer="sgd", lr=2e-2, momentum=0.9, weight_decay=0.0,
-            seed=seed, uls_schedule=exponential(0.5, 0.9),
+            optimizer="sgd", lr=2e-2, momentum=0.9, weight_decay=0.0, seed=seed,
         )
+        cfg = replace(base_cfg, uls_schedule=SmoothingSchedule(kind="exponential", init=0.5, rate=0.9))
         r_cbls = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 8)
-        r_base = train_baseline(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 8)
+        r_base = train(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 8)
         cbls_scores.append(corrupted_acc(r_cbls.params, va.inputs, va.targets))
         base_scores.append(corrupted_acc(r_base.params, va.inputs, va.targets))
 
@@ -338,7 +325,7 @@ def test_criterion_09_directional_experiment():
 def test_criterion_10_ablation_schedule_shapes():
     start = time.perf_counter()
     epochs = 60
-    anti_sched = anti(0.005, 1.1, cap=0.5)
+    anti_sched = SmoothingSchedule(kind="anti", init=0.005, rate=1.1, cap=0.5)
     anti_trace = [anti_sched.value_at(e) for e in range(epochs)]
     assert anti_trace[0] == 0.005
     assert all(a <= b for a, b in zip(anti_trace, anti_trace[1:]))
@@ -346,12 +333,12 @@ def test_criterion_10_ablation_schedule_shapes():
     for e in range(epochs):
         assert anti_trace[e] == pytest.approx(min(0.5, 0.005 * 1.1**e), abs=1e-12)
 
-    rand_sched = random_schedule(0.0, 0.5, seed=10)
+    rand_sched = SmoothingSchedule(kind="random", range_lo=0.0, range_hi=0.5, seed=10)
     rand_trace = [rand_sched.value_at(e) for e in range(epochs)]
     assert all(0.0 <= v < 0.5 for v in rand_trace)
     assert rand_trace == [rand_sched.value_at(e) for e in range(epochs)]
 
-    cbls_sched = exponential(0.5, 0.9)
+    cbls_sched = SmoothingSchedule(kind="exponential", init=0.5, rate=0.9)
     cbls_trace = [cbls_sched.value_at(e) for e in range(epochs)]
     assert all(a > b for a, b in zip(cbls_trace, cbls_trace[1:]))
     assert cbls_trace[0] == 0.5

@@ -332,7 +332,7 @@ class TestTrain:
         cfg = _write_small_config(tmp_path, **extra)
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("extra,message", OUT_OF_RANGE, ids=[json.dumps(e) for e, _ in OUT_OF_RANGE])
@@ -344,7 +344,7 @@ class TestTrain:
         cfg = _write_small_config(tmp_path, **extra)
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("data,message", DATA_OUT_OF_RANGE, ids=[json.dumps(d) for d, _ in DATA_OUT_OF_RANGE])
@@ -356,7 +356,7 @@ class TestTrain:
         cfg = _write_small_config(tmp_path, data=data)
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
@@ -383,8 +383,17 @@ class TestTrain:
         cfg = _write_small_config(tmp_path, seed=seed)
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--out", out]) == 2
-        assert f"error: seed must be an integer, {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: seed must be an integer, {message}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    def test_flag_and_preset_values_name_their_layer(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert run(["train", "--data", "blobs", "--epochs", 0, "--seed", 1, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: flags: epochs must be at least 1, got 0\n"
+        monkeypatch.setitem(PRESETS, "bad", {"lr": -1})
+        assert run(["train", "--preset", "bad", "--data", "blobs", "--seed", 1, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: preset 'bad': lr must be above 0, got -1.0\n"
+        assert not out.exists()
 
     def test_integral_float_config_value_is_an_integer(self, tmp_path):
         cfg = _write_small_config(tmp_path, epochs=2.0, batch_size=16.0)
@@ -693,6 +702,14 @@ class TestCorruptEvalCalibrateReport:
         assert f"error: {metrics}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_calibrate_bins_below_one_names_the_flag_before_any_work(self, tmp_path, capsys, bins):
+        calib = tmp_path / "calib"
+        argv = ["calibrate", "--data", "blobs", "--checkpoint", tmp_path / "none.pckpt", "--out", calib]
+        assert run([*argv, "--bins", bins]) == 2
+        assert capsys.readouterr().err == f"error: --bins must be at least 1, got {bins}\n"
+        assert not calib.exists()
+
     def test_calibrate_warns_when_temperature_is_pinned(self, tmp_path, capsys):
         # the default blobs baseline fits T at the window's lower edge
         out = tmp_path / "baseline"
@@ -874,7 +891,7 @@ class TestSegmentationChecks:
         cfg = _write_shapes_config(tmp_path, svls_kernel=2, svls_schedule={"kind": "constant", "init": 0.5})
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        assert "error: svls_kernel must be odd and at least 1, got 2" in capsys.readouterr().err
+        assert f"error: {cfg}: svls_kernel must be odd and at least 1, got 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_smoothing_factor_out_of_range_is_config_error(self, tmp_path, capsys):
@@ -883,6 +900,29 @@ class TestSegmentationChecks:
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
         assert "error: schedule: smoothing factor 1.5 at epoch 0 is outside [0, 1)" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "schedule,message",
+        [
+            ({"kind": "linear", "init": 0.5, "rate": 0.25, "floor": -1}, "sigma -0.25 at epoch 3 is below 0"),
+            ({"kind": "random", "range": [-0.5, 0.5], "seed": 0}, "sigma -0.4625917357742887 at epoch 2 is below 0"),
+        ],
+        ids=["linear", "random"],
+    )
+    def test_spatial_schedule_below_zero_is_refused_before_training(
+        self, tmp_path, capsys, monkeypatch, schedule, message
+    ):
+        # every epoch's sigma is checked before the run trains or writes a file
+        def train_(*args, **kwargs):
+            raise AssertionError("trained before the spatial schedule check")
+
+        monkeypatch.setattr("pcbls.trainer.train", train_)
+        cfg = _write_shapes_config(tmp_path, svls_schedule=schedule, epochs=4)
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: svls_schedule: sigma ") and message in err
+        assert not out.exists()
 
 
 class TestBankGranularity:

@@ -11,16 +11,15 @@ from pcbls.corruption import (
     DRAWING_KINDS,
     KINDS,
     SEVERITY_TABLE,
-    CorruptionSpec,
+    _kind_seed,
     _line_kernel,
-    corrupt,
     corrupt_batch,
     corrupt_dataset,
-    image_seed,
     robustness_report,
 )
 from pcbls.datasets import as_images, gen_blobs, gen_shapes_seg
 from pcbls.fileio import load_csv, load_image
+from pcbls.seeding import fold_seed
 
 from conftest import ref_corrupt_dataset, ref_corrupt_with_params, ref_line_kernel
 
@@ -82,7 +81,8 @@ class TestSeverityTable:
             clean = gen_shapes_seg(16, 16, 3, 20, seed=seed, split="val").inputs
         means = []
         for severity, params in enumerate(SEVERITY_TABLE[kind], start=1):
-            rngs = [np.random.default_rng(image_seed(seed, kind, severity, i)) for i in range(len(clean))]
+            key = _kind_seed(seed, kind, severity)
+            rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(clean))]
             means.append(np.abs(corrupt_batch(clean, kind, params, rngs) - clean).mean())
         assert all(a <= b for a, b in zip(means, means[1:])), means
 
@@ -95,35 +95,31 @@ class TestCorrupt:
             assert np.allclose(out[0], img, atol=1e-9), kind
 
     def test_deterministic(self, rng):
-        img = rng.uniform(size=(10, 10, 3))
+        imgs = rng.uniform(size=(1, 10, 10, 3))
         for kind in KINDS:
-            spec = CorruptionSpec(kind=kind, severity=3, seed=99)
-            assert np.array_equal(corrupt(img, spec), corrupt(img, spec)), kind
+            params = SEVERITY_TABLE[kind][2]
+            once = corrupt_batch(imgs, kind, params, [np.random.default_rng(99)])
+            assert np.array_equal(once, corrupt_batch(imgs, kind, params, [np.random.default_rng(99)])), kind
 
     def test_outputs_clipped(self, rng):
-        img = rng.uniform(size=(8, 8, 3))
+        imgs = rng.uniform(size=(1, 8, 8, 3))
         for kind in KINDS:
             for severity in (1, 5):
-                out = corrupt(img, CorruptionSpec(kind=kind, severity=severity, seed=1))
+                out = corrupt_batch(imgs, kind, SEVERITY_TABLE[kind][severity - 1], [np.random.default_rng(1)])
                 assert out.min() >= 0.0 and out.max() <= 1.0, kind
-                assert out.shape == img.shape
-
-    def test_grayscale_shape_preserved(self, rng):
-        img = rng.uniform(size=(9, 9))
-        out = corrupt(img, CorruptionSpec(kind="gaussian_noise", severity=2, seed=0))
-        assert out.shape == (9, 9)
+                assert out.shape == imgs.shape
 
     def test_gaussian_noise_statistics(self):
-        img = np.full((64, 64), 0.5)
-        out = corrupt(img, CorruptionSpec(kind="gaussian_noise", severity=1, seed=5))
+        imgs = np.full((1, 64, 64, 1), 0.5)
+        out = corrupt_batch(imgs, "gaussian_noise", SEVERITY_TABLE["gaussian_noise"][0], [np.random.default_rng(5)])
         noise = out - 0.5
         assert abs(noise.mean()) < 0.01
         assert abs(noise.std() - SEVERITY_TABLE["gaussian_noise"][0]) < 0.01
 
     def test_pixelate_blocks(self, rng):
         img = rng.uniform(size=(16, 16, 3))
-        out = corrupt(img, CorruptionSpec(kind="pixelate", severity=5, seed=0))
         factor = SEVERITY_TABLE["pixelate"][4]
+        out = corrupt_batch(img[None], "pixelate", factor, [np.random.default_rng(0)])[0]
         assert factor == 8
         for by in range(0, 16, factor):
             for bx in range(0, 16, factor):
@@ -131,28 +127,14 @@ class TestCorrupt:
                 assert np.allclose(block, block[0, 0], atol=1e-12)
 
     def test_noise_magnitude_monotone_over_seeds(self):
-        img = np.full((16, 16), 0.5)
+        # 100 copies of one flat image, copy s drawing from seed s
+        imgs = np.full((100, 16, 16, 1), 0.5)
         for kind in ("gaussian_noise", "shot_noise", "impulse_noise"):
             mags = []
-            for severity in range(1, 6):
-                deltas = [
-                    np.abs(corrupt(img, CorruptionSpec(kind=kind, severity=severity, seed=s)) - img).mean()
-                    for s in range(100)
-                ]
-                mags.append(np.mean(deltas))
+            for params in SEVERITY_TABLE[kind]:
+                out = corrupt_batch(imgs, kind, params, [np.random.default_rng(s) for s in range(100)])
+                mags.append(np.abs(out - imgs).mean(axis=(1, 2, 3)).mean())
             assert all(a < b for a, b in zip(mags, mags[1:])), (kind, mags)
-
-    def test_rejects_bad_spec(self):
-        with pytest.raises(ValueError):
-            CorruptionSpec(kind="sleet", severity=1)
-        with pytest.raises(ValueError):
-            CorruptionSpec(kind="fog", severity=0)
-        with pytest.raises(ValueError):
-            CorruptionSpec(kind="fog", severity=6)
-
-    def test_rejects_out_of_range_image(self):
-        with pytest.raises(ValueError):
-            corrupt(np.full((4, 4), 1.5), CorruptionSpec(kind="fog", severity=1, seed=0))
 
 
 class TestCorruptDataset:
@@ -212,10 +194,10 @@ class TestCorruptDataset:
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_all_kinds_handle_one_row_vectors(self, rng):
-        v = rng.uniform(size=(1, 16))
+        v = rng.uniform(size=(1, 1, 16, 1))
         for kind in KINDS:
-            out = corrupt(v, CorruptionSpec(kind=kind, severity=5, seed=1))
-            assert out.shape == (1, 16)
+            out = corrupt_batch(v, kind, SEVERITY_TABLE[kind][4], [np.random.default_rng(1)])
+            assert out.shape == (1, 1, 16, 1)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 

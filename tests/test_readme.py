@@ -1,15 +1,18 @@
-"""README's config tables agree with the tables the program reads.
+"""README's tables agree with the program.
 
 The key table, the ``data`` key table and the preset table in README's
 "Config file" section restate ``config._CONFIG``, ``config._DATA`` and
 ``config.PRESETS``; a default, a range or a preset changed in one place and
-not the other fails here.
+not the other fails here. The module table may name only functions and
+classes its modules hold, and ``pcbls.__all__`` only names that resolve.
 """
 
+import importlib
 import json
 import re
 from pathlib import Path
 
+import pcbls
 from pcbls import config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,3 +81,21 @@ def test_preset_table_gives_each_layer_and_pace():
         layer, pace = rows[name]
         assert json.loads(layer) == {key: value for key, value in preset.items() if key != "pace"}, name
         assert (None if pace == "none" else json.loads(pace)) == preset.get("pace"), name
+
+
+def test_module_table_names_only_what_its_modules_hold():
+    rows = _table(["module", "what it does"])
+    assert rows
+    for first, (text,) in rows.items():
+        modules = [importlib.import_module(m) for m in re.findall(r"pcbls\.\w+", first)]
+        assert modules, first
+        names = [n for n in re.findall(r"`([^`]*)`", text) if re.fullmatch(r"[A-Za-z_]\w*", n)]
+        for name in names:
+            if first == "pcbls.cli":  # a command name
+                assert callable(getattr(modules[0], f"cmd_{name}", None)), name
+            else:
+                assert any(hasattr(m, name) for m in modules), f"{first}: {name}"
+
+
+def test_every_name_in_all_resolves():
+    assert [name for name in pcbls.__all__ if not hasattr(pcbls, name)] == []

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcbls.corruption import image_seed
+from pcbls import corruption
 from pcbls.seeding import derive_seed, fold_seed
 
 parts = st.lists(st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6)), max_size=4)
@@ -16,4 +16,5 @@ def test_seeds_keep_their_values():
     assert derive_seed(0) == 16294208416658607535
     assert derive_seed(2**70, "data") == 4230525844350854688
     assert derive_seed(7, "corrupt", 3, 2, 11) == 13136312215485810894
-    assert image_seed(7, "fog", 2, 11) == 2174751147468682473
+    # the seed of corrupt_dataset's fog severity-2 file of image 11 at base seed 7
+    assert fold_seed(corruption._kind_seed(7, "fog", 2), 11) == 2174751147468682473

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbls.soft_labels import (
-    one_hot_maps,
-    segmentation_targets,
-    smooth_binary,
-    svls,
-    uls,
-    uls_matrix,
-    uls_svls,
-)
+from pcbls.soft_labels import one_hot_maps, segmentation_targets, smooth_binary, uls, uls_matrix
 
 from conftest import (
     ref_conv2d_replicate,
@@ -97,17 +89,17 @@ class TestSmoothBinary:
 class TestSvls:
     def test_uniform_map_stays_onehot(self):
         labels = np.full((6, 7), 2, dtype=np.int64)
-        out = svls(labels, 4, sigma=1.0)
+        out = segmentation_targets(labels, 4, 0.0, 1.0, 3)
         assert np.allclose(out[:, :, 2], 1.0, atol=1e-12)
         assert np.allclose(np.delete(out, 2, axis=2), 0.0, atol=1e-12)
 
     def test_near_delta_kernel(self, rng):
         labels = rng.integers(0, 3, size=(5, 5))
-        assert np.allclose(svls(labels, 3, sigma=0.05), one_hot_maps(labels, 3), atol=1e-9)
+        assert np.allclose(segmentation_targets(labels, 3, 0.0, 0.05, 3), one_hot_maps(labels, 3), atol=1e-9)
 
     def test_two_pixel_map_oracle_value(self):
         # frozen from the triple-loop reference at sigma=1, k=3
-        out = svls(np.array([[0, 1]]), 2, sigma=1.0)
+        out = segmentation_targets(np.array([[0, 1]]), 2, 0.0, 1.0, 3)
         assert out[0, 0, 0] == pytest.approx(0.725931, abs=1e-4)
         assert out[0, 0, 1] == pytest.approx(0.274069, abs=1e-4)
         assert np.allclose(out, ref_svls(np.array([[0, 1]]), 2, 1.0, 3), atol=1e-12)
@@ -118,7 +110,7 @@ class TestSvls:
             k = int(rng.integers(2, 6))
             labels = rng.integers(0, k, size=(h, w))
             sigma = float(rng.uniform(0.3, 2.0))
-            got = svls(labels, k, sigma)
+            got = segmentation_targets(labels, k, 0.0, sigma, 3)
             assert np.allclose(got, ref_svls(labels, k, sigma, 3), atol=1e-12)
             sums = got.sum(axis=2)
             assert np.allclose(sums, 1.0, atol=1e-6)
@@ -127,7 +119,7 @@ class TestSvls:
     def test_interior_pixels_stay_onehot(self):
         labels = np.zeros((9, 9), dtype=np.int64)
         labels[3:6, 3:6] = 1  # 3x3 block; its center is 1 pixel from the boundary
-        out = svls(labels, 2, sigma=0.9, k=3)
+        out = segmentation_targets(labels, 2, 0.0, 0.9, 3)
         # pixels farther than (k-1)/2 = 1 from any class change are exact
         assert out[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
         assert out[4, 4, 1] == pytest.approx(1.0, abs=1e-9)
@@ -136,27 +128,21 @@ class TestSvls:
 
 
 class TestUlsSvls:
-    def test_zero_epsilon_equals_svls(self, rng):
-        labels = rng.integers(0, 4, size=(6, 6))
-        assert np.allclose(
-            uls_svls(labels, 4, 0.0, 0.8), svls(labels, 4, 0.8), atol=1e-15
-        )
-
     def test_delta_sigma_equals_uls(self, rng):
         labels = rng.integers(0, 3, size=(5, 4))
-        got = uls_svls(labels, 3, 0.4, sigma=0.05)
+        got = segmentation_targets(labels, 3, 0.4, 0.05, 3)
         per_pixel = one_hot_maps(labels, 3) * 0.6 + 0.4 / 3
         assert np.allclose(got, per_pixel, atol=1e-9)
 
     def test_compose_oracles(self, rng):
         labels = rng.integers(0, 3, size=(5, 5))
-        got = uls_svls(labels, 3, 0.6, 0.9)
+        got = segmentation_targets(labels, 3, 0.6, 0.9, 3)
         assert np.allclose(got, ref_uls_svls(labels, 3, 0.6, 0.9, 3), atol=1e-12)
 
     def test_valid_distributions(self, rng):
         for _ in range(10):
             labels = rng.integers(0, 5, size=(7, 7))
-            out = uls_svls(labels, 5, float(rng.uniform(0, 0.9)), float(rng.uniform(0.3, 2)))
+            out = segmentation_targets(labels, 5, float(rng.uniform(0, 0.9)), float(rng.uniform(0.3, 2)), 3)
             assert np.allclose(out.sum(axis=2), 1.0, atol=1e-6)
             assert (out >= 0).all() and (out <= 1).all()
 
@@ -165,16 +151,6 @@ class TestSegmentationTargets:
     def test_plain_onehot(self, rng):
         labels = rng.integers(0, 3, size=(4, 4))
         assert np.array_equal(segmentation_targets(labels, 3), one_hot_maps(labels, 3))
-
-    def test_dispatch(self, rng):
-        labels = rng.integers(0, 3, size=(4, 4))
-        assert np.array_equal(
-            segmentation_targets(labels, 3, sigma=0.9), svls(labels, 3, 0.9)
-        )
-        assert np.array_equal(
-            segmentation_targets(labels, 3, epsilon=0.2, sigma=0.9),
-            uls_svls(labels, 3, 0.2, 0.9),
-        )
 
 
 class TestStackedTargets:
@@ -197,9 +173,9 @@ class TestStackedTargets:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_svls_and_uls_svls_match_per_class_reference(self, rng, k):
         labels = rng.integers(0, 4, size=(3, 5, 7))
-        got = svls(labels, 4, 0.7, k)
+        got = segmentation_targets(labels, 4, 0.0, 0.7, k)
         assert np.array_equal(got, np.stack([ref_svls_by_class(l, 4, 0.7, k) for l in labels]))
-        got = uls_svls(labels, 4, 0.25, 0.7, k)
+        got = segmentation_targets(labels, 4, 0.25, 0.7, k)
         assert np.array_equal(got, np.stack([ref_uls_svls_by_class(l, 4, 0.25, 0.7, k) for l in labels]))
 
     def test_random_stacks_match_reference(self, rng):
@@ -214,12 +190,16 @@ class TestStackedTargets:
             want = np.stack([ref_segmentation_targets(l, num_classes, epsilon, sigma, k) for l in labels])
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("fn", [lambda l, s: svls(l, 3, s), lambda l, s: uls_svls(l, 3, 0.2, s)])
-    def test_fixed_sigma_forms_reject_nonpositive_sigma(self, fn):
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    def test_negative_or_non_finite_sigma_is_refused(self, epsilon):
         labels = np.zeros((2, 3), dtype=np.int64)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match="sigma must be positive"):
-                fn(labels, bad)
+        for bad in (-1.0, -1e-300, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=r"^sigma must be finite and at least 0, got "):
+                segmentation_targets(labels, 3, epsilon, bad, 3)
+        # None and 0 both mean no blur
+        plain = segmentation_targets(labels, 3, epsilon)
+        for off in (None, 0.0):
+            assert np.array_equal(segmentation_targets(labels, 3, epsilon, off, 3), plain)
 
     @pytest.mark.parametrize("sigma", [None, 0.8])
     def test_epsilon_checked_on_every_call(self, sigma):

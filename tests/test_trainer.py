@@ -9,7 +9,7 @@ from pcbls.cli import PRESETS, ConfigError, resolve_config
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
 from pcbls.models import ModelSpec, init_params
 from pcbls.pacing import PacePlan, active_count, build_bank_multiclass
-from pcbls.schedules import anti, constant, exponential, linear, random_schedule
+from pcbls.schedules import SmoothingSchedule
 from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
     METRIC_COLUMNS,
@@ -21,8 +21,14 @@ from pcbls.trainer import (
     score_pixel_bank,
     score_training_set,
     train,
-    train_baseline,
 )
+
+
+# the ULS factor of the workflow_cls preset, and the ULS factor and SVLS sigma
+# of the segmentation preset
+CBLS = SmoothingSchedule(kind="exponential", init=0.5, rate=0.9)
+SEG_ULS = SmoothingSchedule(kind="exponential", init=0.6, rate=0.9)
+SEG_SVLS = SmoothingSchedule(kind="exponential", init=0.9, rate=0.5)
 
 
 def _blob_setup(seed=0, per_class=25, classes=4, noise=0.1):
@@ -53,7 +59,11 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "schedule,epoch",
-        [(anti(0.5, 1.5, cap=2.0), 2), (linear(0.5, 0.25, floor=-1.0), 3), (random_schedule(1.0, 1.5, 0), 0)],
+        [
+            (SmoothingSchedule(kind="anti", init=0.5, rate=1.5, cap=2.0), 2),
+            (SmoothingSchedule(kind="linear", init=0.5, rate=0.25, floor=-1.0), 3),
+            (SmoothingSchedule(kind="random", range_lo=1.0, range_hi=1.5, seed=0), 0),
+        ],
         ids=["anti", "linear", "random"],
     )
     def test_schedule_leaving_the_unit_interval_is_refused(self, monkeypatch, schedule, epoch):
@@ -69,13 +79,21 @@ class TestValidation:
     def test_schedule_inside_the_unit_interval_to_the_last_epoch_trains(self):
         # 0.5 * 1.5^e stays below 1 up to epoch 1 only
         tr, va = _blob_setup()
-        cfg = _config(epochs=2, uls_schedule=anti(0.5, 1.5, cap=2.0))
+        cfg = _config(epochs=2, uls_schedule=SmoothingSchedule(kind="anti", init=0.5, rate=1.5, cap=2.0))
         result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert [r.eps for r in result.records] == [0.5, 0.75]
 
+    def test_spatial_schedule_below_zero_is_refused(self):
+        # sigma 0.5 - 0.25 e reaches 0 at epoch 2, which means no blur, and -0.25 at epoch 3
+        schedule = SmoothingSchedule(kind="linear", init=0.5, rate=0.25, floor=-1.0)
+        seg = dict(task="segmentation", model=ModelSpec("tiny_fcn", (3, 4, 4, 3)), svls_schedule=schedule)
+        with pytest.raises(ValueError, match=r"^svls_schedule: sigma -0\.25 at epoch 3 is below 0$"):
+            TrainConfig(epochs=4, **seg)
+        assert TrainConfig(epochs=3, **seg).svls_schedule.value_at(2) == 0.0
+
     def test_svls_needs_segmentation(self):
         with pytest.raises(ValueError):
-            _config(svls_schedule=exponential(0.9, 0.5))
+            _config(svls_schedule=SEG_SVLS)
 
     def test_pace_requires_bank(self):
         tr, va = _blob_setup()
@@ -119,7 +137,7 @@ class TestValidation:
 class TestDeterminism:
     def test_identical_runs_bitwise(self):
         tr, va = _blob_setup()
-        cfg = _config(uls_schedule=exponential(0.5, 0.9))
+        cfg = _config(uls_schedule=CBLS)
         r1 = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         r2 = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert r1.params.tobytes() == r2.params.tobytes()
@@ -129,7 +147,7 @@ class TestDeterminism:
         # another run in between, with other shapes, optimizer, pacing and
         # batch size, leaves the first run's bytes as they were
         tr, va = _blob_setup()
-        cfg = _config(batch_size=24, uls_schedule=exponential(0.5, 0.9))
+        cfg = _config(batch_size=24, uls_schedule=CBLS)
         first = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=len(tr)), tr.targets)
         other = _config(
@@ -150,10 +168,10 @@ class TestDeterminism:
 class TestCeDegeneracy:
     def test_constant_zero_schedule_equals_plain_ce(self):
         tr, va = _blob_setup()
-        cbls_cfg = _config(uls_schedule=constant(0.0))
+        cbls_cfg = _config(uls_schedule=SmoothingSchedule(kind="constant", init=0.0))
         base_cfg = _config()
         r_cbls = train(cbls_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
-        r_base = train_baseline(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        r_base = train(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert r_cbls.params.tobytes() == r_base.params.tobytes()
         assert records_to_csv("multiclass", r_cbls.records) == records_to_csv(
             "multiclass", r_base.records
@@ -161,9 +179,8 @@ class TestCeDegeneracy:
 
     def test_smoothing_actually_changes_training(self):
         tr, va = _blob_setup()
-        r_smooth = train(
-            _config(uls_schedule=constant(0.3)), tr.inputs, tr.targets, va.inputs, va.targets, 4
-        )
+        smooth_cfg = _config(uls_schedule=SmoothingSchedule(kind="constant", init=0.3))
+        r_smooth = train(smooth_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         r_plain = train(_config(), tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert r_smooth.params.tobytes() != r_plain.params.tobytes()
 
@@ -171,7 +188,7 @@ class TestCeDegeneracy:
 class TestRecords:
     def test_schedule_factor_recorded(self):
         tr, va = _blob_setup()
-        cfg = _config(epochs=12, uls_schedule=exponential(0.5, 0.9))
+        cfg = _config(epochs=12, uls_schedule=CBLS)
         result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert result.records[0].eps == 0.5
         assert result.records[10].eps == pytest.approx(0.5 * 0.9**10, abs=1e-9)
@@ -199,7 +216,7 @@ class TestRecords:
         # while eps is fixed the loss cannot beat the smoothed-target entropy
         tr, va = _blob_setup(noise=0.0)
         eps = 0.6
-        cfg = _config(epochs=6, uls_schedule=constant(eps))
+        cfg = _config(epochs=6, uls_schedule=SmoothingSchedule(kind="constant", init=eps))
         result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         t = uls_matrix(np.zeros(1, dtype=int), 4, eps)[0]
         floor = -(t * np.log(t)).sum()
@@ -246,7 +263,7 @@ class TestMatchesReferenceLoop:
         n = len(tr)
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=n), tr.targets)
         # the workflow_cls preset's schedule and pace plan
-        cfg = _config(epochs=epochs, uls_schedule=exponential(0.5, 0.9), pace=PacePlan(0.6, 0.4, epochs, n))
+        cfg = _config(epochs=epochs, uls_schedule=CBLS, pace=PacePlan(0.6, 0.4, epochs, n))
         return cfg, tr, va, bank
 
     def test_mlp_sgd_sample_pacing(self):
@@ -265,7 +282,7 @@ class TestMatchesReferenceLoop:
             optimizer="adam",
             lr=1e-2,
             seed=2,
-            uls_schedule=exponential(0.5, 0.9),
+            uls_schedule=CBLS,
         )
         _assert_matches_reference(cfg, tr, va, 4)
 
@@ -284,8 +301,8 @@ class TestMatchesReferenceLoop:
             lr=1e-2,
             seed=4,
             # the segmentation preset's schedules and pace plan
-            uls_schedule=exponential(0.6, 0.9),
-            svls_schedule=exponential(0.9, 0.5),
+            uls_schedule=SEG_ULS,
+            svls_schedule=SEG_SVLS,
             svls_kernel=3,
             pace=PacePlan(0.8, 0.4, 2, total),
         )
@@ -308,8 +325,8 @@ class TestMatchesReferenceLoop:
             lr=1e-2,
             seed=7,
             # the segmentation preset's schedules and pace plan
-            uls_schedule=exponential(0.6, 0.9),
-            svls_schedule=exponential(0.9, 0.5),
+            uls_schedule=SEG_ULS,
+            svls_schedule=SEG_SVLS,
             svls_kernel=3,
             pace=PacePlan(0.8, 0.4, 2, sum(m.size for m in pixel_bank)),
         )
@@ -331,7 +348,7 @@ class TestMatchesReferenceLoop:
             optimizer=optimizer,
             lr=1e-2,
             seed=5,
-            uls_schedule=exponential(0.5, 0.9),
+            uls_schedule=CBLS,
         )
         _assert_matches_reference(cfg, tr, va, 4)
 
@@ -349,7 +366,7 @@ class TestCallerArraysUnwritten:
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=len(tr)), tr.targets)
         arrays = [tr.inputs, tr.targets, va.inputs, va.targets, bank.sample_ids, bank.scores]
         before = [a.tobytes() for a in arrays]
-        cfg = _config(uls_schedule=exponential(0.5, 0.9), pace=PacePlan(0.6, 0.4, 4, len(tr)))
+        cfg = _config(uls_schedule=CBLS, pace=PacePlan(0.6, 0.4, 4, len(tr)))
         train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
         assert [a.tobytes() for a in arrays] == before
 
@@ -368,8 +385,8 @@ class TestCallerArraysUnwritten:
             optimizer="adam",
             lr=1e-2,
             seed=4,
-            uls_schedule=exponential(0.6, 0.9),
-            svls_schedule=exponential(0.9, 0.5),
+            uls_schedule=SEG_ULS,
+            svls_schedule=SEG_SVLS,
             pace=PacePlan(0.8, 0.4, 2, pixel_bank.size),
         )
         train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=pixel_bank)
@@ -403,7 +420,7 @@ class TestTasks:
             optimizer="adam",
             lr=1e-3,
             seed=0,
-            uls_schedule=exponential(0.5, 0.9),
+            uls_schedule=CBLS,
         )
         result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         assert "val_map" in result.records[-1].val_metrics
@@ -414,7 +431,7 @@ class TestTasks:
         va = gen_shapes_seg(16, 16, 2, 4, seed=2, split="val")
         spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
         base_cfg = TrainConfig(task="segmentation", model=spec, epochs=1, optimizer="adam", lr=1e-3, seed=1)
-        base = train_baseline(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3)
+        base = train(base_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3)
         pixel_bank = score_pixel_bank(spec, base.params, tr.inputs, tr.targets)
         total = sum(m.size for m in pixel_bank)
         cfg = TrainConfig(
@@ -424,8 +441,8 @@ class TestTasks:
             optimizer="adam",
             lr=1e-3,
             seed=1,
-            uls_schedule=exponential(0.6, 0.9),
-            svls_schedule=exponential(0.9, 0.5),
+            uls_schedule=SEG_ULS,
+            svls_schedule=SEG_SVLS,
             pace=PacePlan(0.8, 0.4, 3, total),
         )
         result = train(
@@ -442,7 +459,7 @@ class TestBankScoring:
     def test_ts_bank_preserves_predicted_classes(self):
         tr, va = _blob_setup()
         cfg = _config(epochs=2)
-        result = train_baseline(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
+        result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         plain = score_training_set(cfg.model, cfg.task, result.params, tr.inputs, tr.targets, variant="plain")
         ts = score_training_set(
             cfg.model, cfg.task, result.params, tr.inputs, tr.targets, variant="ts", temperature=2.63
@@ -464,7 +481,7 @@ class TestBankScoring:
         tr = gen_shapes_seg(16, 16, 2, 8, seed=2, split="train")
         spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
         cfg = TrainConfig(task="segmentation", model=spec, epochs=1, seed=0)
-        result = train_baseline(cfg, tr.inputs, tr.targets, tr.inputs, tr.targets, 3)
+        result = train(cfg, tr.inputs, tr.targets, tr.inputs, tr.targets, 3)
         bank = score_training_set(cfg.model, cfg.task, result.params, tr.inputs, tr.targets)
         empty = [i for i in range(len(tr)) if (tr.targets[i] == 0).all()]
         by_id = dict(zip(bank.sample_ids.tolist(), bank.scores.tolist()))
