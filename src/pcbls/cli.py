@@ -144,6 +144,13 @@ def cmd_corrupt(args) -> int:
     kinds, severities = _corruption_lists(args)
     out_dir = _out_dir(args.out or "corrupted")
     _, val_ds = resolve_dataset(cfg)
+    spatial = [kind for kind in kinds if corruption.DOMAINS[kind] == "spatial"]
+    if spatial and val_ds.inputs.ndim == 2:  # feature vectors, corrupted as one-row images
+        print(
+            f"warning: {', '.join(spatial)} move or mix neighbouring pixels, but these images are rows of "
+            "feature vectors, whose neighbouring values are unrelated features",
+            file=sys.stderr,
+        )
     rows = corruption.corrupt_dataset(
         datasets.as_images(val_ds.inputs), kinds, severities, derive_seed(cfg["seed"], "corruption"), out_dir
     )
@@ -208,10 +215,10 @@ def cmd_eval(args) -> int:
         fileio.save_csv(out, header, table)
         print(f"robustness table ({len(table) - 1} kinds) written to {out}")
         return 0
-    metrics, skipped = trainer.logit_metrics(val_ds.task, logits, val_ds.targets, val_ds.num_classes)
-    rows = [[name, format_float(value)] for name, value in metrics.items()]
-    if val_ds.task == "multilabel":
-        rows.append(["skipped_labels", ";".join(map(str, skipped))])
+    task = trainer.TASKS[val_ds.task]
+    values, extra = task.metrics(logits, val_ds.targets, val_ds.num_classes)
+    rows = [[name, format_float(value)] for name, value in zip(task.columns, values)]
+    rows += [[name, text] for name, text in extra.items()]
     fileio.save_csv(out, ["metric", "value"], rows)
     print(f"metrics written to {out}")
     return 0

@@ -20,7 +20,7 @@ from .fileio import FormatError
 from .pacing import PacePlan
 from .schedules import SmoothingSchedule
 from .seeding import derive_seed
-from .trainer import TrainConfig
+from .trainer import TASKS, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -151,8 +151,6 @@ PRESETS = {
 
 _TYPE_NAMES = {float: "number", int: "integer", str: "string"}
 
-_DEFAULT_ARCH = {"multiclass": "mlp", "multilabel": "mlp", "segmentation": "tiny_fcn"}
-
 
 def _defaults(table: dict) -> dict:
     """The keys of ``table`` that have a default, each at its own copy."""
@@ -253,8 +251,10 @@ def resolve_config(args) -> dict:
     names its dataset wins where it sets the same field."""
     cfg = _defaults(_CONFIG)
     nameless = {}  # data fields whose last layer named no dataset
+    schedule_layers = {}  # the layer that set each schedule key last
 
     def merge(layer: dict, source: str) -> None:
+        schedule_layers.update((key, source) for key in ("schedule", "svls_schedule") if key in layer)
         data = layer.get("data")
         if isinstance(data, dict):
             if "name" in data:
@@ -293,6 +293,10 @@ def resolve_config(args) -> dict:
         pace = {**pace, "e_all": e_all}
     flags["pace"] = pace
     merge({key: value for key, value in flags.items() if value is not None}, "flags")
+    # a schedule object replaces the one below it, so one layer gave all of it
+    for key, source in schedule_layers.items():
+        with _layer(source):
+            _schedule(cfg, key)
     # the data fields are checked against the dataset named last: a --data of
     # another dataset replaces the fields given with a dataset name
     data = {**cfg["data"], **nameless}
@@ -363,7 +367,7 @@ def _datasets(cfg: dict):
 
 def build_train_config(cfg: dict, train_ds) -> TrainConfig:
     task = cfg["task"]
-    arch = cfg["arch"] or _DEFAULT_ARCH[task]
+    arch = cfg["arch"] or TASKS[task].arch
     spec = models.spec_for(arch, train_ds.inputs.shape, cfg["hidden"], cfg["channels"], train_ds.num_classes)
     pace = None
     if cfg["pace"] is not None:

@@ -33,20 +33,25 @@ from .fileio import _write_files, encode_images, save_csv, save_image  # noqa: F
 from .numerics import conv2d_same
 from .seeding import derive_seed, fold_seed
 
-KINDS = (
-    "gaussian_noise",
-    "shot_noise",
-    "impulse_noise",
-    "defocus_blur",
-    "glass_blur",
-    "motion_blur",
-    "zoom_blur",
-    "fog",
-    "brightness",
-    "contrast",
-    "pixelate",
-    "jpeg_like",
-)
+# every kind in seed order (_kind_seed takes its index), with its domain: a
+# pointwise kind changes each pixel by its own value, its own draws and
+# statistics of the whole image; a spatial kind moves or mixes neighbouring
+# pixels, so on rows made from feature vectors it mixes unrelated features
+DOMAINS = {
+    "gaussian_noise": "pointwise",
+    "shot_noise": "pointwise",
+    "impulse_noise": "pointwise",
+    "defocus_blur": "spatial",
+    "glass_blur": "spatial",
+    "motion_blur": "spatial",
+    "zoom_blur": "spatial",
+    "fog": "pointwise",
+    "brightness": "pointwise",
+    "contrast": "pointwise",
+    "pixelate": "spatial",
+    "jpeg_like": "spatial",
+}
+KINDS = tuple(DOMAINS)
 
 # five parameter rows per kind, severity 1..5; each row is a stronger
 # parameter than the one before, though one image's mean |corrupt - clean|

@@ -28,8 +28,7 @@ from .fileio import (
     save_json,
 )
 from .seeding import rng_for
-
-TASKS = ("multiclass", "multilabel", "segmentation")
+from .trainer import TASKS
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 channels * 32 * 32 pixel bytes
 

@@ -5,10 +5,11 @@ reduced population (samples, pixels, or labels) and dlogits already carries
 the 1/count factor, so chaining through a model's input-gradient gives the
 gradient of the returned scalar directly.
 
-Every loss is a check of its inputs (``check``) followed by a core that
-only does the arithmetic. The public losses run both; a caller that has
-already checked a whole epoch of targets calls ``_value_and_grad`` on
-slices of it.
+Every loss is a check of its inputs (``check``, by loss kind) followed by
+a core that only does the arithmetic: ``_soft_ce``, ``_soft_bce`` and
+``_masked_pixel_ce``. The trainer's task table (``trainer.TASKS``) names
+each task's kind and core; a trainer checks a whole epoch of targets once
+and runs the core on slices of it.
 
 The pixel loss takes its per-pixel max, softmax sum and target-weighted
 sum one class column at a time, K-1 elementwise calls over (N,H,W)
@@ -71,52 +72,9 @@ def check(
     return targets, mask
 
 
-def soft_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross entropy against a soft target distribution.
-
-    logits/targets: (..., K); loss is the mean of -sum(t * log_softmax(z))
-    over the leading axes, gradient is (softmax(z) - t) / n_leading.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets, _ = check("soft_ce", logits.shape, targets)
-    return _soft_ce(logits, targets)
-
-
-def masked_pixel_ce(
-    logit_maps: np.ndarray, target_maps: np.ndarray, mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Per-pixel soft cross entropy averaged over the included pixels.
-
-    logit/target maps: (..., H, W, K); mask: (..., H, W) of {0,1}. Excluded
-    pixels contribute neither loss nor gradient; an all-excluded batch is
-    the declared degenerate case (0.0, zero gradient).
-    """
-    logit_maps = np.asarray(logit_maps, dtype=np.float64)
-    target_maps, mask = check("masked_pixel_ce", logit_maps.shape, target_maps, mask)
-    return _masked_pixel_ce(logit_maps, target_maps, mask)
-
-
-def soft_bce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Binary cross entropy per label against smoothed targets in [0,1].
-
-    Mean over every (sample, label) element: t*softplus(-z) + (1-t)*softplus(z),
-    the stable form of -[t log s(z) + (1-t) log(1-s(z))].
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets, _ = check("soft_bce", logits.shape, targets)
-    return _soft_bce(logits, targets)
-
-
-def _value_and_grad(loss_kind, logits, targets, mask):
-    """The core of loss ``loss_kind`` on float64 inputs that ``check`` passed."""
-    if loss_kind == "soft_ce":
-        return _soft_ce(logits, targets)
-    if loss_kind == "soft_bce":
-        return _soft_bce(logits, targets)
-    return _masked_pixel_ce(logits, targets, mask)
-
-
 def _soft_ce(logits, targets):
+    """Cross entropy against soft (..., K) targets: the mean over the leading
+    axes of -sum(t * log_softmax(z)); dlogits = (softmax(z) - t) / n."""
     n = max(1, math.prod(logits.shape[:-1]))
     dlogits, logp = softmax_log_softmax(logits)
     logp *= targets
@@ -127,6 +85,9 @@ def _soft_ce(logits, targets):
 
 
 def _masked_pixel_ce(logit_maps, target_maps, mask):
+    """Per-pixel soft cross entropy of (..., H, W, K) maps averaged over the
+    pixels a (..., H, W) {0,1} mask includes; excluded pixels give neither
+    loss nor gradient, and an all-excluded batch gives (0.0, zeros)."""
     count = mask.sum()
     if count == 0:
         return 0.0, np.zeros_like(logit_maps)
@@ -156,6 +117,8 @@ def _columns(ufunc, a):
 
 
 def _soft_bce(logits, targets):
+    """Binary cross entropy per label against targets in [0, 1], the mean over
+    every element of t*softplus(-z) + (1-t)*softplus(z)."""
     n = max(1, logits.size)
     loss = float((targets * np.logaddexp(0.0, -logits) + (1.0 - targets) * np.logaddexp(0.0, logits)).sum() / n)
     dlogits = (sigmoid(logits) - targets) / n

@@ -69,12 +69,10 @@ neither unpacks the parameters again nor recomputes anything; combined
 with the losses' 1/count scaling this yields the gradient of the mean
 loss. The input gradient of the first layer is never computed.
 
-loss_and_grad() is the checked entry point: check_batch(), then one
-forward, loss and backward. A trainer that owns persistent parameter and
-gradient views and has checked a whole epoch's arrays calls the unchecked
-step loss_and_grad_into() on each batch; loss_and_grad() is that same step
-on a new gradient. loss() is the same forward and loss without the
-backward, for finite-difference probes.
+A training step is check_batch() once over a whole epoch's arrays, then
+loss_and_grad_into() on each batch: one forward, the loss core that the
+caller passes (a task's ``loss`` in ``trainer.TASKS``) and one backward into
+the persistent gradient views the caller owns.
 
 The vector models call BLAS and the ufunc reductions directly: every
 2-D GEMM is ndarray.dot, which calls the same cblas_dgemm as matmul
@@ -196,7 +194,8 @@ def check_batch(
     loss_kind: str,
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(x, targets, mask) as float64 arrays after every check loss_and_grad makes.
+    """(x, targets, mask) as float64 arrays after every check of the model's
+    input layout and of loss ``loss_kind`` (``losses.check``).
 
     A masked_pixel_ce batch without a mask gets the all-ones mask. Each
     check holds sample by sample, so checking a whole epoch's stacked
@@ -400,47 +399,13 @@ def backward(
             dz = dtanh
 
 
-def loss(
-    spec: ModelSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-    mask: np.ndarray | None = None,
-) -> float:
-    """Mean loss over the batch, as loss_and_grad computes it, without the gradient."""
-    x, targets, mask = check_batch(spec, x, targets, loss_kind, mask)
-    logits, _ = _logits(spec, unpack(spec, params), x)
-    return losses._value_and_grad(loss_kind, logits, targets, mask)[0]
-
-
-def loss_and_grad(
-    spec: ModelSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-    mask: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch plus its exact parameter gradient.
-
-    loss_kind: 'soft_ce' | 'soft_bce' | 'masked_pixel_ce'; the last one
-    requires tiny_fcn-shaped logits and a (N,H,W) mask (all-ones if None).
-    This is check_batch followed by loss_and_grad_into on a new gradient.
-    """
-    x, targets, mask = check_batch(spec, x, targets, loss_kind, mask)
-    grad = np.empty(spec.param_count())
-    value = loss_and_grad_into(spec, unpack(spec, params), unpack(spec, grad), x, targets, loss_kind, mask)
-    return value, grad
-
-
 def loss_and_grad_into(
     spec: ModelSpec,
     tensors: list[np.ndarray],
     grads: list[np.ndarray],
     x: np.ndarray,
     targets: np.ndarray,
-    loss_kind: str,
+    loss,
     mask: np.ndarray | None = None,
 ) -> float:
     """One training step's forward, loss and backward, checking nothing.
@@ -448,9 +413,10 @@ def loss_and_grad_into(
     ``tensors`` and ``grads`` are the tensor views of a flat parameter and
     a flat gradient buffer; every gradient element is overwritten. The
     batch must have passed check_batch (a slice of a checked stack has).
+    ``loss(logits, targets, mask)`` returns the mean loss and dL/dlogits.
     Returns the mean loss.
     """
     logits, acts = _logits(spec, tensors, x)
-    value, dlogits = losses._value_and_grad(loss_kind, logits, targets, mask)
+    value, dlogits = loss(logits, targets, mask)
     backward(spec, tensors, acts, dlogits, grads)
     return value

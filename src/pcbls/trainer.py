@@ -8,6 +8,10 @@ consecutive slices of that shuffle. Identical (config, data, seed) replays
 bit-for-bit: shuffles are keyed by (seed, epoch), batches run in shuffle
 order, and validation never sees smoothing or pacing.
 
+Every choice that depends on the task (the loss, the soft targets, the
+probability map, the validation metrics, the sample-bank score and the
+default architecture) is one entry of ``TASKS``, which a run takes once.
+
 A run owns one flat parameter buffer and one flat gradient buffer, each
 unpacked into tensor views once. A step writes the gradient views
 (models.loss_and_grad_into) and the optimizer updates the parameters and
@@ -31,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import models, pacing, soft_labels
+from . import losses, models, pacing, soft_labels
 from .calibration import apply_temperature
 from .fileio import format_float
 from .metrics import accuracy, iou_dice, mean_average_precision
@@ -49,7 +54,7 @@ OPTIMIZERS = ("sgd", "adam")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    task: str  # multiclass | multilabel | segmentation
+    task: str  # a key of TASKS
     model: ModelSpec
     epochs: int
     batch_size: int = 32
@@ -65,7 +70,7 @@ class TrainConfig:
     pace: PacePlan | None = None
 
     def __post_init__(self) -> None:
-        if self.task not in ("multiclass", "multilabel", "segmentation"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -180,25 +185,14 @@ class _Optimizer:
         params -= tmp
 
 
-def _loss_kind(task: str) -> str:
-    return {"multiclass": "soft_ce", "multilabel": "soft_bce", "segmentation": "masked_pixel_ce"}[task]
-
-
-def _soft_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sigma: float | None):
-    """Soft targets, one row (or map) per hard target, in the given order.
-
-    An (N,H,W) stack of label maps goes through ``segmentation_targets``
-    one frame chunk at a time (``numerics.frame_chunks``), each chunk
-    written into one preallocated (N,H,W,K) output, even when there is only
-    one: the one-hot, smoothed and padded maps of one chunk are alive at a
-    time, so the memory a build holds beyond its output does not grow with
-    N. Every map's targets are its own, so the bytes do not depend on the
-    chunk.
+def _segmentation_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sigma: float | None):
+    """An (N,H,W) stack of label maps through ``segmentation_targets`` one
+    frame chunk at a time (``numerics.frame_chunks``), each chunk written
+    into one preallocated (N,H,W,K) output, even when there is only one: the
+    one-hot, smoothed and padded maps of one chunk are alive at a time, so
+    the memory a build holds beyond its output does not grow with N. Every
+    map's targets are its own, so the bytes do not depend on the chunk.
     """
-    if cfg.task == "multiclass":
-        return soft_labels.uls_matrix(targets, k, eps)
-    if cfg.task == "multilabel":
-        return soft_labels.smooth_binary(targets, eps)
     targets = np.asarray(targets)
     if targets.ndim != 3:  # not a stack of maps; check_batch refuses it next
         return soft_labels.segmentation_targets(targets, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
@@ -208,23 +202,69 @@ def _soft_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: float, sig
     return out
 
 
-def logit_metrics(task: str, logits: np.ndarray, targets, num_classes: int) -> tuple[dict[str, float], list[int]]:
-    """The validation metrics of ``task`` on ``logits``, and the labels with
-    no positive that mean average precision skipped (none for other tasks)."""
-    if task == "multiclass":
-        return {"val_accuracy": accuracy(logits.argmax(axis=1), targets)}, []
-    if task == "multilabel":
-        value, skipped = mean_average_precision(sigmoid(logits), targets)
-        return {"val_map": value}, skipped
-    preds = np.argmax(logits, axis=-1)
-    _, miou, mdice = iou_dice(preds, targets, num_classes)
-    return {"val_miou": miou, "val_mdice": mdice}, []
+def _map_metrics(logits, targets, k):
+    """Mean average precision, and the labels with no positive that it skipped."""
+    value, skipped = mean_average_precision(sigmoid(logits), targets)
+    return (value,), {"skipped_labels": ";".join(map(str, skipped))}
+
+
+def _iou_metrics(logits, targets, k):
+    _, miou, mdice = iou_dice(np.argmax(logits, axis=-1), targets, k)
+    return (miou, mdice), {}
+
+
+# The task table: every choice a run makes by its task. A run takes its
+# entry once, before its first epoch. Each callable looks up the functions it
+# runs by name when it is called and holds no reference taken at import, so
+# that a module attribute replaced after import (a tracer's wrapper, a test's
+# patch) is what runs.
+#   loss_kind     the losses.check kind of its batches
+#   loss          (logits, targets, mask) -> (mean loss, dL/dlogits), on checked inputs
+#   soft_targets  (cfg, hard targets, K, eps, sigma) -> soft targets, one per hard target
+#   probs         (logits, temperature) -> probabilities
+#   metrics       (logits, targets, K) -> (values of columns, extra eval rows by name)
+#   columns       its validation metrics as metrics.csv names them
+#   bank          (probs, targets, source) -> its SampleBank
+#   arch          its default architecture
+TASKS = {
+    "multiclass": SimpleNamespace(
+        loss_kind="soft_ce",
+        loss=lambda logits, targets, mask: losses._soft_ce(logits, targets),
+        soft_targets=lambda cfg, targets, k, eps, sigma: soft_labels.uls_matrix(targets, k, eps),
+        probs=lambda logits, t: apply_temperature(logits, t),
+        metrics=lambda logits, targets, k: ((accuracy(logits.argmax(axis=1), targets),), {}),
+        columns=("val_accuracy",),
+        bank=lambda probs, targets, source: pacing.build_bank_multiclass(probs, targets, source=source),
+        arch="mlp",
+    ),
+    "multilabel": SimpleNamespace(
+        loss_kind="soft_bce",
+        loss=lambda logits, targets, mask: losses._soft_bce(logits, targets),
+        soft_targets=lambda cfg, targets, k, eps, sigma: soft_labels.smooth_binary(targets, eps),
+        probs=lambda logits, t: sigmoid(logits / t),
+        metrics=_map_metrics,
+        columns=("val_map",),
+        bank=lambda probs, targets, source: pacing.build_bank_multilabel(probs, targets, source=source),
+        arch="mlp",
+    ),
+    "segmentation": SimpleNamespace(
+        loss_kind="masked_pixel_ce",
+        loss=lambda logits, targets, mask: losses._masked_pixel_ce(logits, targets, mask),
+        soft_targets=_segmentation_targets,
+        probs=lambda logits, t: apply_temperature(logits, t),
+        metrics=_iou_metrics,
+        columns=("val_miou", "val_mdice"),
+        bank=lambda probs, targets, source: pacing.build_bank_segmentation(probs, targets, source=source),
+        arch="tiny_fcn",
+    ),
+}
 
 
 def evaluate(cfg: TrainConfig, params: np.ndarray, inputs, targets, num_classes: int) -> dict[str, float]:
-    """Validation metrics on raw (unsmoothed, unpaced) data."""
+    """Validation metrics on raw (unsmoothed, unpaced) data, by column name."""
     logits = models.forward(cfg.model, params, np.asarray(inputs, dtype=np.float64))
-    return logit_metrics(cfg.task, logits, targets, num_classes)[0]
+    task = TASKS[cfg.task]
+    return dict(zip(task.columns, task.metrics(logits, targets, num_classes)[0]))
 
 
 def train(
@@ -272,7 +312,8 @@ def train(
     grad = np.empty_like(params)
     tensors, grads = models.unpack(cfg.model, params), models.unpack(cfg.model, grad)
     opt = _Optimizer(cfg, params.size)
-    spec, loss_kind = cfg.model, _loss_kind(cfg.task)
+    spec, task = cfg.model, TASKS[cfg.task]
+    loss = task.loss
     # derive_seed(seed, "shuffle", epoch), with the shared prefix folded once
     shuffle_key = derive_seed(cfg.seed, "shuffle")
 
@@ -294,23 +335,21 @@ def train(
         # the epoch's inputs, targets and masks in shuffle order, checked
         # once: each batch is a slice of them
         masks = active[shuffled].astype(np.float64) if pixel else None
-        soft = _soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
+        soft = task.soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
         # np.take copies whole rows faster than fancy indexing, same bytes
         xs = np.take(train_inputs, shuffled, axis=0)
-        xs, soft, masks = models.check_batch(spec, xs, soft, loss_kind, masks)
+        xs, soft, masks = models.check_batch(spec, xs, soft, task.loss_kind, masks)
 
         total_loss = 0.0
         size, batch_size = len(shuffled), cfg.batch_size
         for batch, start in enumerate(range(0, size, batch_size)):
             stop = min(start + batch_size, size)
             mask = masks[start:stop] if masks is not None else None
-            loss = models.loss_and_grad_into(
-                spec, tensors, grads, xs[start:stop], soft[start:stop], loss_kind, mask
-            )
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch, batch, loss)
+            value = models.loss_and_grad_into(spec, tensors, grads, xs[start:stop], soft[start:stop], loss, mask)
+            if not math.isfinite(value):
+                raise NonFiniteLoss(epoch, batch, value)
             opt.step(params, grad, lr)
-            total_loss += loss * (stop - start)
+            total_loss += value * (stop - start)
         # the next epoch builds its own arrays: hold one epoch's at a time
         del xs, soft, masks, mask
         if not np.isfinite(params).all():
@@ -345,14 +384,8 @@ def score_training_set(
         "ts": "temperature_scaled",
         "ls": "label_smoothed",
     }[variant]
-    if task == "multiclass":
-        probs = apply_temperature(logits, temperature)
-        return pacing.build_bank_multiclass(probs, targets, source=source)
-    if task == "multilabel":
-        probs = sigmoid(logits / temperature)
-        return pacing.build_bank_multilabel(probs, np.asarray(targets, dtype=bool), source=source)
-    probs = apply_temperature(logits, temperature)
-    return pacing.build_bank_segmentation(probs, targets, source=source)
+    entry = TASKS[task]
+    return entry.bank(entry.probs(logits, temperature), targets, source)
 
 
 def score_pixel_bank(
@@ -376,17 +409,11 @@ def score_pixel_bank(
     return bank
 
 
-METRIC_COLUMNS = {
-    "multiclass": ["val_accuracy"],
-    "multilabel": ["val_map"],
-    "segmentation": ["val_miou", "val_mdice"],
-}
-
-
 def records_to_csv(task: str, records: list[EpochRecord]) -> tuple[list[str], list[list[str]]]:
     """Metrics-log rows; float cells use shortest round-trip formatting so a
     replayed run produces a byte-identical file."""
-    header = ["epoch", "active_count", "eps", "sigma", "train_loss"] + METRIC_COLUMNS[task]
+    columns = TASKS[task].columns
+    header = ["epoch", "active_count", "eps", "sigma", "train_loss", *columns]
     rows = []
     for r in records:
         row = [
@@ -396,6 +423,6 @@ def records_to_csv(task: str, records: list[EpochRecord]) -> tuple[list[str], li
             "" if r.sigma is None else format_float(r.sigma),
             format_float(r.train_loss),
         ]
-        row += [format_float(r.val_metrics[m]) for m in METRIC_COLUMNS[task]]
+        row += [format_float(r.val_metrics[m]) for m in columns]
         rows.append(row)
     return header, rows

@@ -368,7 +368,7 @@ def _ref_batch_targets(cfg, targets, k, eps, sigma):
 def _ref_loss(task, logits, targets, mask):
     """(loss, dlogits) with softmax and log_softmax each taking their own exp."""
     if task == "multilabel":
-        return losses.soft_bce(logits, targets)
+        return losses._soft_bce(logits, targets)
     if task == "multiclass":
         n = max(1, int(np.prod(logits.shape[:-1])))
         loss = float(-(targets * log_softmax(logits, axis=-1)).sum() / n)
@@ -381,6 +381,26 @@ def _ref_loss(task, logits, targets, mask):
     per_pixel = -(targets * log_softmax(logits, axis=-1)).sum(axis=-1)
     loss = float((per_pixel * mask).sum() / count)
     return loss, (softmax(logits, axis=-1) - targets) * mask[..., None] / count
+
+
+def task_loss(task, logits, targets, mask=None):
+    """(mean loss, dL/dlogits) of ``task``'s loss in the trainer's task
+    table, after ``losses.check`` of its inputs."""
+    entry = trainer.TASKS[task]
+    logits = np.asarray(logits, dtype=np.float64)
+    targets, mask = losses.check(entry.loss_kind, logits.shape, targets, mask)
+    return entry.loss(logits, targets, mask)
+
+
+def checked_step(spec, params, x, targets, task, mask=None):
+    """(mean loss, flat gradient) of the trainer's step on one batch:
+    ``models.check_batch`` with ``task``'s loss kind, then
+    ``models.loss_and_grad_into`` with its loss, into a new gradient."""
+    entry = trainer.TASKS[task]
+    x, targets, mask = models.check_batch(spec, x, targets, entry.loss_kind, mask)
+    grad = np.empty(spec.param_count())
+    tensors, grads = models.unpack(spec, params), models.unpack(spec, grad)
+    return models.loss_and_grad_into(spec, tensors, grads, x, targets, entry.loss, mask), grad
 
 
 def _ref_pad(x, c):

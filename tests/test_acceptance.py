@@ -14,9 +14,8 @@ from pcbls.calibration import apply_temperature, ece, fit_temperature, nll
 from pcbls.corruption import KINDS, SEVERITY_TABLE, _kind_seed, corrupt_batch, corrupt_dataset, robustness_report
 from pcbls.datasets import CIFAR_RECORD, gen_blobs, load_cifar10
 from pcbls.fileio import FormatError, save_csv
-from pcbls.losses import soft_ce
 from pcbls.metrics import accuracy
-from pcbls.models import ModelSpec, forward, loss, loss_and_grad
+from pcbls.models import ModelSpec, forward
 from pcbls.numerics import softmax
 from pcbls.pacing import PacePlan, active_count, build_bank_multiclass, pace_parameter
 from pcbls.schedules import SmoothingSchedule
@@ -24,7 +23,15 @@ from pcbls.seeding import fold_seed
 from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
 from pcbls.trainer import TrainConfig, records_to_csv, train
 
-from conftest import fd_gradient, grad_rel_error, record_epoch_ids, ref_conv2d_replicate, ref_gaussian_kernel
+from conftest import (
+    checked_step,
+    fd_gradient,
+    grad_rel_error,
+    record_epoch_ids,
+    ref_conv2d_replicate,
+    ref_gaussian_kernel,
+    task_loss,
+)
 
 
 def _report(n, text):
@@ -94,13 +101,14 @@ def test_criterion_03_gradient_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
 
-    def check(spec, make_batch, loss_kind, points):
+    # the trainer's own step, differentiated by its own loss values
+    def check(spec, make_batch, task, points):
         for _ in range(points):
             params = rng.normal(scale=0.5, size=spec.param_count())
             x, targets, mask = make_batch()
-            _, grad = loss_and_grad(spec, params, x, targets, loss_kind, mask=mask)
+            _, grad = checked_step(spec, params, x, targets, task, mask=mask)
             fd = fd_gradient(
-                lambda p: loss(spec, p, x, targets, loss_kind, mask=mask),
+                lambda p: checked_step(spec, p, x, targets, task, mask=mask)[0],
                 params,
                 h=1e-5,
             )
@@ -129,11 +137,11 @@ def test_criterion_03_gradient_suite():
         mask = np.ones((1, 5, 5)) if flip[0] else (rng.uniform(size=(1, 5, 5)) > 0.4).astype(float)
         return x, targets, mask
 
-    check(lin, ce_batch, "soft_ce", 100)
-    check(mlp, ce_batch, "soft_ce", 100)
-    check(lin, bce_batch, "soft_bce", 100)
-    check(mlp, bce_batch, "soft_bce", 100)
-    check(fcn, pixel_batch, "masked_pixel_ce", 100)
+    check(lin, ce_batch, "multiclass", 100)
+    check(mlp, ce_batch, "multiclass", 100)
+    check(lin, bce_batch, "multilabel", 100)
+    check(mlp, bce_batch, "multilabel", 100)
+    check(fcn, pixel_batch, "segmentation", 100)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(3, f"analytic vs central-difference gradients < 1e-4 rel on 100 points per combo ({elapsed:.1f}s)")
@@ -146,11 +154,11 @@ def test_criterion_04_uls_decomposition():
         y = int(rng.integers(0, k))
         eps = float(rng.uniform(0.0, 0.999))
         logits = rng.normal(scale=4, size=k)
-        smoothed, _ = soft_ce(logits, uls(y, k, eps))
+        smoothed, _ = task_loss("multiclass", logits, uls(y, k, eps))
         onehot = np.zeros(k)
         onehot[y] = 1.0
-        hard, _ = soft_ce(logits, onehot)
-        uniform, _ = soft_ce(logits, np.full(k, 1.0 / k))
+        hard, _ = task_loss("multiclass", logits, onehot)
+        uniform, _ = task_loss("multiclass", logits, np.full(k, 1.0 / k))
         assert abs(smoothed - ((1 - eps) * hard + eps * uniform)) < 1e-10
     _report(4, "CE(uls target) == (1-eps) CE(one-hot) + eps CE(uniform) to 1e-10 on 1000 cases")
 

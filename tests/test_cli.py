@@ -395,6 +395,28 @@ class TestTrain:
         assert capsys.readouterr().err == "error: preset 'bad': lr must be above 0, got -1.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["schedule", "svls_schedule"])
+    def test_refused_schedule_names_its_layer(self, tmp_path, capsys, monkeypatch, key):
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps({key: {"kind": "exponential", "init": 0.5, "rate": 2}}))
+        out = tmp_path / "run"
+        assert run(["train", "--preset", "segmentation", "--config", cfg, "--data", "shapes", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {key}: exponential schedule needs 0 < rate < 1\n"
+        monkeypatch.setitem(PRESETS, "bad", {key: {"kind": "anti", "init": 0.1, "rate": 0.5}})
+        assert run(["train", "--preset", "bad", "--data", "shapes", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: preset 'bad': {key}: anti schedule needs rate > 1\n"
+        assert not out.exists()
+
+    def test_schedules_from_two_layers_train(self, tmp_path):
+        # the preset gives the ULS schedule and the config file the SVLS one
+        svls = {"kind": "linear", "init": 1.0, "rate": 0.25}
+        cfg = _write_small_config(tmp_path, data=_SHAPES, channels=[2, 2], epochs=2, svls_schedule=svls)
+        out = tmp_path / "run"
+        assert run(["train", "--preset", "segmentation", "--config", cfg, "--seed", 1, "--out", out]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["schedule"] == {"kind": "exponential", "init": 0.6, "rate": 0.9, "floor": 0.0}
+        assert resolved["svls_schedule"] == {**svls, "floor": 0.0}
+
     def test_integral_float_config_value_is_an_integer(self, tmp_path):
         cfg = _write_small_config(tmp_path, epochs=2.0, batch_size=16.0)
         out = tmp_path / "run"
@@ -658,6 +680,26 @@ class TestCorruptEvalCalibrateReport:
         assert run(["corrupt", "--config", cfg, "--seed", 2, "--kinds", "pixelate", "--out", b]) == 0
         for f in sorted(Path(a).glob("*.pgm")):
             assert f.read_bytes() == (Path(b) / f.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "spatial", ["defocus_blur", "glass_blur", "motion_blur", "zoom_blur", "pixelate", "jpeg_like"]
+    )
+    def test_corrupt_warns_once_of_spatial_kinds_on_vectors(self, tmp_path, capsys, spatial):
+        cfg = _write_small_config(tmp_path)
+        out = tmp_path / "corr"
+        assert run(["corrupt", "--config", cfg, "--seed", 1, "--kinds", f"fog,{spatial}", "--severities", 1,
+                    "--out", out]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"warning: {spatial} move or mix neighbouring pixels")
+        assert "feature vectors" in err[0] and "fog" not in err[0]
+        assert run(["corrupt", "--config", cfg, "--seed", 1, "--kinds", "fog,brightness", "--severities", 1,
+                    "--out", tmp_path / "pointwise"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_corrupt_does_not_warn_on_images(self, tmp_path, capsys):
+        cfg = _write_small_config(tmp_path, data=_SHAPES)
+        assert run(["corrupt", "--config", cfg, "--seed", 1, "--severities", 1, "--out", tmp_path / "corr"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_rgb_files_equal_per_image_oracle(self, tmp_path):
         corr, ref = tmp_path / "corr", tmp_path / "ref"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbls.corruption import (
+    DOMAINS,
     DRAWING_KINDS,
     KINDS,
     SEVERITY_TABLE,
@@ -85,6 +86,23 @@ class TestSeverityTable:
             rngs = [np.random.default_rng(fold_seed(key, i)) for i in range(len(clean))]
             means.append(np.abs(corrupt_batch(clean, kind, params, rngs) - clean).mean())
         assert all(a <= b for a, b in zip(means, means[1:])), means
+
+
+class TestDomains:
+    def test_spatial_kinds(self):
+        spatial = {kind for kind, domain in DOMAINS.items() if domain == "spatial"}
+        assert spatial == {"defocus_blur", "glass_blur", "motion_blur", "zoom_blur", "pixelate", "jpeg_like"}
+        assert set(DOMAINS.values()) == {"pointwise", "spatial"}
+
+    @pytest.mark.parametrize("kind", sorted(set(KINDS) - DRAWING_KINDS))
+    def test_a_drawless_kind_commutes_with_a_pixel_permutation_when_pointwise(self, rng, kind):
+        img = rng.uniform(size=(1, 16, 16, 1))
+        perm = rng.permutation(16 * 16)
+        shuffled = img.reshape(1, -1, 1)[:, perm].reshape(img.shape)
+        params = SEVERITY_TABLE[kind][2]
+        out = corrupt_batch(img, kind, params, [None]).reshape(1, -1, 1)[:, perm].reshape(img.shape)
+        commutes = np.allclose(out, corrupt_batch(shuffled, kind, params, [None]), atol=1e-12)
+        assert commutes == (DOMAINS[kind] == "pointwise")
 
 
 class TestCorrupt:

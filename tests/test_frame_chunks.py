@@ -64,7 +64,7 @@ def test_forward_equals_one_whole_stack_pass(h, w, n):
 def test_segmentation_targets_equal_one_whole_stack_build(h, w, n, eps, sigma):
     _, labels = _batch(n, h, w)
     cfg = trainer.TrainConfig("segmentation", FCN, 1)
-    got = trainer._soft_targets(cfg, labels, K, eps, sigma)
+    got = trainer.TASKS["segmentation"].soft_targets(cfg, labels, K, eps, sigma)
     want = soft_labels.segmentation_targets(labels, K, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
@@ -124,7 +124,7 @@ def test_temporaries_do_not_grow_with_the_frame_count(stage):
         x, labels = _batch(n, 32, 32)
         if stage == "forward":
             return _temporaries(lambda: models.forward(FCN, params, x))
-        return _temporaries(lambda: trainer._soft_targets(cfg, labels, K, 0.1, 1.0))
+        return _temporaries(lambda: trainer.TASKS["segmentation"].soft_targets(cfg, labels, K, 0.1, 1.0))
 
     one, four = temporaries(c), temporaries(4 * c)
     assert four <= 1.25 * one, f"{four} bytes on {4 * c} frames against {one} on {c}"

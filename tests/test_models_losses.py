@@ -3,14 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from pcbls.losses import masked_pixel_ce, soft_bce, soft_ce
 from pcbls import losses, models
-from pcbls.models import ModelSpec, forward, init_params, loss, loss_and_grad, pack, unpack
+from pcbls.models import ModelSpec, forward, init_params, pack, unpack
 from pcbls.numerics import softmax
 from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
 
 from conftest import (
     _ref_loss,
+    checked_step,
     fd_gradient,
     grad_rel_error,
     ref_backward,
@@ -19,6 +19,7 @@ from conftest import (
     ref_fcn_conv_backward,
     ref_fcn_conv_forward,
     ref_forward,
+    task_loss,
 )
 
 
@@ -82,14 +83,14 @@ class TestForward:
 
 class TestSoftCe:
     def test_uniform_symmetric(self):
-        loss, _ = soft_ce(np.zeros(4), np.full(4, 0.25))
+        loss, _ = task_loss("multiclass", np.zeros(4), np.full(4, 0.25))
         assert loss == pytest.approx(np.log(4), abs=1e-12)
 
     def test_one_hot_is_plain_ce(self, rng):
         logits = rng.normal(size=5)
         target = np.zeros(5)
         target[2] = 1.0
-        loss, grad = soft_ce(logits, target)
+        loss, grad = task_loss("multiclass", logits, target)
         p = softmax(logits)
         assert loss == pytest.approx(-np.log(p[2]), abs=1e-12)
         assert np.allclose(grad, p - target, atol=1e-15)
@@ -97,19 +98,19 @@ class TestSoftCe:
     def test_gradient_formula(self, rng):
         logits = rng.normal(size=(3, 4))
         targets = uls_matrix(rng.integers(0, 4, 3), 4, 0.3)
-        _, grad = soft_ce(logits, targets)
+        _, grad = task_loss("multiclass", logits, targets)
         assert np.allclose(grad, (softmax(logits, axis=1) - targets) / 3, atol=1e-15)
 
     def test_logit_gradient_matches_fd(self, rng):
         logits = rng.normal(size=5)
         target = uls(1, 5, 0.4)
-        _, grad = soft_ce(logits, target)
-        fd = fd_gradient(lambda z: soft_ce(z, target)[0], logits.copy())
+        _, grad = task_loss("multiclass", logits, target)
+        fd = fd_gradient(lambda z: task_loss("multiclass", z, target)[0], logits.copy())
         assert grad_rel_error(grad, fd) < 1e-6
 
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
-            soft_ce(np.zeros(3), np.array([0.5, 0.2, 0.1]))
+            losses.check("soft_ce", (3,), np.array([0.5, 0.2, 0.1]))
 
     def test_uls_decomposition_identity(self, rng):
         # CE against a smoothed target splits into (1-eps) CE(one-hot) + eps CE(uniform)
@@ -118,11 +119,11 @@ class TestSoftCe:
             y = int(rng.integers(0, k))
             eps = float(rng.uniform(0, 0.999))
             logits = rng.normal(scale=3, size=k)
-            smoothed, _ = soft_ce(logits, uls(y, k, eps))
+            smoothed, _ = task_loss("multiclass", logits, uls(y, k, eps))
             onehot = np.zeros(k)
             onehot[y] = 1.0
-            hard, _ = soft_ce(logits, onehot)
-            uniform, _ = soft_ce(logits, np.full(k, 1.0 / k))
+            hard, _ = task_loss("multiclass", logits, onehot)
+            uniform, _ = task_loss("multiclass", logits, np.full(k, 1.0 / k))
             assert smoothed == pytest.approx((1 - eps) * hard + eps * uniform, abs=1e-10)
 
     def test_gibbs_inequality(self, rng):
@@ -130,12 +131,12 @@ class TestSoftCe:
             k = int(rng.integers(2, 6))
             target = rng.dirichlet(np.ones(k))
             logits = rng.normal(size=k)
-            loss, _ = soft_ce(logits, target)
+            loss, _ = task_loss("multiclass", logits, target)
             entropy = -(target * np.log(target)).sum()
             assert loss >= entropy - 1e-12
         # equality at the constructed point softmax(logits) == target
         target = np.array([0.5, 0.3, 0.2])
-        loss, _ = soft_ce(np.log(target), target)
+        loss, _ = task_loss("multiclass", np.log(target), target)
         entropy = -(target * np.log(target)).sum()
         assert loss == pytest.approx(entropy, abs=1e-12)
 
@@ -143,8 +144,8 @@ class TestSoftCe:
         logits = rng.normal(size=6)
         target = rng.dirichlet(np.ones(6))
         perm = rng.permutation(6)
-        a, ga = soft_ce(logits, target)
-        b, gb = soft_ce(logits[perm], target[perm])
+        a, ga = task_loss("multiclass", logits, target)
+        b, gb = task_loss("multiclass", logits[perm], target[perm])
         assert a == pytest.approx(b, abs=1e-12)
         assert np.allclose(ga[perm], gb, atol=1e-15)
 
@@ -155,8 +156,8 @@ class TestMaskedPixelCe:
         targets = np.stack(
             [segmentation_targets(rng.integers(0, 4, (3, 3)), 4, epsilon=0.2) for _ in range(2)]
         )
-        loss, grad = masked_pixel_ce(logits, targets, np.ones((2, 3, 3)))
-        want, wgrad = soft_ce(logits.reshape(-1, 4), targets.reshape(-1, 4))
+        loss, grad = task_loss("segmentation", logits, targets, np.ones((2, 3, 3)))
+        want, wgrad = task_loss("multiclass", logits.reshape(-1, 4), targets.reshape(-1, 4))
         assert loss == pytest.approx(want, abs=1e-12)
         assert np.allclose(grad.reshape(-1, 4), wgrad, atol=1e-15)
 
@@ -168,49 +169,48 @@ class TestMaskedPixelCe:
         targets = np.zeros((1, 1, 2, 2))
         targets[0, 0, 0, 0] = 1.0
         targets[0, 0, 1, 1] = 1.0
-        full, _ = masked_pixel_ce(logits, targets, np.ones((1, 1, 2)))
-        only_right, _ = masked_pixel_ce(logits, targets, np.array([[[1.0, 0.0]]]))
+        full, _ = task_loss("segmentation", logits, targets, np.ones((1, 1, 2)))
+        only_right, _ = task_loss("segmentation", logits, targets, np.array([[[1.0, 0.0]]]))
         assert only_right < full
 
     def test_all_zero_mask_degenerate(self, rng):
         logits = rng.normal(size=(1, 2, 2, 3))
         targets = np.stack([segmentation_targets(rng.integers(0, 3, (2, 2)), 3)])
-        loss, grad = masked_pixel_ce(logits, targets, np.zeros((1, 2, 2)))
+        loss, grad = task_loss("segmentation", logits, targets, np.zeros((1, 2, 2)))
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(logits))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            masked_pixel_ce(np.zeros((1, 2, 2, 3)), np.zeros((1, 2, 2, 3)), np.zeros((2, 2)))
+            losses.check("masked_pixel_ce", (1, 2, 2, 3), np.zeros((1, 2, 2, 3)), np.zeros((2, 2)))
 
     def test_non_binary_mask_rejected(self, rng):
-        logits = rng.normal(size=(1, 2, 2, 3))
         targets = np.stack([segmentation_targets(rng.integers(0, 3, (2, 2)), 3)])
         with pytest.raises(ValueError):
-            masked_pixel_ce(logits, targets, np.full((1, 2, 2), 0.5))
+            losses.check("masked_pixel_ce", (1, 2, 2, 3), targets, np.full((1, 2, 2), 0.5))
 
 
 class TestSoftBce:
     def test_stationary_at_matching_target(self):
         z = np.array([0.3, -1.2, 2.0])
         t = 1.0 / (1.0 + np.exp(-z))
-        _, grad = soft_bce(z, t)
+        _, grad = task_loss("multilabel", z, t)
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_ln2_at_zero_logit(self):
-        loss, _ = soft_bce(np.array([0.0]), np.array([1.0]))
+        loss, _ = task_loss("multilabel", np.array([0.0]), np.array([1.0]))
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
     def test_gradient_matches_fd(self, rng):
         z = rng.normal(size=6)
         t = rng.uniform(size=6)
-        _, grad = soft_bce(z, t)
-        fd = fd_gradient(lambda q: soft_bce(q, t)[0], z.copy())
+        _, grad = task_loss("multilabel", z, t)
+        fd = fd_gradient(lambda q: task_loss("multilabel", q, t)[0], z.copy())
         assert grad_rel_error(grad, fd) < 1e-6
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError):
-            soft_bce(np.zeros(2), np.array([0.5, 1.2]))
+            losses.check("soft_bce", (2,), np.array([0.5, 1.2]))
 
 
 # (N, H, W, Cin, Cout): the three convs of the benchmark's 16x16 shapes
@@ -371,18 +371,6 @@ class TestBackwardInto:
         _, ref_tensors, ref_acts = ref_forward(spec, params, x)
         assert buf.tobytes() == ref_backward(spec, ref_tensors, ref_acts, dlogits).tobytes()
 
-    def test_step_into_views_equals_loss_and_grad(self, rng):
-        spec, params, x = _random_case(rng, "tiny_fcn")
-        targets = np.stack([segmentation_targets(l, 3, epsilon=0.3) for l in rng.integers(0, 3, x.shape[:3])])
-        mask = (rng.uniform(size=x.shape[:3]) > 0.3).astype(np.float64)
-        value, grad = loss_and_grad(spec, params, x, targets, "masked_pixel_ce", mask=mask)
-        buf = np.full(spec.param_count(), np.nan)
-        x, targets, mask = models.check_batch(spec, x, targets, "masked_pixel_ce", mask)
-        got = models.loss_and_grad_into(
-            spec, unpack(spec, params), unpack(spec, buf), x, targets, "masked_pixel_ce", mask
-        )
-        assert got == value and buf.tobytes() == grad.tobytes()
-
     def test_rejects_dlogits_of_another_shape(self, rng):
         spec, params, x = _random_case(rng, "tiny_fcn")
         tensors = unpack(spec, params)
@@ -390,25 +378,6 @@ class TestBackwardInto:
         grads = unpack(spec, np.empty(spec.param_count()))
         with pytest.raises(ValueError, match="dlogits shape"):
             models.backward(spec, tensors, acts, np.zeros(logits.shape[:3] + (4,)), grads)
-
-
-class TestLossOnly:
-    @pytest.mark.parametrize(
-        "arch,loss_kind",
-        [("mlp", "soft_ce"), ("linear_softmax", "soft_bce"), ("tiny_fcn", "masked_pixel_ce")],
-    )
-    def test_loss_equals_loss_and_grad_value(self, rng, arch, loss_kind):
-        spec, params, x = _random_case(rng, arch)
-        mask = None
-        if loss_kind == "soft_ce":
-            targets = uls_matrix(rng.integers(0, 3, len(x)), 3, 0.2)
-        elif loss_kind == "soft_bce":
-            targets = rng.uniform(size=(len(x), 3))
-        else:
-            targets = np.stack([segmentation_targets(l, 3, epsilon=0.3) for l in rng.integers(0, 3, x.shape[:3])])
-            mask = (rng.uniform(size=x.shape[:3]) > 0.3).astype(np.float64)
-        value = loss(spec, params, x, targets, loss_kind, mask=mask)
-        assert value == loss_and_grad(spec, params, x, targets, loss_kind, mask=mask)[0]
 
 
 def _random_case(rng, arch):
@@ -433,8 +402,8 @@ class TestBackwardGradientChecks:
         for _ in range(10):
             spec, params, x = _random_case(rng, arch)
             targets = uls_matrix(rng.integers(0, 3, len(x)), 3, float(rng.uniform(0, 0.9)))
-            _, grad = loss_and_grad(spec, params, x, targets, "soft_ce")
-            fd = fd_gradient(lambda p: loss(spec, p, x, targets, "soft_ce"), params)
+            _, grad = checked_step(spec, params, x, targets, "multiclass")
+            fd = fd_gradient(lambda p: checked_step(spec, p, x, targets, "multiclass")[0], params)
             assert grad_rel_error(grad, fd) < 1e-4
 
     @pytest.mark.parametrize("arch", ["linear_softmax", "mlp"])
@@ -442,8 +411,8 @@ class TestBackwardGradientChecks:
         for _ in range(10):
             spec, params, x = _random_case(rng, arch)
             targets = rng.uniform(size=(len(x), 3))
-            _, grad = loss_and_grad(spec, params, x, targets, "soft_bce")
-            fd = fd_gradient(lambda p: loss(spec, p, x, targets, "soft_bce"), params)
+            _, grad = checked_step(spec, params, x, targets, "multilabel")
+            fd = fd_gradient(lambda p: checked_step(spec, p, x, targets, "multilabel")[0], params)
             assert grad_rel_error(grad, fd) < 1e-4
 
     def test_masked_ce_through_fcn(self, rng):
@@ -454,16 +423,16 @@ class TestBackwardGradientChecks:
                 [segmentation_targets(l, 3, epsilon=0.3, sigma=0.9) for l in labels]
             )
             mask = (rng.uniform(size=x.shape[:3]) > 0.3).astype(np.float64)
-            _, grad = loss_and_grad(spec, params, x, targets, "masked_pixel_ce", mask=mask)
+            _, grad = checked_step(spec, params, x, targets, "segmentation", mask=mask)
             fd = fd_gradient(
-                lambda p: loss(spec, p, x, targets, "masked_pixel_ce", mask=mask),
+                lambda p: checked_step(spec, p, x, targets, "segmentation", mask=mask)[0],
                 params,
             )
             assert grad_rel_error(grad, fd) < 1e-4
 
     def test_loss_kind_validation(self, rng):
         spec, params, x = _random_case(rng, "mlp")
-        with pytest.raises(ValueError):
-            loss_and_grad(spec, params, x, np.ones((3, 3)) / 3, "masked_pixel_ce")
-        with pytest.raises(ValueError):
-            loss_and_grad(spec, params, x, np.ones((3, 3)) / 3, "nope")
+        with pytest.raises(ValueError, match="needs per-pixel logits"):
+            models.check_batch(spec, x, np.ones((3, 3)) / 3, "masked_pixel_ce")
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            models.check_batch(spec, x, np.ones((3, 3)) / 3, "nope")

@@ -2,8 +2,9 @@
 
 The key table, the ``data`` key table and the preset table in README's
 "Config file" section restate ``config._CONFIG``, ``config._DATA`` and
-``config.PRESETS``; a default, a range or a preset changed in one place and
-not the other fails here. The module table may name only functions and
+``config.PRESETS``, and the task table restates ``trainer.TASKS``; a
+default, a range, a preset or a task's choice changed in one place and not
+the other fails here. The module table may name only functions and
 classes its modules hold, and ``pcbls.__all__`` only names that resolve.
 """
 
@@ -13,7 +14,7 @@ import re
 from pathlib import Path
 
 import pcbls
-from pcbls import config
+from pcbls import config, trainer
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -99,3 +100,21 @@ def test_module_table_names_only_what_its_modules_hold():
 
 def test_every_name_in_all_resolves():
     assert [name for name in pcbls.__all__ if not hasattr(pcbls, name)] == []
+
+
+def _spans(cell: str) -> list[str]:
+    """The code spans of a cell; a cell _table unquoted is one."""
+    return re.findall(r"`([^`]*)`", cell) or [cell]
+
+
+def test_task_table_gives_each_tasks_choices():
+    rows = _table(["task", "loss kind", "soft targets", "probabilities at temperature T", "validation metrics",
+                   "sample-bank score", "default `arch`"])
+    assert list(rows) == list(trainer.TASKS)
+    for name, entry in trainer.TASKS.items():
+        loss, targets, probs, metrics, bank, arch = rows[name]
+        assert (loss, arch) == (entry.loss_kind, entry.arch), name
+        assert [c for c in _spans(metrics) if c.startswith("val_")] == list(entry.columns), name
+        # each named function is one the entry's callable looks up
+        for cell, fn in ((targets, entry.soft_targets), (probs, entry.probs), (bank, entry.bank)):
+            assert _spans(cell)[0] in fn.__code__.co_names, (name, cell)

@@ -12,7 +12,7 @@ from pcbls.pacing import PacePlan, active_count, build_bank_multiclass
 from pcbls.schedules import SmoothingSchedule
 from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
-    METRIC_COLUMNS,
+    TASKS,
     NonFiniteLoss,
     NonFiniteParameters,
     TrainConfig,
@@ -519,4 +519,7 @@ class TestPresets:
             resolve_config(SimpleNamespace(preset="nope"))
 
     def test_metric_columns_cover_tasks(self):
-        assert set(METRIC_COLUMNS) == {"multiclass", "multilabel", "segmentation"}
+        columns = {task: entry.columns for task, entry in TASKS.items()}
+        assert columns == {
+            "multiclass": ("val_accuracy",), "multilabel": ("val_map",), "segmentation": ("val_miou", "val_mdice")
+        }
