@@ -97,8 +97,6 @@ def _load_checkpoint_run(cfg: dict, checkpoint: str):
 def cmd_bank(args) -> int:
     cfg = resolve_config(args)
     granularity = cfg["granularity"] or "sample"
-    if granularity not in ("sample", "pixel"):
-        raise ConfigError(f"granularity must be 'sample' or 'pixel', got {granularity!r}")
     (_out_dir if granularity == "pixel" else _out_file)(args.out)
     train_ds, val_ds, spec, params = _load_checkpoint_run(cfg, args.checkpoint)
     temperature = 1.0
@@ -273,7 +271,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-_REPORT_METRICS = ["val_accuracy", "val_map", "val_miou", "val_mdice", "train_loss"]
+_REPORT_METRICS = [*(column for task in trainer.TASKS.values() for column in task.columns), "train_loss"]
 
 
 def cmd_report(args) -> int:
@@ -332,10 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--variant", choices=["plain", "ts", "ls"], default="plain")
-    p.add_argument(
-        "--granularity", choices=["sample", "pixel"],
-        help="sample-bank CSV or pixel-bank dir; default: the config's granularity, else sample",
-    )
+    p.add_argument("--granularity", help="sample (a bank CSV) or pixel (a pixel-bank dir); default: the config's")
 
     p = sub.add_parser("corrupt", help="corrupt a dataset's validation images")
     _add_common(p)

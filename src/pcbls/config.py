@@ -1,9 +1,9 @@
 """The config layer: every config key and preset, and how a run resolves them.
 
 This module declares each key once with its type, its default and, for a
-ranged number, its range (``_CONFIG`` and its nested tables), and the named
-layers (``PRESETS``). It merges preset < config file < flags into one
-checked dict (``resolve_config``), loads the data that dict names
+ranged number or a name, its domain (``_CONFIG`` and its nested tables),
+and the named layers (``PRESETS``). It merges preset < config file < flags
+into one checked dict (``resolve_config``), loads the data that dict names
 (``resolve_dataset``) and builds the run's ``TrainConfig``.
 ``pcbls.cli`` owns argv and the commands; a ``ConfigError`` exits 2 there.
 """
@@ -15,12 +15,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import datasets, fileio, models
+from . import datasets, fileio, models, schedules
 from .fileio import FormatError
 from .pacing import PacePlan
 from .schedules import SmoothingSchedule
 from .seeding import derive_seed
-from .trainer import TASKS, TrainConfig
+from .trainer import OPTIMIZERS, TASKS, TrainConfig, check_schedule
 
 
 class ConfigError(ValueError):
@@ -28,9 +28,10 @@ class ConfigError(ValueError):
 
 
 # Every config key, declared once as key -> (type, default). A type is float
-# (any number), int (an integer, or a float that is integral), str, a _Range
-# of float or int (a number in a domain), [t, t] (a JSON list of two t) or a
-# nested table (a JSON object with its own keys).
+# (any number), int (an integer, or a float that is integral), str, a tuple
+# of the strings a name may be, a _Range of float or int (a number in a
+# domain), [t, t] (a JSON list of two t) or a nested table (a JSON object
+# with its own keys).
 # A key whose default is None may be null. _REQUIRED marks a key that has no
 # default. A _DERIVED key is recomputed by every run from the data, so a
 # value given for it (as a replayed resolved_config.json gives) is dropped.
@@ -73,7 +74,7 @@ _TRAIN = {f.name: f.default for f in fields(TrainConfig)}
 _SMOOTH = {f.name: f.default for f in fields(SmoothingSchedule)}
 
 _SCHEDULE = {
-    "kind": (str, _REQUIRED),
+    "kind": (schedules.KINDS, _REQUIRED),
     "init": (float, _SMOOTH["init"]),
     "rate": (float, _SMOOTH["rate"]),
     "floor": (float, _SMOOTH["floor"]),
@@ -102,13 +103,13 @@ _DATA = {
 }
 
 _CONFIG = {
-    "task": (str, None),  # None: the dataset's task
-    "arch": (str, None),
+    "task": (tuple(TASKS), None),  # None: the dataset's task
+    "arch": (models.ARCHITECTURES, None),
     "hidden": (_POSITIVE, 32),
     "channels": ([_POSITIVE, _POSITIVE], [8, 8]),
     "epochs": (_POSITIVE, 20),
     "batch_size": (_POSITIVE, _TRAIN["batch_size"]),
-    "optimizer": (str, _TRAIN["optimizer"]),
+    "optimizer": (OPTIMIZERS, _TRAIN["optimizer"]),
     "lr": (_Range(float, 0, above=True), _TRAIN["lr"]),
     "momentum": (_Range(float, 0, 1), _TRAIN["momentum"]),
     "weight_decay": (_Range(float, 0), _TRAIN["weight_decay"]),
@@ -118,7 +119,7 @@ _CONFIG = {
     "svls_kernel": (_Range(int, 1, odd=True), _TRAIN["svls_kernel"]),
     "pace": (_PACE, None),
     "bank": (str, None),
-    "granularity": (str, None),  # None: train takes the bank's (see _train_bank), bank builds a sample bank
+    "granularity": (("sample", "pixel"), None),  # None: train takes the bank's (_train_bank), bank a sample
     "data": (_DATA, {"name": "blobs"}),
     "seed": (int, _TRAIN["seed"]),
     "model_dims": (_DERIVED, None),
@@ -164,7 +165,11 @@ def _defaults(table: dict) -> dict:
 def _typed(value, kind, path: str):
     """``value`` as a ``kind`` of the table. Booleans are refused by name (a
     JSON true is a Python int), an int is taken from an integral float, and
-    a _Range refuses a value outside its domain."""
+    a tuple or a _Range refuses a value outside its domain."""
+    if isinstance(kind, tuple):
+        if _typed(value, str, path) not in kind:
+            raise ConfigError(f"{path} must be one of {', '.join(kind)}, got {value!r}")
+        return value
     if isinstance(kind, _Range):
         value = _typed(value, kind.kind, path)
         if kind.kind is float and not math.isfinite(value):
@@ -251,10 +256,10 @@ def resolve_config(args) -> dict:
     names its dataset wins where it sets the same field."""
     cfg = _defaults(_CONFIG)
     nameless = {}  # data fields whose last layer named no dataset
-    schedule_layers = {}  # the layer that set each schedule key last
+    set_by = {}  # the layer that set each schedule key and epochs last
 
     def merge(layer: dict, source: str) -> None:
-        schedule_layers.update((key, source) for key in ("schedule", "svls_schedule") if key in layer)
+        set_by.update((key, source) for key in ("schedule", "svls_schedule", "epochs") if key in layer)
         data = layer.get("data")
         if isinstance(data, dict):
             if "name" in data:
@@ -293,17 +298,21 @@ def resolve_config(args) -> dict:
         pace = {**pace, "e_all": e_all}
     flags["pace"] = pace
     merge({key: value for key, value in flags.items() if value is not None}, "flags")
-    # a schedule object replaces the one below it, so one layer gave all of it
-    for key, source in schedule_layers.items():
+    # one layer gave each schedule whole; the epochs it is checked over may be another's
+    for key in ("schedule", "svls_schedule"):
+        source = set_by.get(key)
         with _layer(source):
-            _schedule(cfg, key)
+            schedule = _schedule(cfg, key)
+            try:
+                check_schedule(key, schedule, cfg["epochs"])
+            except ValueError as e:
+                by = set_by.get("epochs", source)
+                raise ConfigError(e if by == source else f"{e} (epochs {cfg['epochs']} from {by})") from None
     # the data fields are checked against the dataset named last: a --data of
     # another dataset replaces the fields given with a dataset name
     data = {**cfg["data"], **nameless}
     with _layer(getattr(args, "config", None) or "flags"):
-        name = _typed(data["name"], str, "data.name")
-        if name not in _DATA:
-            raise ConfigError(f"unknown data source {name!r}")
+        name = _typed(data["name"], tuple(_DATA), "data.name")
         cfg["data"] = {}
         _merge(cfg["data"], data, {"name": (str, _REQUIRED), **_DATA[name]}, "data.")
     return cfg

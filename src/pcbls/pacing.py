@@ -1,11 +1,12 @@
 """Confidence-paced sample/pixel introduction.
 
 A frozen baseline model scores every training sample (a SampleBank, sorted
-easy-to-hard) or pixel (an (N,H,W) pixel bank). One rule paces both: each
-epoch trains on the active_count(plan, epoch) units ranked most confident,
-where the initial fraction lambda grows by mu = (1-lambda)/(e_all*epochs)
-per epoch until the epoch fraction e_all is reached, after which everything
-is active. Units are only ever added.
+easy-to-hard; a segmentation frame by the foreground mean of its pixels'
+scores, one reduction over the whole stack) or pixel (an (N,H,W) pixel
+bank). One rule paces both: each epoch trains on the active_count(plan,
+epoch) units ranked most confident, where the initial fraction lambda grows
+by mu = (1-lambda)/(e_all*epochs) per epoch until the epoch fraction e_all
+is reached, after which everything is active. Units are only ever added.
 """
 
 from __future__ import annotations
@@ -139,40 +140,28 @@ def build_bank_multilabel(
     return _sorted_bank(np.arange(len(scores)), scores, source)
 
 
-def build_bank_segmentation(
-    probmaps: np.ndarray,
-    labelmaps: np.ndarray,
-    background: int = 0,
-    source: str = "plain",
-) -> SampleBank:
-    """Score frames by mean true-class probability over foreground pixels.
+def build_bank_segmentation(true_probs: np.ndarray, labelmaps: np.ndarray, source: str = "plain") -> SampleBank:
+    """Score frames by mean true-class probability over foreground (nonzero) pixels.
 
-    Frames without any foreground pixel carry no learning value for the
-    foreground classes and score exactly 0.
+    ``true_probs`` is each pixel's true-class probability, (N,H,W) as
+    build_pixel_bank gathers it. Frames without any foreground pixel carry no
+    learning value for the foreground classes and score exactly 0.
     """
-    if len(probmaps) != len(labelmaps):
-        raise ValueError("probmaps and labelmaps length mismatch")
-    scores = np.zeros(len(probmaps))
-    for i, (pm, lm) in enumerate(zip(probmaps, labelmaps)):
-        pm = np.asarray(pm, dtype=np.float64)
-        lm = np.asarray(lm)
-        if pm.shape[:2] != lm.shape:
-            raise ValueError(f"frame {i}: prob map {pm.shape} vs label map {lm.shape}")
-        fg = lm != background
-        if not fg.any():
-            continue
-        true_prob = np.take_along_axis(pm, lm[:, :, None], axis=2)[:, :, 0]
-        scores[i] = true_prob[fg].mean()
+    true_probs = np.asarray(true_probs, dtype=np.float64)
+    fg = np.asarray(labelmaps) != 0
+    if fg.ndim != 3 or true_probs.shape != fg.shape:
+        raise ValueError(f"true-class maps {true_probs.shape} vs label maps {fg.shape}")
+    scores = true_probs.sum(axis=(1, 2), where=fg) / np.maximum(fg.sum(axis=(1, 2)), 1)
     return _sorted_bank(np.arange(len(scores)), scores, source)
 
 
 def build_pixel_bank(probmaps: np.ndarray, labelmaps: np.ndarray) -> np.ndarray:
-    """Per-pixel true-class probabilities: (N,H,W,K) and (N,H,W) -> (N,H,W) float32."""
+    """Per-pixel true-class probabilities: (N,H,W,K) and (N,H,W) -> (N,H,W) float64."""
     probmaps = np.asarray(probmaps, dtype=np.float64)
     labelmaps = np.asarray(labelmaps)
     if labelmaps.ndim != 3 or probmaps.shape[:-1] != labelmaps.shape:
         raise ValueError(f"prob maps {probmaps.shape} vs label maps {labelmaps.shape}")
-    return np.take_along_axis(probmaps, labelmaps[..., None], axis=-1)[..., 0].astype(np.float32)
+    return np.take_along_axis(probmaps, labelmaps[..., None], axis=-1)[..., 0]
 
 
 def ranks(bank: SampleBank | np.ndarray) -> np.ndarray:

@@ -22,13 +22,14 @@ finite loss) stop it with NonFiniteParameters, naming the epoch.
 
 Whole-set image passes run in frame chunks (``numerics.frame_chunks``: as
 many whole frames as fit in 4 096 pixels, at least one), each chunk written
-into one preallocated output: the per-epoch validation forward and the
-pixel bank's forward (``models.forward`` chunks tiny_fcn), each epoch's
-segmentation soft targets, and the pixel bank's softmax and gather. Every
-frame is computed on its own, so the bytes do not depend on the chunk.
-Class and multi-label targets and the dense models stay one call: their
-rows are a few floats a sample, and a dense GEMM's last bits can depend on
-its row count (see ``models``).
+into one preallocated output: the validation and bank forwards
+(``models.forward`` chunks tiny_fcn), each epoch's segmentation soft
+targets, and both segmentation banks' one scoring pass, the softmax and
+gather of each pixel's true-class probability (``_true_class_probs``).
+Every frame is computed on its own, so the bytes do not depend on the chunk.
+Class and multi-label targets and the dense models stay one call: their rows
+are a few floats a sample, and a dense GEMM's last bits can depend on its
+row count (see ``models``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .calibration import apply_temperature
 from .fileio import format_float
 from .metrics import accuracy, iou_dice, mean_average_precision
 from .models import ModelSpec
-from .numerics import frame_chunks, sigmoid, softmax
+from .numerics import frame_chunks, sigmoid
 from .pacing import PacePlan, SampleBank
 from .schedules import SmoothingSchedule
 from .seeding import derive_seed, fold_seed
@@ -81,17 +82,22 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.svls_schedule is not None and self.task != "segmentation":
             raise ValueError("a spatial smoothing schedule requires the segmentation task")
-        # at every epoch, the ULS factor must lie in [0, 1) and the SVLS sigma be at least 0
-        for epoch in range(self.epochs):
-            eps = self.uls_schedule.value_at(epoch) if self.uls_schedule else 0.0
-            if not 0.0 <= eps < 1.0:
-                raise ValueError(f"schedule: smoothing factor {eps!r} at epoch {epoch} is outside [0, 1)")
-            sigma = self.svls_schedule.value_at(epoch) if self.svls_schedule else 0.0
-            if not sigma >= 0.0:
-                raise ValueError(f"svls_schedule: sigma {sigma!r} at epoch {epoch} is below 0")
+        check_schedule("schedule", self.uls_schedule, self.epochs)
+        check_schedule("svls_schedule", self.svls_schedule, self.epochs)
 
     def decay_epoch(self) -> int:
         return int(0.75 * self.epochs)
+
+
+def check_schedule(key: str, schedule: SmoothingSchedule | None, epochs: int) -> None:
+    """Refuse, naming its config ``key``, a schedule that leaves its domain in
+    ``epochs`` epochs: [0, 1) for the ULS factor, at least 0 for the SVLS sigma."""
+    for epoch in range(epochs if schedule is not None else 0):
+        value = schedule.value_at(epoch)
+        if key == "schedule" and not 0.0 <= value < 1.0:
+            raise ValueError(f"schedule: smoothing factor {value!r} at epoch {epoch} is outside [0, 1)")
+        if key == "svls_schedule" and not value >= 0.0:
+            raise ValueError(f"svls_schedule: sigma {value!r} at epoch {epoch} is below 0")
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,20 @@ def _segmentation_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: fl
     return out
 
 
+def _true_class_probs(probs, logits: np.ndarray, targets, dtype) -> np.ndarray:
+    """Each pixel's true-class probability under ``probs``, the task's map at
+    the bank's temperature, cast into one (N,H,W) ``dtype`` array as astype
+    rounds. Map and gather go a frame chunk at a time, so the (N,H,W,K)
+    probabilities never exist at once."""
+    targets = np.asarray(targets)
+    if targets.ndim != 3 or targets.shape != logits.shape[:-1]:
+        raise ValueError(f"prob maps {logits.shape} vs label maps {targets.shape}")
+    out = np.empty(targets.shape, dtype=dtype)
+    for s in frame_chunks(*targets.shape):
+        out[s] = pacing.build_pixel_bank(probs(logits[s]), targets[s])
+    return out
+
+
 def _map_metrics(logits, targets, k):
     """Mean average precision, and the labels with no positive that it skipped."""
     value, skipped = mean_average_precision(sigmoid(logits), targets)
@@ -224,7 +244,7 @@ def _iou_metrics(logits, targets, k):
 #   probs         (logits, temperature) -> probabilities
 #   metrics       (logits, targets, K) -> (values of columns, extra eval rows by name)
 #   columns       its validation metrics as metrics.csv names them
-#   bank          (probs, targets, source) -> its SampleBank
+#   bank          (probs at the bank's temperature, logits, targets, source) -> its SampleBank
 #   arch          its default architecture
 TASKS = {
     "multiclass": SimpleNamespace(
@@ -234,7 +254,7 @@ TASKS = {
         probs=lambda logits, t: apply_temperature(logits, t),
         metrics=lambda logits, targets, k: ((accuracy(logits.argmax(axis=1), targets),), {}),
         columns=("val_accuracy",),
-        bank=lambda probs, targets, source: pacing.build_bank_multiclass(probs, targets, source=source),
+        bank=lambda probs, logits, targets, source: pacing.build_bank_multiclass(probs(logits), targets, source=source),
         arch="mlp",
     ),
     "multilabel": SimpleNamespace(
@@ -244,7 +264,7 @@ TASKS = {
         probs=lambda logits, t: sigmoid(logits / t),
         metrics=_map_metrics,
         columns=("val_map",),
-        bank=lambda probs, targets, source: pacing.build_bank_multilabel(probs, targets, source=source),
+        bank=lambda probs, logits, targets, source: pacing.build_bank_multilabel(probs(logits), targets, source=source),
         arch="mlp",
     ),
     "segmentation": SimpleNamespace(
@@ -254,7 +274,9 @@ TASKS = {
         probs=lambda logits, t: apply_temperature(logits, t),
         metrics=_iou_metrics,
         columns=("val_miou", "val_mdice"),
-        bank=lambda probs, targets, source: pacing.build_bank_segmentation(probs, targets, source=source),
+        bank=lambda probs, logits, targets, source: pacing.build_bank_segmentation(
+            _true_class_probs(probs, logits, targets, np.float64), targets, source=source
+        ),
         arch="tiny_fcn",
     ),
 }
@@ -379,34 +401,18 @@ def score_training_set(
 ) -> SampleBank:
     """Freeze a trained ``task`` model and build its confidence bank."""
     logits = models.forward(spec, params, np.asarray(inputs, dtype=np.float64))
-    source = {
-        "plain": "plain",
-        "ts": "temperature_scaled",
-        "ls": "label_smoothed",
-    }[variant]
+    source = {"plain": "plain", "ts": "temperature_scaled", "ls": "label_smoothed"}[variant]
     entry = TASKS[task]
-    return entry.bank(entry.probs(logits, temperature), targets, source)
+    return entry.bank(lambda z: entry.probs(z, temperature), logits, targets, source)
 
 
-def score_pixel_bank(
-    spec: ModelSpec,
-    params: np.ndarray,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """The frozen model's (N,H,W) pixel bank: each pixel's true-class probability.
-
-    The softmax and the gather run one frame chunk at a time into one
-    float32 bank, so the (N,H,W,K) probabilities never exist at once.
-    """
+def score_pixel_bank(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The frozen model's (N,H,W) float32 pixel bank: each pixel's
+    true-class probability, from the pass a segmentation sample bank
+    scores its frames with."""
     logits = models.forward(spec, params, np.asarray(inputs, dtype=np.float64))
-    targets = np.asarray(targets)
-    if targets.ndim != 3 or targets.shape != logits.shape[:-1]:
-        raise ValueError(f"prob maps {logits.shape} vs label maps {targets.shape}")
-    bank = np.empty(targets.shape, dtype=np.float32)
-    for s in frame_chunks(*targets.shape):
-        bank[s] = pacing.build_pixel_bank(softmax(logits[s], axis=-1), targets[s])
-    return bank
+    probs = TASKS["segmentation"].probs
+    return _true_class_probs(lambda z: probs(z, 1.0), logits, targets, np.float32)
 
 
 def records_to_csv(task: str, records: list[EpochRecord]) -> tuple[list[str], list[list[str]]]:

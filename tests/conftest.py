@@ -323,6 +323,27 @@ def ref_pixel_masks(pixel_bank, plan, epoch):
     return masks
 
 
+def ref_bank_segmentation(probmaps, labelmaps, background=0, source="plain"):
+    """A segmentation sample bank frame by frame: each frame's mean
+    true-class probability over its foreground pixels (0 with none), from
+    its own (H,W,K) probability map, then a stable sort by falling score."""
+    if len(probmaps) != len(labelmaps):
+        raise ValueError("probmaps and labelmaps length mismatch")
+    scores = np.zeros(len(probmaps))
+    for i, (pm, lm) in enumerate(zip(probmaps, labelmaps)):
+        pm = np.asarray(pm, dtype=np.float64)
+        lm = np.asarray(lm)
+        if pm.shape[:2] != lm.shape:
+            raise ValueError(f"frame {i}: prob map {pm.shape} vs label map {lm.shape}")
+        fg = lm != background
+        if not fg.any():
+            continue
+        true_prob = np.take_along_axis(pm, lm[:, :, None], axis=2)[:, :, 0]
+        scores[i] = true_prob[fg].mean()
+    order = np.argsort(-scores, kind="stable")
+    return pacing.SampleBank(sample_ids=np.arange(len(scores))[order], scores=scores[order], source=source)
+
+
 def ref_iou_dice(predicted_maps, gt_maps, num_classes, background=0):
     """Per-frame, per-class intersection and totals, then the IoU/Dice means."""
     if len(predicted_maps) != len(gt_maps):

@@ -14,7 +14,7 @@ from pcbls.metrics import brier
 from pcbls.models import ModelSpec, forward
 from pcbls.pacing import PacePlan
 from pcbls.seeding import derive_seed
-from pcbls.trainer import TrainConfig, train
+from pcbls.trainer import TASKS, TrainConfig, train
 
 from conftest import ref_corrupt_dataset
 
@@ -66,6 +66,7 @@ WRONG_TYPES = [
     ({"svls_schedule": {"kind": "exponential", "init": 0.5, "rate": True}}, "svls_schedule.rate must be a number, got True"),
     ({"pace": {"lambda": 0.5, "e_all": "x"}}, "pace.e_all must be a number, got 'x'"),
     ({"data": {"name": "cifar10", "path": "b.bin", "val_fraction": "x"}}, "data.val_fraction must be a number, got 'x'"),
+    ({"optimizer": 3}, "optimizer must be a string, got 3"),
 ]
 
 # a config value outside its key's range, and the message that names the key
@@ -89,6 +90,10 @@ OUT_OF_RANGE = [
     ({"lr_decay_factor": -1}, "lr_decay_factor must be above 0, got -1.0"),
     ({"lr_decay_factor": 0}, "lr_decay_factor must be above 0, got 0.0"),
     ({"lr_decay_factor": float("nan")}, "lr_decay_factor must be finite, got nan"),
+    ({"optimizer": "rmsprop"}, "optimizer must be one of sgd, adam, got 'rmsprop'"),
+    ({"arch": "resnet"}, "arch must be one of linear_softmax, mlp, tiny_fcn, got 'resnet'"),
+    ({"task": "captioning"}, "task must be one of multiclass, multilabel, segmentation, got 'captioning'"),
+    ({"granularity": "voxel"}, "granularity must be one of sample, pixel, got 'voxel'"),
 ]
 
 # a data field outside the range its generator or loader enforces, and the
@@ -371,8 +376,33 @@ class TestTrain:
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "error: schedule: smoothing factor " in err and message in err
+        assert f"error: {cfg}: schedule: smoothing factor " in err and message in err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("schedule", "schedule: smoothing factor -0.25 at epoch 3 is outside [0, 1)"),
+            ("svls_schedule", "svls_schedule: sigma -0.25 at epoch 3 is below 0"),
+        ],
+        ids=["schedule", "svls_schedule"],
+    )
+    @pytest.mark.parametrize("epochs_from", ["flags", "file"])
+    def test_refused_schedule_names_its_layer_and_that_of_epochs(
+        self, tmp_path, capsys, monkeypatch, key, message, epochs_from
+    ):
+        def generate(*args, **kwargs):
+            raise AssertionError("data generated before the schedule check")
+
+        monkeypatch.setattr("pcbls.datasets.gen_shapes_seg", generate)
+        schedule = {"kind": "linear", "init": 0.5, "rate": 0.25, "floor": -1}
+        cfg = _write_shapes_config(tmp_path, **{key: schedule}, epochs=4 if epochs_from == "file" else 1)
+        flags = ["--epochs", 4] if epochs_from == "flags" else []
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, *flags, "--seed", 1, "--out", out]) == 2
+        given = " (epochs 4 from flags)" if epochs_from == "flags" else ""
+        assert capsys.readouterr().err == f"error: {cfg}: {message}{given}\n"
+        assert not out.exists()
 
     def test_value_at_the_edge_of_its_range_trains(self, tmp_path):
         cfg = _write_small_config(tmp_path, epochs=1, batch_size=1, hidden=1, momentum=0, weight_decay=0)
@@ -775,7 +805,10 @@ class TestCorruptEvalCalibrateReport:
         report = tmp_path / "report.csv"
         assert run(["report", out, "--out", report]) == 0
         header, rows = load_csv(report)
-        assert header[:3] == ["run", "task", "epochs"]
+        # every task's validation columns in table order, then the training loss
+        columns = [c for task in TASKS.values() for c in task.columns]
+        assert header == ["run", "task", "epochs", *columns, "train_loss"]
+        assert columns == ["val_accuracy", "val_map", "val_miou", "val_mdice"]
         assert len(rows) == 1
         row = dict(zip(header, rows[0]))
         assert row["task"] == "multiclass"
@@ -940,7 +973,7 @@ class TestSegmentationChecks:
         cfg = _write_shapes_config(tmp_path, schedule={"kind": "constant", "init": 1.5})
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
-        assert "error: schedule: smoothing factor 1.5 at epoch 0 is outside [0, 1)" in capsys.readouterr().err
+        assert f"error: {cfg}: schedule: smoothing factor 1.5 at epoch 0 is outside [0, 1)" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
@@ -963,7 +996,7 @@ class TestSegmentationChecks:
         out = tmp_path / "run"
         assert run(["train", "--config", cfg, "--seed", 1, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: svls_schedule: sigma ") and message in err
+        assert err.startswith(f"error: {cfg}: svls_schedule: sigma ") and message in err
         assert not out.exists()
 
 
@@ -995,7 +1028,7 @@ class TestBankGranularity:
         assert [int(r[1]) for r in rows] == [r.active_count for r in result.records] == [1024, 2048]
         assert json.loads((out / "resolved_config.json").read_text())["granularity"] == "pixel"
 
-    @pytest.mark.parametrize("given", ["sample", "voxel"])
+    @pytest.mark.parametrize("given", ["sample"])
     def test_granularity_the_pixel_bank_contradicts_is_config_error(self, tmp_path, capsys, given):
         cfg = _write_shapes_config(tmp_path, granularity=given)
         pix = tmp_path / "pixbank"
@@ -1047,7 +1080,7 @@ class TestBankGranularity:
         cfg = _write_shapes_config(tmp_path, granularity="voxel")
         out = tmp_path / "bank"
         assert run(["bank", "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "none.pckpt", "--out", out]) == 2
-        assert "granularity must be 'sample' or 'pixel', got 'voxel'" in capsys.readouterr().err
+        assert f"error: {cfg}: granularity must be one of sample, pixel, got 'voxel'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("data, shape", [("blobs", (1000, 16)), ("multilabel", (600, 16))])

@@ -1,16 +1,21 @@
 """Whole-set image passes in frame chunks: the tiny-FCN forward, the
 segmentation soft targets and the pixel-bank scores equal one whole-stack
-computation byte for byte, and the memory they hold beyond their output
-does not grow with the number of frames."""
+computation byte for byte, the segmentation sample bank equals a per-frame
+oracle, and the memory they hold beyond their output does not grow with
+the number of frames."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcbls import models, pacing, soft_labels, trainer
+from pcbls import fileio, models, pacing, soft_labels, trainer
+from pcbls.calibration import apply_temperature
+from pcbls.datasets import gen_shapes_seg
 from pcbls.models import ModelSpec
 from pcbls.numerics import CHUNK_PIXELS, frame_chunks, softmax
+
+from conftest import ref_bank_segmentation
 
 FCN = ModelSpec("tiny_fcn", (3, 5, 6, 4))
 K = FCN.dims[-1]
@@ -75,18 +80,40 @@ def test_pixel_bank_equals_one_whole_stack_softmax(h, w, n):
     params = models.init_params(FCN, 4)
     x, labels = _batch(n, h, w)
     got = trainer.score_pixel_bank(FCN, params, x, labels)
-    want = pacing.build_pixel_bank(softmax(_whole_logits(FCN, params, x), axis=-1), labels)
+    want = pacing.build_pixel_bank(softmax(_whole_logits(FCN, params, x), axis=-1), labels).astype(np.float32)
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("variant, temperature", [("plain", 1.0), ("ts", 2.5)])
+@pytest.mark.parametrize("h, w, n", CASES)
+def test_sample_bank_equals_the_per_frame_oracle(tmp_path, h, w, n, variant, temperature):
+    params = models.init_params(FCN, 4)
+    x, labels = _batch(n, h, w)
+    labels[0] = 0  # a frame with no foreground
+    got = trainer.score_training_set(FCN, "segmentation", params, x, labels, variant, temperature)
+    probs = apply_temperature(_whole_logits(FCN, params, x), temperature)
+    want = ref_bank_segmentation(probs, labels, source=got.source)
+    assert got.sample_ids.tolist() == want.sample_ids.tolist()
+    # one reduction over the stack sums in another order than each frame alone
+    assert np.abs(got.scores - want.scores).max() <= 4e-16
+    assert got.scores[got.sample_ids == 0].tolist() == [0.0]
+    fileio.save_bank(tmp_path / "got.csv", got)
+    fileio.save_bank(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bank", ["pixel", "sample"])
 @pytest.mark.parametrize("count", [19, 21])
-def test_pixel_bank_refuses_label_maps_of_another_count(count):
+def test_banks_refuse_label_maps_of_another_count(count, bank):
     # the chunks follow the label maps, so fewer of them must not pass as a smaller bank
     params = models.init_params(FCN, 4)
     x, labels = _batch(20, 16, 16)
     labels = np.concatenate([labels, labels])[:count]
     with pytest.raises(ValueError, match=rf"prob maps \(20, 16, 16, 4\) vs label maps \({count}, 16, 16\)"):
-        trainer.score_pixel_bank(FCN, params, x, labels)
+        if bank == "pixel":
+            trainer.score_pixel_bank(FCN, params, x, labels)
+        else:
+            trainer.score_training_set(FCN, "segmentation", params, x, labels)
 
 
 @pytest.mark.parametrize("spec", [ModelSpec("mlp", (32, 16, 8)), ModelSpec("linear_softmax", (32, 8))])
@@ -97,8 +124,8 @@ def test_dense_forward_is_one_call(spec):
     assert models.forward(spec, params, x).tobytes() == _whole_logits(spec, params, x).tobytes()
 
 
-def _temporaries(fn):
-    """Peak bytes traced during fn() beyond the array it returns."""
+def _peak(fn):
+    """fn()'s result, and the peak bytes traced during it beyond those traced before."""
     fn()  # warm-up, so first-call allocations are not counted
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -111,7 +138,13 @@ def _temporaries(fn):
     finally:
         if not tracing:
             tracemalloc.stop()
-    return peak - base - out.nbytes
+    return out, peak - base
+
+
+def _temporaries(fn):
+    """Peak bytes traced during fn() beyond the array it returns."""
+    out, peak = _peak(fn)
+    return peak - out.nbytes
 
 
 @pytest.mark.parametrize("stage", ["forward", "targets"])
@@ -128,3 +161,14 @@ def test_temporaries_do_not_grow_with_the_frame_count(stage):
 
     one, four = temporaries(c), temporaries(4 * c)
     assert four <= 1.25 * one, f"{four} bytes on {4 * c} frames against {one} on {c}"
+
+
+def test_sample_bank_never_holds_the_whole_set_probabilities():
+    # the (N,H,W,K) logits are the one whole-set array of the pass: the
+    # probabilities and the gather go one frame chunk at a time
+    ds = gen_shapes_seg(24, 24, 3, 240, seed=0, split="train")
+    spec = ModelSpec("tiny_fcn", (3, 8, 8, 4))
+    params = models.init_params(spec, 0)
+    logits_nbytes = 240 * 24 * 24 * 4 * 8
+    _, peak = _peak(lambda: trainer.score_training_set(spec, "segmentation", params, ds.inputs, ds.targets))
+    assert peak < 2 * logits_nbytes, f"peak {peak} bytes against {logits_nbytes} bytes of logits"

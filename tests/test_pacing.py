@@ -126,10 +126,10 @@ class TestBankBuilders:
         b = build_bank_multilabel(ml_probs[perm], ml_labels[perm])
         assert sorted(a.scores) == sorted(b.scores)
 
-        seg_probs = [rng.dirichlet(np.ones(3), size=(4, 4)).reshape(4, 4, 3) for _ in range(n)]
-        seg_labels = [rng.integers(0, 3, size=(4, 4)) for _ in range(n)]
+        seg_probs = rng.uniform(size=(n, 4, 4))
+        seg_labels = rng.integers(0, 3, size=(n, 4, 4))
         a = build_bank_segmentation(seg_probs, seg_labels)
-        b = build_bank_segmentation([seg_probs[i] for i in perm], [seg_labels[i] for i in perm])
+        b = build_bank_segmentation(seg_probs[perm], seg_labels[perm])
         assert sorted(a.scores) == sorted(b.scores)
 
     def test_length_mismatch(self):
@@ -154,27 +154,25 @@ class TestBankBuilders:
         assert bank.scores[0] == pytest.approx(0.85)
 
     def test_segmentation_empty_frame_scores_zero(self, rng):
-        probs = rng.dirichlet(np.ones(3), size=(4, 4)).reshape(4, 4, 3)
+        true_probs = rng.uniform(size=(4, 4))
         labels = np.zeros((4, 4), dtype=np.int64)  # all background
-        bank = build_bank_segmentation([probs], [labels])
+        bank = build_bank_segmentation([true_probs], [labels])
         assert bank.scores[0] == 0.0
 
     def test_segmentation_perfect_frame(self):
         labels = np.array([[0, 1], [1, 2]])
-        probs = np.zeros((2, 2, 3))
-        for y in range(2):
-            for x in range(2):
-                probs[y, x, labels[y, x]] = 1.0
-        bank = build_bank_segmentation([probs], [labels])
+        bank = build_bank_segmentation([np.ones((2, 2))], [labels])
         assert bank.scores[0] == 1.0
 
     def test_segmentation_mean_over_foreground(self):
         labels = np.array([[0, 1], [2, 0]])
-        probs = np.full((2, 2, 3), 0.1)
-        probs[0, 1, 1] = 0.4
-        probs[1, 0, 2] = 0.8
-        bank = build_bank_segmentation([probs], [labels])
+        true_probs = np.array([[0.1, 0.4], [0.8, 0.1]])
+        bank = build_bank_segmentation([true_probs], [labels])
         assert bank.scores[0] == pytest.approx(0.6)
+
+    def test_segmentation_rejects_misaligned_maps(self, rng):
+        with pytest.raises(ValueError, match=r"true-class maps \(2, 4, 5\) vs label maps \(2, 5, 4\)"):
+            build_bank_segmentation(rng.uniform(size=(2, 4, 5)), np.zeros((2, 5, 4), dtype=np.int64))
 
     def test_pixel_bank_gather(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(4, 4)).reshape(4, 4, 3)
@@ -182,7 +180,7 @@ class TestBankBuilders:
         maps = build_pixel_bank([probs], [labels])
         for y in range(4):
             for x in range(4):
-                assert maps[0][y, x] == pytest.approx(probs[y, x, labels[y, x]], abs=1e-7)
+                assert maps[0][y, x] == probs[y, x, labels[y, x]]
 
     def test_pixel_bank_uniform_prediction(self):
         probs = np.full((3, 3, 4), 0.25)
@@ -291,9 +289,9 @@ class TestPixelRanks:
         probs = rng.dirichlet(np.ones(3), size=(2, 4, 5))
         labels = rng.integers(0, 3, size=(2, 4, 5))
         bank = build_pixel_bank(probs, labels)
-        assert bank.shape == (2, 4, 5) and bank.dtype == np.float32
+        assert bank.shape == (2, 4, 5) and bank.dtype == np.float64
         for i in range(2):
-            want = np.take_along_axis(probs[i], labels[i][:, :, None], axis=2)[:, :, 0].astype(np.float32)
+            want = np.take_along_axis(probs[i], labels[i][:, :, None], axis=2)[:, :, 0]
             assert np.array_equal(bank[i], want)
 
     def test_pixel_bank_rejects_misaligned_maps(self, rng):

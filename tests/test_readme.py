@@ -40,11 +40,13 @@ def _table(header: list[str]) -> dict[str, list[str]]:
 
 
 def _range(kind) -> str:
-    """The README form of a table type's domain: a _Range's, the one of a
-    list's entries, or empty."""
+    """The README form of a table type's domain: a _Range's, the names of a
+    tuple, the one of a list's entries, or empty."""
     if isinstance(kind, list):
         assert len(set(kind)) == 1, kind  # one cell states the range of every entry
         kind = kind[0]
+    if isinstance(kind, tuple):
+        return f"one of {', '.join(kind)}"
     return str(kind) if isinstance(kind, config._Range) else ""
 
 
