@@ -76,11 +76,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_run(cfg: dict, checkpoint: str):
-    """What bank, eval and calibrate score: the resolved config's (train, val)
-    datasets and the checkpoint's spec and params (missing or malformed:
-    exit 2), checked to fit the validation inputs and classes."""
-    train_ds, val_ds = resolve_dataset(cfg)
+def _load_checkpoint(checkpoint: str, val_ds):
+    """The spec and params that bank, eval and calibrate score with (missing
+    or malformed: exit 2), checked to fit the validation inputs and classes;
+    each command refuses a task it cannot score before this."""
     path = Path(checkpoint)
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
@@ -91,24 +90,25 @@ def _load_checkpoint_run(cfg: dict, checkpoint: str):
         raise ConfigError(f"checkpoint does not fit this dataset: {e}") from e
     if spec.dims[-1] != val_ds.num_classes:
         raise ConfigError(f"checkpoint predicts {spec.dims[-1]} classes but dataset has {val_ds.num_classes}")
-    return train_ds, val_ds, spec, params
+    return spec, params
 
 
 def cmd_bank(args) -> int:
     cfg = resolve_config(args)
     granularity = cfg["granularity"] or "sample"
     (_out_dir if granularity == "pixel" else _out_file)(args.out)
-    train_ds, val_ds, spec, params = _load_checkpoint_run(cfg, args.checkpoint)
+    train_ds, val_ds = resolve_dataset(cfg)
+    if args.variant == "ts" and train_ds.task != "multiclass":
+        raise ConfigError("temperature-scaled banks require the multiclass task")
+    if granularity == "pixel" and train_ds.task != "segmentation":
+        raise ConfigError("pixel banks require the segmentation task")
+    spec, params = _load_checkpoint(args.checkpoint, val_ds)
     temperature = 1.0
     if args.variant == "ts":
-        if train_ds.task != "multiclass":
-            raise ConfigError("temperature-scaled banks require the multiclass task")
         tm = fit_temperature(models.forward(spec, params, val_ds.inputs), val_ds.targets)
         _warn_if_pinned(tm)
         temperature = tm.temperature
     if granularity == "pixel":
-        if train_ds.task != "segmentation":
-            raise ConfigError("pixel banks require the segmentation task")
         maps = trainer.score_pixel_bank(spec, params, train_ds.inputs, train_ds.targets)
         fileio.save_pixel_bank(args.out, maps)
         print(f"wrote pixel bank for {len(maps)} samples to {args.out}")
@@ -192,11 +192,12 @@ def _read_manifest(path: Path, n_val: int) -> tuple[list[tuple[int, str, int, st
 
 def cmd_eval(args) -> int:
     out = _out_file(args.out or "eval.csv")
-    _, val_ds, spec, params = _load_checkpoint_run(resolve_config(args), args.checkpoint)
+    _, val_ds = resolve_dataset(resolve_config(args))
+    if args.manifest and val_ds.task != "multiclass":
+        raise ConfigError("robustness evaluation requires a multiclass dataset")
+    spec, params = _load_checkpoint(args.checkpoint, val_ds)
     logits = models.forward(spec, params, val_ds.inputs)
     if args.manifest:
-        if val_ds.task != "multiclass":
-            raise ConfigError("robustness evaluation requires a multiclass dataset")
         manifest_path = Path(args.manifest)
         if not manifest_path.exists():
             raise ConfigError(f"manifest not found: {manifest_path}")
@@ -235,9 +236,10 @@ def cmd_calibrate(args) -> int:
     if args.bins < 1:
         raise ConfigError(f"--bins must be at least 1, got {args.bins}")
     out_dir = _out_dir(args.out or "calibration")
-    _, val_ds, spec, params = _load_checkpoint_run(resolve_config(args), args.checkpoint)
+    _, val_ds = resolve_dataset(resolve_config(args))
     if val_ds.task != "multiclass":
         raise ConfigError("calibration requires a multiclass dataset")
+    spec, params = _load_checkpoint(args.checkpoint, val_ds)
     logits = models.forward(spec, params, val_ds.inputs)
     tm = fit_temperature(logits, val_ds.targets)
     probs = apply_temperature(logits, 1.0)

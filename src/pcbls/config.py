@@ -42,32 +42,34 @@ _DERIVED = object()
 @dataclass(frozen=True)
 class _Range:
     """A number type of the tables whose values must also be finite and lie
-    in a domain: at least ``lo`` (above it when ``above``), below ``hi`` when
-    one is given, and odd when ``odd``. Its str() is the domain as the errors
-    and README give it."""
+    in a domain: at least ``lo`` (above it when ``above``), below ``hi`` (at
+    most ``hi`` when ``closed``) when one is given, and odd when ``odd``.
+    Its str() is the domain as the errors and README give it."""
 
     kind: type
     lo: float
     hi: float | None = None
     above: bool = False
+    closed: bool = False
     odd: bool = False
 
     def __str__(self) -> str:
         odd = "odd and " if self.odd else ""
         if self.hi is not None:
-            return f"{odd}in {'(' if self.above else '['}{self.lo}, {self.hi})"
+            return f"{odd}in {'(' if self.above else '['}{self.lo}, {self.hi}{']' if self.closed else ')'}"
         return f"{odd}{'above' if self.above else 'at least'} {self.lo}"
 
     def admits(self, value) -> bool:
         return (
             (value > self.lo if self.above else value >= self.lo)
-            and (self.hi is None or value < self.hi)
+            and (self.hi is None or (value <= self.hi if self.closed else value < self.hi))
             and (not self.odd or value % 2 == 1)
         )
 
 
 _POSITIVE = _Range(int, 1)
 _FRACTION = _Range(float, 0, 1, above=True)
+_SHARE = _Range(float, 0, 1, above=True, closed=True)  # a pace plan's fractions, 1 included
 
 # the defaults the tables share with the dataclasses a run is built from
 _TRAIN = {f.name: f.default for f in fields(TrainConfig)}
@@ -83,7 +85,7 @@ _SCHEDULE = {
     "seed": (int, _SMOOTH["seed"]),
 }
 
-_PACE = {"lambda": (float, _REQUIRED), "e_all": (float, 0.4), "epochs": (_DERIVED, None), "n": (_DERIVED, None)}
+_PACE = {"lambda": (_SHARE, _REQUIRED), "e_all": (_SHARE, 0.4), "epochs": (_DERIVED, None), "n": (_DERIVED, None)}
 
 # the fields of each dataset besides its name, by data.name
 _DATA = {

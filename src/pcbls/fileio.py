@@ -18,7 +18,8 @@ threads creating in one directory contend on it. Formats:
   pixel bank   one sidecar per sample: magic PCBL, u32 H, u32 W,
                H*W float32 LE scores; all sidecars of a bank share H and W
   images       binary PPM (P6) for RGB, PGM (P5) for grayscale, maxval 255
-  CSV tables   UTF-8; sample banks, corruption manifests and dataset
+  CSV tables   UTF-8, a cell with a comma, a quote or a line break quoted;
+               sample banks, corruption manifests and dataset
                labels.csv are read through one checked reader, _load_table,
                which numbers a row by the file line it starts on
 """
@@ -26,6 +27,7 @@ threads creating in one directory contend on it. Formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -349,10 +351,13 @@ def load_image(path: str | Path) -> np.ndarray:
 
 
 def save_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """``header`` and ``rows``, each cell as str() gives it, one record a
+    line; a cell that holds a comma, a quote or a line break is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(str, row) for row in rows)
+    atomic_write_text(path, text.getvalue())
 
 
 def _read_csv(path: str | Path) -> tuple[list[list[str]], array]:

@@ -5,11 +5,14 @@ reduced population (samples, pixels, or labels) and dlogits already carries
 the 1/count factor, so chaining through a model's input-gradient gives the
 gradient of the returned scalar directly.
 
-Every loss is a check of its inputs (``check``, by loss kind) followed by
-a core that only does the arithmetic: ``_soft_ce``, ``_soft_bce`` and
-``_masked_pixel_ce``. The trainer's task table (``trainer.TASKS``) names
-each task's kind and core; a trainer checks a whole epoch of targets once
-and runs the core on slices of it.
+Every loss is a public check (``check_soft_ce``, ``check_soft_bce``,
+``check_masked_pixel_ce``: its inputs as float64 arrays for logits of
+``shape``, after every check the loss makes of them) and a private core
+that only does the arithmetic (``_soft_ce``, ``_soft_bce``,
+``_masked_pixel_ce``). The trainer's task table (``trainer.TASKS``) names
+each task's check and core. A check holds row by row (or pixel by pixel),
+so a trainer checks a whole epoch of targets once and runs the core on
+slices of it.
 
 The pixel loss takes its per-pixel max, softmax sum and target-weighted
 sum one class column at a time, K-1 elementwise calls over (N,H,W)
@@ -30,41 +33,44 @@ import numpy as np
 
 from .numerics import sigmoid, softmax_log_softmax
 
-KINDS = ("soft_ce", "soft_bce", "masked_pixel_ce")
 _TARGET_TOL = 1e-6
 
 
-def check(
-    loss_kind: str, shape: tuple[int, ...], targets: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``targets`` (and, for masked_pixel_ce, ``mask``) as float64 arrays,
-    after every check loss ``loss_kind`` makes of them for logits of ``shape``.
-
-    The predicates hold row by row (or pixel by pixel), so a check of a
-    stack covers every slice of it.
-    """
-    if loss_kind not in KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+def _targets(shape: tuple[int, ...], targets: np.ndarray) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.float64)
     if tuple(shape) != targets.shape:
         raise ValueError(f"shape mismatch: {tuple(shape)} vs {targets.shape}")
-    # fmin/fmax skip NaN as the elementwise comparisons do, and the initial
-    # value makes an empty array pass as before
-    if loss_kind == "soft_ce":
-        # a tolerance test needs no pairwise order: one matrix-vector
-        # product gives the row sums several times faster than sum(axis=-1)
-        deviation = np.abs(targets @ np.ones(targets.shape[-1]) - 1.0)
-        if (
-            np.fmax.reduce(deviation, axis=None, initial=0.0) > _TARGET_TOL
-            or np.fmin.reduce(targets, axis=None, initial=0.0) < -1e-12
-        ):
-            raise ValueError("targets must be distributions over the last axis")
-        return targets, None
-    if loss_kind == "soft_bce":
-        if np.fmin.reduce(targets, axis=None, initial=0.0) < 0.0 or np.fmax.reduce(targets, axis=None, initial=1.0) > 1.0:
-            raise ValueError("targets must lie in [0, 1]")
-        return targets, None
-    mask = np.asarray(mask, dtype=np.float64)
+    return targets
+
+
+# fmin/fmax skip NaN as the elementwise comparisons do, and the initial
+# value makes an empty array pass
+def check_soft_ce(shape: tuple[int, ...], targets: np.ndarray) -> np.ndarray:
+    """Distributions over the last axis."""
+    targets = _targets(shape, targets)
+    # a tolerance test needs no pairwise order: one matrix-vector product
+    # gives the row sums several times faster than sum(axis=-1)
+    deviation = np.abs(targets @ np.ones(targets.shape[-1]) - 1.0)
+    if (
+        np.fmax.reduce(deviation, axis=None, initial=0.0) > _TARGET_TOL
+        or np.fmin.reduce(targets, axis=None, initial=0.0) < -1e-12
+    ):
+        raise ValueError("targets must be distributions over the last axis")
+    return targets
+
+
+def check_soft_bce(shape: tuple[int, ...], targets: np.ndarray) -> np.ndarray:
+    """Values in [0, 1]."""
+    targets = _targets(shape, targets)
+    if np.fmin.reduce(targets, axis=None, initial=0.0) < 0.0 or np.fmax.reduce(targets, axis=None, initial=1.0) > 1.0:
+        raise ValueError("targets must lie in [0, 1]")
+    return targets
+
+
+def check_masked_pixel_ce(shape: tuple[int, ...], targets: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """(..., K) maps and a binary (...) mask; no mask is the all-ones one."""
+    targets = _targets(shape, targets)
+    mask = np.ones(targets.shape[:-1]) if mask is None else np.asarray(mask, dtype=np.float64)
     if mask.shape != targets.shape[:-1]:
         raise ValueError(f"mask shape {mask.shape} does not match maps {targets.shape[:-1]}")
     if not ((mask == 0.0) | (mask == 1.0)).all():

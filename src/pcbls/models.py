@@ -69,10 +69,11 @@ neither unpacks the parameters again nor recomputes anything; combined
 with the losses' 1/count scaling this yields the gradient of the mean
 loss. The input gradient of the first layer is never computed.
 
-A training step is check_batch() once over a whole epoch's arrays, then
-loss_and_grad_into() on each batch: one forward, the loss core that the
-caller passes (a task's ``loss`` in ``trainer.TASKS``) and one backward into
-the persistent gradient views the caller owns.
+A training step is loss_and_grad_into() on a batch whose inputs passed
+check_inputs() and whose targets passed their task's check (a slice of an
+epoch's checked stack has): one forward, the loss core that the caller
+passes (a task's ``loss`` in ``trainer.TASKS``) and one backward into the
+persistent gradient views the caller owns.
 
 The vector models call BLAS and the ufunc reductions directly: every
 2-D GEMM is ndarray.dot, which calls the same cblas_dgemm as matmul
@@ -96,7 +97,6 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import losses
 from .numerics import _fill_border, frame_chunks
 from .seeding import rng_for
 
@@ -185,30 +185,6 @@ def check_inputs(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     if x.ndim != len(kind.axes) + 1 or x.shape[-1] != spec.dims[0]:
         raise ValueError(f"{spec.architecture} expects ({','.join(kind.axes)},{spec.dims[0]}) inputs, got {x.shape}")
     return x
-
-
-def check_batch(
-    spec: ModelSpec,
-    x: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(x, targets, mask) as float64 arrays after every check of the model's
-    input layout and of loss ``loss_kind`` (``losses.check``).
-
-    A masked_pixel_ce batch without a mask gets the all-ones mask. Each
-    check holds sample by sample, so checking a whole epoch's stacked
-    arrays once covers every batch sliced from them.
-    """
-    x = check_inputs(spec, x)
-    if loss_kind == "masked_pixel_ce":
-        if spec.architecture != "tiny_fcn":
-            raise ValueError("masked_pixel_ce needs per-pixel logits (use tiny_fcn)")
-        if mask is None:
-            mask = np.ones(x.shape[:-1])
-    targets, mask = losses.check(loss_kind, x.shape[:-1] + (spec.dims[-1],), targets, mask)
-    return x, targets, mask
 
 
 def _conv_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -412,7 +388,7 @@ def loss_and_grad_into(
 
     ``tensors`` and ``grads`` are the tensor views of a flat parameter and
     a flat gradient buffer; every gradient element is overwritten. The
-    batch must have passed check_batch (a slice of a checked stack has).
+    batch must have passed check_inputs and its task's check.
     ``loss(logits, targets, mask)`` returns the mean loss and dL/dlogits.
     Returns the mean loss.
     """

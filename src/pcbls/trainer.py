@@ -8,9 +8,10 @@ consecutive slices of that shuffle. Identical (config, data, seed) replays
 bit-for-bit: shuffles are keyed by (seed, epoch), batches run in shuffle
 order, and validation never sees smoothing or pacing.
 
-Every choice that depends on the task (the loss, the soft targets, the
-probability map, the validation metrics, the sample-bank score and the
-default architecture) is one entry of ``TASKS``, which a run takes once.
+Every choice that depends on the task (the batch check and the loss, the
+soft targets, the probability map, the validation metrics, the sample-bank
+score and the default architecture) is one entry of ``TASKS``, which a run
+takes once.
 
 A run owns one flat parameter buffer and one flat gradient buffer, each
 unpacked into tensor views once. A step writes the gradient views
@@ -80,6 +81,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        # a task's loss reads logits of the layout its default architecture gives
+        arch, default = self.model.architecture, TASKS[self.task].arch
+        got, want = (",".join(models._KINDS[a].axes) for a in (arch, default))
+        if got != want:
+            raise ValueError(
+                f"task {self.task!r} needs ({want},K) logits as {default} gives; arch {arch!r} gives ({got},K)"
+            )
         if self.svls_schedule is not None and self.task != "segmentation":
             raise ValueError("a spatial smoothing schedule requires the segmentation task")
         check_schedule("schedule", self.uls_schedule, self.epochs)
@@ -200,7 +208,7 @@ def _segmentation_targets(cfg: TrainConfig, targets: np.ndarray, k: int, eps: fl
     map's targets are its own, so the bytes do not depend on the chunk.
     """
     targets = np.asarray(targets)
-    if targets.ndim != 3:  # not a stack of maps; check_batch refuses it next
+    if targets.ndim != 3:  # not a stack of maps; the task's check refuses it next
         return soft_labels.segmentation_targets(targets, k, epsilon=eps, sigma=sigma, k=cfg.svls_kernel)
     out = np.empty(targets.shape + (k,))
     for s in frame_chunks(*targets.shape):
@@ -238,7 +246,7 @@ def _iou_metrics(logits, targets, k):
 # runs by name when it is called and holds no reference taken at import, so
 # that a module attribute replaced after import (a tracer's wrapper, a test's
 # patch) is what runs.
-#   loss_kind     the losses.check kind of its batches
+#   check         (logits shape, targets, mask) -> (targets, mask), checked, as float64
 #   loss          (logits, targets, mask) -> (mean loss, dL/dlogits), on checked inputs
 #   soft_targets  (cfg, hard targets, K, eps, sigma) -> soft targets, one per hard target
 #   probs         (logits, temperature) -> probabilities
@@ -248,7 +256,7 @@ def _iou_metrics(logits, targets, k):
 #   arch          its default architecture
 TASKS = {
     "multiclass": SimpleNamespace(
-        loss_kind="soft_ce",
+        check=lambda shape, targets, mask: (losses.check_soft_ce(shape, targets), None),
         loss=lambda logits, targets, mask: losses._soft_ce(logits, targets),
         soft_targets=lambda cfg, targets, k, eps, sigma: soft_labels.uls_matrix(targets, k, eps),
         probs=lambda logits, t: apply_temperature(logits, t),
@@ -258,7 +266,7 @@ TASKS = {
         arch="mlp",
     ),
     "multilabel": SimpleNamespace(
-        loss_kind="soft_bce",
+        check=lambda shape, targets, mask: (losses.check_soft_bce(shape, targets), None),
         loss=lambda logits, targets, mask: losses._soft_bce(logits, targets),
         soft_targets=lambda cfg, targets, k, eps, sigma: soft_labels.smooth_binary(targets, eps),
         probs=lambda logits, t: sigmoid(logits / t),
@@ -268,7 +276,7 @@ TASKS = {
         arch="mlp",
     ),
     "segmentation": SimpleNamespace(
-        loss_kind="masked_pixel_ce",
+        check=lambda shape, targets, mask: losses.check_masked_pixel_ce(shape, targets, mask),
         loss=lambda logits, targets, mask: losses._masked_pixel_ce(logits, targets, mask),
         soft_targets=_segmentation_targets,
         probs=lambda logits, t: apply_temperature(logits, t),
@@ -359,8 +367,8 @@ def train(
         masks = active[shuffled].astype(np.float64) if pixel else None
         soft = task.soft_targets(cfg, train_targets[shuffled], num_classes, eps, sigma)
         # np.take copies whole rows faster than fancy indexing, same bytes
-        xs = np.take(train_inputs, shuffled, axis=0)
-        xs, soft, masks = models.check_batch(spec, xs, soft, task.loss_kind, masks)
+        xs = models.check_inputs(spec, np.take(train_inputs, shuffled, axis=0))
+        soft, masks = task.check(xs.shape[:-1] + (spec.dims[-1],), soft, masks)
 
         total_loss = 0.0
         size, batch_size = len(shuffled), cfg.batch_size

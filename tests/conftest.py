@@ -406,22 +406,28 @@ def _ref_loss(task, logits, targets, mask):
 
 def task_loss(task, logits, targets, mask=None):
     """(mean loss, dL/dlogits) of ``task``'s loss in the trainer's task
-    table, after ``losses.check`` of its inputs."""
+    table, after the task's check of its inputs."""
     entry = trainer.TASKS[task]
     logits = np.asarray(logits, dtype=np.float64)
-    targets, mask = losses.check(entry.loss_kind, logits.shape, targets, mask)
+    targets, mask = entry.check(logits.shape, targets, mask)
     return entry.loss(logits, targets, mask)
+
+
+def checked_batch(spec, x, targets, task, mask=None):
+    """(x, targets, mask) of one batch after the trainer's checks:
+    ``models.check_inputs``, then ``task``'s check for the model's logits."""
+    x = models.check_inputs(spec, x)
+    return (x, *trainer.TASKS[task].check(x.shape[:-1] + (spec.dims[-1],), targets, mask))
 
 
 def checked_step(spec, params, x, targets, task, mask=None):
     """(mean loss, flat gradient) of the trainer's step on one batch:
-    ``models.check_batch`` with ``task``'s loss kind, then
-    ``models.loss_and_grad_into`` with its loss, into a new gradient."""
-    entry = trainer.TASKS[task]
-    x, targets, mask = models.check_batch(spec, x, targets, entry.loss_kind, mask)
+    ``checked_batch``, then ``models.loss_and_grad_into`` with ``task``'s
+    loss, into a new gradient."""
+    x, targets, mask = checked_batch(spec, x, targets, task, mask)
     grad = np.empty(spec.param_count())
     tensors, grads = models.unpack(spec, params), models.unpack(spec, grad)
-    return models.loss_and_grad_into(spec, tensors, grads, x, targets, entry.loss, mask), grad
+    return models.loss_and_grad_into(spec, tensors, grads, x, targets, trainer.TASKS[task].loss, mask), grad
 
 
 def _ref_pad(x, c):

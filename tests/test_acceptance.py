@@ -15,16 +15,16 @@ from pcbls.corruption import KINDS, SEVERITY_TABLE, _kind_seed, corrupt_batch, c
 from pcbls.datasets import CIFAR_RECORD, gen_blobs, load_cifar10
 from pcbls.fileio import FormatError, save_csv
 from pcbls.metrics import accuracy
-from pcbls.models import ModelSpec, forward
+from pcbls.models import ModelSpec, _logits, forward, loss_and_grad_into, unpack
 from pcbls.numerics import softmax
 from pcbls.pacing import PacePlan, active_count, build_bank_multiclass, pace_parameter
 from pcbls.schedules import SmoothingSchedule
 from pcbls.seeding import fold_seed
 from pcbls.soft_labels import segmentation_targets, uls, uls_matrix
-from pcbls.trainer import TrainConfig, records_to_csv, train
+from pcbls.trainer import TASKS, TrainConfig, records_to_csv, train
 
 from conftest import (
-    checked_step,
+    checked_batch,
     fd_gradient,
     grad_rel_error,
     record_epoch_ids,
@@ -101,14 +101,19 @@ def test_criterion_03_gradient_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
 
-    # the trainer's own step, differentiated by its own loss values
+    # the trainer's own step, differentiated by its own loss values: each
+    # point's batch is checked once, and each probe runs the step's forward
+    # and loss core on it without the backward
     def check(spec, make_batch, task, points):
+        loss = TASKS[task].loss
         for _ in range(points):
             params = rng.normal(scale=0.5, size=spec.param_count())
             x, targets, mask = make_batch()
-            _, grad = checked_step(spec, params, x, targets, task, mask=mask)
+            x, targets, mask = checked_batch(spec, x, targets, task, mask)
+            grad = np.empty(spec.param_count())
+            loss_and_grad_into(spec, unpack(spec, params), unpack(spec, grad), x, targets, loss, mask)
             fd = fd_gradient(
-                lambda p: checked_step(spec, p, x, targets, task, mask=mask)[0],
+                lambda p: loss(_logits(spec, unpack(spec, p), x)[0], targets, mask)[0],
                 params,
                 h=1e-5,
             )

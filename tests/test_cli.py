@@ -8,7 +8,7 @@ import pytest
 from pcbls import cli
 from pcbls.calibration import apply_temperature, nll
 from pcbls.cli import PRESETS, ConfigError, main, resolve_config
-from pcbls.datasets import gen_blobs, gen_shapes_seg, save_image_dataset
+from pcbls.datasets import LabeledDataset, gen_blobs, gen_shapes_seg, save_image_dataset
 from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
 from pcbls.metrics import brier
 from pcbls.models import ModelSpec, forward
@@ -94,6 +94,11 @@ OUT_OF_RANGE = [
     ({"arch": "resnet"}, "arch must be one of linear_softmax, mlp, tiny_fcn, got 'resnet'"),
     ({"task": "captioning"}, "task must be one of multiclass, multilabel, segmentation, got 'captioning'"),
     ({"granularity": "voxel"}, "granularity must be one of sample, pixel, got 'voxel'"),
+    ({"pace": {"lambda": 2}}, "pace.lambda must be in (0, 1], got 2.0"),
+    ({"pace": {"lambda": 0}}, "pace.lambda must be in (0, 1], got 0.0"),
+    ({"pace": {"lambda": float("nan")}}, "pace.lambda must be finite, got nan"),
+    ({"pace": {"lambda": 0.5, "e_all": 0}}, "pace.e_all must be in (0, 1], got 0.0"),
+    ({"pace": {"lambda": 0.5, "e_all": 1.5}}, "pace.e_all must be in (0, 1], got 1.5"),
 ]
 
 # a data field outside the range its generator or loader enforces, and the
@@ -424,6 +429,29 @@ class TestTrain:
         assert run(["train", "--preset", "bad", "--data", "blobs", "--seed", 1, "--out", out]) == 2
         assert capsys.readouterr().err == "error: preset 'bad': lr must be above 0, got -1.0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pace-lambda", "nan"], "flags: pace.lambda must be finite, got nan"),
+            (["--pace-lambda", 2], "flags: pace.lambda must be in (0, 1], got 2.0"),
+            (["--pace-lambda", 0.5, "--pace-e-all", 0], "flags: pace.e_all must be in (0, 1], got 0.0"),
+        ],
+        ids=["lambda_nan", "lambda_2", "e_all_0"],
+    )
+    def test_pace_flag_out_of_range_names_the_key_before_data(self, tmp_path, capsys, monkeypatch, flags, message):
+        def generate(*args, **kwargs):
+            raise AssertionError("data generated before the range check")
+
+        monkeypatch.setattr("pcbls.datasets.gen_blobs", generate)
+        out = tmp_path / "run"
+        assert run(["train", "--data", "blobs", *flags, "--seed", 1, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_pace_fractions_of_one_are_legal(self):
+        args = SimpleNamespace(data="blobs", pace_lambda=1.0, pace_e_all=1.0)
+        assert resolve_config(args)["pace"] == {"lambda": 1.0, "e_all": 1.0}
 
     @pytest.mark.parametrize("key", ["schedule", "svls_schedule"])
     def test_refused_schedule_names_its_layer(self, tmp_path, capsys, monkeypatch, key):
@@ -816,6 +844,15 @@ class TestCorruptEvalCalibrateReport:
         assert row["val_map"] == "NA" and row["val_miou"] == "NA"
         assert row["val_accuracy"] not in ("", "NA")
 
+    def test_report_row_of_a_run_directory_with_a_comma_reads_back(self, tmp_path):
+        _, out = self._trained(tmp_path)
+        named = out.rename(tmp_path / "a,b")
+        report = tmp_path / "report.csv"
+        assert run(["report", named, "--out", report]) == 0
+        header, rows = load_csv(report)
+        assert len(header) == 8 and [len(r) for r in rows] == [8]
+        assert rows[0][:3] == [str(named), "multiclass", "3"]
+
     def test_report_column_order_stable(self, tmp_path):
         cfg, out = self._trained(tmp_path)
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -1098,6 +1135,62 @@ class TestBankGranularity:
         err = capsys.readouterr().err
         assert "error: checkpoint does not fit this dataset: tiny_fcn expects (N,H,W,3) inputs, got (1, 16)" in err
         assert not dest.exists()
+
+    def test_bank_of_another_task_is_refused_before_anything_is_loaded_or_fitted(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_small_config(tmp_path)
+        base = tmp_path / "base"
+        assert run(["train", "--config", cfg, "--seed", 1, "--out", base]) == 0
+        calls = []
+        load = cli.fileio.load_checkpoint
+        monkeypatch.setattr(cli.fileio, "load_checkpoint", lambda path: calls.append("load_checkpoint") or load(path))
+        monkeypatch.setattr(cli, "fit_temperature", lambda *args: calls.append("fit_temperature"))
+        capsys.readouterr()
+        out = tmp_path / "pix"
+        assert run(
+            ["bank", "--config", cfg, "--seed", 1, "--checkpoint", base / "checkpoint.pckpt",
+             "--variant", "ts", "--granularity", "pixel", "--out", out]
+        ) == 2
+        assert capsys.readouterr().err == "error: pixel banks require the segmentation task\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["bank", "--variant", "ts"], "temperature-scaled banks require the multiclass task"),
+            (["eval", "--manifest", "manifest.csv"], "robustness evaluation requires a multiclass dataset"),
+            (["calibrate"], "calibration requires a multiclass dataset"),
+        ],
+        ids=["ts_bank", "eval_manifest", "calibrate"],
+    )
+    def test_multiclass_commands_refuse_segmentation_before_the_checkpoint(self, tmp_path, capsys, command, message):
+        # the checkpoint does not exist: the task is refused before it is looked for
+        cfg = _write_shapes_config(tmp_path)
+        out = tmp_path / "out"
+        assert run([*command, "--config", cfg, "--seed", 1, "--checkpoint", tmp_path / "none.pckpt", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["segmentation_mlp", "multiclass_tiny_fcn"])
+    def test_architecture_of_another_logit_layout_is_refused_before_the_first_epoch(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        def train(*args, **kwargs):
+            raise AssertionError("trained before the architecture check")
+
+        monkeypatch.setattr(cli.trainer, "train", train)
+        if case == "segmentation_mlp":
+            data, arch = ["--config", _write_shapes_config(tmp_path)], "mlp"
+            message = "task 'segmentation' needs (N,H,W,K) logits as tiny_fcn gives; arch 'mlp' gives (N,K)"
+        else:
+            # RGB images, which tiny_fcn reads, of a multiclass dataset
+            images = np.random.default_rng(0).uniform(size=(20, 4, 4, 3))
+            save_image_dataset(LabeledDataset("multiclass", images, np.arange(20) % 3, 3), tmp_path / "data")
+            data, arch = ["--data", f"dir:{tmp_path / 'data'}"], "tiny_fcn"
+            message = "task 'multiclass' needs (N,K) logits as mlp gives; arch 'tiny_fcn' gives (N,H,W,K)"
+        out = tmp_path / "run"
+        assert run(["train", *data, "--arch", arch, "--epochs", 1, "--seed", 1, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_pixel_bank_on_blobs_is_config_error(self, tmp_path, capsys):
         cfg = _write_small_config(tmp_path)

@@ -29,6 +29,7 @@ from pcbls.fileio import (
     load_pixel_bank,
     save_bank,
     save_checkpoint,
+    save_csv,
     save_image,
     save_pixel_bank,
 )
@@ -235,6 +236,11 @@ class TestTables:
     def test_bank_bytes(self, tmp_path):
         save_bank(tmp_path / "b.csv", SampleBank(np.array([2, 0]), np.array([0.9, 1 / 3]), "plain"))
         assert (tmp_path / "b.csv").read_bytes() == b"sample_id,score,source\n2,0.900000000,plain\n0,0.333333333,plain\n"
+
+    def test_cells_that_need_quotes_read_back_as_written(self, tmp_path):
+        rows = [["a,b", 'say "x"', "two\nlines"], [1, 0.5, ""]]
+        save_csv(tmp_path / "q.csv", ["c1", "c,2", "c3"], rows)
+        assert load_csv(tmp_path / "q.csv") == (["c1", "c,2", "c3"], [[str(v) for v in row] for row in rows])
 
     def test_rows_go_through_the_parser_in_file_order(self, tmp_path):
         # a quoted field may hold a line break; a row's line is the one it starts on

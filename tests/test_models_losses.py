@@ -110,7 +110,7 @@ class TestSoftCe:
 
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
-            losses.check("soft_ce", (3,), np.array([0.5, 0.2, 0.1]))
+            losses.check_soft_ce((3,), np.array([0.5, 0.2, 0.1]))
 
     def test_uls_decomposition_identity(self, rng):
         # CE against a smoothed target splits into (1-eps) CE(one-hot) + eps CE(uniform)
@@ -182,12 +182,12 @@ class TestMaskedPixelCe:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            losses.check("masked_pixel_ce", (1, 2, 2, 3), np.zeros((1, 2, 2, 3)), np.zeros((2, 2)))
+            losses.check_masked_pixel_ce((1, 2, 2, 3), np.zeros((1, 2, 2, 3)), np.zeros((2, 2)))
 
     def test_non_binary_mask_rejected(self, rng):
         targets = np.stack([segmentation_targets(rng.integers(0, 3, (2, 2)), 3)])
         with pytest.raises(ValueError):
-            losses.check("masked_pixel_ce", (1, 2, 2, 3), targets, np.full((1, 2, 2), 0.5))
+            losses.check_masked_pixel_ce((1, 2, 2, 3), targets, np.full((1, 2, 2), 0.5))
 
 
 class TestSoftBce:
@@ -210,7 +210,7 @@ class TestSoftBce:
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError):
-            losses.check("soft_bce", (2,), np.array([0.5, 1.2]))
+            losses.check_soft_bce((2,), np.array([0.5, 1.2]))
 
 
 # (N, H, W, Cin, Cout): the three convs of the benchmark's 16x16 shapes
@@ -429,10 +429,3 @@ class TestBackwardGradientChecks:
                 params,
             )
             assert grad_rel_error(grad, fd) < 1e-4
-
-    def test_loss_kind_validation(self, rng):
-        spec, params, x = _random_case(rng, "mlp")
-        with pytest.raises(ValueError, match="needs per-pixel logits"):
-            models.check_batch(spec, x, np.ones((3, 3)) / 3, "masked_pixel_ce")
-        with pytest.raises(ValueError, match="unknown loss kind"):
-            models.check_batch(spec, x, np.ones((3, 3)) / 3, "nope")

@@ -110,13 +110,13 @@ def _spans(cell: str) -> list[str]:
 
 
 def test_task_table_gives_each_tasks_choices():
-    rows = _table(["task", "loss kind", "soft targets", "probabilities at temperature T", "validation metrics",
+    rows = _table(["task", "batch check", "soft targets", "probabilities at temperature T", "validation metrics",
                    "sample-bank score", "default `arch`"])
     assert list(rows) == list(trainer.TASKS)
     for name, entry in trainer.TASKS.items():
-        loss, targets, probs, metrics, bank, arch = rows[name]
-        assert (loss, arch) == (entry.loss_kind, entry.arch), name
+        check, targets, probs, metrics, bank, arch = rows[name]
+        assert arch == entry.arch, name
         assert [c for c in _spans(metrics) if c.startswith("val_")] == list(entry.columns), name
         # each named function is one the entry's callable looks up
-        for cell, fn in ((targets, entry.soft_targets), (probs, entry.probs), (bank, entry.bank)):
+        for cell, fn in ((check, entry.check), (targets, entry.soft_targets), (probs, entry.probs), (bank, entry.bank)):
             assert _spans(cell)[0] in fn.__code__.co_names, (name, cell)

@@ -91,6 +91,17 @@ class TestValidation:
             TrainConfig(epochs=4, **seg)
         assert TrainConfig(epochs=3, **seg).svls_schedule.value_at(2) == 0.0
 
+    @pytest.mark.parametrize("task", list(TASKS))
+    @pytest.mark.parametrize("arch", list(models.ARCHITECTURES))
+    def test_architecture_gives_the_logit_layout_of_the_tasks_default(self, task, arch):
+        # dense layers give (N,K) logits, the conv layers of tiny_fcn (N,H,W,K)
+        spec = ModelSpec(arch, {"linear_softmax": (8, 4), "mlp": (8, 12, 4), "tiny_fcn": (3, 4, 4, 4)}[arch])
+        if (task == "segmentation") == (arch == "tiny_fcn"):
+            assert _config(task, model=spec).model == spec
+        else:
+            with pytest.raises(ValueError, match=rf"^task '{task}' needs .* logits as .* gives; arch '{arch}' gives "):
+                _config(task, model=spec)
+
     def test_svls_needs_segmentation(self):
         with pytest.raises(ValueError):
             _config(svls_schedule=SEG_SVLS)
