@@ -60,8 +60,8 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     train_ds, val_ds = resolve_dataset(cfg)
     cfg["task"] = train_ds.task
-    bank = config._train_bank(cfg)
     tc = config.build_train_config(cfg, train_ds)
+    bank = config._train_bank(cfg)
     result = trainer.train(
         tc, train_ds.inputs, train_ds.targets, val_ds.inputs, val_ds.targets, train_ds.num_classes, bank=bank
     )

@@ -33,8 +33,9 @@ class ConfigError(ValueError):
 # domain), [t, t] (a JSON list of two t) or a nested table (a JSON object
 # with its own keys).
 # A key whose default is None may be null. _REQUIRED marks a key that has no
-# default. A _DERIVED key is recomputed by every run from the data, so a
-# value given for it (as a replayed resolved_config.json gives) is dropped.
+# default. A value given for a _DERIVED key is dropped: every run recomputes
+# model_dims from the data, and a pace plan's epochs and n, which the run and
+# the bank give, are only in resolved configs written when a plan held them.
 _REQUIRED = object()
 _DERIVED = object()
 
@@ -380,10 +381,6 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
     task = cfg["task"]
     arch = cfg["arch"] or TASKS[task].arch
     spec = models.spec_for(arch, train_ds.inputs.shape, cfg["hidden"], cfg["channels"], train_ds.num_classes)
-    pace = None
-    if cfg["pace"] is not None:
-        n = train_ds.targets.size if cfg["granularity"] == "pixel" else len(train_ds)
-        pace = PacePlan(lam=cfg["pace"]["lambda"], e_all=cfg["pace"]["e_all"], epochs=cfg["epochs"], n=n)
     return TrainConfig(
         task=task,
         model=spec,
@@ -398,7 +395,7 @@ def build_train_config(cfg: dict, train_ds) -> TrainConfig:
         uls_schedule=_schedule(cfg, "schedule"),
         svls_schedule=_schedule(cfg, "svls_schedule"),
         svls_kernel=cfg["svls_kernel"],
-        pace=pace,
+        pace=PacePlan(lam=cfg["pace"]["lambda"], e_all=cfg["pace"]["e_all"]) if cfg["pace"] else None,
     )
 
 

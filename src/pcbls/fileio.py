@@ -15,8 +15,9 @@ threads creating in one directory contend on it. Formats:
   checkpoint   magic PCKPT1, u8 architecture tag, per-arch u32 dims,
                float64 LE parameters, u64 LE epoch counter
   sample bank  CSV `sample_id,score,source`, descending score, 9-digit scores
-  pixel bank   one sidecar per sample: magic PCBL, u32 H, u32 W,
-               H*W float32 LE scores; all sidecars of a bank share H and W
+  pixel bank   one sidecar per sample i, named {i:06d}.pcbl: magic PCBL,
+               u32 H, u32 W, H*W float32 LE scores; all sidecars of a bank
+               share H and W
   images       binary PPM (P6) for RGB, PGM (P5) for grayscale, maxval 255
   CSV tables   UTF-8, a cell with a comma, a quote or a line break quoted;
                sample banks, corruption manifests and dataset
@@ -287,9 +288,17 @@ def _load_sidecar(path: str) -> np.ndarray:
 
 
 def load_pixel_bank(directory: str | Path) -> np.ndarray:
-    """The (N,H,W) float32 bank of a sidecar directory; every sidecar must
-    hold the same H and W."""
-    return _load_stack(_load_sidecar, directory, sorted(f.name for f in Path(directory).glob("*.pcbl")))
+    """The (N,H,W) float32 bank of a sidecar directory, map i read from
+    ``{i:06d}.pcbl``; every sidecar must hold the same H and W. A gap in the
+    ids, or a .pcbl file of another name, is refused by its name."""
+    names = {f.name for f in Path(directory).glob("*.pcbl")}
+    stray = sorted(name for name in names if not re.fullmatch(r"([0-9]{6}|[1-9][0-9]{6,})\.pcbl", name))
+    if stray:
+        raise FormatError(f"{directory}: unexpected file {stray[0]}: sidecars are named 000000.pcbl, 000001.pcbl, ...")
+    want = [f"{i:06d}.pcbl" for i in range(len(names))]
+    if names != set(want):  # every name is an id's, so one below len(names) is missing
+        raise FormatError(f"{directory}: sidecar {next(n for n in want if n not in names)} is missing")
+    return _load_stack(_load_sidecar, directory, want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 A frozen baseline model scores every training sample (a SampleBank, sorted
 easy-to-hard; a segmentation frame by the foreground mean of its pixels'
 scores, one reduction over the whole stack) or pixel (an (N,H,W) pixel
-bank). One rule paces both: each epoch trains on the active_count(plan,
-epoch) units ranked most confident, where the initial fraction lambda grows
-by mu = (1-lambda)/(e_all*epochs) per epoch until the epoch fraction e_all
-is reached, after which everything is active. Units are only ever added.
+bank). One rule paces both: each epoch trains on the active_count units of
+the bank ranked most confident, where the initial fraction lambda grows by
+mu = (1-lambda)/(e_all*epochs) per epoch of the run until the epoch fraction
+e_all is reached, after which everything is active. Units are only ever added.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,7 @@ BANK_SOURCES = ("plain", "temperature_scaled", "label_smoothed")
 
 def pace_parameter(lam: float, e_all: float, epochs: int) -> float:
     """Fraction of additional harder samples introduced per epoch."""
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"initial ratio must lie in (0, 1], got {lam}")
-    if not (0.0 < e_all <= 1.0):
-        raise ValueError(f"epoch ratio must lie in (0, 1], got {e_all}")
+    PacePlan(lam, e_all)  # refuses a share outside (0, 1]
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     return (1.0 - lam) / (e_all * epochs)
@@ -35,33 +32,32 @@ def pace_parameter(lam: float, e_all: float, epochs: int) -> float:
 
 @dataclass(frozen=True)
 class PacePlan:
+    """The initial share ``lam`` of the units and the share ``e_all`` of the
+    run's epochs after which all of them train, each in (0, 1]."""
+
     lam: float
     e_all: float
-    epochs: int
-    n: int
-    mu: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", pace_parameter(self.lam, self.e_all, self.epochs))
-        if self.n < 1:
-            raise ValueError("population size must be >= 1")
+        for name, share in (("initial", self.lam), ("epoch", self.e_all)):
+            if not 0.0 < share <= 1.0:
+                raise ValueError(f"{name} ratio must lie in (0, 1], got {share}")
 
     def to_dict(self) -> dict:
-        return {"lambda": self.lam, "e_all": self.e_all, "epochs": self.epochs, "n": self.n}
+        return {"lambda": self.lam, "e_all": self.e_all}
 
 
-def active_count(plan: PacePlan, epoch: int) -> int:
-    """Number of easiest entries trained on at ``epoch``.
-
+def active_count(plan: PacePlan, epoch: int, epochs: int, n: int) -> int:
+    """How many of the ``n`` easiest units train at ``epoch`` of ``epochs``:
     floor((lam + mu*e) * n), clamped to [1, n]; once epoch reaches
     e_all*epochs everything is active.
     """
-    if not (0 <= epoch < plan.epochs):
-        raise ValueError(f"epoch {epoch} outside [0, {plan.epochs})")
-    if epoch >= plan.e_all * plan.epochs:
-        return plan.n
-    raw = (plan.lam + plan.mu * epoch) * plan.n
-    return int(min(plan.n, max(1, int(np.floor(raw + _COUNT_EPS)))))
+    if not (0 <= epoch < epochs):
+        raise ValueError(f"epoch {epoch} outside [0, {epochs})")
+    if epoch >= plan.e_all * epochs:
+        return n
+    raw = (plan.lam + pace_parameter(plan.lam, plan.e_all, epochs) * epoch) * n
+    return int(min(n, max(1, int(np.floor(raw + _COUNT_EPS)))))
 
 
 @dataclass(frozen=True)
@@ -188,11 +184,9 @@ def ranks(bank: SampleBank | np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def active_mask(ranks: np.ndarray, plan: PacePlan, epoch: int) -> np.ndarray:
-    """Which units train at ``epoch``: a boolean array shaped like ``ranks``
-    that is true for the active_count(plan, epoch) units ranked most
-    confident. ``np.flatnonzero`` of a sample mask gives the active ids in
-    ascending order; a pixel mask is the epoch's (N,H,W) loss masks."""
-    if ranks.size != plan.n:
-        raise ValueError(f"bank holds {ranks.size} units, plan expects {plan.n}")
-    return ranks < active_count(plan, epoch)
+def active_mask(ranks: np.ndarray, plan: PacePlan, epoch: int, epochs: int) -> np.ndarray:
+    """Which units train at ``epoch`` of ``epochs``: a boolean array shaped
+    like ``ranks``, true for the active_count of ``ranks.size`` units ranked
+    most confident. ``np.flatnonzero`` of a sample mask gives the active ids
+    in ascending order; a pixel mask is the epoch's (N,H,W) loss masks."""
+    return ranks < active_count(plan, epoch, epochs, ranks.size)

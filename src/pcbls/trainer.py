@@ -4,9 +4,11 @@ Each epoch: look up the smoothing factor(s) for this epoch, take the bank's
 active mask (over ranks taken once: the active sample ids, or every frame's
 pixel masks), gather the inputs, soft targets and masks of a seeded shuffle
 of the active ids once, check them once, and step the optimizer over
-consecutive slices of that shuffle. Identical (config, data, seed) replays
-bit-for-bit: shuffles are keyed by (seed, epoch), batches run in shuffle
-order, and validation never sees smoothing or pacing.
+consecutive slices of that shuffle; the mask's count is the epoch's
+active_count, paced over the run's epochs and the bank's units. Identical
+(config, data, seed) replays bit-for-bit: shuffles are keyed by (seed,
+epoch), batches run in shuffle order, and validation never sees smoothing
+or pacing.
 
 Every choice that depends on the task (the batch check and the loss, the
 soft targets, the probability map, the validation metrics, the sample-bank
@@ -310,10 +312,10 @@ def train(
 
     A pace plan paces the units of ``bank``, whose type is the granularity:
     a SampleBank paces samples, an (N,H,W) pixel bank (segmentation only)
-    pixels. With no schedules and no pace plan this is a plain
-    cross-entropy trainer; a constant-0 schedule reproduces it exactly
-    because the smoothing formula at factor 0 returns the one-hot target
-    bit-for-bit.
+    pixels, one unit per training sample or label-map pixel. With no
+    schedules and no pace plan this is a plain cross-entropy trainer; a
+    constant-0 schedule reproduces it exactly because the smoothing formula
+    at factor 0 returns the one-hot target bit-for-bit.
     """
     n = len(train_inputs)
     if n == 0 or len(val_inputs) == 0:
@@ -323,15 +325,12 @@ def train(
     if cfg.pace is not None:
         if bank is None:
             raise ValueError("pacing requires a bank: a SampleBank or an (N,H,W) pixel bank")
-        if pixel:
-            if cfg.task != "segmentation":
-                raise ValueError("pixel-wise pacing requires the segmentation task")
-            bank_shape, map_shape = np.shape(bank), np.shape(train_targets)
-            if bank_shape != map_shape:
-                raise ValueError(f"pixel bank shape {bank_shape} does not match the label maps {map_shape}")
-        elif len(bank) != n:
-            raise ValueError(f"bank holds {len(bank)} samples, the training set {n}")
-        ranks = pacing.ranks(bank)  # active_mask refuses a plan of another n
+        if pixel and cfg.task != "segmentation":
+            raise ValueError("pixel-wise pacing requires the segmentation task")
+        ranks = pacing.ranks(bank)
+        want = np.shape(train_targets) if pixel else (n,)  # a unit per sample, or per label-map pixel
+        if ranks.shape != want:
+            raise ValueError(f"bank of shape {ranks.shape} does not match the training set's {want}")
 
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     train_targets = np.asarray(train_targets)
@@ -355,8 +354,8 @@ def train(
 
         ids, count = np.arange(n), n
         if ranks is not None:
-            active = pacing.active_mask(ranks, cfg.pace, epoch)
-            count = pacing.active_count(cfg.pace, epoch)
+            active = pacing.active_mask(ranks, cfg.pace, epoch, cfg.epochs)
+            count = int(np.count_nonzero(active))
             if not pixel:
                 ids = np.flatnonzero(active)  # ascending
         order = np.random.default_rng(fold_seed(shuffle_key, epoch)).permutation(len(ids))

@@ -306,12 +306,10 @@ def ref_segmentation_targets(labels, num_classes, epsilon=0.0, sigma=None, k=3):
     return maps
 
 
-def ref_pixel_masks(pixel_bank, plan, epoch):
+def ref_pixel_masks(pixel_bank, plan, epoch, epochs):
     """Per-epoch masks from a fresh sort of every pixel of a list of maps."""
     total = sum(m.size for m in pixel_bank)
-    if total != plan.n:
-        raise ValueError(f"pixel bank holds {total} pixels, plan expects {plan.n}")
-    count = pacing.active_count(plan, epoch)
+    count = pacing.active_count(plan, epoch, epochs, total)
     flat = np.concatenate([m.ravel().astype(np.float64) for m in pixel_bank])
     keep = np.zeros(total, dtype=bool)
     keep[np.argsort(-flat, kind="stable")[:count]] = True
@@ -555,9 +553,9 @@ def ref_train(cfg, inputs, targets, num_classes, bank=None):
         ids = np.arange(n)
         masks = None
         if cfg.pace is not None and isinstance(bank, pacing.SampleBank):
-            ids = np.sort(bank.sample_ids[: pacing.active_count(cfg.pace, epoch)])
+            ids = np.sort(bank.sample_ids[: pacing.active_count(cfg.pace, epoch, cfg.epochs, n)])
         elif cfg.pace is not None:
-            masks = np.stack(ref_pixel_masks(list(bank), cfg.pace, epoch)).astype(np.float64)
+            masks = np.stack(ref_pixel_masks(list(bank), cfg.pace, epoch, cfg.epochs)).astype(np.float64)
         shuffled = ids[rng_for(cfg.seed, "shuffle", epoch).permutation(len(ids))]
         total, seen = 0.0, 0
         for start in range(0, len(shuffled), cfg.batch_size):

@@ -46,10 +46,10 @@ def test_criterion_01_formula_exactness():
     assert all(abs(p - 0.0625) < 1e-9 for i, p in enumerate(probs) if i != 2)
     # pace parameter and per-epoch counts at lambda=0.6, e_all=0.4, E=50
     assert abs(pace_parameter(0.6, 0.4, 50) - 0.02) < 1e-9
-    plan = PacePlan(0.6, 0.4, 50, 1000)
+    plan = PacePlan(0.6, 0.4)
     for e in range(50):
         want = min(1000, int(np.floor((0.6 + 0.02 * e) * 1000 + 1e-9))) if e < 20 else 1000
-        assert active_count(plan, e) == want
+        assert active_count(plan, e, 50, 1000) == want
     # exponential decay at init 0.5, rate 0.9
     sched = SmoothingSchedule(kind="exponential", init=0.5, rate=0.9)
     for e in range(50):
@@ -175,7 +175,7 @@ def test_criterion_05_ce_degeneracy(tmp_path):
     bank = build_bank_multiclass(np.full((len(tr), 4), 0.25), tr.targets)
     cbls_cfg = TrainConfig(
         task="multiclass", model=spec, epochs=5, batch_size=16, seed=7,
-        uls_schedule=SmoothingSchedule(kind="constant", init=0.0), pace=PacePlan(1.0, 0.4, 5, len(tr)),
+        uls_schedule=SmoothingSchedule(kind="constant", init=0.0), pace=PacePlan(1.0, 0.4),
     )
     base_cfg = TrainConfig(task="multiclass", model=spec, epochs=5, batch_size=16, seed=7)
     r_cbls = train(cbls_cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
@@ -195,7 +195,7 @@ def test_criterion_06_pacing_trace(monkeypatch):
     va = gen_blobs(8, 10, dim=8, seed=6, split="val")
     rng = np.random.default_rng(66)
     bank = build_bank_multiclass(rng.dirichlet(np.ones(8), size=n), tr.targets)
-    plan = PacePlan(0.6, 0.4, 50, n)
+    plan = PacePlan(0.6, 0.4)
     cfg = TrainConfig(
         task="multiclass", model=ModelSpec("mlp", (8, 16, 8)), epochs=50, batch_size=64,
         seed=2, uls_schedule=SmoothingSchedule(kind="exponential", init=0.5, rate=0.9), pace=plan,
@@ -208,7 +208,7 @@ def test_criterion_06_pacing_trace(monkeypatch):
     assert counts == [600 + 20 * e for e in range(20)] + [1000] * 30
     assert len(epochs) == cfg.epochs
     for e, seen in enumerate(epochs):
-        assert sorted(seen) == sorted(bank.sample_ids[: active_count(plan, e)].tolist())
+        assert sorted(seen) == sorted(bank.sample_ids[: active_count(plan, e, cfg.epochs, n)].tolist())
     _report(6, "active counts run 600,620,...,1000 and each epoch's steps see exactly the active samples, once each")
 
 

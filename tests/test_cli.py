@@ -9,7 +9,7 @@ from pcbls import cli
 from pcbls.calibration import apply_temperature, nll
 from pcbls.cli import PRESETS, ConfigError, main, resolve_config
 from pcbls.datasets import LabeledDataset, gen_blobs, gen_shapes_seg, save_image_dataset
-from pcbls.fileio import load_bank, load_checkpoint, load_csv, save_pixel_bank
+from pcbls.fileio import load_bank, load_checkpoint, load_csv, load_pixel_bank, save_json, save_pixel_bank
 from pcbls.metrics import brier
 from pcbls.models import ModelSpec, forward
 from pcbls.pacing import PacePlan
@@ -148,8 +148,8 @@ UNKNOWN_KEYS = [
 
 _SHAPES = {"name": "shapes", "height": 16, "width": 16, "foreground": 2, "n": 8, "n_val": 4}
 
-# every preset on a dataset of its task; a paced run (sample or pixel bank)
-# also replays its pace plan's derived epochs and n
+# every preset on a dataset of its task; two of them paced, by a sample bank
+# and by a pixel bank
 REPLAYS = [
     ("workflow_cls", {}, None),
     ("workflow_cls", {}, "sample"),
@@ -249,6 +249,31 @@ class TestTrain:
             assert run(["train", "--config", first / "resolved_config.json", "--out", replay]) == 0, case.name
             assert (first / "metrics.csv").read_bytes() == (replay / "metrics.csv").read_bytes(), case.name
             assert (first / "checkpoint.pckpt").read_bytes() == (replay / "checkpoint.pckpt").read_bytes(), case.name
+
+    @pytest.mark.parametrize(
+        "preset, extra, bank", [r for r in REPLAYS if r[2]], ids=[f"{r[0]}+{r[2]}_bank" for r in REPLAYS if r[2]]
+    )
+    def test_resolved_config_with_the_pace_plans_former_epochs_and_n_replays(self, tmp_path, preset, extra, bank):
+        # a resolved_config.json written when the pace plan also held the
+        # run's epochs and the bank's unit count
+        cfg = _write_small_config(tmp_path, **extra)
+        base, bank_path, first, replay = (tmp_path / name for name in ("base", "bank", "first", "replay"))
+        assert run(["train", "--config", cfg, "--seed", 9, "--out", base]) == 0
+        assert run(
+            ["bank", "--config", cfg, "--seed", 9, "--checkpoint", base / "checkpoint.pckpt",
+             "--granularity", bank, "--out", bank_path]
+        ) == 0
+        assert run(["train", "--config", cfg, "--preset", preset, "--pace", "--bank", bank_path, "--seed", 9,
+                    "--out", first]) == 0
+        resolved = json.loads((first / "resolved_config.json").read_text())
+        assert resolved["pace"].keys() == {"lambda", "e_all"}
+        units = load_pixel_bank(bank_path).size if bank == "pixel" else len(load_bank(bank_path))
+        resolved["pace"].update(epochs=resolved["epochs"], n=units)
+        former = tmp_path / "former.json"
+        save_json(former, resolved)
+        assert run(["train", "--config", former, "--out", replay]) == 0
+        assert (first / "metrics.csv").read_bytes() == (replay / "metrics.csv").read_bytes()
+        assert (first / "checkpoint.pckpt").read_bytes() == (replay / "checkpoint.pckpt").read_bytes()
 
     def test_data_flag_naming_the_config_dataset_keeps_its_fields(self, tmp_path):
         cfg = _write_small_config(tmp_path)
@@ -987,6 +1012,27 @@ class TestSegmentationChecks:
         assert f"error: {pix / '000003.pcbl'}: cannot read the file: Is a directory" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda pix: (pix / "000003.pcbl").unlink(), "sidecar 000003.pcbl is missing"),
+            (lambda pix: (pix / "zz_copy.pcbl").write_bytes((pix / "000000.pcbl").read_bytes()),
+             "unexpected file zz_copy.pcbl: sidecars are named 000000.pcbl, 000001.pcbl, ..."),
+        ],
+        ids=["gap", "stray"],
+    )
+    def test_pixel_bank_with_a_gap_or_a_stray_sidecar_is_config_error(self, tmp_path, capsys, edit, message):
+        cfg = _write_shapes_config(tmp_path)
+        pix = tmp_path / "pixbank"
+        save_pixel_bank(pix, np.zeros((8, 16, 16), np.float32))
+        edit(pix)
+        out = tmp_path / "paced"
+        assert run(
+            ["train", "--config", cfg, "--seed", 1, "--out", out, "--preset", "segmentation", "--pace", "--bank", pix]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {pix}: {message}\n"
+        assert not out.exists()
+
     def test_nan_spatial_schedule_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"svls_schedule": {"kind": "constant", "init": NaN}, "epochs": 2}')
@@ -1056,7 +1102,7 @@ class TestBankGranularity:
         va = gen_shapes_seg(16, 16, 2, 4, seed=seed, split="val")
         tc = TrainConfig(
             task="segmentation", model=ModelSpec("tiny_fcn", (3, 4, 4, 3)), epochs=2,
-            optimizer="adam", lr=1e-3, seed=1, pace=PacePlan(0.5, 0.4, 2, maps.size),
+            optimizer="adam", lr=1e-3, seed=1, pace=PacePlan(0.5, 0.4),
         )
         result = train(tc, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=maps)
         _, params, _ = load_checkpoint(out / "checkpoint.pckpt")
@@ -1190,6 +1236,31 @@ class TestBankGranularity:
         out = tmp_path / "run"
         assert run(["train", *data, "--arch", arch, "--epochs", 1, "--seed", 1, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("granularity", ["pixel", "sample"])
+    def test_architecture_of_a_paced_run_is_refused_before_its_bank_is_read(
+        self, tmp_path, capsys, monkeypatch, granularity
+    ):
+        def load(path):
+            raise AssertionError(f"bank {path} read before the architecture check")
+
+        monkeypatch.setattr(cli.fileio, "load_pixel_bank", load)
+        monkeypatch.setattr(cli.fileio, "load_bank", load)
+        if granularity == "pixel":
+            bank = tmp_path / "pixbank"
+            save_pixel_bank(bank, np.full((8, 16, 16), 0.5, dtype=np.float32))
+        else:
+            bank = tmp_path / "bank.csv"
+            bank.write_text("sample_id,score,source\n" + "".join(f"{i},0.5,plain\n" for i in range(8)))
+        out = tmp_path / "run"
+        assert run(
+            ["train", "--config", _write_shapes_config(tmp_path), "--arch", "mlp", "--pace-lambda", 0.5,
+             "--bank", bank, "--seed", 1, "--out", out]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: task 'segmentation' needs (N,H,W,K) logits as tiny_fcn gives; arch 'mlp' gives (N,K)\n"
+        )
         assert not out.exists()
 
     def test_pixel_bank_on_blobs_is_config_error(self, tmp_path, capsys):

@@ -309,6 +309,24 @@ class TestPixelBankStack:
         with pytest.raises(FormatError, match="pix: no sample files"):
             load_pixel_bank(tmp_path / "pix")
 
+    def test_a_gap_in_the_ids_raises_format_error_naming_the_missing_sidecar(self, tmp_path, rng):
+        # without the gap check frame 2 would load in frame 1's place
+        save_pixel_bank(tmp_path / "pix", rng.uniform(size=(3, 2, 2)).astype(np.float32))
+        (tmp_path / "pix" / "000001.pcbl").unlink()
+        with pytest.raises(FormatError, match=r"pix: sidecar 000001\.pcbl is missing$"):
+            load_pixel_bank(tmp_path / "pix")
+
+    @pytest.mark.parametrize(
+        "stray",
+        ["zz_copy.pcbl", "0000001.pcbl", "1.pcbl", "\u0663" * 6 + ".pcbl"],
+        ids=["other_name", "seven_digits", "unpadded", "non_ascii_digits"],
+    )
+    def test_a_sidecar_of_another_name_raises_format_error_naming_it(self, tmp_path, stray):
+        save_pixel_bank(tmp_path / "pix", np.zeros((3, 2, 2), np.float32))
+        (tmp_path / "pix" / stray).write_bytes((tmp_path / "pix" / "000000.pcbl").read_bytes())
+        with pytest.raises(FormatError, match=f"pix: unexpected file {re.escape(stray)}: sidecars are named 000000"):
+            load_pixel_bank(tmp_path / "pix")
+
 
 # (file name, valid bytes written by this package, loader taking the file's path)
 

@@ -6,7 +6,8 @@ paced train and replay), then, for each task, one sample bank and one
 relative to the working directory, so no file holds a temporary path.
 
 A change that alters output bytes on purpose updates these constants and
-lists each one as old -> new in CHANGES.md. The constants hold for one
+lists each one as old -> new in CHANGES.md; a failure prints the GOLDEN
+line of each file that differs, ready to paste. The constants hold for one
 numpy and one BLAS build: a dense GEMM's last bits can depend on the BLAS
 kernel, so on another build a mismatch may be a replay difference and not a
 code change. The failure message names both.
@@ -65,10 +66,10 @@ GOLDEN = {
     "segmentation+pixel_bank/eval.csv": "e4e7f61a447e25057027983ae5e5b89f4e2fc5f2b0ebb308176a8109e7af2a5f",
     "segmentation+pixel_bank/first/checkpoint.pckpt": "a3bc93d44c6565958dabc3152e0e3cb54ca0ba0e9379b123f6ca94c7abf55446",
     "segmentation+pixel_bank/first/metrics.csv": "6068a89330184cb24e5ddbb838f8fd371d4ec6c0dedfb0b9300602ac15ccc7a4",
-    "segmentation+pixel_bank/first/resolved_config.json": "daae39a2feda057c1bbc2f068e4d3313844e4b580591de76291ec414b58b7bf8",
+    "segmentation+pixel_bank/first/resolved_config.json": "97a3395ac8755bc1e49d0362e30bb3061afdc4d5cc2626df7136e9485915e99c",
     "segmentation+pixel_bank/replay/checkpoint.pckpt": "a3bc93d44c6565958dabc3152e0e3cb54ca0ba0e9379b123f6ca94c7abf55446",
     "segmentation+pixel_bank/replay/metrics.csv": "6068a89330184cb24e5ddbb838f8fd371d4ec6c0dedfb0b9300602ac15ccc7a4",
-    "segmentation+pixel_bank/replay/resolved_config.json": "daae39a2feda057c1bbc2f068e4d3313844e4b580591de76291ec414b58b7bf8",
+    "segmentation+pixel_bank/replay/resolved_config.json": "97a3395ac8755bc1e49d0362e30bb3061afdc4d5cc2626df7136e9485915e99c",
     "segmentation+pixel_bank/sample_bank.csv": "31573ec04172b623f66e3c8117b6f69c5c31419b9dfaed69ea50215e67c85700",
     "tool_cls/cfg.json": "b2fdb64c82e07451cfc4429d7916a0a6325f0ae053a57247384cc11de89cd105",
     "tool_cls/eval.csv": "eb930b95ec22e087928941c766fa1a956b3f784b8d6326a391a10f8bdccc8f12",
@@ -97,10 +98,10 @@ GOLDEN = {
     "workflow_cls+sample_bank/cfg.json": "a3161c7b55b030d7afed04b36df7d16e82b3ad567ecaafaec19add5ac30c4694",
     "workflow_cls+sample_bank/first/checkpoint.pckpt": "4b3a18e83358f965b4ecbf605acbd1c9fee4e68ad5b1577347ca2515a07568c4",
     "workflow_cls+sample_bank/first/metrics.csv": "027edf224c79224362b077ed94ec773e512494246b30672e231910901630e680",
-    "workflow_cls+sample_bank/first/resolved_config.json": "52f350a2590e3c43ffc589c3dac16440037981d6cfbbea7bcae5c4f587d60446",
+    "workflow_cls+sample_bank/first/resolved_config.json": "07ae58bbfd1e75aa0c4520e9fc835c91b503037f70d95ff0045b0726043dd5b6",
     "workflow_cls+sample_bank/replay/checkpoint.pckpt": "4b3a18e83358f965b4ecbf605acbd1c9fee4e68ad5b1577347ca2515a07568c4",
     "workflow_cls+sample_bank/replay/metrics.csv": "027edf224c79224362b077ed94ec773e512494246b30672e231910901630e680",
-    "workflow_cls+sample_bank/replay/resolved_config.json": "52f350a2590e3c43ffc589c3dac16440037981d6cfbbea7bcae5c4f587d60446",
+    "workflow_cls+sample_bank/replay/resolved_config.json": "07ae58bbfd1e75aa0c4520e9fc835c91b503037f70d95ff0045b0726043dd5b6",
 }
 
 
@@ -147,7 +148,9 @@ def test_flow_outputs_match_their_golden_hashes(tmp_path, monkeypatch):
         if p.is_file()
     }
     differ = sorted(k for k in got.keys() | GOLDEN.keys() if got.get(k) != GOLDEN.get(k))
+    # a GOLDEN line for each file written, to paste when the change is intended
+    lines = "".join(f'\n    "{k}": "{got[k]}",' if k in got else f"\n    (not written) {k}" for k in differ)
     assert not differ, (
         f"{len(differ)} of {len(GOLDEN)} golden files differ under {_build()} "
-        f"(the constants were taken under numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0): {differ}"
+        f"(the constants were taken under numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0): {differ}{lines}"
     )

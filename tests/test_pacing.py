@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,34 +37,45 @@ class TestPaceParameter:
                 pace_parameter(*bad)
 
 
+class TestPacePlan:
+    def test_holds_lambda_and_e_all_only(self):
+        assert [f.name for f in fields(PacePlan)] == ["lam", "e_all"]
+        assert PacePlan(0.6, 0.4).to_dict() == {"lambda": 0.6, "e_all": 0.4}
+
+    @pytest.mark.parametrize("lam, e_all", [(0.0, 0.4), (1.1, 0.4), (0.6, 0.0), (0.6, 1.2), (float("nan"), 0.4)])
+    def test_refuses_a_share_outside_the_unit_interval_when_built(self, lam, e_all):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            PacePlan(lam, e_all)
+
+
 class TestActiveCount:
     def test_reference_trace(self):
-        plan = PacePlan(0.6, 0.4, 50, 1000)
-        assert active_count(plan, 0) == 600
-        assert active_count(plan, 10) == 800
+        plan = PacePlan(0.6, 0.4)
+        assert active_count(plan, 0, 50, 1000) == 600
+        assert active_count(plan, 10, 50, 1000) == 800
         for e in range(20, 50):
-            assert active_count(plan, e) == 1000
+            assert active_count(plan, e, 50, 1000) == 1000
 
     def test_full_trace_exact(self):
-        plan = PacePlan(0.6, 0.4, 50, 1000)
-        got = [active_count(plan, e) for e in range(50)]
+        plan = PacePlan(0.6, 0.4)
+        got = [active_count(plan, e, 50, 1000) for e in range(50)]
         want = [600 + 20 * e for e in range(20)] + [1000] * 30
         assert got == want
 
     def test_lambda_one(self):
-        plan = PacePlan(1.0, 0.4, 10, 77)
-        assert all(active_count(plan, e) == 77 for e in range(10))
+        plan = PacePlan(1.0, 0.4)
+        assert all(active_count(plan, e, 10, 77) == 77 for e in range(10))
 
     def test_lower_clamp(self):
-        plan = PacePlan(0.6, 0.4, 10, 1)
-        assert all(active_count(plan, e) == 1 for e in range(10))
+        plan = PacePlan(0.6, 0.4)
+        assert all(active_count(plan, e, 10, 1) == 1 for e in range(10))
 
     def test_monotone_and_saturating(self):
-        plan = PacePlan(0.3, 0.5, 37, 613)
-        counts = [active_count(plan, e) for e in range(37)]
+        plan = PacePlan(0.3, 0.5)
+        counts = [active_count(plan, e, 37, 613) for e in range(37)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 613
-        first_full = int(np.ceil(plan.e_all * plan.epochs))
+        first_full = int(np.ceil(plan.e_all * 37))
         assert all(c == 613 for c in counts[first_full:])
 
     @settings(max_examples=200, deadline=None)
@@ -73,19 +86,19 @@ class TestActiveCount:
         n=st.integers(1, 5000),
     )
     def test_monotone_bounded_and_full_from_e_all(self, lam, e_all, epochs, n):
-        plan = PacePlan(lam, e_all, epochs, n)
-        counts = [active_count(plan, e) for e in range(epochs)]
+        plan = PacePlan(lam, e_all)
+        counts = [active_count(plan, e, epochs, n) for e in range(epochs)]
         assert all(1 <= c <= n for c in counts)
         assert all(a <= b for a, b in zip(counts, counts[1:]))
-        first_full = int(np.ceil(plan.e_all * plan.epochs))
+        first_full = int(np.ceil(plan.e_all * epochs))
         assert all(c == n for c in counts[first_full:])
 
     def test_epoch_bounds(self):
-        plan = PacePlan(0.6, 0.4, 5, 10)
+        plan = PacePlan(0.6, 0.4)
         with pytest.raises(ValueError):
-            active_count(plan, -1)
+            active_count(plan, -1, 5, 10)
         with pytest.raises(ValueError):
-            active_count(plan, 5)
+            active_count(plan, 5, 5, 10)
 
 
 class TestBankBuilders:
@@ -194,8 +207,8 @@ class TestActiveSet:
         bank = build_bank_multiclass(
             np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]]), np.array([0, 1, 0])
         )
-        plan = PacePlan(0.4, 0.5, 10, 3)
-        ids0 = np.flatnonzero(active_mask(ranks(bank), plan, 0))
+        plan = PacePlan(0.4, 0.5)
+        ids0 = np.flatnonzero(active_mask(ranks(bank), plan, 0, 10))
         assert len(ids0) == 1
         assert ids0[0] == 0  # highest confidence sample
 
@@ -203,55 +216,46 @@ class TestActiveSet:
         probs = rng.dirichlet(np.ones(3), size=40)
         labels = rng.integers(0, 3, size=40)
         bank = build_bank_multiclass(probs, labels)
-        plan = PacePlan(0.25, 0.6, 20, 40)
+        plan = PacePlan(0.25, 0.6)
         previous = set()
         for e in range(20):
-            current = set(np.flatnonzero(active_mask(ranks(bank), plan, e)).tolist())
+            current = set(np.flatnonzero(active_mask(ranks(bank), plan, e, 20)).tolist())
             assert previous <= current
             previous = current
         assert previous == set(range(40))
-
-    def test_size_mismatch(self):
-        bank = build_bank_multiclass(np.ones((3, 2)) / 2, np.array([0, 1, 0]))
-        with pytest.raises(ValueError):
-            active_mask(ranks(bank), PacePlan(0.5, 0.5, 10, 4), 0)
 
 
 class TestPixelMasks:
     def test_lambda_one_all_ones(self):
         maps = [np.array([[0.5, 0.1]], dtype=np.float32)]
-        plan = PacePlan(1.0, 0.4, 10, 2)
-        masks = active_mask(ranks(np.stack(maps)), plan, 0)
+        plan = PacePlan(1.0, 0.4)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0, 10)
         assert masks[0].all()
 
     def test_top_half_kept(self):
         maps = [np.array([[0.9, 0.1]], dtype=np.float32)]
-        plan = PacePlan(0.5, 0.4, 10, 2)
-        masks = active_mask(ranks(np.stack(maps)), plan, 0)
+        plan = PacePlan(0.5, 0.4)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0, 10)
         assert masks[0][0, 0] and not masks[0][0, 1]
 
     def test_late_epochs_all_ones(self):
         maps = [np.random.default_rng(0).uniform(size=(3, 3)).astype(np.float32)]
-        plan = PacePlan(0.5, 0.4, 10, 9)
+        plan = PacePlan(0.5, 0.4)
         for e in range(4, 10):
-            assert active_mask(ranks(np.stack(maps)), plan, e)[0].all()
+            assert active_mask(ranks(np.stack(maps)), plan, e, 10)[0].all()
 
     def test_exact_count_with_ties(self):
         maps = [np.full((2, 3), 0.5, dtype=np.float32), np.full((2, 3), 0.5, dtype=np.float32)]
-        plan = PacePlan(0.5, 0.5, 10, 12)
-        masks = active_mask(ranks(np.stack(maps)), plan, 0)
+        plan = PacePlan(0.5, 0.5)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0, 10)
         assert sum(int(m.sum()) for m in masks) == 6
         # deterministic tie-break: earlier samples/pixels win
         assert masks[0].all() and not masks[1].any()
 
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            active_mask(ranks(np.stack([np.zeros((2, 2), dtype=np.float32)])), PacePlan(0.5, 0.5, 10, 5), 0)
-
     def test_across_sample_selection(self, rng):
         maps = [rng.uniform(size=(4, 4)).astype(np.float32) for _ in range(3)]
-        plan = PacePlan(0.25, 0.5, 8, 48)
-        masks = active_mask(ranks(np.stack(maps)), plan, 0)
+        plan = PacePlan(0.25, 0.5)
+        masks = active_mask(ranks(np.stack(maps)), plan, 0, 8)
         kept = np.concatenate([m.ravel() for m in masks])
         scores = np.concatenate([m.ravel() for m in maps])
         count = int(kept.sum())
@@ -266,12 +270,12 @@ class TestPixelRanks:
             # coarse scores make ties common
             bank = (rng.integers(0, 4, size=(n, h, w)) / 4).astype(np.float32)
             epochs = int(rng.integers(1, 12))
-            plan = PacePlan(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.1, 1.0)), epochs, bank.size)
+            plan = PacePlan(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.1, 1.0)))
             bank_ranks = ranks(bank)
             for e in range(epochs):
-                got = active_mask(bank_ranks, plan, e)
+                got = active_mask(bank_ranks, plan, e, epochs)
                 assert got.shape == bank.shape and got.dtype == bool
-                assert np.array_equal(got, np.stack(ref_pixel_masks(list(bank), plan, e)))
+                assert np.array_equal(got, np.stack(ref_pixel_masks(list(bank), plan, e, epochs)))
 
     def test_ranks_are_a_permutation_in_score_order(self, rng):
         bank = rng.uniform(size=(3, 4, 5)).astype(np.float32)
@@ -309,12 +313,12 @@ class TestPixelRanks:
 )
 def test_pixel_masks_follow_the_pace_plan(shape, lam, e_all, epochs, seed):
     bank = np.random.default_rng(seed).uniform(size=shape).astype(np.float32)
-    plan = PacePlan(lam, e_all, epochs, bank.size)
+    plan = PacePlan(lam, e_all)
     bank_ranks = ranks(bank)
     previous = np.zeros(shape, dtype=bool)
     for e in range(epochs):
-        mask = active_mask(bank_ranks, plan, e)
-        assert int(mask.sum()) == active_count(plan, e)
+        mask = active_mask(bank_ranks, plan, e, epochs)
+        assert int(mask.sum()) == active_count(plan, e, epochs, bank.size)
         assert not (previous & ~mask).any()  # pixels are only ever added
         if e >= e_all * epochs:
             assert mask.all()
@@ -336,11 +340,11 @@ def test_sample_masks_hold_the_bank_prefix(n, levels, lam, e_all, epochs, seed):
     rng = np.random.default_rng(seed)
     scores = np.sort(rng.integers(0, levels, size=n) / levels)[::-1]
     bank = SampleBank(rng.permutation(n).astype(np.int64), scores)
-    plan = PacePlan(lam, e_all, epochs, n)
+    plan = PacePlan(lam, e_all)
     bank_ranks = ranks(bank)
     for e in range(epochs):
-        want = np.sort(bank.sample_ids[: active_count(plan, e)])
-        assert np.array_equal(np.flatnonzero(active_mask(bank_ranks, plan, e)), want)
+        want = np.sort(bank.sample_ids[: active_count(plan, e, epochs, n)])
+        assert np.array_equal(np.flatnonzero(active_mask(bank_ranks, plan, e, epochs)), want)
 
 
 class TestSampleRanks:

@@ -8,7 +8,7 @@ from pcbls import models
 from pcbls.cli import PRESETS, ConfigError, resolve_config
 from pcbls.datasets import gen_blobs, gen_multilabel, gen_shapes_seg
 from pcbls.models import ModelSpec, init_params
-from pcbls.pacing import PacePlan, active_count, build_bank_multiclass
+from pcbls.pacing import PacePlan, SampleBank, active_count, build_bank_multiclass
 from pcbls.schedules import SmoothingSchedule
 from pcbls.soft_labels import uls_matrix
 from pcbls.trainer import (
@@ -53,7 +53,7 @@ class TestValidation:
     def test_pixel_granularity_needs_segmentation(self):
         tr, va = _blob_setup()
         pixel_bank = np.full((len(tr), 2, 2), 0.5, dtype=np.float32)
-        cfg = _config(pace=PacePlan(0.5, 0.5, 4, pixel_bank.size))
+        cfg = _config(pace=PacePlan(0.5, 0.5))
         with pytest.raises(ValueError, match="pixel-wise pacing requires the segmentation task"):
             train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=pixel_bank)
 
@@ -106,9 +106,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             _config(svls_schedule=SEG_SVLS)
 
+    @pytest.mark.parametrize("granularity", ["sample", "pixel"])
+    def test_bank_of_another_size_than_the_training_set_is_refused(self, granularity):
+        tr = gen_shapes_seg(16, 16, 2, 5, seed=3, split="train")
+        va = gen_shapes_seg(16, 16, 2, 2, seed=3, split="val")
+        if granularity == "sample":
+            bank, message = SampleBank(np.arange(4), np.full(4, 0.5)), r"\(4,\) does not match the training set's \(5,\)"
+        else:
+            bank, message = np.full((5, 16, 8), 0.5), r"\(5, 16, 8\) does not match the training set's \(5, 16, 16\)"
+        cfg = TrainConfig(task="segmentation", model=ModelSpec("tiny_fcn", (3, 4, 4, 3)), epochs=2, pace=PacePlan(0.5, 0.5))
+        with pytest.raises(ValueError, match=f"^bank of shape {message}$"):
+            train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=bank)
+
     def test_pace_requires_bank(self):
         tr, va = _blob_setup()
-        cfg = _config(pace=PacePlan(0.5, 0.5, 4, len(tr)))
+        cfg = _config(pace=PacePlan(0.5, 0.5))
         with pytest.raises(ValueError):
             train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
 
@@ -162,7 +174,7 @@ class TestDeterminism:
         first = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=len(tr)), tr.targets)
         other = _config(
-            model=ModelSpec("linear_softmax", (8, 4)), batch_size=7, optimizer="adam", pace=PacePlan(0.6, 0.4, 4, len(tr))
+            model=ModelSpec("linear_softmax", (8, 4)), batch_size=7, optimizer="adam", pace=PacePlan(0.6, 0.4)
         )
         train(other, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
         again = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4)
@@ -210,7 +222,7 @@ class TestRecords:
         tr, va = _blob_setup(per_class=25, classes=4)  # n=100
         n = len(tr)
         bank = build_bank_multiclass(np.full((n, 4), 0.25), tr.targets)
-        cfg = _config(epochs=10, pace=PacePlan(0.6, 0.4, 10, n))
+        cfg = _config(epochs=10, pace=PacePlan(0.6, 0.4))
         result = train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
         counts = [r.active_count for r in result.records]
         assert counts == [60, 70, 80, 90, 100, 100, 100, 100, 100, 100]
@@ -243,13 +255,13 @@ class TestInstrumentation:
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(4), size=n)
         bank = build_bank_multiclass(probs, tr.targets)
-        plan = PacePlan(0.5, 0.5, 8, n)
+        plan = PacePlan(0.5, 0.5)
         cfg = _config(epochs=8, pace=plan)
         epochs = record_epoch_ids(monkeypatch, tr.inputs)
         train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
         assert len(epochs) == cfg.epochs
         for e, seen in enumerate(epochs):
-            assert sorted(seen) == sorted(bank.sample_ids[: active_count(plan, e)].tolist())
+            assert sorted(seen) == sorted(bank.sample_ids[: active_count(plan, e, cfg.epochs, n)].tolist())
 
 
 def _vector_data(task):
@@ -274,7 +286,7 @@ class TestMatchesReferenceLoop:
         n = len(tr)
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=n), tr.targets)
         # the workflow_cls preset's schedule and pace plan
-        cfg = _config(epochs=epochs, uls_schedule=CBLS, pace=PacePlan(0.6, 0.4, epochs, n))
+        cfg = _config(epochs=epochs, uls_schedule=CBLS, pace=PacePlan(0.6, 0.4))
         return cfg, tr, va, bank
 
     def test_mlp_sgd_sample_pacing(self):
@@ -302,7 +314,6 @@ class TestMatchesReferenceLoop:
         va = gen_shapes_seg(16, 16, 2, 3, seed=3, split="val")
         spec = ModelSpec("tiny_fcn", (3, 4, 4, 3))
         pixel_bank = score_pixel_bank(spec, init_params(spec, 0), tr.inputs, tr.targets)
-        total = sum(m.size for m in pixel_bank)
         cfg = TrainConfig(
             task="segmentation",
             model=spec,
@@ -315,7 +326,7 @@ class TestMatchesReferenceLoop:
             uls_schedule=SEG_ULS,
             svls_schedule=SEG_SVLS,
             svls_kernel=3,
-            pace=PacePlan(0.8, 0.4, 2, total),
+            pace=PacePlan(0.8, 0.4),
         )
         _assert_matches_reference(cfg, tr, va, 3, bank=pixel_bank)
 
@@ -339,7 +350,7 @@ class TestMatchesReferenceLoop:
             uls_schedule=SEG_ULS,
             svls_schedule=SEG_SVLS,
             svls_kernel=3,
-            pace=PacePlan(0.8, 0.4, 2, sum(m.size for m in pixel_bank)),
+            pace=PacePlan(0.8, 0.4),
         )
         _assert_matches_reference(cfg, tr, va, 4, bank=pixel_bank)
 
@@ -377,7 +388,7 @@ class TestCallerArraysUnwritten:
         bank = build_bank_multiclass(np.random.default_rng(7).dirichlet(np.ones(4), size=len(tr)), tr.targets)
         arrays = [tr.inputs, tr.targets, va.inputs, va.targets, bank.sample_ids, bank.scores]
         before = [a.tobytes() for a in arrays]
-        cfg = _config(uls_schedule=CBLS, pace=PacePlan(0.6, 0.4, 4, len(tr)))
+        cfg = _config(uls_schedule=CBLS, pace=PacePlan(0.6, 0.4))
         train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 4, bank=bank)
         assert [a.tobytes() for a in arrays] == before
 
@@ -398,7 +409,7 @@ class TestCallerArraysUnwritten:
             seed=4,
             uls_schedule=SEG_ULS,
             svls_schedule=SEG_SVLS,
-            pace=PacePlan(0.8, 0.4, 2, pixel_bank.size),
+            pace=PacePlan(0.8, 0.4),
         )
         train(cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=pixel_bank)
         assert [a.tobytes() for a in arrays] == before
@@ -454,7 +465,7 @@ class TestTasks:
             seed=1,
             uls_schedule=SEG_ULS,
             svls_schedule=SEG_SVLS,
-            pace=PacePlan(0.8, 0.4, 3, total),
+            pace=PacePlan(0.8, 0.4),
         )
         result = train(
             cfg, tr.inputs, tr.targets, va.inputs, va.targets, 3, bank=pixel_bank
